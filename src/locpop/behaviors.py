@@ -10,9 +10,9 @@ weight per kind, even when two kinds happen to carry the same share).
 A profile is a Nash equilibrium when neither firm's behavior-evaluated
 best deviation beats its on-path share. For pessimistic firms the best
 deviation has a closed form and the NE set is an explicit share interval;
-for neutral and optimistic firms the best deviation is located by an
-analytic candidate set plus a uniform grid with one local refinement
-pass.
+for neutral and optimistic firms the payoff is piecewise affine (convex)
+between closed-form breakpoints, so the best deviation is the exact
+supremum over the values at and the one-sided limits beside them.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ import enum
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
 from .model import (
     EquilibriumProfile,
     Kind,
@@ -31,6 +28,7 @@ from .model import (
     MarketOutcome,
     GameParams,
     _equilibria,
+    _split_share,
     distinct_shares,
     enumerate_market_equilibria,
     is_market_equilibrium,
@@ -38,7 +36,6 @@ from .model import (
 
 __all__ = [
     "NE_TOL",
-    "DEFAULT_DEVIATION_GRID",
     "BehaviorKind",
     "NoEquilibriumError",
     "DeviationReport",
@@ -54,12 +51,10 @@ __all__ = [
     "nash_diameter_bounds_check",
 ]
 
-# Weak-inequality slack for Nash decisions; absorbs grid noise on the
-# searched (non-closed-form) deviation paths.
+# Weak-inequality slack for Nash decisions. Best deviations are exact
+# suprema; this absorbs floating-point rounding on ties such as a profile
+# on a band edge or with a tight kind II/IV condition.
 NE_TOL = 1e-9
-
-# Default resolution of the uniform deviation grid.
-DEFAULT_DEVIATION_GRID = 4001
 
 
 class BehaviorKind(enum.Enum):
@@ -80,9 +75,10 @@ class DeviationReport:
 
     For :func:`deviation_payoff` results, ``payoff`` is exactly the
     min / mean / max of the deviator's share over ``outcomes_considered``
-    according to the active behavior. ``coincident_shares`` flags
-    boundary instances where two kinds carry the same share within
-    1e-12 (the neutral mean still counts each kind once).
+    according to the active behavior; for best deviations it is the
+    supremum, which the aggregate at ``location`` may only approach.
+    ``coincident_shares`` flags boundary instances where two kinds carry
+    the same share within 1e-12 (the neutral mean still counts each once).
     """
 
     deviator: int
@@ -132,17 +128,40 @@ class NashInterval:
         return {"lo": self.lo, "hi": self.hi, "empty": self.is_empty}
 
 
+def _aggregate(behavior: BehaviorKind, shares) -> float:
+    if behavior is BehaviorKind.PESSIMISTIC:
+        return min(shares)
+    if behavior is BehaviorKind.OPTIMISTIC:
+        return max(shares)
+    return sum(shares) / len(shares)
+
+
 def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: float) -> float:
     """Behavior-aggregated share of a firm locating at x_dev against x_other."""
     if x_dev <= x_other:
         shares = [s for _, s in _equilibria(a, x_dev, x_other)]
     else:
         shares = [1.0 - s for _, s in _equilibria(a, x_other, x_dev)]
-    if behavior is BehaviorKind.PESSIMISTIC:
-        return min(shares)
-    if behavior is BehaviorKind.OPTIMISTIC:
-        return max(shares)
-    return sum(shares) / len(shares)
+    return _aggregate(behavior, shares)
+
+
+def _check_deviation_args(deviator: int, x_other: float, x_dev: float = 0.0):
+    if deviator not in (1, 2):
+        raise ValueError(f"deviator must be firm 1 or 2, got {deviator}")
+    if not (0.0 <= x_dev <= 1.0 and 0.0 <= x_other <= 1.0):
+        raise ValueError("deviation and opponent locations must lie in [0, 1]")
+
+
+def _report(params: GameParams, deviator: int, location: float, x_other: float, payoff: float):
+    loc = Locations.from_unordered(location, x_other)
+    outcomes = tuple(enumerate_market_equilibria(params, loc))
+    return DeviationReport(
+        deviator=deviator,
+        location=location,
+        payoff=payoff,
+        outcomes_considered=outcomes,
+        coincident_shares=len(distinct_shares(outcomes)) < len(outcomes),
+    )
 
 
 def deviation_payoff(
@@ -159,20 +178,9 @@ def deviation_payoff(
     (pessimistic), max (optimistic) or the arithmetic mean over the
     enumerated kinds (neutral).
     """
-    if deviator not in (1, 2):
-        raise ValueError(f"deviator must be firm 1 or 2, got {deviator}")
-    if not 0.0 <= x_dev <= 1.0 or not 0.0 <= x_other <= 1.0:
-        raise ValueError("deviation and opponent locations must lie in [0, 1]")
-    loc = Locations.from_unordered(x_dev, x_other)
-    outcomes = tuple(enumerate_market_equilibria(params, loc))
+    _check_deviation_args(deviator, x_other, x_dev)
     payoff = _deviation_value(params.a, behavior, x_dev, x_other)
-    return DeviationReport(
-        deviator=deviator,
-        location=x_dev,
-        payoff=payoff,
-        outcomes_considered=outcomes,
-        coincident_shares=len(distinct_shares(outcomes)) < len(outcomes),
-    )
+    return _report(params, deviator, x_dev, x_other, payoff)
 
 
 def best_deviation_pessimistic(
@@ -192,10 +200,7 @@ def best_deviation_pessimistic(
     aggregate over ``outcomes_considered`` at the reported location
     itself (which always contains a zero-share outcome).
     """
-    if deviator not in (1, 2):
-        raise ValueError(f"deviator must be firm 1 or 2, got {deviator}")
-    if not 0.0 <= x_other <= 1.0:
-        raise ValueError(f"opponent location must lie in [0, 1], got {x_other}")
+    _check_deviation_args(deviator, x_other)
     a = params.a
     if x_other <= 0.5:
         if x_other + a >= 1.0:
@@ -207,80 +212,71 @@ def best_deviation_pessimistic(
             location, payoff = max(x_other - a, 0.0), 0.0
         else:
             location, payoff = x_other - a, 1.0 - (1.0 - x_other) / (1.0 - a)
-    loc = Locations.from_unordered(location, x_other)
-    outcomes = tuple(enumerate_market_equilibria(params, loc))
-    return DeviationReport(
-        deviator=deviator,
-        location=location,
-        payoff=payoff,
-        outcomes_considered=outcomes,
-        coincident_shares=len(distinct_shares(outcomes)) < len(outcomes),
-    )
+    return _report(params, deviator, location, x_other, payoff)
 
 
-def _candidate_deviations(a: float, x_other: float) -> np.ndarray:
-    """Breakpoints of the deviation-payoff map plus a few analytic guesses.
+# Own-location exclusion radius. Breakpoints closer than twice it merge,
+# so at most one ever falls within it of the deviator's own location.
+_SAME_POINT = 1e-12
 
-    The payoff is piecewise linear in the deviation location with
-    breakpoints at the band edges x_other +- a and at the existence
-    boundaries of kinds II/IV; the interval endpoints, the opponent's
-    own location and its reflection are added for good measure.
-    """
-    cands = [0.0, 1.0, x_other, 1.0 - x_other, x_other - a, x_other + a]
+
+def _breakpoints(a: float, x_other: float) -> list:
+    """Sorted breakpoints in [0, 1] of the deviation payoff against x_other:
+    0, 1, x_other, the band edges x_other +- a and the kind II/IV existence
+    boundaries a + (1 - 2a) x_other and, unless a = 1/2 (where that
+    condition ignores the deviation), (x_other - a) / (1 - 2a)."""
+    points = [0.0, 1.0, x_other, x_other - a, x_other + a, a + (1.0 - 2.0 * a) * x_other]
     if a != 0.5:
-        cands.append(a + (1.0 - 2.0 * a) * x_other)
-        cands.append((x_other - a) / (1.0 - 2.0 * a))
-    return np.array([c for c in cands if 0.0 <= c <= 1.0])
+        points.append((x_other - a) / (1.0 - 2.0 * a))
+    merged: list = []
+    for p in sorted(p for p in points if 0.0 <= p <= 1.0):
+        if not merged or p - merged[-1] > 2.0 * _SAME_POINT:
+            merged.append(p)
+    return merged
 
 
-def _search_best_deviation(
-    a: float,
-    behavior: BehaviorKind,
-    x_other: float,
-    grid_points: int,
-    exclude: float | None = None,
-):
-    """Maximize the deviation payoff over [0, 1].
+def _piece_limits(a: float, behavior: BehaviorKind, x_other: float, left: float, right: float):
+    """One-sided limits of the payoff at both ends of the open piece (left, right).
 
-    Evaluates the analytic candidates and a uniform grid, then runs one
-    bounded scalar-minimization refinement pass on the best bracket,
-    keeping the best point seen. ``exclude`` removes a single location
-    (the deviator's current position) from consideration.
+    No split appears, vanishes or clips inside a piece, so the kinds at
+    its midpoint hold throughout and each share is affine in the
+    deviation location: the limits are those kinds' formulas at the ends.
     """
-    xs = np.unique(
-        np.concatenate([np.linspace(0.0, 1.0, grid_points), _candidate_deviations(a, x_other)])
-    )
-    if exclude is not None:
-        xs = xs[np.abs(xs - exclude) > 1e-12]
-    values = np.array([_deviation_value(a, behavior, float(x), x_other) for x in xs])
-    i = int(np.argmax(values))
-    best_x, best_v = float(xs[i]), float(values[i])
-
-    lo = float(xs[i - 1]) if i > 0 else float(xs[0])
-    hi = float(xs[i + 1]) if i + 1 < len(xs) else float(xs[-1])
-    if hi - lo > 1e-12:
-        seen = {"x": best_x, "v": best_v}
-
-        def negated(x: float) -> float:
-            x = float(x)
-            if exclude is not None and abs(x - exclude) <= 1e-12:
-                return 1.0  # dominated; payoffs live in [0, 1]
-            v = _deviation_value(a, behavior, x, x_other)
-            if v > seen["v"]:
-                seen["x"], seen["v"] = x, v
-            return -v
-
-        minimize_scalar(
-            negated, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-        )
-        best_x, best_v = seen["x"], seen["v"]
-    return best_x, best_v
+    mid = 0.5 * (left + right)
+    if mid <= x_other:
+        kinds = [kind for kind, _ in _equilibria(a, mid, x_other)]
+        shares = ([_split_share(k, a, x, x_other) for k in kinds] for x in (left, right))
+    else:
+        kinds = [kind for kind, _ in _equilibria(a, x_other, mid)]
+        shares = ([1.0 - _split_share(k, a, x_other, x) for k in kinds] for x in (left, right))
+    return tuple(_aggregate(behavior, end) for end in shares)
 
 
 @functools.lru_cache(maxsize=65536)
-def _cached_best_deviation(a: float, behavior: BehaviorKind, x_other: float, grid_points: int):
-    """Memoized search without exclusion; region scans revisit x_other often."""
-    return _search_best_deviation(a, behavior, x_other, grid_points)
+def _cached_best_deviation(a: float, behavior: BehaviorKind, x_other: float):
+    """The two best (payoff, location, attained) candidates against x_other.
+
+    Candidates are the payoff attained at each breakpoint and the
+    one-sided limits beside it; ties keep attained values, then smaller
+    locations, first. Excluding the own location drops at most one
+    attained value, so two entries answer every lookup. Region scans
+    revisit x_other often, hence the cache.
+    """
+    points = _breakpoints(a, x_other)
+    candidates = [(_deviation_value(a, behavior, p, x_other), p, True) for p in points]
+    for left, right in zip(points, points[1:]):
+        at_left, at_right = _piece_limits(a, behavior, x_other, left, right)
+        candidates += [(at_left, left, False), (at_right, right, False)]
+    candidates.sort(key=lambda candidate: -candidate[0])
+    return tuple(candidates[:2])
+
+
+def _searched_supremum(a: float, behavior: BehaviorKind, x_other: float, own_location=None):
+    """(location, payoff) of the neutral/optimistic supremum, own location excluded."""
+    (payoff, location, attained), runner_up = _cached_best_deviation(a, behavior, x_other)
+    if attained and own_location is not None and abs(location - own_location) <= _SAME_POINT:
+        payoff, location, _ = runner_up
+    return location, payoff
 
 
 def best_deviation(
@@ -289,13 +285,25 @@ def best_deviation(
     deviator: int,
     x_other: float,
     *,
-    grid_points: int = DEFAULT_DEVIATION_GRID,
+    own_location: float | None = None,
 ) -> DeviationReport:
-    """Best deviation for any behavior; closed form when pessimistic."""
+    """Best deviation against an opponent at ``x_other``, for any behavior.
+
+    As in :func:`best_deviation_pessimistic`, which answers the
+    pessimistic case, the payoff is the supremum over [0, 1] and the
+    location the breakpoint where it is attained or approached from.
+    Neutral payoffs are affine and optimistic ones convex between
+    breakpoints, so the supremum is the largest value at or beside one.
+
+    ``own_location`` is the deviator's current location: staying put is
+    not a deviation, so the value attained there is dropped (the limits
+    beside it stay). It cannot change a pessimistic supremum.
+    """
     if behavior is BehaviorKind.PESSIMISTIC:
         return best_deviation_pessimistic(params, deviator, x_other)
-    x, _ = _cached_best_deviation(params.a, behavior, x_other, grid_points)
-    return deviation_payoff(params, behavior, deviator, x, x_other)
+    _check_deviation_args(deviator, x_other)
+    location, payoff = _searched_supremum(params.a, behavior, x_other, own_location)
+    return _report(params, deviator, location, x_other, payoff)
 
 
 def is_nash(
@@ -303,17 +311,15 @@ def is_nash(
     behavior: BehaviorKind,
     profile: EquilibriumProfile,
     *,
-    grid_points: int = DEFAULT_DEVIATION_GRID,
     tol: float = NE_TOL,
 ) -> bool:
     """Decide whether a profile is a Nash equilibrium under ``behavior``.
 
     The profile's outcome must be a market equilibrium for its locations
     (ValueError otherwise). Each firm's on-path share is compared against
-    its best deviation payoff with weak-inequality slack ``tol``.
-    Deviations to the firm's own current location are not deviations; the
-    memoized search ignores that exclusion and a re-search enforces it in
-    the rare case the unconstrained maximizer is the current location.
+    its best deviation payoff, the supremum of :func:`best_deviation`
+    with the firm's own location excluded, with weak-inequality slack
+    ``tol``.
     """
     loc = profile.locations
     if not is_market_equilibrium(params, loc, profile.s1):
@@ -324,18 +330,10 @@ def is_nash(
     )
     for firm, own_share, own_x, opp_x in checks:
         if behavior is BehaviorKind.PESSIMISTIC:
-            if own_share < best_deviation_pessimistic(params, firm, opp_x).payoff - tol:
-                return False
-            continue
-        argmax, value = _cached_best_deviation(params.a, behavior, opp_x, grid_points)
-        if own_share >= value - tol:
-            continue
-        if abs(argmax - own_x) > 1e-12:
-            return False
-        _, value_excl = _search_best_deviation(
-            params.a, behavior, opp_x, grid_points, exclude=own_x
-        )
-        if own_share < value_excl - tol:
+            best = best_deviation_pessimistic(params, firm, opp_x).payoff
+        else:
+            _, best = _searched_supremum(params.a, behavior, opp_x, own_x)
+        if own_share < best - tol:
             return False
     return True
 

@@ -31,12 +31,9 @@ import tempfile
 import numpy as np
 
 from .behaviors import (
-    DEFAULT_DEVIATION_GRID,
     BehaviorKind,
     NoEquilibriumError,
-    _search_best_deviation,
-    best_deviation_pessimistic,
-    deviation_payoff,
+    best_deviation,
     is_nash,
     nash_diameter_bounds_check,
     pessimistic_nash_interval,
@@ -77,7 +74,7 @@ def _round_floats(obj):
 
 
 def _json_doc(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    return json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _csv_doc(header, rows) -> str:
@@ -151,15 +148,6 @@ def _match_outcome(params, loc, s1):
     return None
 
 
-def _best_deviation_excluding(params, behavior, firm, x_opp, own_x):
-    if behavior is BehaviorKind.PESSIMISTIC:
-        return best_deviation_pessimistic(params, firm, x_opp)
-    x, _ = _search_best_deviation(
-        params.a, behavior, x_opp, DEFAULT_DEVIATION_GRID, exclude=own_x
-    )
-    return deviation_payoff(params, behavior, firm, x, x_opp)
-
-
 def _cmd_nash_check(args) -> int:
     params = _params(args)
     behavior = _behavior(args)
@@ -171,8 +159,8 @@ def _cmd_nash_check(args) -> int:
         )
     profile = EquilibriumProfile(loc, outcome)
     verdict = is_nash(params, behavior, profile)
-    rep1 = _best_deviation_excluding(params, behavior, 1, loc.x2, loc.x1)
-    rep2 = _best_deviation_excluding(params, behavior, 2, loc.x1, loc.x2)
+    rep1 = best_deviation(params, behavior, 1, loc.x2, own_location=loc.x1)
+    rep2 = best_deviation(params, behavior, 2, loc.x1, own_location=loc.x2)
     binding = rep1 if rep1.payoff - profile.s1 >= rep2.payoff - profile.s2 else rep2
     payload = {
         "a": params.a, "theta": params.theta, "behavior": behavior.value,
@@ -401,11 +389,7 @@ def _verify_best_deviation(rng, grid, instances, failures):
         x_other = float(rng.uniform(0.0, 1.0))
         behavior = behaviors[k % 3]
         params = GameParams(a)
-        if behavior is BehaviorKind.PESSIMISTIC:
-            analytic = best_deviation_pessimistic(params, 1, x_other).payoff
-        else:
-            _, analytic = _search_best_deviation(a, behavior, x_other,
-                                                 DEFAULT_DEVIATION_GRID)
+        analytic = best_deviation(params, behavior, 1, x_other).payoff
         _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
         lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
         tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6

@@ -18,6 +18,7 @@ everything" to "firm 1 takes everything".
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -89,8 +90,8 @@ class GameParams:
     def __post_init__(self):
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"a must lie strictly inside (0, 1), got {self.a}")
-        if not self.theta >= 1.0:
-            raise ValueError(f"theta must be >= 1, got {self.theta}")
+        if not (math.isfinite(self.theta) and self.theta >= 1.0):
+            raise ValueError(f"theta must be finite and >= 1, got {self.theta}")
 
 
 @dataclass(frozen=True)
@@ -250,6 +251,20 @@ def _equilibria(a: float, x1: float, x2: float):
         found.append((Kind.III, _clip_unit((x1 + x2 - a) / (2.0 * (1.0 - a)))))
     found.sort(key=lambda item: (item[1], _KIND_RANK[item[0]]))
     return tuple(found)
+
+
+def _split_share(kind: Kind, a: float, x1: float, x2: float) -> float:
+    """Firm 1's share in the ``kind`` split at x1 <= x2, whether or not it
+    exists, by the arithmetic :func:`_equilibria` inlines for speed."""
+    if kind is Kind.I:
+        return 0.0
+    if kind is Kind.V:
+        return 1.0
+    if kind is Kind.II:
+        return _clip_unit(0.5 - (x2 - x1) / (2.0 * a))
+    if kind is Kind.IV:
+        return _clip_unit(0.5 + (x2 - x1) / (2.0 * a))
+    return _clip_unit((x1 + x2 - a) / (2.0 * (1.0 - a)))
 
 
 def enumerate_market_equilibria(params: GameParams, loc: Locations) -> list:

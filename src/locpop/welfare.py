@@ -168,8 +168,8 @@ def best_ne_pessimistic(params: GameParams) -> ProfileWelfare:
       itself; welfare theta - 1/4 + a.
 
     Welfare is evaluated via :func:`consumer_welfare` at the stated
-    profile. Adjacent regime formulas agree at the breakpoints; this is
-    asserted when a falls on one.
+    profile. Adjacent regime formulas agree at the breakpoints; when a
+    falls on one this is checked, and RuntimeError raised if not.
     """
     a = params.a
 
@@ -197,7 +197,8 @@ def best_ne_pessimistic(params: GameParams) -> ProfileWelfare:
     welfare = consumer_welfare(params, profile.x1, profile.x2, profile.s1)
     if neighbor is not None:
         other = consumer_welfare(params, neighbor.x1, neighbor.x2, neighbor.s1)
-        assert abs(other - welfare) <= 1e-9, "best-NE regimes disagree at a breakpoint"
+        if not abs(other - welfare) <= 1e-9:
+            raise RuntimeError("best-NE regimes disagree at a breakpoint")
     return ProfileWelfare(profile, welfare)
 
 
@@ -272,15 +273,17 @@ def poa_minimizer_pessimistic(theta: float) -> float:
     """Externality level minimizing the pessimistic price of anarchy.
 
     Closed form ``(1 - 8 theta + sqrt(64 theta^2 - 16 theta + 9)) / 4``;
-    local minimality is asserted by a finite-difference sign check. At
-    theta = 1 this is (sqrt(57) - 7)/4, about 0.137, with PoA about
-    1.159.
+    local minimality is checked by a finite-difference sign test, which
+    raises RuntimeError on failure. At theta = 1 this is
+    (sqrt(57) - 7)/4, about 0.137, with PoA about 1.159.
     """
-    if not theta >= 1.0:
-        raise ValueError(f"theta must be >= 1, got {theta}")
+    if not (math.isfinite(theta) and theta >= 1.0):
+        raise ValueError(f"theta must be finite and >= 1, got {theta}")
     a_star = (1.0 - 8.0 * theta + math.sqrt(64.0 * theta * theta - 16.0 * theta + 9.0)) / 4.0
     h = min(1e-4, a_star / 2.0)
     center = _poa_value_pessimistic(a_star, theta)
-    assert _poa_value_pessimistic(a_star - h, theta) >= center, "not a local minimum (left)"
-    assert _poa_value_pessimistic(a_star + h, theta) >= center, "not a local minimum (right)"
+    if not _poa_value_pessimistic(a_star - h, theta) >= center:
+        raise RuntimeError("PoA closed form is not a local minimum (left)")
+    if not _poa_value_pessimistic(a_star + h, theta) >= center:
+        raise RuntimeError("PoA closed form is not a local minimum (right)")
     return a_star

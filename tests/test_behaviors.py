@@ -155,6 +155,123 @@ def test_best_deviation_generic_dispatch():
 
 
 # ---------------------------------------------------------------------------
+# neutral and optimistic best deviation (exact supremum)
+
+
+def test_best_deviation_neutral_supremum_beside_band_edge():
+    # approached from the right of x_other + a = 0.775 on the unique split,
+    # where the deviator holds 1 - (x_other + x - a) / (2 (1 - a)) -> 3/4
+    rep = best_deviation(GameParams(0.7), BehaviorKind.NEUTRAL, 1, 0.075)
+    assert rep.payoff == pytest.approx(0.75, abs=1e-12)
+    assert rep.location == pytest.approx(0.775, abs=1e-12)
+
+
+def test_best_deviation_neutral_supremum_beside_kind_boundary():
+    # approached from the left of the kind IV boundary c = (x - a) / (1 - 2a),
+    # where kinds I, II, V hold and the mean tends to
+    # (3/2 + (2x - 1) / (2 (1 - 2a))) / 3; the value attained at c is lower
+    a, x = 0.042960144605441675, 0.5327278660623584
+    rep = best_deviation(GameParams(a), BehaviorKind.NEUTRAL, 1, x)
+    assert rep.location == pytest.approx((x - a) / (1.0 - 2.0 * a), abs=1e-12)
+    assert rep.payoff == pytest.approx((1.5 + (2 * x - 1) / (2 * (1 - 2 * a))) / 3, abs=1e-12)
+    at_boundary = deviation_payoff(GameParams(a), BehaviorKind.NEUTRAL, 1, rep.location, x)
+    assert at_boundary.payoff < rep.payoff - 1e-2
+
+
+def test_best_deviation_keeps_the_half_breakpoint_at_a_half():
+    from locpop.behaviors import _breakpoints
+
+    # at a = 1/2 the kind II/IV boundary a + (1 - 2a) x_other is 1/2 for
+    # every opponent; for x_other = 0.2 the mean is (1.7 - x)/3 left of it,
+    # (3.3 - x)/5 right of it and 1.3 - x beyond the band edge 0.7
+    params = GameParams(0.5)
+    for x_other in (0.0, 0.2, 0.5, 0.8, 1.0):
+        assert 0.5 in _breakpoints(0.5, x_other)
+    rep = best_deviation(params, BehaviorKind.NEUTRAL, 1, 0.2)
+    assert (rep.location, rep.payoff) == (pytest.approx(0.7), pytest.approx(0.6, abs=1e-12))
+    assert deviation_payoff(params, BehaviorKind.NEUTRAL, 1, 0.5, 0.2).payoff == pytest.approx(
+        0.56, abs=1e-12
+    )
+    mirrored = best_deviation(params, BehaviorKind.NEUTRAL, 2, 0.8)
+    assert (mirrored.location, mirrored.payoff) == (
+        pytest.approx(0.3),
+        pytest.approx(0.6, abs=1e-12),
+    )
+
+
+biased_externalities = st.one_of(st.sampled_from([0.25, 0.5]), externalities)
+biased_positions = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), positions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=biased_externalities,
+    x_other=biased_positions,
+    behavior=st.sampled_from([BehaviorKind.NEUTRAL, BehaviorKind.OPTIMISTIC]),
+)
+def test_best_deviation_brackets_the_grid_maximum(a, x_other, behavior):
+    params = GameParams(a)
+    grid = GridSpec(n_locations=2001)
+    _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
+    spacing = 1.0 / (grid.n_locations - 1)
+    payoff = best_deviation(params, behavior, 1, x_other).payoff
+    assert payoff >= grid_best - 1e-12
+    assert payoff <= grid_best + max(1.0 / (1.0 - a), 1.0 / (2.0 * a)) * spacing + 1e-9
+
+
+def test_own_location_exclusion_is_shared_by_is_nash_and_nash_check(capsys):
+    import json
+
+    from locpop.cli import main
+
+    # optimistic, a = 0.1, firms at 0 and 0.05 with firm 2 serving everyone:
+    # firm 1's best unconstrained move (share 1) is attained at its own
+    # location, so excluding it moves the report to the next candidate of
+    # equal value, co-locating at 0.05
+    params = GameParams(0.1)
+    profile = EquilibriumProfile(Locations(0.0, 0.05), MarketOutcome(Kind.I, 0.0))
+    free = best_deviation(params, BehaviorKind.OPTIMISTIC, 1, 0.05)
+    assert (free.location, free.payoff) == (0.0, 1.0)
+    excluded = best_deviation(params, BehaviorKind.OPTIMISTIC, 1, 0.05, own_location=0.0)
+    assert (excluded.location, excluded.payoff) == (0.05, 1.0)
+    assert not is_nash(params, BehaviorKind.OPTIMISTIC, profile)
+
+    code = main(["nash-check", "--a", "0.1", "--x1", "0", "--x2", "0.05", "--s1", "0",
+                 "--behavior", "optimistic"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["is_nash"] is False
+    assert doc["binding_deviation"] == {"deviator": 1, "location": 0.05, "payoff": 1.0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=biased_externalities,
+    p=biased_positions,
+    q=biased_positions,
+    behavior=st.sampled_from([BehaviorKind.NEUTRAL, BehaviorKind.OPTIMISTIC]),
+)
+def test_is_nash_reads_the_excluded_supremum(a, p, q, behavior):
+    # the value attained at a breakpoint always equals or trails a
+    # one-sided limit beside it, so excluding the own location moves the
+    # reported location at most, never the supremum
+    from locpop import NE_TOL
+
+    params = GameParams(a)
+    for profile in profiles_at(params, min(p, q), max(p, q)):
+        verdict = True
+        for firm, own, own_x, opp in (
+            (1, profile.s1, profile.x1, profile.x2),
+            (2, profile.s2, profile.x2, profile.x1),
+        ):
+            excluded = best_deviation(params, behavior, firm, opp, own_location=own_x)
+            assert excluded.payoff == pytest.approx(
+                best_deviation(params, behavior, firm, opp).payoff, abs=1e-12
+            )
+            verdict = verdict and own >= excluded.payoff - NE_TOL
+        assert is_nash(params, behavior, profile) == verdict
+
+
+# ---------------------------------------------------------------------------
 # Nash decisions
 
 
@@ -228,8 +345,8 @@ def test_pessimistic_mirror_invariance(a, p, q):
 
 
 def test_neutral_decision_matches_dense_reference():
-    # cross-check the memoized candidate-plus-refinement search against a
-    # plain dense-grid supremum with the own-location exclusion inlined
+    # cross-check the memoized breakpoint supremum against a plain
+    # dense-grid supremum with the own-location exclusion inlined
     import numpy as np
 
     from locpop.behaviors import _deviation_value

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -153,6 +154,16 @@ def test_flag_errors_exit_two(capsys):
     assert run_cli(capsys, "market-eq", "--a", "1.5", "--x1", "0.1", "--x2", "0.2")[0] == 2
     assert run_cli(capsys, "market-eq", "--a", "0.5", "--x1", "0.1")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
+    code, out, err = run_cli(capsys, "welfare", "--a", "0.4", "--theta", "inf",
+                             "--x1", "0.3", "--x2", "0.3", "--s1", "0.5")
+    assert code == 2 and out == "" and "finite" in err
+
+
+def test_json_output_is_strict():
+    from locpop.cli import _json_doc
+
+    with pytest.raises(ValueError):
+        _json_doc({"welfare": float("nan")})
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):
@@ -231,3 +242,13 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import locpop, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

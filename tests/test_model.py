@@ -39,6 +39,9 @@ def test_params_validation():
         GameParams(1.0)
     with pytest.raises(ValueError):
         GameParams(0.5, theta=0.5)
+    for theta in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            GameParams(0.5, theta=theta)
     assert GameParams(0.5).theta == 1.0
 
 

@@ -270,3 +270,16 @@ def test_poa_minimizer_is_global_on_grid():
     floor = poa(GameParams(a_star), BehaviorKind.PESSIMISTIC).value
     for a in np.arange(1, 200) * 0.005:
         assert poa(GameParams(float(a)), BehaviorKind.PESSIMISTIC).value >= floor - 1e-12
+
+
+def test_regime_checks_survive_optimized_mode(monkeypatch):
+    from locpop import welfare
+
+    # these consistency checks are explicit raises, not asserts, so they
+    # still run under python -O
+    monkeypatch.setattr(welfare, "consumer_welfare", lambda params, x1, x2, s1: x1)
+    with pytest.raises(RuntimeError, match="breakpoint"):
+        best_ne_pessimistic(GameParams(BEST_NE_BREAKPOINT))
+    monkeypatch.setattr(welfare, "_poa_value_pessimistic", lambda a, theta: -abs(a - 0.1))
+    with pytest.raises(RuntimeError, match="local minimum"):
+        poa_minimizer_pessimistic(1.0)
