@@ -200,19 +200,7 @@ def best_deviation_pessimistic(
     aggregate over ``outcomes_considered`` at the reported location
     itself (which always contains a zero-share outcome).
     """
-    _check_deviation_args(deviator, x_other)
-    a = params.a
-    if x_other <= 0.5:
-        if x_other + a >= 1.0:
-            location, payoff = min(x_other + a, 1.0), 0.0
-        else:
-            location, payoff = x_other + a, 1.0 - x_other / (1.0 - a)
-    else:
-        if x_other - a <= 0.0:
-            location, payoff = max(x_other - a, 0.0), 0.0
-        else:
-            location, payoff = x_other - a, 1.0 - (1.0 - x_other) / (1.0 - a)
-    return _report(params, deviator, location, x_other, payoff)
+    return best_deviation(params, BehaviorKind.PESSIMISTIC, deviator, x_other)
 
 
 # Own-location exclusion radius. Breakpoints closer than twice it merge,
@@ -271,8 +259,21 @@ def _cached_best_deviation(a: float, behavior: BehaviorKind, x_other: float):
     return tuple(candidates[:2])
 
 
-def _searched_supremum(a: float, behavior: BehaviorKind, x_other: float, own_location=None):
-    """(location, payoff) of the neutral/optimistic supremum, own location excluded."""
+def _supremum(a: float, behavior: BehaviorKind, x_other: float, own_location):
+    """(location, payoff) of the best deviation against x_other, the value
+    attained at ``own_location`` (None: no exclusion) left out.
+
+    Pessimistic: the closed form of :func:`best_deviation_pessimistic`,
+    which no exclusion changes. Neutral/optimistic: the cached candidates.
+    """
+    if behavior is BehaviorKind.PESSIMISTIC:
+        if x_other <= 0.5:
+            if x_other + a >= 1.0:
+                return min(x_other + a, 1.0), 0.0
+            return x_other + a, 1.0 - x_other / (1.0 - a)
+        if x_other - a <= 0.0:
+            return max(x_other - a, 0.0), 0.0
+        return x_other - a, 1.0 - (1.0 - x_other) / (1.0 - a)
     (payoff, location, attained), runner_up = _cached_best_deviation(a, behavior, x_other)
     if attained and own_location is not None and abs(location - own_location) <= _SAME_POINT:
         payoff, location, _ = runner_up
@@ -299,10 +300,8 @@ def best_deviation(
     not a deviation, so the value attained there is dropped (the limits
     beside it stay). It cannot change a pessimistic supremum.
     """
-    if behavior is BehaviorKind.PESSIMISTIC:
-        return best_deviation_pessimistic(params, deviator, x_other)
     _check_deviation_args(deviator, x_other)
-    location, payoff = _searched_supremum(params.a, behavior, x_other, own_location)
+    location, payoff = _supremum(params.a, behavior, x_other, own_location)
     return _report(params, deviator, location, x_other, payoff)
 
 
@@ -324,16 +323,8 @@ def is_nash(
     loc = profile.locations
     if not is_market_equilibrium(params, loc, profile.s1):
         raise ValueError("profile outcome is not a market equilibrium for its locations")
-    checks = (
-        (1, profile.s1, loc.x1, loc.x2),
-        (2, profile.s2, loc.x2, loc.x1),
-    )
-    for firm, own_share, own_x, opp_x in checks:
-        if behavior is BehaviorKind.PESSIMISTIC:
-            best = best_deviation_pessimistic(params, firm, opp_x).payoff
-        else:
-            _, best = _searched_supremum(params.a, behavior, opp_x, own_x)
-        if own_share < best - tol:
+    for own_share, own_x, opp_x in ((profile.s1, loc.x1, loc.x2), (profile.s2, loc.x2, loc.x1)):
+        if own_share < _supremum(params.a, behavior, opp_x, own_x)[1] - tol:
             return False
     return True
 

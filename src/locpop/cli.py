@@ -49,14 +49,18 @@ from .model import (
 )
 from .oracle import (
     GridSpec,
+    _grid_profiles,
     oracle_best_deviation,
     oracle_market_equilibria,
+    oracle_ne_region_scan,
     oracle_social_optimum,
 )
 from .welfare import consumer_welfare, poa, pos, social_optimum
 
 A_GRID_STEP = 0.005  # default sweep: 0.005 .. 0.995
 REGION_GRID_DEFAULT = 201
+REGION_HEADER = ("a", "x1", "x2", "kind", "s1", "is_ne", "welfare")
+SYMMETRIC_HEADER = ("a", "x1", "s1")
 
 
 def _fmt(x) -> str:
@@ -108,6 +112,14 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _emit_table(args, header, rows, **meta):
+    """Rows as a JSON document (``meta`` keys first) or as a CSV table."""
+    if args.format == "json":
+        _emit(args, _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]}))
+    else:
+        _emit(args, _csv_doc(header, rows))
+
+
 def _params(args) -> GameParams:
     return GameParams(args.a, args.theta)
 
@@ -116,8 +128,10 @@ def _behavior(args) -> BehaviorKind:
     return BehaviorKind(args.behavior)
 
 
-def _a_grid() -> np.ndarray:
-    return np.arange(1, 200) * A_GRID_STEP
+def _a_grid(behavior: BehaviorKind) -> np.ndarray:
+    """The default a-sweep, cut at 1/2 for neutral firms (no NE beyond)."""
+    grid = np.arange(1, 200) * A_GRID_STEP
+    return grid[grid <= 0.5] if behavior is BehaviorKind.NEUTRAL else grid
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +201,18 @@ def _cmd_nash_check(args) -> int:
 
 
 def _region_rows(params, behavior, n_locations):
-    rows = []
-    xs = np.linspace(0.0, 1.0, n_locations)
-    for i, x1 in enumerate(xs):
-        for x2 in xs[i:]:
-            loc = Locations(float(x1), float(x2))
-            for outcome in enumerate_market_equilibria(params, loc):
-                profile = EquilibriumProfile(loc, outcome)
-                ne = is_nash(params, behavior, profile)
-                w = consumer_welfare(params, loc.x1, loc.x2, outcome.s1)
-                rows.append((params.a, loc.x1, loc.x2, outcome.kind.value,
-                             outcome.s1, int(ne), w))
-    return rows
+    return [
+        (params.a, p.x1, p.x2, p.outcome.kind.value, p.s1, int(is_nash(params, behavior, p)),
+         consumer_welfare(params, p.x1, p.x2, p.s1))
+        for p in _grid_profiles(params, n_locations)
+    ]
 
 
 def _cmd_nash_region(args) -> int:
     params = _params(args)
     behavior = _behavior(args)
-    n = args.grid_locations or REGION_GRID_DEFAULT
-    rows = _region_rows(params, behavior, n)
-    header = ("a", "x1", "x2", "kind", "s1", "is_ne", "welfare")
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "behavior": behavior.value, "theta": params.theta,
-            "rows": [dict(zip(header, r)) for r in rows],
-        }))
-    else:
-        _emit(args, _csv_doc(header, rows))
+    rows = _region_rows(params, behavior, args.grid_locations)
+    _emit_table(args, REGION_HEADER, rows, behavior=behavior.value, theta=params.theta)
     return 0
 
 
@@ -226,13 +225,8 @@ def _symmetric_rows(params, n_points):
 
 
 def _cmd_symmetric_region(args) -> int:
-    params = _params(args)
-    rows = _symmetric_rows(params, args.grid_locations or 501)
-    header = ("a", "x1", "s1")
-    if args.format == "json":
-        _emit(args, _json_doc({"rows": [dict(zip(header, r)) for r in rows]}))
-    else:
-        _emit(args, _csv_doc(header, rows))
+    rows = _symmetric_rows(_params(args), args.grid_locations)
+    _emit_table(args, SYMMETRIC_HEADER, rows)
     return 0
 
 
@@ -261,6 +255,12 @@ def _cmd_social_opt(args) -> int:
     return 0
 
 
+def _ratio_header(label):
+    return ("a", "theta", "behavior", label,
+            "opt_x1", "opt_x2", "opt_s1", "opt_welfare",
+            "ne_x1", "ne_x2", "ne_s1", "ne_welfare")
+
+
 def _ratio_rows(behavior, theta, ratio_fn, a_values):
     rows = []
     for a in a_values:
@@ -280,62 +280,38 @@ def _cmd_ratio_curve(args, ratio_fn, label) -> int:
     behavior = _behavior(args)
     if behavior is BehaviorKind.OPTIMISTIC:
         raise NoEquilibriumError("no equilibrium exists for optimistic firms")
-    if args.a is not None:
-        a_values = [args.a]
-        # single-point request: let the ratio raise for neutral a > 1/2
-    else:
-        grid = _a_grid()
-        if behavior is BehaviorKind.NEUTRAL:
-            grid = grid[grid <= 0.5]
-        a_values = grid
+    # a single-point request lets the ratio raise for neutral a > 1/2
+    a_values = [args.a] if args.a is not None else _a_grid(behavior)
     rows = _ratio_rows(behavior, args.theta, ratio_fn, a_values)
-    header = ("a", "theta", "behavior", label,
-              "opt_x1", "opt_x2", "opt_s1", "opt_welfare",
-              "ne_x1", "ne_x2", "ne_s1", "ne_welfare")
-    if args.format == "json":
-        _emit(args, _json_doc({"rows": [dict(zip(header, r)) for r in rows]}))
-    else:
-        _emit(args, _csv_doc(header, rows))
+    _emit_table(args, _ratio_header(label), rows)
     return 0
+
+
+def _figure_tables(theta):
+    """(file name, header, rows) of each figure dataset, built one at a time."""
+    pessimistic = BehaviorKind.PESSIMISTIC
+    yield "symmetric_equilibria.csv", SYMMETRIC_HEADER, [
+        row for a in _a_grid(pessimistic)
+        for row in _symmetric_rows(GameParams(float(a), theta), 201)
+    ]
+    yield "nash_region_a_half.csv", REGION_HEADER, _region_rows(
+        GameParams(0.5, theta), pessimistic, REGION_GRID_DEFAULT)
+    for name, behavior, ratio_fn in (
+        ("neutral_efficiency.csv", BehaviorKind.NEUTRAL, poa),
+        ("pessimistic_poa.csv", pessimistic, poa),
+        ("pessimistic_pos.csv", pessimistic, pos),
+    ):
+        yield name, _ratio_header("value"), _ratio_rows(
+            behavior, theta, ratio_fn, _a_grid(behavior))
 
 
 def _cmd_figures(args) -> int:
     outdir = args.out or "figures"
     os.makedirs(outdir, exist_ok=True)
-    theta = args.theta
-    written = []
-
-    # symmetric NE shares over (a, x1)
-    rows = []
-    for a in _a_grid():
-        rows.extend(_symmetric_rows(GameParams(float(a), theta), 201))
-    _atomic_write(os.path.join(outdir, "symmetric_equilibria.csv"),
-                  _csv_doc(("a", "x1", "s1"), rows))
-    written.append("symmetric_equilibria.csv")
-
-    # pessimistic NE map at a = 1/2
-    rows = _region_rows(GameParams(0.5, theta), BehaviorKind.PESSIMISTIC,
-                        REGION_GRID_DEFAULT)
-    _atomic_write(os.path.join(outdir, "nash_region_a_half.csv"),
-                  _csv_doc(("a", "x1", "x2", "kind", "s1", "is_ne", "welfare"), rows))
-    written.append("nash_region_a_half.csv")
-
-    header = ("a", "theta", "behavior", "value",
-              "opt_x1", "opt_x2", "opt_s1", "opt_welfare",
-              "ne_x1", "ne_x2", "ne_s1", "ne_welfare")
-    neutral_grid = _a_grid()
-    neutral_grid = neutral_grid[neutral_grid <= 0.5]
-    for name, behavior, ratio_fn, grid in (
-        ("neutral_efficiency.csv", BehaviorKind.NEUTRAL, poa, neutral_grid),
-        ("pessimistic_poa.csv", BehaviorKind.PESSIMISTIC, poa, _a_grid()),
-        ("pessimistic_pos.csv", BehaviorKind.PESSIMISTIC, pos, _a_grid()),
-    ):
-        rows = _ratio_rows(behavior, theta, ratio_fn, grid)
-        _atomic_write(os.path.join(outdir, name), _csv_doc(header, rows))
-        written.append(name)
-
-    for name in written:
-        print(os.path.join(outdir, name))
+    for name, header, rows in _figure_tables(args.theta):
+        path = os.path.join(outdir, name)
+        _atomic_write(path, _csv_doc(header, rows))
+        print(path)
     return 0
 
 
@@ -411,27 +387,22 @@ def _verify_social_optimum(theta, failures):
 
 
 def _verify_regions(theta, failures):
-    xs = np.linspace(0.0, 1.0, 101)
+    grid = GridSpec(n_locations=101)
 
     disagreements = 0
     pess_profiles = {}
     for a in (0.2, 0.5, 0.8):
         params = GameParams(a, theta)
         found = []
-        for i, x1 in enumerate(xs):
-            for x2 in xs[i:]:
-                loc = Locations(float(x1), float(x2))
-                interval = pessimistic_nash_interval(params, loc)
-                for outcome in enumerate_market_equilibria(params, loc):
-                    profile = EquilibriumProfile(loc, outcome)
-                    by_deviation = is_nash(params, BehaviorKind.PESSIMISTIC, profile)
-                    by_interval = interval.contains(outcome.s1)
-                    if by_deviation != by_interval:
-                        disagreements += 1
-                    if by_deviation:
-                        found.append(profile)
-                        if not nash_diameter_bounds_check(params, profile):
-                            disagreements += 1
+        for profile in _grid_profiles(params, grid.n_locations):
+            by_deviation = is_nash(params, BehaviorKind.PESSIMISTIC, profile)
+            by_interval = pessimistic_nash_interval(params, profile.locations).contains(profile.s1)
+            if by_deviation != by_interval:
+                disagreements += 1
+            if by_deviation:
+                found.append(profile)
+                if not nash_diameter_bounds_check(params, profile):
+                    disagreements += 1
         pess_profiles[a] = found
     _check("pessimistic-region", disagreements == 0,
            f"3 externality levels on a 101x101 grid, {disagreements} disagreements",
@@ -448,30 +419,20 @@ def _verify_regions(theta, failures):
            f"{len(mirrored)} pessimistic NE profiles at a=0.5", failures)
 
     params = GameParams(0.3, theta)
-    neutral_cells = set()
-    for i, x1 in enumerate(xs):
-        for x2 in xs[i:]:
-            loc = Locations(float(x1), float(x2))
-            for outcome in enumerate_market_equilibria(params, loc):
-                if is_nash(params, BehaviorKind.NEUTRAL, EquilibriumProfile(loc, outcome)):
-                    neutral_cells.add((float(x1), float(x2)))
+    neutral_cells = {
+        (p.x1, p.x2) for p in oracle_ne_region_scan(params, BehaviorKind.NEUTRAL, grid)
+    }
     _check("neutral-region", neutral_cells == {(0.5, 0.5)},
            f"NE cells at a=0.3: {sorted(neutral_cells)}", failures)
 
-    optimistic_hits = 0
-    for i, x1 in enumerate(xs):
-        for x2 in xs[i:]:
-            loc = Locations(float(x1), float(x2))
-            for outcome in enumerate_market_equilibria(params, loc):
-                if is_nash(params, BehaviorKind.OPTIMISTIC, EquilibriumProfile(loc, outcome)):
-                    optimistic_hits += 1
+    optimistic_hits = len(oracle_ne_region_scan(params, BehaviorKind.OPTIMISTIC, grid))
     _check("optimistic-region", optimistic_hits == 0,
            f"{optimistic_hits} optimistic NE found at a=0.3", failures)
 
 
 def _cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
-    grid = GridSpec(args.grid_consumers, args.grid_locations or 2001, args.grid_shares)
+    grid = GridSpec(args.grid_consumers, args.grid_locations, args.grid_shares)
     failures: list = []
     _verify_market_equilibria(rng, grid, args.instances, failures)
     _verify_best_deviation(rng, grid, max(60, args.instances // 5), failures)
@@ -486,6 +447,16 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _add_common(sub, *, needs_locations=False, needs_share=False, needs_behavior=False,
@@ -523,12 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("nash-region", help="NE scan over the location grid")
     _add_common(s, needs_behavior=True)
-    s.add_argument("--grid-locations", type=int, default=None)
+    s.add_argument("--grid-locations", type=_at_least(2), default=REGION_GRID_DEFAULT)
     s.set_defaults(func=_cmd_nash_region, format="csv")
 
     s = subs.add_parser("symmetric-region", help="NE shares along x2 = 1 - x1")
     _add_common(s)
-    s.add_argument("--grid-locations", type=int, default=None)
+    s.add_argument("--grid-locations", type=_at_least(2), default=501)
     s.set_defaults(func=_cmd_symmetric_region, format="csv")
 
     s = subs.add_parser("welfare", help="consumer welfare at one point")
@@ -559,10 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="oracle cross-check suites")
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--instances", type=int, default=1000)
-    s.add_argument("--grid-consumers", type=int, default=10_000)
-    s.add_argument("--grid-locations", type=int, default=None)
-    s.add_argument("--grid-shares", type=int, default=2001)
+    s.add_argument("--instances", type=_at_least(0), default=1000)
+    s.add_argument("--grid-consumers", type=_at_least(2), default=10_000)
+    s.add_argument("--grid-locations", type=_at_least(2), default=2001)
+    s.add_argument("--grid-shares", type=_at_least(2), default=2001)
     s.set_defaults(func=_cmd_verify)
 
     return parser

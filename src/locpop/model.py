@@ -307,24 +307,17 @@ def is_market_equilibrium(params: GameParams, loc: Locations, s1: float) -> bool
 
 def market_equilibrium_count(params: GameParams, loc: Locations) -> EquilibriumCount:
     """Count market equilibria (1, 3 or 5) and report tight conditions."""
-    a = params.a
-    x1, x2 = loc.x1, loc.x2
-    gap = x2 - x1
-    if gap > a:
-        return EquilibriumCount(1, frozenset())
-    one_minus_2a = 1.0 - 2.0 * a
-    ii_rhs = x2 - one_minus_2a * x1
-    iv_lhs = x1 - one_minus_2a * x2
-    has_ii = a <= ii_rhs
-    has_iv = iv_lhs <= a
-    count = 2 + has_ii + has_iv + (has_ii and has_iv)
+    a, x1, x2 = params.a, loc.x1, loc.x2
+    count = len(_equilibria(a, x1, x2))
     tight = set()
-    if gap == a:
-        tight.add("band")
-    if ii_rhs == a:
-        tight.add("ii")
-    if iv_lhs == a:
-        tight.add("iv")
+    if count > 1:
+        one_minus_2a = 1.0 - 2.0 * a
+        if x2 - x1 == a:
+            tight.add("band")
+        if x2 - one_minus_2a * x1 == a:
+            tight.add("ii")
+        if x1 - one_minus_2a * x2 == a:
+            tight.add("iv")
     return EquilibriumCount(count, frozenset(tight))
 
 

@@ -162,6 +162,17 @@ def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
     return OptimumPoint(float(xs[i1[k]]), float(xs[i2[k]]), float(ss[k]), float(welfare[k]))
 
 
+def _grid_profiles(params: GameParams, n_locations: int):
+    """Every profile on the n_locations x n_locations grid with x1 <= x2:
+    row by row, each cell's market equilibria in enumeration order."""
+    xs = np.linspace(0.0, 1.0, n_locations)
+    for i, x1 in enumerate(xs):
+        for x2 in xs[i:]:
+            loc = Locations(float(x1), float(x2))
+            for outcome in enumerate_market_equilibria(params, loc):
+                yield EquilibriumProfile(loc, outcome)
+
+
 def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: GridSpec) -> list:
     """All Nash equilibria on an n_locations x n_locations location grid.
 
@@ -169,16 +180,11 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     kept iff the Nash decision accepts it. Feeds the figure emitters and
     the diameter-bound checks.
     """
-    xs = np.linspace(0.0, 1.0, grid.n_locations)
-    profiles: list = []
-    for i, x1 in enumerate(xs):
-        for x2 in xs[i:]:
-            loc = Locations(float(x1), float(x2))
-            for outcome in enumerate_market_equilibria(params, loc):
-                profile = EquilibriumProfile(loc, outcome)
-                if is_nash(params, behavior, profile):
-                    profiles.append(profile)
-    return profiles
+    return [
+        profile
+        for profile in _grid_profiles(params, grid.n_locations)
+        if is_nash(params, behavior, profile)
+    ]
 
 
 def oracle_consumer_welfare(

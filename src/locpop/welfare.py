@@ -7,10 +7,12 @@ floats.
 
 The price of anarchy (PoA) divides the optimal welfare by the welfare of
 the worst Nash equilibrium, the price of stability (PoS) by the best.
-Both are computed from closed forms, with the brute-force grid routines
-in :mod:`locpop.oracle` serving as the independent check, never the
-reverse. Optimistic firms admit no NE, and neutral firms none beyond
-a = 1/2, so those requests raise :class:`NoEquilibriumError`.
+Both are the ratio of the welfares :func:`consumer_welfare` gives at two
+profiles known in closed form, the optimum and the extremal equilibrium;
+the brute-force grid routines in :mod:`locpop.oracle` serve as the
+independent check, never the reverse. Optimistic firms admit no NE, and
+neutral firms none beyond a = 1/2, so those requests raise
+:class:`NoEquilibriumError`.
 """
 
 from __future__ import annotations
@@ -126,16 +128,15 @@ def social_optimum(params: GameParams):
     dominates and everyone buys from a single central firm: welfare
     theta - 1/4 + a, with the idle firm's position immaterial (reported
     canonically at 0; the mirror with s1 = 1 is equally optimal). At
-    a = 1/4 both configurations tie and both are returned.
+    a = 1/4 both configurations tie and both are returned. Welfare is
+    evaluated via :func:`consumer_welfare` at each returned profile.
     """
-    a, theta = params.a, params.theta
-    spread = OptimumPoint(0.25, 0.75, 0.5, theta - 0.125 + a / 2.0)
-    concentrated = OptimumPoint(0.0, 0.5, 0.0, theta - 0.25 + a)
-    if a < 0.25:
-        return (spread,)
-    if a > 0.25:
-        return (concentrated,)
-    return (spread, concentrated)
+    profiles = []
+    if params.a <= 0.25:
+        profiles.append((0.25, 0.75, 0.5))
+    if params.a >= 0.25:
+        profiles.append((0.0, 0.5, 0.0))
+    return tuple(OptimumPoint(*p, consumer_welfare(params, *p)) for p in profiles)
 
 
 def worst_ne_pessimistic(params: GameParams) -> ProfileWelfare:
@@ -202,30 +203,6 @@ def best_ne_pessimistic(params: GameParams) -> ProfileWelfare:
     return ProfileWelfare(profile, welfare)
 
 
-def _optimum_welfare(a: float, theta: float) -> float:
-    return theta - (0.125 - a / 2.0) if a <= 0.25 else theta - (0.25 - a)
-
-
-def _poa_value_pessimistic(a: float, theta: float) -> float:
-    return _optimum_welfare(a, theta) / (theta - (1.0 - a) ** 2 / 4.0)
-
-
-def _poa_value_neutral(a: float, theta: float) -> float:
-    return _optimum_welfare(a, theta) / (theta - (0.25 - a / 2.0))
-
-
-def _pos_value_pessimistic(a: float, theta: float) -> float:
-    if a > 0.5:
-        return 1.0
-    if a <= BEST_NE_BREAKPOINT:
-        denom = theta - (1.0 - 4.0 * a + 2.0 * a * a) / 4.0
-    else:
-        denom = theta - (1.0 - 4.0 * a + 2.0 * a * a) * (1.0 - 2.0 * a + 2.0 * a * a) / (
-            4.0 * (1.0 - a) ** 2
-        )
-    return _optimum_welfare(a, theta) / denom
-
-
 def _neutral_ne_welfare(params: GameParams) -> ProfileWelfare:
     profile = EquilibriumProfile(Locations(0.5, 0.5), MarketOutcome(Kind.III, 0.5))
     return ProfileWelfare(profile, consumer_welfare(params, 0.5, 0.5, 0.5))
@@ -238,6 +215,11 @@ def _require_equilibria(params: GameParams, behavior: BehaviorKind):
         raise NoEquilibriumError("no equilibrium exists for neutral firms with a > 1/2")
 
 
+def _ratio(params: GameParams, extremal_ne: ProfileWelfare) -> RatioReport:
+    optimum = social_optimum(params)[0]
+    return RatioReport(optimum.welfare / extremal_ne.welfare, optimum, extremal_ne)
+
+
 def poa(params: GameParams, behavior: BehaviorKind) -> RatioReport:
     """Price of anarchy: optimal welfare over the worst NE welfare.
 
@@ -247,11 +229,9 @@ def poa(params: GameParams, behavior: BehaviorKind) -> RatioReport:
     firms divide the optimum by theta - (1 - a)^2 / 4.
     """
     _require_equilibria(params, behavior)
-    a, theta = params.a, params.theta
-    optimum = social_optimum(params)[0]
     if behavior is BehaviorKind.NEUTRAL:
-        return RatioReport(_poa_value_neutral(a, theta), optimum, _neutral_ne_welfare(params))
-    return RatioReport(_poa_value_pessimistic(a, theta), optimum, worst_ne_pessimistic(params))
+        return _ratio(params, _neutral_ne_welfare(params))
+    return _ratio(params, worst_ne_pessimistic(params))
 
 
 def pos(params: GameParams, behavior: BehaviorKind) -> RatioReport:
@@ -262,11 +242,9 @@ def pos(params: GameParams, behavior: BehaviorKind) -> RatioReport:
     where the best NE coincides with the social optimum.
     """
     _require_equilibria(params, behavior)
-    a, theta = params.a, params.theta
-    optimum = social_optimum(params)[0]
     if behavior is BehaviorKind.NEUTRAL:
-        return RatioReport(_poa_value_neutral(a, theta), optimum, _neutral_ne_welfare(params))
-    return RatioReport(_pos_value_pessimistic(a, theta), optimum, best_ne_pessimistic(params))
+        return _ratio(params, _neutral_ne_welfare(params))
+    return _ratio(params, best_ne_pessimistic(params))
 
 
 def poa_minimizer_pessimistic(theta: float) -> float:
@@ -281,9 +259,13 @@ def poa_minimizer_pessimistic(theta: float) -> float:
         raise ValueError(f"theta must be finite and >= 1, got {theta}")
     a_star = (1.0 - 8.0 * theta + math.sqrt(64.0 * theta * theta - 16.0 * theta + 9.0)) / 4.0
     h = min(1e-4, a_star / 2.0)
-    center = _poa_value_pessimistic(a_star, theta)
-    if not _poa_value_pessimistic(a_star - h, theta) >= center:
+
+    def ratio(a):
+        return poa(GameParams(a, theta), BehaviorKind.PESSIMISTIC).value
+
+    center = ratio(a_star)
+    if not ratio(a_star - h) >= center:
         raise RuntimeError("PoA closed form is not a local minimum (left)")
-    if not _poa_value_pessimistic(a_star + h, theta) >= center:
+    if not ratio(a_star + h) >= center:
         raise RuntimeError("PoA closed form is not a local minimum (right)")
     return a_star

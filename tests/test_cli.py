@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -157,6 +158,19 @@ def test_flag_errors_exit_two(capsys):
     code, out, err = run_cli(capsys, "welfare", "--a", "0.4", "--theta", "inf",
                              "--x1", "0.3", "--x2", "0.3", "--s1", "0.5")
     assert code == 2 and out == "" and "finite" in err
+    for argv in (
+        ("nash-region", "--a", "0.5", "--behavior", "pessimistic", "--grid-locations", "0"),
+        ("nash-region", "--a", "0.5", "--behavior", "pessimistic", "--grid-locations", "1"),
+        ("symmetric-region", "--a", "0.5", "--grid-locations", "0"),
+        ("symmetric-region", "--a", "0.5", "--grid-locations", "1"),
+        ("verify", "--grid-locations", "0"),
+        ("verify", "--grid-locations", "1"),
+        ("verify", "--grid-consumers", "1"),
+        ("verify", "--grid-shares", "0"),
+        ("verify", "--instances", "-5"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "at least" in err
 
 
 def test_json_output_is_strict():
@@ -208,20 +222,25 @@ def test_symmetric_region_rows(capsys):
     assert 0.1 not in by_x1  # beyond reach below (1-a)/2
 
 
+# sha256 of `locpop figures --theta 1` output; figure data is frozen
+FIGURE_SHA256 = {
+    "symmetric_equilibria.csv": "61c0040bd831d68dad0bfa9c8492ab6a38f6f0738e2986b4087087506a117a4a",
+    "nash_region_a_half.csv": "d9662ea2f8648174768e466f6caf7df680f3766ef885e71b505d852af16f9e89",
+    "neutral_efficiency.csv": "94f9ac50ea2a62b3b498376d033f0776139b8731d3e05b6787146106ae3e0d70",
+    "pessimistic_poa.csv": "438d4ca9c7f17bbc935e586fb664049cebf8af7ad79bb42be8954eca2c5c29b4",
+    "pessimistic_pos.csv": "f9cb5e10a07976155b49e9619dfcb089281e07636693212844eb3f190d3bc0c6",
+}
+
+
 def test_figures_writes_datasets(tmp_path, capsys):
     code = main(["figures", "--out", str(tmp_path / "figs")])
     out = capsys.readouterr().out
     assert code == 0
     names = [line.rsplit("/", 1)[-1] for line in out.splitlines()]
-    assert names == [
-        "symmetric_equilibria.csv",
-        "nash_region_a_half.csv",
-        "neutral_efficiency.csv",
-        "pessimistic_poa.csv",
-        "pessimistic_pos.csv",
-    ]
+    assert names == list(FIGURE_SHA256)
     for name in names:
-        assert (tmp_path / "figs" / name).exists()
+        data = (tmp_path / "figs" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == FIGURE_SHA256[name], name
 
 
 def test_verify_small_run(capsys):

@@ -1,6 +1,7 @@
 """Tests for consumer welfare, optima, and the efficiency ratios."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,10 +203,57 @@ def test_poa_flattens_for_large_theta():
 
 
 def test_pos_pessimistic_cases():
-    assert pos(GameParams(0.7), BehaviorKind.PESSIMISTIC).value == 1.0
-    assert pos(GameParams(0.51), BehaviorKind.PESSIMISTIC).value == 1.0
+    # exact: the best NE is the optimal profile, both welfares one evaluation
+    for theta in (1.0, 1.5, 3.0):
+        for a in [0.51, 0.7, *(np.arange(501, 1000) * 0.001)]:
+            assert pos(GameParams(float(a), theta), BehaviorKind.PESSIMISTIC).value == 1.0
     report = pos(GameParams(0.25), BehaviorKind.PESSIMISTIC)
     assert report.value == pytest.approx(1 / 0.96875, abs=1e-12)
+
+
+def _closed_optimum(a, theta):
+    return theta - (0.125 - a / 2.0) if a <= 0.25 else theta - (0.25 - a)
+
+
+def _closed_poa_pessimistic(a, theta):
+    return _closed_optimum(a, theta) / (theta - (1.0 - a) ** 2 / 4.0)
+
+
+def _closed_ratio_neutral(a, theta):
+    return _closed_optimum(a, theta) / (theta - (0.25 - a / 2.0))
+
+
+def _closed_pos_pessimistic(a, theta):
+    if a > 0.5:
+        return 1.0
+    if a <= BEST_NE_BREAKPOINT:
+        denom = theta - (1.0 - 4.0 * a + 2.0 * a * a) / 4.0
+    else:
+        denom = theta - (1.0 - 4.0 * a + 2.0 * a * a) * (1.0 - 2.0 * a + 2.0 * a * a) / (
+            4.0 * (1.0 - a) ** 2
+        )
+    return _closed_optimum(a, theta) / denom
+
+
+@pytest.mark.parametrize("theta", [1.0, 1.5, 3.0])
+def test_ratios_match_closed_forms(theta):
+    for a in np.arange(1, 200) * 0.005:
+        a = float(a)
+        params = GameParams(a, theta)
+        for opt in social_optimum(params):
+            assert opt.welfare == pytest.approx(_closed_optimum(a, theta), rel=1e-12)
+        pessimistic = BehaviorKind.PESSIMISTIC
+        assert poa(params, pessimistic).value == pytest.approx(
+            _closed_poa_pessimistic(a, theta), rel=1e-12
+        )
+        assert pos(params, pessimistic).value == pytest.approx(
+            _closed_pos_pessimistic(a, theta), rel=1e-12
+        )
+        if a <= 0.5:
+            for ratio in (poa, pos):
+                assert ratio(params, BehaviorKind.NEUTRAL).value == pytest.approx(
+                    _closed_ratio_neutral(a, theta), rel=1e-12
+                )
 
 
 def test_pos_neutral_equals_poa():
@@ -280,6 +328,8 @@ def test_regime_checks_survive_optimized_mode(monkeypatch):
     monkeypatch.setattr(welfare, "consumer_welfare", lambda params, x1, x2, s1: x1)
     with pytest.raises(RuntimeError, match="breakpoint"):
         best_ne_pessimistic(GameParams(BEST_NE_BREAKPOINT))
-    monkeypatch.setattr(welfare, "_poa_value_pessimistic", lambda a, theta: -abs(a - 0.1))
+    monkeypatch.setattr(
+        welfare, "poa", lambda params, behavior: SimpleNamespace(value=-abs(params.a - 0.1))
+    )
     with pytest.raises(RuntimeError, match="local minimum"):
         poa_minimizer_pessimistic(1.0)
