@@ -6,110 +6,12 @@ optima with price-of-anarchy and price-of-stability ratios, and
 brute-force grid oracles that cross-check every closed form.
 """
 
-from .behaviors import (
-    NE_TOL,
-    BehaviorKind,
-    DeviationReport,
-    NashInterval,
-    NoEquilibriumError,
-    best_deviation,
-    best_deviation_pessimistic,
-    deviation_payoff,
-    is_nash,
-    nash_diameter_bounds_check,
-    nash_region_a_half,
-    neutral_nash,
-    pessimistic_nash_interval,
-    symmetric_pessimistic_nash_set,
-)
-from .model import (
-    SHARE_TOL,
-    ConsumerPosition,
-    EquilibriumCount,
-    EquilibriumProfile,
-    GameParams,
-    Kind,
-    Locations,
-    MarketOutcome,
-    consumer_utility,
-    distinct_shares,
-    enumerate_market_equilibria,
-    is_market_equilibrium,
-    market_equilibrium_count,
-    mirror_locations,
-    mirror_outcome,
-    mirror_profile,
-)
-from .oracle import (
-    GridSpec,
-    oracle_best_deviation,
-    oracle_consumer_welfare,
-    oracle_market_equilibria,
-    oracle_ne_region_scan,
-    oracle_social_optimum,
-)
-from .welfare import (
-    BEST_NE_BREAKPOINT,
-    OptimumPoint,
-    ProfileWelfare,
-    RatioReport,
-    best_ne_pessimistic,
-    consumer_welfare,
-    poa,
-    poa_minimizer_pessimistic,
-    pos,
-    social_optimum,
-    worst_ne_pessimistic,
-)
+from . import behaviors, model, oracle, welfare
+from .behaviors import *  # noqa: F403
+from .model import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .welfare import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BEST_NE_BREAKPOINT",
-    "BehaviorKind",
-    "ConsumerPosition",
-    "DeviationReport",
-    "EquilibriumCount",
-    "EquilibriumProfile",
-    "GameParams",
-    "GridSpec",
-    "Kind",
-    "Locations",
-    "MarketOutcome",
-    "NE_TOL",
-    "NashInterval",
-    "NoEquilibriumError",
-    "OptimumPoint",
-    "ProfileWelfare",
-    "RatioReport",
-    "SHARE_TOL",
-    "best_deviation",
-    "best_deviation_pessimistic",
-    "best_ne_pessimistic",
-    "consumer_utility",
-    "consumer_welfare",
-    "deviation_payoff",
-    "distinct_shares",
-    "enumerate_market_equilibria",
-    "is_market_equilibrium",
-    "is_nash",
-    "market_equilibrium_count",
-    "mirror_locations",
-    "mirror_outcome",
-    "mirror_profile",
-    "nash_diameter_bounds_check",
-    "nash_region_a_half",
-    "neutral_nash",
-    "oracle_best_deviation",
-    "oracle_consumer_welfare",
-    "oracle_market_equilibria",
-    "oracle_ne_region_scan",
-    "oracle_social_optimum",
-    "poa",
-    "poa_minimizer_pessimistic",
-    "pos",
-    "pessimistic_nash_interval",
-    "social_optimum",
-    "symmetric_pessimistic_nash_set",
-    "worst_ne_pessimistic",
-]
+__all__ = [*model.__all__, *behaviors.__all__, *welfare.__all__, *oracle.__all__]

@@ -28,6 +28,7 @@ from .model import (
     MarketOutcome,
     GameParams,
     _equilibria,
+    _merge_close,
     _split_share,
     distinct_shares,
     enumerate_market_equilibria,
@@ -216,11 +217,7 @@ def _breakpoints(a: float, x_other: float) -> list:
     points = [0.0, 1.0, x_other, x_other - a, x_other + a, a + (1.0 - 2.0 * a) * x_other]
     if a != 0.5:
         points.append((x_other - a) / (1.0 - 2.0 * a))
-    merged: list = []
-    for p in sorted(p for p in points if 0.0 <= p <= 1.0):
-        if not merged or p - merged[-1] > 2.0 * _SAME_POINT:
-            merged.append(p)
-    return merged
+    return _merge_close((p for p in points if 0.0 <= p <= 1.0), 2.0 * _SAME_POINT)
 
 
 def _piece_limits(a: float, behavior: BehaviorKind, x_other: float, left: float, right: float):
@@ -385,11 +382,7 @@ def symmetric_pessimistic_nash_set(params: GameParams, x1: float, tol: float = N
         values.extend([0.5 - delta, 0.5 + delta])
     if x1 >= 1.0 - a - tol * (1.0 - a):
         values.extend([0.0, 1.0])
-    out: list = []
-    for v in sorted(values):
-        if not out or v - out[-1] > 1e-12:
-            out.append(v)
-    return tuple(out)
+    return tuple(_merge_close(values, 1e-12))
 
 
 def nash_region_a_half(x1: float, x2: float, tol: float = NE_TOL) -> set:

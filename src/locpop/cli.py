@@ -36,6 +36,7 @@ from .behaviors import (
     best_deviation,
     is_nash,
     nash_diameter_bounds_check,
+    neutral_nash,
     pessimistic_nash_interval,
     symmetric_pessimistic_nash_set,
 )
@@ -43,6 +44,7 @@ from .model import (
     EquilibriumProfile,
     GameParams,
     Locations,
+    _condition_gaps,
     distinct_shares,
     enumerate_market_equilibria,
     mirror_profile,
@@ -105,19 +107,22 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _emit(args, text: str):
+def _emit(args, header, rows, payload=None, **meta):
+    """Write a result in ``args.format``, building only that document.
+
+    CSV: ``rows`` under ``header``. JSON: ``payload`` when given, else the
+    rows keyed by ``header`` after the ``meta`` keys.
+    """
+    if args.format == "csv":
+        text = _csv_doc(header, rows)
+    elif payload is not None:
+        text = _json_doc(payload)
+    else:
+        text = _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]})
     if getattr(args, "out", None):
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_table(args, header, rows, **meta):
-    """Rows as a JSON document (``meta`` keys first) or as a CSV table."""
-    if args.format == "json":
-        _emit(args, _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]}))
-    else:
-        _emit(args, _csv_doc(header, rows))
 
 
 def _params(args) -> GameParams:
@@ -129,9 +134,11 @@ def _behavior(args) -> BehaviorKind:
 
 
 def _a_grid(behavior: BehaviorKind) -> np.ndarray:
-    """The default a-sweep, cut at 1/2 for neutral firms (no NE beyond)."""
+    """The default a-sweep, cut for neutral firms to the levels with an NE."""
     grid = np.arange(1, 200) * A_GRID_STEP
-    return grid[grid <= 0.5] if behavior is BehaviorKind.NEUTRAL else grid
+    if behavior is BehaviorKind.NEUTRAL:
+        grid = grid[[neutral_nash(GameParams(float(a))) is not None for a in grid]]
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +149,12 @@ def _cmd_market_eq(args) -> int:
     params = _params(args)
     loc = Locations.from_unordered(args.x1, args.x2)
     outcomes = enumerate_market_equilibria(params, loc)
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "a": params.a, "theta": params.theta,
-            "x1": loc.x1, "x2": loc.x2,
-            "count": len(outcomes),
-            "outcomes": [o.as_dict() for o in outcomes],
-        }))
-    else:
-        rows = [(o.kind.value, o.s1, o.s2) for o in outcomes]
-        _emit(args, _csv_doc(("kind", "s1", "s2"), rows))
+    _emit(args, ("kind", "s1", "s2"), [(o.kind.value, o.s1, o.s2) for o in outcomes], {
+        "a": params.a, "theta": params.theta,
+        "x1": loc.x1, "x2": loc.x2,
+        "count": len(outcomes),
+        "outcomes": [o.as_dict() for o in outcomes],
+    })
     return 0
 
 
@@ -188,15 +191,12 @@ def _cmd_nash_check(args) -> int:
     }
     if behavior is BehaviorKind.PESSIMISTIC:
         payload["support_interval"] = pessimistic_nash_interval(params, loc).as_dict()
-    if args.format == "json":
-        _emit(args, _json_doc(payload))
-    else:
-        header = ("a", "theta", "behavior", "x1", "x2", "s1", "kind", "is_nash",
-                  "deviator", "deviation_location", "deviation_payoff")
-        row = (params.a, params.theta, behavior.value, loc.x1, loc.x2, outcome.s1,
-               outcome.kind.value, int(verdict), binding.deviator,
-               binding.location, binding.payoff)
-        _emit(args, _csv_doc(header, [row]))
+    header = ("a", "theta", "behavior", "x1", "x2", "s1", "kind", "is_nash",
+              "deviator", "deviation_location", "deviation_payoff")
+    row = (params.a, params.theta, behavior.value, loc.x1, loc.x2, outcome.s1,
+           outcome.kind.value, int(verdict), binding.deviator,
+           binding.location, binding.payoff)
+    _emit(args, header, [row], payload)
     return 0
 
 
@@ -212,7 +212,7 @@ def _cmd_nash_region(args) -> int:
     params = _params(args)
     behavior = _behavior(args)
     rows = _region_rows(params, behavior, args.grid_locations)
-    _emit_table(args, REGION_HEADER, rows, behavior=behavior.value, theta=params.theta)
+    _emit(args, REGION_HEADER, rows, behavior=behavior.value, theta=params.theta)
     return 0
 
 
@@ -226,7 +226,7 @@ def _symmetric_rows(params, n_points):
 
 def _cmd_symmetric_region(args) -> int:
     rows = _symmetric_rows(_params(args), args.grid_locations)
-    _emit_table(args, SYMMETRIC_HEADER, rows)
+    _emit(args, SYMMETRIC_HEADER, rows)
     return 0
 
 
@@ -235,23 +235,17 @@ def _cmd_welfare(args) -> int:
     w = consumer_welfare(params, args.x1, args.x2, args.s1)
     payload = {"a": params.a, "theta": params.theta, "x1": args.x1,
                "x2": args.x2, "s1": args.s1, "welfare": w}
-    if args.format == "json":
-        _emit(args, _json_doc(payload))
-    else:
-        _emit(args, _csv_doc(tuple(payload), [tuple(payload.values())]))
+    _emit(args, tuple(payload), [tuple(payload.values())], payload)
     return 0
 
 
 def _cmd_social_opt(args) -> int:
     params = _params(args)
     optima = social_optimum(params)
-    if args.format == "json":
-        _emit(args, _json_doc({"a": params.a, "theta": params.theta,
-                               "optima": [o.as_dict() for o in optima]}))
-    else:
-        header = ("a", "theta", "x1", "x2", "s1", "welfare")
-        rows = [(params.a, params.theta, o.x1, o.x2, o.s1, o.welfare) for o in optima]
-        _emit(args, _csv_doc(header, rows))
+    header = ("a", "theta", "x1", "x2", "s1", "welfare")
+    rows = [(params.a, params.theta, o.x1, o.x2, o.s1, o.welfare) for o in optima]
+    _emit(args, header, rows, {"a": params.a, "theta": params.theta,
+                               "optima": [o.as_dict() for o in optima]})
     return 0
 
 
@@ -278,12 +272,10 @@ def _ratio_rows(behavior, theta, ratio_fn, a_values):
 
 def _cmd_ratio_curve(args, ratio_fn, label) -> int:
     behavior = _behavior(args)
-    if behavior is BehaviorKind.OPTIMISTIC:
-        raise NoEquilibriumError("no equilibrium exists for optimistic firms")
-    # a single-point request lets the ratio raise for neutral a > 1/2
+    # the ratio raises for optimists, and for neutral a > 1/2 on request
     a_values = [args.a] if args.a is not None else _a_grid(behavior)
     rows = _ratio_rows(behavior, args.theta, ratio_fn, a_values)
-    _emit_table(args, _ratio_header(label), rows)
+    _emit(args, _ratio_header(label), rows)
     return 0
 
 
@@ -326,15 +318,6 @@ def _check(name: str, ok: bool, detail: str, failures: list):
         failures.append(name)
 
 
-def _existence_margin(a, loc):
-    one_minus_2a = 1.0 - 2.0 * a
-    return min(
-        abs(loc.gap - a),
-        abs(loc.x2 - one_minus_2a * loc.x1 - a),
-        abs(loc.x1 - one_minus_2a * loc.x2 - a),
-    )
-
-
 def _verify_market_equilibria(rng, grid, instances, failures):
     spacing = 1.0 / (grid.n_shares - 1)
     mismatches = 0
@@ -348,9 +331,12 @@ def _verify_market_equilibria(rng, grid, instances, failures):
         slack = 1e-9 + (1.0 + a) * spacing
         ctol = 2.0 * spacing + slack / (2.0 * min(a, 1.0 - a))
         ok = all(any(abs(c - s) <= ctol for c in clusters) for s in closed)
-        if ok and _existence_margin(a, loc) > slack:
-            # near-boundary instances legitimately grow extra clusters
-            # from the adjacent branch; skip the converse check there
+        # near-boundary instances legitimately grow extra clusters from the
+        # adjacent branch: a cut at the boundary violates the condition by
+        # just its gap, within the share slack plus up to 2 / n_consumers
+        # from sampling consumers at cell midpoints; skip the converse there
+        margin = min(map(abs, _condition_gaps(a, loc.x1, loc.x2)))
+        if ok and margin > slack + 2.0 / grid.n_consumers:
             ok = all(any(abs(c - s) <= ctol for s in closed) for c in clusters)
         mismatches += not ok
     _check("market-equilibria", mismatches == 0,

@@ -233,7 +233,8 @@ def _equilibria(a: float, x1: float, x2: float):
     """Closed-form equilibrium list as (kind, s1) tuples, sorted by s1.
 
     Internal lean path shared by the public API and the hot loops in the
-    deviation searches; assumes x1 <= x2 and a in (0, 1).
+    deviation searches; assumes x1 <= x2 and a in (0, 1). The kind II/IV
+    tests inline :func:`_condition_gaps` for speed.
     """
     gap = x2 - x1
     if gap > a:
@@ -249,8 +250,19 @@ def _equilibria(a: float, x1: float, x2: float):
         found.append((Kind.IV, _clip_unit(0.5 + gap / (2.0 * a))))
     if has_ii and has_iv:
         found.append((Kind.III, _clip_unit((x1 + x2 - a) / (2.0 * (1.0 - a)))))
+    # kind order is the share order only in exact arithmetic: at a = 0.5 and
+    # (0.08, 0.5), III = 0.07999999999999996 falls below II = 0.08000000000000002
     found.sort(key=lambda item: (item[1], _KIND_RANK[item[0]]))
     return tuple(found)
+
+
+def _condition_gaps(a: float, x1: float, x2: float):
+    """Signed slack of the existence conditions at x1 <= x2, zero where one
+    is tight: ``x2 - x1 - a`` (the band: gap within a at <= 0),
+    ``x2 - (1 - 2a) x1 - a`` (kind II exists at >= 0) and
+    ``x1 - (1 - 2a) x2 - a`` (kind IV exists at <= 0)."""
+    one_minus_2a = 1.0 - 2.0 * a
+    return x2 - x1 - a, x2 - one_minus_2a * x1 - a, x1 - one_minus_2a * x2 - a
 
 
 def _split_share(kind: Kind, a: float, x1: float, x2: float) -> float:
@@ -309,16 +321,13 @@ def market_equilibrium_count(params: GameParams, loc: Locations) -> EquilibriumC
     """Count market equilibria (1, 3 or 5) and report tight conditions."""
     a, x1, x2 = params.a, loc.x1, loc.x2
     count = len(_equilibria(a, x1, x2))
-    tight = set()
+    tight = frozenset()
     if count > 1:
-        one_minus_2a = 1.0 - 2.0 * a
-        if x2 - x1 == a:
-            tight.add("band")
-        if x2 - one_minus_2a * x1 == a:
-            tight.add("ii")
-        if x1 - one_minus_2a * x2 == a:
-            tight.add("iv")
-    return EquilibriumCount(count, frozenset(tight))
+        gaps = _condition_gaps(a, x1, x2)
+        if 0.0 in gaps:  # rare, so name the tight conditions only then
+            tight = frozenset(
+                name for name, gap in zip(("band", "ii", "iv"), gaps) if gap == 0.0)
+    return EquilibriumCount(count, tight)
 
 
 def distinct_shares(outcomes, tol: float = SHARE_TOL) -> list:
@@ -328,12 +337,17 @@ def distinct_shares(outcomes, tol: float = SHARE_TOL) -> list:
     enumeration order already sorts by s1, but arbitrary outcome
     collections are accepted.
     """
-    shares = sorted(o.s1 for o in outcomes)
-    reps: list = []
-    for s in shares:
-        if not reps or s - reps[-1] > tol:
-            reps.append(s)
-    return reps
+    return _merge_close((o.s1 for o in outcomes), tol)
+
+
+def _merge_close(values, tol: float) -> list:
+    """The sorted ``values``, each kept only if more than ``tol`` above the
+    last one kept."""
+    kept: list = []
+    for v in sorted(values):
+        if not kept or v - kept[-1] > tol:
+            kept.append(v)
+    return kept
 
 
 def mirror_locations(loc: Locations) -> Locations:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behaviors import BehaviorKind, deviation_payoff, is_nash
+from .behaviors import BehaviorKind, _check_deviation_args, _deviation_value, is_nash
 from .model import (
     EquilibriumProfile,
     GameParams,
@@ -114,9 +114,10 @@ def oracle_best_deviation(
     maximum trails the true supremum by at most that constant times the
     grid spacing.
     """
+    _check_deviation_args(deviator, x_other)
     best_x, best_v = 0.0, -1.0
     for x in np.linspace(0.0, 1.0, grid.n_locations):
-        v = deviation_payoff(params, behavior, deviator, float(x), x_other).payoff
+        v = _deviation_value(params.a, behavior, float(x), x_other)
         if v > best_v:
             best_x, best_v = float(x), v
     return best_x, best_v

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .behaviors import BehaviorKind, NoEquilibriumError
+from .behaviors import BehaviorKind, NoEquilibriumError, neutral_nash
 from .model import (
     EquilibriumProfile,
     GameParams,
@@ -203,16 +203,17 @@ def best_ne_pessimistic(params: GameParams) -> ProfileWelfare:
     return ProfileWelfare(profile, welfare)
 
 
-def _neutral_ne_welfare(params: GameParams) -> ProfileWelfare:
-    profile = EquilibriumProfile(Locations(0.5, 0.5), MarketOutcome(Kind.III, 0.5))
-    return ProfileWelfare(profile, consumer_welfare(params, 0.5, 0.5, 0.5))
-
-
-def _require_equilibria(params: GameParams, behavior: BehaviorKind):
+def _extremal_ne(params: GameParams, behavior: BehaviorKind, pessimistic_ne) -> ProfileWelfare:
+    """The extremal NE under ``behavior``: ``pessimistic_ne(params)``, or the
+    unique neutral one. Raises NoEquilibriumError when there is none."""
     if behavior is BehaviorKind.OPTIMISTIC:
         raise NoEquilibriumError("no equilibrium exists for optimistic firms")
-    if behavior is BehaviorKind.NEUTRAL and params.a > 0.5:
+    if behavior is BehaviorKind.PESSIMISTIC:
+        return pessimistic_ne(params)
+    profile = neutral_nash(params)
+    if profile is None:
         raise NoEquilibriumError("no equilibrium exists for neutral firms with a > 1/2")
+    return ProfileWelfare(profile, consumer_welfare(params, profile.x1, profile.x2, profile.s1))
 
 
 def _ratio(params: GameParams, extremal_ne: ProfileWelfare) -> RatioReport:
@@ -228,10 +229,7 @@ def poa(params: GameParams, behavior: BehaviorKind) -> RatioReport:
     [theta - (1/4 - a)] / [theta - (1/4 - a/2)] beyond. Pessimistic
     firms divide the optimum by theta - (1 - a)^2 / 4.
     """
-    _require_equilibria(params, behavior)
-    if behavior is BehaviorKind.NEUTRAL:
-        return _ratio(params, _neutral_ne_welfare(params))
-    return _ratio(params, worst_ne_pessimistic(params))
+    return _ratio(params, _extremal_ne(params, behavior, worst_ne_pessimistic))
 
 
 def pos(params: GameParams, behavior: BehaviorKind) -> RatioReport:
@@ -241,10 +239,7 @@ def pos(params: GameParams, behavior: BehaviorKind) -> RatioReport:
     the three best-NE regimes and the ratio is exactly 1 for a > 1/2,
     where the best NE coincides with the social optimum.
     """
-    _require_equilibria(params, behavior)
-    if behavior is BehaviorKind.NEUTRAL:
-        return _ratio(params, _neutral_ne_welfare(params))
-    return _ratio(params, best_ne_pessimistic(params))
+    return _ratio(params, _extremal_ne(params, behavior, best_ne_pessimistic))
 
 
 def poa_minimizer_pessimistic(theta: float) -> float:

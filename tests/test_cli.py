@@ -8,9 +8,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from locpop.cli import main
+from locpop import GridSpec
+from locpop.cli import _verify_market_equilibria, main
 
 
 def run_cli(capsys, *argv):
@@ -132,9 +134,12 @@ def test_pos_curve_pessimistic_saturates(capsys):
 
 
 def test_curves_refuse_optimistic(capsys):
-    code, _, err = run_cli(capsys, "poa-curve", "--behavior", "optimistic")
-    assert code == 1
-    assert "no equilibrium exists" in err
+    for argv in (("poa-curve",), ("pos-curve",), ("poa-curve", "--a", "0.25"),
+                 ("pos-curve", "--a", "0.25")):
+        code, out, err = run_cli(capsys, *argv, "--behavior", "optimistic")
+        assert code == 1
+        assert out == ""
+        assert err == "error: no equilibrium exists for optimistic firms\n"
 
 
 def test_single_point_curve_and_neutral_cutoff(capsys):
@@ -251,6 +256,16 @@ def test_verify_small_run(capsys):
     assert code == 0
     assert "all verification suites passed" in out
     assert out.count("ok ") >= 6
+
+
+@pytest.mark.parametrize("seed", [902, 906, 907])
+def test_market_equilibria_suite_skips_near_boundary(seed, capsys):
+    # each seed draws an instance whose kind IV condition misses by just
+    # over the share slack, where the oracle grows an extra cluster
+    failures = []
+    _verify_market_equilibria(np.random.default_rng(seed), GridSpec(), 1000, failures)
+    assert failures == []
+    assert "1000 random instances, 0 mismatches" in capsys.readouterr().out
 
 
 def test_module_entrypoint_smoke():
