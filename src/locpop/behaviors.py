@@ -21,6 +21,8 @@ import enum
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     EquilibriumProfile,
     Kind,
@@ -28,6 +30,7 @@ from .model import (
     MarketOutcome,
     GameParams,
     _equilibria,
+    _equilibria_array,
     _merge_close,
     _split_share,
     distinct_shares,
@@ -146,6 +149,26 @@ def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: fl
     return _aggregate(behavior, shares)
 
 
+def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
+    """Array form of :func:`_deviation_value` over the deviation locations
+    ``x_dev``, bit for bit: the neutral mean is summed left to right in
+    enumeration order, as ``_aggregate``'s ``sum`` does."""
+    left = x_dev <= x_other
+    shares, _ = _equilibria_array(
+        a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))
+    shares = np.take_along_axis(shares, np.argsort(shares, axis=-1, kind="stable"), axis=-1)
+    own = np.where(left[..., None], shares, 1.0 - shares)
+    if behavior is BehaviorKind.PESSIMISTIC:
+        return np.nanmin(own, axis=-1)
+    if behavior is BehaviorKind.OPTIMISTIC:
+        return np.nanmax(own, axis=-1)
+    present = ~np.isnan(own)  # a prefix of the sorted slots
+    total = own[..., 0]
+    for slot in range(1, 5):
+        total = total + np.where(present[..., slot], own[..., slot], 0.0)
+    return total / present.sum(axis=-1)
+
+
 def _check_deviation_args(deviator: int, x_other: float, x_dev: float = 0.0):
     if deviator not in (1, 2):
         raise ValueError(f"deviator must be firm 1 or 2, got {deviator}")
@@ -244,8 +267,10 @@ def _cached_best_deviation(a: float, behavior: BehaviorKind, x_other: float):
     Candidates are the payoff attained at each breakpoint and the
     one-sided limits beside it; ties keep attained values, then smaller
     locations, first. Excluding the own location drops at most one
-    attained value, so two entries answer every lookup. Region scans
-    revisit x_other often, hence the cache.
+    attained value, so two entries answer every lookup. The cache serves
+    repeated opponents: ``nash-check`` asks for each one twice (through
+    ``is_nash`` and ``best_deviation``), and a region scan asks once per
+    grid value (:func:`_supremum_table`), so scans at one ``a`` share them.
     """
     points = _breakpoints(a, x_other)
     candidates = [(_deviation_value(a, behavior, p, x_other), p, True) for p in points]
@@ -275,6 +300,34 @@ def _supremum(a: float, behavior: BehaviorKind, x_other: float, own_location):
     if attained and own_location is not None and abs(location - own_location) <= _SAME_POINT:
         payoff, location, _ = runner_up
     return location, payoff
+
+
+def _supremum_table(a: float, behavior: BehaviorKind, x_other):
+    """:func:`_supremum` against every opponent location of the array
+    ``x_other``, as three arrays for :func:`_excluded_supremum`: the best
+    payoff, the location where it is attained (NaN when only approached,
+    as always for pessimists) and the runner-up payoff."""
+    if behavior is BehaviorKind.PESSIMISTIC:
+        payoff = np.where(
+            x_other <= 0.5,
+            np.where(x_other + a >= 1.0, 0.0, 1.0 - x_other / (1.0 - a)),
+            np.where(x_other - a <= 0.0, 0.0, 1.0 - (1.0 - x_other) / (1.0 - a)),
+        )
+        return payoff, np.full_like(payoff, np.nan), payoff
+    tops = [_cached_best_deviation(a, behavior, x) for x in x_other.tolist()]
+    return (
+        np.array([best[0] for best, _ in tops]),
+        np.array([best[1] if best[2] else np.nan for best, _ in tops]),
+        np.array([runner_up[0] for _, runner_up in tops]),
+    )
+
+
+def _excluded_supremum(table, index, own_location):
+    """Array form of :func:`_supremum`'s payoff against the opponents
+    ``index`` selects from a :func:`_supremum_table`, with the value attained
+    at ``own_location`` left out."""
+    payoff, attained_at, runner_up = (column[index] for column in table)
+    return np.where(np.abs(attained_at - own_location) <= _SAME_POINT, runner_up, payoff)
 
 
 def best_deviation(

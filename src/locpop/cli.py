@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import repeat
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .model import (
     EquilibriumProfile,
     GameParams,
     Locations,
+    MarketOutcome,
     _condition_gaps,
     distinct_shares,
     enumerate_market_equilibria,
@@ -51,16 +53,17 @@ from .model import (
 )
 from .oracle import (
     GridSpec,
-    _grid_profiles,
+    _region_scan,
     oracle_best_deviation,
     oracle_market_equilibria,
     oracle_ne_region_scan,
     oracle_social_optimum,
 )
-from .welfare import consumer_welfare, poa, pos, social_optimum
+from .welfare import _consumer_welfare_array, consumer_welfare, poa, pos, social_optimum
 
 A_GRID_STEP = 0.005  # default sweep: 0.005 .. 0.995
 REGION_GRID_DEFAULT = 201
+REGION_GRID_MAX = 2001
 REGION_HEADER = ("a", "x1", "x2", "kind", "s1", "is_ne", "welfare")
 SYMMETRIC_HEADER = ("a", "x1", "s1")
 
@@ -201,11 +204,12 @@ def _cmd_nash_check(args) -> int:
 
 
 def _region_rows(params, behavior, n_locations):
-    return [
-        (params.a, p.x1, p.x2, p.outcome.kind.value, p.s1, int(is_nash(params, behavior, p)),
-         consumer_welfare(params, p.x1, p.x2, p.s1))
-        for p in _grid_profiles(params, n_locations)
-    ]
+    """REGION_HEADER rows of the region scan, one per market equilibrium,
+    generated one grid row at a time, so no list of every row is built."""
+    for x1, x2, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
+        welfare = _consumer_welfare_array(params, x1, x2, s1)
+        yield from zip(repeat(params.a), repeat(x1), x2.tolist(), [k.value for k in kind],
+                       s1.tolist(), is_ne.astype(int).tolist(), welfare.tolist())
 
 
 def _cmd_nash_region(args) -> int:
@@ -380,15 +384,18 @@ def _verify_regions(theta, failures):
     for a in (0.2, 0.5, 0.8):
         params = GameParams(a, theta)
         found = []
-        for profile in _grid_profiles(params, grid.n_locations):
-            by_deviation = is_nash(params, BehaviorKind.PESSIMISTIC, profile)
-            by_interval = pessimistic_nash_interval(params, profile.locations).contains(profile.s1)
-            if by_deviation != by_interval:
-                disagreements += 1
-            if by_deviation:
-                found.append(profile)
-                if not nash_diameter_bounds_check(params, profile):
+        scan = _region_scan(params, BehaviorKind.PESSIMISTIC, grid.n_locations)
+        for x1, x2s, kinds, s1s, is_ne in scan:
+            for x2, kind, s1, by_deviation in zip(
+                    x2s.tolist(), kinds, s1s.tolist(), is_ne.tolist()):
+                loc = Locations(x1, x2)
+                if by_deviation != pessimistic_nash_interval(params, loc).contains(s1):
                     disagreements += 1
+                if by_deviation:
+                    profile = EquilibriumProfile(loc, MarketOutcome(kind, s1))
+                    found.append(profile)
+                    if not nash_diameter_bounds_check(params, profile):
+                        disagreements += 1
         pess_profiles[a] = found
     _check("pessimistic-region", disagreements == 0,
            f"3 externality levels on a 101x101 grid, {disagreements} disagreements",
@@ -435,12 +442,15 @@ def _cmd_verify(args) -> int:
 # parser
 
 
-def _at_least(minimum):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _bounded(minimum, maximum=None):
+    """argparse type: an integer no smaller than ``minimum`` and, when
+    ``maximum`` is given, no larger."""
     def integer(text):
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
     return integer
 
@@ -480,12 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("nash-region", help="NE scan over the location grid")
     _add_common(s, needs_behavior=True)
-    s.add_argument("--grid-locations", type=_at_least(2), default=REGION_GRID_DEFAULT)
+    # the scan is O(n^2) in time and output size
+    s.add_argument("--grid-locations", type=_bounded(2, REGION_GRID_MAX),
+                   default=REGION_GRID_DEFAULT)
     s.set_defaults(func=_cmd_nash_region, format="csv")
 
     s = subs.add_parser("symmetric-region", help="NE shares along x2 = 1 - x1")
     _add_common(s)
-    s.add_argument("--grid-locations", type=_at_least(2), default=501)
+    s.add_argument("--grid-locations", type=_bounded(2), default=501)
     s.set_defaults(func=_cmd_symmetric_region, format="csv")
 
     s = subs.add_parser("welfare", help="consumer welfare at one point")
@@ -516,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="oracle cross-check suites")
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--instances", type=_at_least(0), default=1000)
-    s.add_argument("--grid-consumers", type=_at_least(2), default=10_000)
-    s.add_argument("--grid-locations", type=_at_least(2), default=2001)
-    s.add_argument("--grid-shares", type=_at_least(2), default=2001)
+    s.add_argument("--instances", type=_bounded(0), default=1000)
+    s.add_argument("--grid-consumers", type=_bounded(2), default=10_000)
+    s.add_argument("--grid-locations", type=_bounded(2), default=2001)
+    s.add_argument("--grid-shares", type=_bounded(2), default=2001)
     s.set_defaults(func=_cmd_verify)
 
     return parser

@@ -21,6 +21,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "SHARE_TOL",
     "Kind",
@@ -256,6 +258,42 @@ def _equilibria(a: float, x1: float, x2: float):
     return tuple(found)
 
 
+def _equilibria_array(a: float, x1, x2):
+    """Array form of :func:`_equilibria` over locations x1 <= x2 (arrays or
+    floats, broadcast together): ``(shares, unique)``.
+
+    ``shares`` has a trailing axis of five slots holding firm 1's share in
+    kinds I..V in that order, NaN where a kind is absent; where ``unique``
+    (the gap exceeds ``a``) the UNIQUE split sits alone in the III slot.
+    The arithmetic is the scalar function's, so every share agrees bit for
+    bit, and a stable argsort along the slots reproduces its (share, kind)
+    order, ties and the a = 1/2 inversion of II and III included.
+    """
+    gap = np.subtract(x2, x1)
+    unique = gap > a
+    one_minus_2a = 1.0 - 2.0 * a
+    has_ii = ~unique & (a <= x2 - one_minus_2a * x1)
+    has_iv = ~unique & (x1 - one_minus_2a * x2 <= a)
+    interior = (np.add(x1, x2) - a) / (2.0 * (1.0 - a))
+    shares = np.stack([
+        np.where(unique, np.nan, 0.0),
+        np.where(has_ii, _clip_unit_array(0.5 - gap / (2.0 * a)), np.nan),
+        np.where(unique | (has_ii & has_iv), _clip_unit_array(interior), np.nan),
+        np.where(has_iv, _clip_unit_array(0.5 + gap / (2.0 * a)), np.nan),
+        np.where(unique, np.nan, 1.0),
+    ], axis=-1)
+    return shares, unique
+
+
+def _clip_unit_array(values):
+    # _clip_unit's own comparisons, so the two agree on every input
+    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+
+
+# Kind held by each slot of _equilibria_array (where unique, III is UNIQUE).
+_SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V], dtype=object)
+
+
 def _condition_gaps(a: float, x1: float, x2: float):
     """Signed slack of the existence conditions at x1 <= x2, zero where one
     is tight: ``x2 - x1 - a`` (the band: gap within a at <= 0),
@@ -315,6 +353,14 @@ def is_market_equilibrium(params: GameParams, loc: Locations, s1: float) -> bool
         return loc.x2 - loc.x1 <= a
     d = a * (2.0 * s1 - 1.0) + abs(s1 - loc.x2) - abs(s1 - loc.x1)
     return abs(d) <= SHARE_TOL
+
+
+def _is_market_equilibrium_array(a: float, x1, x2, s1):
+    """Array form of :func:`is_market_equilibrium`'s test at x1 <= x2, for
+    cuts s1 already known to lie in [0, 1]."""
+    edge = (s1 == 0.0) | (s1 == 1.0)
+    d = a * (2.0 * s1 - 1.0) + np.abs(s1 - x2) - np.abs(s1 - x1)
+    return np.where(edge, np.subtract(x2, x1) <= a, np.abs(d) <= SHARE_TOL)
 
 
 def market_equilibrium_count(params: GameParams, loc: Locations) -> EquilibriumCount:

@@ -4,8 +4,9 @@ Everything here re-derives results from first principles on grids: the
 market-equilibrium oracle checks the defining utility inequalities at
 every grid consumer for every candidate split, the deviation oracle
 maximizes over a location grid, the welfare optimum oracle exhaustively
-searches the (x1, x2, s1) box, and the region scan classifies every grid
-cell through the Nash decision procedure. These routines certify the
+searches the (x1, x2, s1) box, and the region scan decides every market
+equilibrium of every grid cell, one array row of cells at a time, by the
+same arithmetic as the scalar Nash decision. These routines certify the
 closed forms within principled grid tolerances; they are the provenance
 for the frozen expected values in the test suite.
 """
@@ -16,12 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behaviors import BehaviorKind, _check_deviation_args, _deviation_value, is_nash
+from .behaviors import (
+    NE_TOL,
+    BehaviorKind,
+    _check_deviation_args,
+    _deviation_values,
+    _excluded_supremum,
+    _supremum_table,
+)
 from .model import (
+    _SLOT_KINDS,
     EquilibriumProfile,
     GameParams,
+    Kind,
     Locations,
-    enumerate_market_equilibria,
+    MarketOutcome,
+    _equilibria_array,
+    _is_market_equilibrium_array,
 )
 from .welfare import OptimumPoint
 
@@ -115,12 +127,10 @@ def oracle_best_deviation(
     grid spacing.
     """
     _check_deviation_args(deviator, x_other)
-    best_x, best_v = 0.0, -1.0
-    for x in np.linspace(0.0, 1.0, grid.n_locations):
-        v = _deviation_value(params.a, behavior, float(x), x_other)
-        if v > best_v:
-            best_x, best_v = float(x), v
-    return best_x, best_v
+    xs = np.linspace(0.0, 1.0, grid.n_locations)
+    values = _deviation_values(params.a, behavior, xs, x_other)
+    best = int(np.argmax(values))  # the first maximum, as a scan keeping strict gains
+    return float(xs[best]), float(values[best])
 
 
 def _segment_distance(endpoint_lo, endpoint_hi, x):
@@ -163,28 +173,50 @@ def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
     return OptimumPoint(float(xs[i1[k]]), float(xs[i2[k]]), float(ss[k]), float(welfare[k]))
 
 
-def _grid_profiles(params: GameParams, n_locations: int):
-    """Every profile on the n_locations x n_locations grid with x1 <= x2:
-    row by row, each cell's market equilibria in enumeration order."""
+def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
+    """Every profile on the n_locations x n_locations grid with x1 <= x2 and
+    its Nash verdict, one grid row of x1 at a time.
+
+    Yields ``(x1, x2, kind, s1, is_ne)`` per row: the float x1 and arrays
+    with one entry per market equilibrium, cells in increasing x2 and each
+    cell's splits in the order of :func:`enumerate_market_equilibria`.
+    ``is_ne`` is :func:`is_nash`'s verdict by its own arithmetic: each
+    firm's share against the supremum of its best deviation, the value at
+    its own location left out, from one table of suprema per grid value of
+    the opponent. Raises ValueError where ``is_nash`` would: a split that
+    fails the market-equilibrium test.
+    """
+    a = params.a
     xs = np.linspace(0.0, 1.0, n_locations)
-    for i, x1 in enumerate(xs):
-        for x2 in xs[i:]:
-            loc = Locations(float(x1), float(x2))
-            for outcome in enumerate_market_equilibria(params, loc):
-                yield EquilibriumProfile(loc, outcome)
+    suprema = _supremum_table(a, behavior, xs)
+    for i, x1 in enumerate(xs.tolist()):
+        shares, unique = _equilibria_array(a, x1, xs[i:])
+        order = np.argsort(shares, axis=1, kind="stable")
+        shares = np.take_along_axis(shares, order, axis=1)
+        cell, rank = np.nonzero(~np.isnan(shares))
+        x2, s1 = xs[i:][cell], shares[cell, rank]
+        kind = _SLOT_KINDS[order[cell, rank]]
+        kind[unique[cell]] = Kind.UNIQUE
+        if not _is_market_equilibrium_array(a, x1, x2, s1).all():
+            raise ValueError("profile outcome is not a market equilibrium for its locations")
+        # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
+        firm1 = _excluded_supremum(suprema, slice(i, None), x1)[cell]
+        firm2 = _excluded_supremum(suprema, i, xs[i:])[cell]
+        is_ne = ~(s1 < firm1 - NE_TOL) & ~(1.0 - s1 < firm2 - NE_TOL)
+        yield x1, x2, kind, s1, is_ne
 
 
 def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: GridSpec) -> list:
     """All Nash equilibria on an n_locations x n_locations location grid.
 
     Every cell with x1 <= x2 is enumerated and each market equilibrium
-    kept iff the Nash decision accepts it. Feeds the figure emitters and
-    the diameter-bound checks.
+    kept iff the Nash decision accepts it, in enumeration order. Feeds
+    the figure emitters and the diameter-bound checks.
     """
     return [
-        profile
-        for profile in _grid_profiles(params, grid.n_locations)
-        if is_nash(params, behavior, profile)
+        EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
+        for x1, x2s, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
+        for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist())
     ]
 
 
@@ -192,6 +224,11 @@ def oracle_consumer_welfare(
     params: GameParams, x1: float, x2: float, s1: float, n_consumers: int = 100_000
 ) -> float:
     """Riemann-sum welfare with n_consumers midpoint samples per segment."""
+    for name, value in (("x1", x1), ("x2", x2), ("s1", s1)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    if n_consumers < 1:
+        raise ValueError(f"n_consumers must be at least 1, got {n_consumers}")
     a, theta = params.a, params.theta
     total = 0.0
     for lo, hi, x, share in ((0.0, s1, x1, s1), (s1, 1.0, x2, 1.0 - s1)):

@@ -11,8 +11,18 @@ import sys
 import numpy as np
 import pytest
 
-from locpop import GridSpec
-from locpop.cli import _verify_market_equilibria, main
+from locpop import (
+    BehaviorKind,
+    EquilibriumProfile,
+    GameParams,
+    GridSpec,
+    Kind,
+    Locations,
+    consumer_welfare,
+    enumerate_market_equilibria,
+    is_nash,
+)
+from locpop.cli import _region_rows, _verify_market_equilibria, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +186,10 @@ def test_flag_errors_exit_two(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "at least" in err
+    region = ("nash-region", "--a", "0.5", "--behavior", "pessimistic", "--grid-locations")
+    code, out, err = run_cli(capsys, *region, "2002")
+    assert code == 2 and out == "" and "must be at most 2001" in err
+    assert build_parser().parse_args([*region, "2001"]).grid_locations == 2001
 
 
 def test_json_output_is_strict():
@@ -211,6 +225,43 @@ def test_nash_region_rows(tmp_path, capsys):
     assert ne_rows
     for r in ne_rows:
         assert float(r["x2"]) - float(r["x1"]) <= 0.3 + 1e-9
+
+
+def scalar_region_rows(params, behavior, n_locations):
+    """The region rows profile by profile, through the scalar public API."""
+    xs = np.linspace(0.0, 1.0, n_locations).tolist()
+    rows = []
+    for i, x1 in enumerate(xs):
+        for x2 in xs[i:]:
+            loc = Locations(x1, x2)
+            for outcome in enumerate_market_equilibria(params, loc):
+                verdict = is_nash(params, behavior, EquilibriumProfile(loc, outcome))
+                rows.append((params.a, x1, x2, outcome.kind.value, outcome.s1, int(verdict),
+                             consumer_welfare(params, x1, x2, outcome.s1)))
+    return rows
+
+
+def kind_order_inversions(rows):
+    """Cells whose splits, listed in share order, are not in kind order."""
+    rank = {kind.value: r for r, kind in enumerate(Kind)}
+    cells = {}
+    for row in rows:
+        cells.setdefault(row[1:3], []).append(rank[row[3]])
+    return sum(ranks != sorted(ranks) for ranks in cells.values())
+
+
+@pytest.mark.parametrize("a, behavior, n_locations", [
+    *[(a, behavior, 41) for a in (0.2, 0.25, 0.5, 0.8) for behavior in BehaviorKind],
+    (0.5, BehaviorKind.PESSIMISTIC, 201),
+])
+def test_region_rows_match_scalar_reference(a, behavior, n_locations):
+    params = GameParams(a)
+    expected = scalar_region_rows(params, behavior, n_locations)
+    rows = list(_region_rows(params, behavior, n_locations))
+    # bit for bit and type for type, as the CSV and JSON writers see them
+    assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in expected]
+    if n_locations == 201:  # III rounds below II on these cells at a = 1/2
+        assert kind_order_inversions(rows) == 45
 
 
 def test_symmetric_region_rows(capsys):

@@ -1,5 +1,6 @@
 """Tests for the market-equilibrium model and its closed forms."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from locpop import (
     mirror_outcome,
     oracle_market_equilibria,
 )
+from locpop.model import _SLOT_KINDS, _equilibria, _equilibria_array
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 positions = st.floats(min_value=0.0, max_value=1.0)
@@ -219,6 +221,27 @@ def test_enumeration_sorted_by_share(a, p, q):
     outcomes = enumerate_market_equilibria(GameParams(a), make_locations(p, q))
     shares = [o.s1 for o in outcomes]
     assert shares == sorted(shares)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.one_of(st.sampled_from([0.25, 0.5]), externalities),
+    p=st.one_of(st.sampled_from([0.0, 0.08, 0.5, 1.0]), positions),
+    q=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), positions),
+)
+@example(a=0.5, p=0.08, q=0.5)
+def test_equilibria_array_matches_scalar(a, p, q):
+    x1, x2 = min(p, q), max(p, q)
+    # the cell alone, and inside a row of cells as a region scan passes it
+    for x2s, at in ((x2, ()), (np.array([x1, x2, 1.0]), 1)):
+        shares, unique = _equilibria_array(a, x1, x2s)
+        shares, unique = shares[at], unique[at]
+        order = np.argsort(shares, kind="stable")
+        found = [
+            (Kind.UNIQUE if unique else _SLOT_KINDS[slot], repr(float(shares[slot])))
+            for slot in order if not np.isnan(shares[slot])
+        ]
+        assert found == [(kind, repr(s1)) for kind, s1 in _equilibria(a, x1, x2)]
 
 
 def _existence_margin(a, loc):

@@ -1,7 +1,10 @@
 """Tests for the brute-force grid oracles against the closed forms."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from locpop import (
     BehaviorKind,
@@ -21,6 +24,7 @@ from locpop import (
     oracle_social_optimum,
     social_optimum,
 )
+from locpop.behaviors import _deviation_value, _deviation_values
 
 
 def test_gridspec_validation():
@@ -111,6 +115,32 @@ def test_oracle_best_deviation_neutral_center_exceeds_half():
     assert payoff > 0.5 + 1e-3
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    a=st.one_of(st.sampled_from([0.25, 0.5]), st.floats(min_value=0.01, max_value=0.99)),
+    x_other=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    behavior=st.sampled_from(list(BehaviorKind)),
+    n_locations=st.sampled_from([2, 41, 2001]),
+)
+# deviating to 0.08 meets III below II; at 0.55 rounding puts IV below III,
+# and summed in kind order instead of share order the mean differs there
+@example(a=0.5, x_other=0.5, behavior=BehaviorKind.NEUTRAL, n_locations=2001)
+@example(a=0.25, x_other=0.525, behavior=BehaviorKind.NEUTRAL, n_locations=41)
+def test_oracle_best_deviation_is_the_pointwise_loop(a, x_other, behavior, n_locations):
+    xs = np.linspace(0.0, 1.0, n_locations)
+    values = [_deviation_value(a, behavior, x, x_other) for x in xs.tolist()]
+    best_x, best_v = 0.0, -1.0
+    for x, v in zip(xs.tolist(), values):
+        if v > best_v:
+            best_x, best_v = x, v
+    # bit for bit: the neutral mean must be summed in enumeration order
+    assert list(map(repr, _deviation_values(a, behavior, xs, x_other).tolist())) == list(
+        map(repr, values))
+    found = oracle_best_deviation(
+        GameParams(a), behavior, 1, x_other, GridSpec(n_locations=n_locations))
+    assert repr(found) == repr((best_x, best_v))
+
+
 def test_oracle_social_optimum_both_regimes():
     grid = GridSpec(n_locations=201, n_shares=201)
     found = oracle_social_optimum(GameParams(0.1), grid)
@@ -179,3 +209,19 @@ def test_riemann_welfare_agreement():
         exact = consumer_welfare(params, x1, x2, s1)
         sampled = oracle_consumer_welfare(params, x1, x2, s1)
         assert exact == pytest.approx(sampled, abs=1e-5)
+
+
+@pytest.mark.parametrize("point, n_consumers, message", [
+    ((-0.1, 0.5, 0.5), 100, "x1 must lie in [0, 1], got -0.1"),
+    ((0.5, 1.2, 0.5), 100, "x2 must lie in [0, 1], got 1.2"),
+    ((0.2, 0.6, 1.5), 100, "s1 must lie in [0, 1], got 1.5"),
+    ((0.2, 0.6, 0.5), 0, "n_consumers must be at least 1, got 0"),
+    ((0.2, 0.6, 0.5), -5, "n_consumers must be at least 1, got -5"),
+])
+def test_riemann_welfare_rejects_bad_input(point, n_consumers, message):
+    params = GameParams(0.3)
+    if n_consumers > 0:  # the same message as the closed form
+        with pytest.raises(ValueError, match=re.escape(message)):
+            consumer_welfare(params, *point)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_consumer_welfare(params, *point, n_consumers=n_consumers)
