@@ -137,7 +137,13 @@ def _aggregate(behavior: BehaviorKind, shares) -> float:
         return min(shares)
     if behavior is BehaviorKind.OPTIMISTIC:
         return max(shares)
-    return sum(shares) / len(shares)
+    # a plain left-to-right sum, as _deviation_values takes it: sum() of
+    # floats is compensated from CPython 3.12 on
+    rest = iter(shares)
+    total = next(rest)
+    for share in rest:
+        total += share
+    return total / len(shares)
 
 
 def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: float) -> float:
@@ -152,7 +158,7 @@ def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: fl
 def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
     """Array form of :func:`_deviation_value` over the deviation locations
     ``x_dev``, bit for bit: the neutral mean is summed left to right in
-    enumeration order, as ``_aggregate``'s ``sum`` does."""
+    enumeration order, as ``_aggregate`` does."""
     left = x_dev <= x_other
     shares, _ = _equilibria_array(
         a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))

@@ -21,7 +21,6 @@ byte-identical. Files are written atomically.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -32,6 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from .behaviors import (
+    NE_TOL,
     BehaviorKind,
     NoEquilibriumError,
     best_deviation,
@@ -87,12 +87,22 @@ def _json_doc(payload: dict) -> str:
 
 
 def _csv_doc(header, rows) -> str:
+    """The CSV document of ``rows`` (tuples) under ``header``.
+
+    Each row is formatted by one ``%``-template built from the first row:
+    ``%.12g`` (the digits of :func:`_fmt`) for a float field, ``%s`` for
+    any other. Precondition: each column of one table keeps one type, and
+    no header name or field needs CSV quoting (no comma, quote or line
+    break). Lines are streamed into the buffer, not collected in a list.
+    """
     buf = io.StringIO()
-    buf.write("# schema=1\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    buf.write("# schema=1\n" + ",".join(header) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first) + "\n"
+        buf.write(template % first)
+        buf.writelines(map(template.__mod__, rows))
     return buf.getvalue()
 
 
@@ -171,7 +181,14 @@ def _match_outcome(params, loc, s1):
 def _cmd_nash_check(args) -> int:
     params = _params(args)
     behavior = _behavior(args)
-    loc = Locations.from_unordered(args.x1, args.x2)
+    # --s1 is the share of the firm at --x1; sorting the locations would
+    # silently hand it to the other firm
+    if args.x1 > args.x2:
+        raise ValueError(
+            f"nash-check needs --x1 <= --x2, got x1={args.x1} > x2={args.x2}; "
+            "swap the locations and pass 1 - s1 as --s1"
+        )
+    loc = Locations(args.x1, args.x2)
     outcome = _match_outcome(params, loc, args.s1)
     if outcome is None:
         raise ValueError(
@@ -379,34 +396,36 @@ def _verify_social_optimum(theta, failures):
 def _verify_regions(theta, failures):
     grid = GridSpec(n_locations=101)
 
+    xs = np.linspace(0.0, 1.0, grid.n_locations)
     disagreements = 0
-    pess_profiles = {}
+    half_profiles = []  # the pessimistic NE at a = 0.5, for the mirror check
     for a in (0.2, 0.5, 0.8):
         params = GameParams(a, theta)
-        found = []
+        # lo depends on x2 only and hi on x1 only: one interval per grid value
+        intervals = [pessimistic_nash_interval(params, Locations(x, x)) for x in xs.tolist()]
+        lo = np.array([interval.lo for interval in intervals]) - NE_TOL
+        hi = np.array([interval.hi for interval in intervals]) + NE_TOL
         scan = _region_scan(params, BehaviorKind.PESSIMISTIC, grid.n_locations)
-        for x1, x2s, kinds, s1s, is_ne in scan:
-            for x2, kind, s1, by_deviation in zip(
-                    x2s.tolist(), kinds, s1s.tolist(), is_ne.tolist()):
-                loc = Locations(x1, x2)
-                if by_deviation != pessimistic_nash_interval(params, loc).contains(s1):
+        for i, (x1, x2s, kinds, s1s, is_ne) in enumerate(scan):
+            # NashInterval.contains, one row of cells at a time
+            inside = (lo[np.searchsorted(xs, x2s)] <= s1s) & (s1s <= hi[i])
+            disagreements += int(np.count_nonzero(inside != is_ne))
+            for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist()):
+                profile = EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
+                if not nash_diameter_bounds_check(params, profile):
                     disagreements += 1
-                if by_deviation:
-                    profile = EquilibriumProfile(loc, MarketOutcome(kind, s1))
-                    found.append(profile)
-                    if not nash_diameter_bounds_check(params, profile):
-                        disagreements += 1
-        pess_profiles[a] = found
+                if a == 0.5:
+                    half_profiles.append(profile)
     _check("pessimistic-region", disagreements == 0,
            f"3 externality levels on a 101x101 grid, {disagreements} disagreements",
            failures)
 
     mirrored = {
-        (round(p.x1, 9), round(p.x2, 9), round(p.s1, 9)) for p in pess_profiles[0.5]
+        (round(p.x1, 9), round(p.x2, 9), round(p.s1, 9)) for p in half_profiles
     }
     reflected = {
         (round(q.x1, 9), round(q.x2, 9), round(q.s1, 9))
-        for q in map(mirror_profile, pess_profiles[0.5])
+        for q in map(mirror_profile, half_profiles)
     }
     _check("mirror-symmetry", mirrored == reflected,
            f"{len(mirrored)} pessimistic NE profiles at a=0.5", failures)

@@ -75,7 +75,8 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
     share-grid spacing: an exact equilibrium displaced by one grid step
     perturbs the utility margins by at most that much, so each true
     equilibrium produces a run of passing candidates. Maximal runs are
-    collapsed to their midpoints.
+    collapsed to their midpoints, returned as Python floats in increasing
+    order.
     """
     a = params.a
     n = grid.n_consumers
@@ -97,19 +98,18 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
     ok_right = np.ones(len(candidates), dtype=bool)
     has_right = cut < n
     ok_right[has_right] = shift[has_right] + suffix_max[cut[has_right]] <= slack
-    passing = ok_left & ok_right
+    return _run_midpoints(candidates, ok_left & ok_right)
 
-    clusters: list = []
-    start = None
-    for i, flag in enumerate(passing):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            clusters.append(0.5 * (candidates[start] + candidates[i - 1]))
-            start = None
-    if start is not None:
-        clusters.append(0.5 * (candidates[start] + candidates[-1]))
-    return clusters
+
+def _run_midpoints(values, mask) -> list:
+    """Midpoint of ``values`` over each maximal run of ``mask``, in order.
+
+    A run starts where the ``False``-padded mask turns on and ends one
+    place before it turns off.
+    """
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    starts, ends = edges[0::2], edges[1::2] - 1
+    return (0.5 * (values[starts] + values[ends])).tolist()
 
 
 def oracle_best_deviation(

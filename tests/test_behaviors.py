@@ -1,7 +1,9 @@
 """Tests for deviation payoffs and Nash decisions under the three behaviors."""
 
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from locpop import (
     BehaviorKind,
@@ -23,6 +25,7 @@ from locpop import (
     pessimistic_nash_interval,
     symmetric_pessimistic_nash_set,
 )
+from locpop.behaviors import _aggregate
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 positions = st.floats(min_value=0.0, max_value=1.0)
@@ -105,6 +108,25 @@ def test_neutral_mean_shortcut_with_five_splits(a, p, q):
     assert by_kind[Kind.II] + by_kind[Kind.IV] == pytest.approx(1.0, abs=1e-12)
     rep = deviation_payoff(params, BehaviorKind.NEUTRAL, 1, loc.x1, loc.x2)
     assert rep.payoff == pytest.approx((2.0 + by_kind[Kind.III]) / 5.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+       fraction=st.floats(min_value=0.3, max_value=0.45),
+       rest=st.lists(positions, max_size=2))
+@example(first=0.5, fraction=0.4, rest=[])
+def test_neutral_mean_is_a_left_to_right_sum(first, fraction, rest):
+    # each tiny share is below half an ulp of the first, so a left-to-right
+    # sum drops both while an exact one (math.fsum), like CPython 3.12's
+    # compensated sum(), keeps their total
+    tiny = math.ulp(first) * fraction
+    shares = [first, tiny, tiny, *rest]
+    fold = shares[0]
+    for share in shares[1:]:
+        fold += share
+    n = len(shares)
+    assume(fold / n != math.fsum(shares) / n)
+    assert _aggregate(BehaviorKind.NEUTRAL, shares) == fold / n
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,21 @@ from locpop import (
     GridSpec,
     Kind,
     Locations,
+    NashInterval,
+    cli,
     consumer_welfare,
     enumerate_market_equilibria,
     is_nash,
 )
-from locpop.cli import _region_rows, _verify_market_equilibria, build_parser, main
+from locpop.cli import (
+    _csv_doc,
+    _fmt,
+    _region_rows,
+    _verify_market_equilibria,
+    _verify_regions,
+    build_parser,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +116,24 @@ def test_nash_check_rejects_non_equilibrium_share(capsys):
     )
     assert code == 2
     assert "not a market equilibrium" in err
+
+
+def test_nash_check_refuses_swapped_locations(capsys):
+    # firm 1 at 0.6 holds 0.642857142857 and firm 2 at 0.2 holds the rest;
+    # sorting the locations would read --s1 as the share of the firm at 0.2
+    for s1 in ("0.642857142857", "0.357142857143"):
+        code, out, err = run_cli(
+            capsys, "nash-check", "--a", "0.3", "--x1", "0.6", "--x2", "0.2",
+            "--s1", s1, "--behavior", "pessimistic",
+        )
+        assert code == 2 and out == ""
+        assert "nash-check needs --x1 <= --x2, got x1=0.6 > x2=0.2" in err
+    code, out, _ = run_cli(
+        capsys, "nash-check", "--a", "0.3", "--x1", "0.2", "--x2", "0.6",
+        "--s1", "0.357142857143", "--behavior", "pessimistic",
+    )
+    assert code == 0
+    assert json.loads(out)["s1"] == pytest.approx(5 / 14, abs=1e-12)
 
 
 def test_welfare_and_social_opt(capsys):
@@ -264,6 +292,58 @@ def test_region_rows_match_scalar_reference(a, behavior, n_locations):
         assert kind_order_inversions(rows) == 45
 
 
+def csv_doc_reference(header, rows):
+    """``_csv_doc`` as ``csv.writer`` with ``_fmt`` per float wrote it."""
+    buf = io.StringIO()
+    buf.write("# schema=1\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    *[("nash-region", "--a", "0.3", "--behavior", behavior.value, "--grid-locations", "41")
+      for behavior in BehaviorKind],
+    ("symmetric-region", "--a", "0.5", "--grid-locations", "101"),
+    ("poa-curve", "--behavior", "pessimistic"),
+    ("pos-curve", "--behavior", "neutral", "--theta", "1.5"),
+    ("nash-check", "--a", "0.3", "--x1", "0.4", "--x2", "0.6", "--s1", "0.5",
+     "--behavior", "pessimistic", "--format", "csv"),
+    ("market-eq", "--a", "0.5", "--x1", "0.333333", "--x2", "0.666667", "--format", "csv"),
+    ("social-opt", "--a", "0.25", "--format", "csv"),
+    ("welfare", "--a", "0.4", "--x1", "0.3", "--x2", "0.3", "--s1", "0.5", "--format", "csv"),
+], ids=" ".join)
+def test_csv_doc_is_the_csv_writer(argv, monkeypatch, capsys):
+    tables = []
+
+    def recording(header, rows):
+        rows = list(rows)
+        tables.append((header, rows))
+        return _csv_doc(header, rows)
+
+    monkeypatch.setattr(cli, "_csv_doc", recording)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    [(header, rows)] = tables
+    assert rows
+    assert out == csv_doc_reference(header, rows)
+
+
+def test_csv_doc_edge_tables():
+    assert _csv_doc(("a", "b"), []) == csv_doc_reference(("a", "b"), []) == "# schema=1\na,b\n"
+    header = ("float", "float64", "int", "bool", "str")
+    rows = [
+        (0.1 + 0.2, np.float64(1 / 3), 7, True, "unique"),
+        (1e16, np.float64(-0.0), -3, False, "iv"),
+        (123456789012345.0, np.float64(2.5e-300), 10**20, True, "v"),
+        (float("inf"), np.float64("nan"), 0, False, ""),
+    ]
+    assert _csv_doc(header, rows) == csv_doc_reference(header, rows)
+    assert _csv_doc(header, iter(rows)) == csv_doc_reference(header, rows)
+
+
 def test_symmetric_region_rows(capsys):
     code, out, _ = run_cli(
         capsys, "symmetric-region", "--a", "0.5", "--grid-locations", "11",
@@ -317,6 +397,23 @@ def test_market_equilibria_suite_skips_near_boundary(seed, capsys):
     _verify_market_equilibria(np.random.default_rng(seed), GridSpec(), 1000, failures)
     assert failures == []
     assert "1000 random instances, 0 mismatches" in capsys.readouterr().out
+
+
+# no outcome on the 101-point grid lies within 5e-3 above hi, so a bound
+# widened by less than that leaves every grid verdict unchanged
+@pytest.mark.parametrize("shift", [-1e-3, 1e-2])
+def test_pessimistic_region_suite_catches_a_moved_bound(shift, monkeypatch, capsys):
+    exact = cli.pessimistic_nash_interval
+
+    def moved(params, loc):
+        interval = exact(params, loc)
+        return NashInterval(interval.lo, interval.hi + shift)
+
+    monkeypatch.setattr(cli, "pessimistic_nash_interval", moved)
+    failures = []
+    _verify_regions(1.0, failures)
+    assert failures == ["pessimistic-region"]
+    assert "FAIL pessimistic-region" in capsys.readouterr().out
 
 
 def test_module_entrypoint_smoke():

@@ -1,6 +1,7 @@
 """Tests for the brute-force grid oracles against the closed forms."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from locpop import (
     oracle_market_equilibria,
     oracle_ne_region_scan,
     oracle_social_optimum,
+    oracle,
     social_optimum,
 )
 from locpop.behaviors import _deviation_value, _deviation_values
+from locpop.oracle import _run_midpoints
 
 
 def test_gridspec_validation():
@@ -87,6 +90,55 @@ def test_oracle_mirror_alignment():
     assert len(direct) == len(reflected)
     for s, s_m in zip(direct, reversed(reflected)):
         assert abs(s - (1.0 - s_m)) <= 2.0 / 2001
+
+
+def run_midpoints_reference(values, mask):
+    """The flag-by-flag loop that collapsed the oracle's runs of passing shares."""
+    clusters = []
+    start = None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            clusters.append(0.5 * (values[start] + values[i - 1]))
+            start = None
+    if start is not None:
+        clusters.append(0.5 * (values[start] + values[-1]))
+    return clusters
+
+
+@pytest.mark.parametrize("mask", [
+    [False] * 7,
+    [True] * 7,
+    [True, True, False, False, True, False, False],
+    [False, False, True, False, False, True, True],
+    [True, False] * 3 + [True],
+    [False, True] * 3 + [False],
+    [True],
+    [False, False],
+])
+def test_run_midpoints_is_the_flag_loop(mask):
+    values = np.linspace(0.0, 1.0, len(mask)) ** 2
+    found = _run_midpoints(values, np.array(mask))
+    assert all(type(v) is float for v in found)
+    assert found == run_midpoints_reference(values, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(min_value=0.02, max_value=0.98),
+       p=st.floats(min_value=0.0, max_value=1.0),
+       q=st.floats(min_value=0.0, max_value=1.0))
+def test_oracle_market_equilibria_runs_are_the_flag_loop(a, p, q):
+    masks = []
+
+    def spy(values, mask):
+        masks.append((values, mask))
+        return _run_midpoints(values, mask)
+
+    with mock.patch.object(oracle, "_run_midpoints", spy):
+        found = oracle_market_equilibria(GameParams(a), Locations(*sorted((p, q))), GridSpec())
+    [(values, mask)] = masks
+    assert found == run_midpoints_reference(values, mask.tolist())
 
 
 def test_oracle_best_deviation_matches_closed_form():
