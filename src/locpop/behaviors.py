@@ -8,17 +8,19 @@ it, and a neutral one averages over all equilibria with equal weight (one
 weight per kind, even when two kinds happen to carry the same share).
 
 A profile is a Nash equilibrium when neither firm's behavior-evaluated
-best deviation beats its on-path share. For pessimistic firms the best
-deviation has a closed form and the NE set is an explicit share interval;
-for neutral and optimistic firms the payoff is piecewise affine (convex)
-between closed-form breakpoints, so the best deviation is the exact
-supremum over the values at and the one-sided limits beside them.
+best deviation beats its on-path share. Every best deviation has a
+closed form: a pessimist jumps just outside the opponent's band, an
+optimist takes the whole market from the band's left end on, and a
+neutral firm's mean share is piecewise affine between a few explicit
+points, so its supremum is the largest of their one-sided values. The
+reported location is where the supremum is attained or approached; for
+neutral and optimistic firms ties go to the smallest location. For
+pessimists the NE set is an explicit share interval.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,6 @@ from .model import (
     _equilibria,
     _equilibria_array,
     _merge_close,
-    _split_share,
     distinct_shares,
     enumerate_market_equilibria,
     is_market_equilibrium,
@@ -233,66 +234,44 @@ def best_deviation_pessimistic(
     return best_deviation(params, BehaviorKind.PESSIMISTIC, deviator, x_other)
 
 
-# Own-location exclusion radius. Breakpoints closer than twice it merge,
-# so at most one ever falls within it of the deviator's own location.
-_SAME_POINT = 1e-12
+def _neutral_candidates(a: float, y: float):
+    """(location, payoff) candidates of a neutral deviator at x <= y.
 
-
-def _breakpoints(a: float, x_other: float) -> list:
-    """Sorted breakpoints in [0, 1] of the deviation payoff against x_other:
-    0, 1, x_other, the band edges x_other +- a and the kind II/IV existence
-    boundaries a + (1 - 2a) x_other and, unless a = 1/2 (where that
-    condition ignores the deviation), (x_other - a) / (1 - 2a)."""
-    points = [0.0, 1.0, x_other, x_other - a, x_other + a, a + (1.0 - 2.0 * a) * x_other]
-    if a != 0.5:
-        points.append((x_other - a) / (1.0 - 2.0 * a))
-    return _merge_close((p for p in points if 0.0 <= p <= 1.0), 2.0 * _SAME_POINT)
-
-
-def _piece_limits(a: float, behavior: BehaviorKind, x_other: float, left: float, right: float):
-    """One-sided limits of the payoff at both ends of the open piece (left, right).
-
-    No split appears, vanishes or clips inside a piece, so the kinds at
-    its midpoint hold throughout and each share is affine in the
-    deviation location: the limits are those kinds' formulas at the ends.
+    On the band [max(0, y - a), y] kinds I and V always hold, kind IV up
+    to min(y, a + (1 - 2a) y) and kind II on one side of
+    c = (y - a) / (1 - 2a). The mean is 1/2 at co-location and at most
+    1/2 wherever IV fails, rises to (y - a) / (1 - a) towards the band
+    from the unique split, falls across the I, IV, V piece and rises
+    across the five-split piece, so each piece's best end is a candidate.
     """
-    mid = 0.5 * (left + right)
-    if mid <= x_other:
-        kinds = [kind for kind, _ in _equilibria(a, mid, x_other)]
-        shares = ([_split_share(k, a, x, x_other) for k in kinds] for x in (left, right))
+    low = max(0.0, y - a)
+    iv_end = min(y, a + (1.0 - 2.0 * a) * y)
+    if a == 0.5:
+        c = float("inf") if y >= 0.5 else float("-inf")
     else:
-        kinds = [kind for kind, _ in _equilibria(a, x_other, mid)]
-        shares = ([1.0 - _split_share(k, a, x_other, x) for k in kinds] for x in (left, right))
-    return tuple(_aggregate(behavior, end) for end in shares)
+        c = (y - a) / (1.0 - 2.0 * a)
+    cut = min(max(c, low), iv_end)
+    # kind II holds left of the cut for a <= 1/2, right of it for a > 1/2
+    five, four = ((low, cut), (cut, iv_end)) if a <= 0.5 else ((cut, iv_end), (low, cut))
+    found = [(y, 0.5)]
+    if y > a:
+        found.append((low, (y - a) / (1.0 - a)))
+    if four[0] < four[1]:
+        found.append((four[0], (1.5 + (y - four[0]) / (2.0 * a)) / 3.0))
+    if five[0] < five[1]:
+        found.append((five[1], (2.0 + (five[1] + y - a) / (2.0 * (1.0 - a))) / 5.0))
+    return found
 
 
-@functools.lru_cache(maxsize=65536)
-def _cached_best_deviation(a: float, behavior: BehaviorKind, x_other: float):
-    """The two best (payoff, location, attained) candidates against x_other.
+def _supremum(a: float, behavior: BehaviorKind, x_other: float):
+    """(location, payoff) of the best deviation against x_other, in closed
+    form: the supremum over [0, 1] and the smallest location where it is
+    attained or approached.
 
-    Candidates are the payoff attained at each breakpoint and the
-    one-sided limits beside it; ties keep attained values, then smaller
-    locations, first. Excluding the own location drops at most one
-    attained value, so two entries answer every lookup. The cache serves
-    repeated opponents: ``nash-check`` asks for each one twice (through
-    ``is_nash`` and ``best_deviation``), and a region scan asks once per
-    grid value (:func:`_supremum_table`), so scans at one ``a`` share them.
-    """
-    points = _breakpoints(a, x_other)
-    candidates = [(_deviation_value(a, behavior, p, x_other), p, True) for p in points]
-    for left, right in zip(points, points[1:]):
-        at_left, at_right = _piece_limits(a, behavior, x_other, left, right)
-        candidates += [(at_left, left, False), (at_right, right, False)]
-    candidates.sort(key=lambda candidate: -candidate[0])
-    return tuple(candidates[:2])
-
-
-def _supremum(a: float, behavior: BehaviorKind, x_other: float, own_location):
-    """(location, payoff) of the best deviation against x_other, the value
-    attained at ``own_location`` (None: no exclusion) left out.
-
-    Pessimistic: the closed form of :func:`best_deviation_pessimistic`,
-    which no exclusion changes. Neutral/optimistic: the cached candidates.
+    Pessimistic: see :func:`best_deviation_pessimistic`. Optimistic: the
+    whole market, from the left end of the band on. Neutral: the first
+    largest of the candidates of both sides, the side right of x_other
+    being the mirror image (x -> 1 - x) of the left one.
     """
     if behavior is BehaviorKind.PESSIMISTIC:
         if x_other <= 0.5:
@@ -302,38 +281,10 @@ def _supremum(a: float, behavior: BehaviorKind, x_other: float, own_location):
         if x_other - a <= 0.0:
             return max(x_other - a, 0.0), 0.0
         return x_other - a, 1.0 - (1.0 - x_other) / (1.0 - a)
-    (payoff, location, attained), runner_up = _cached_best_deviation(a, behavior, x_other)
-    if attained and own_location is not None and abs(location - own_location) <= _SAME_POINT:
-        payoff, location, _ = runner_up
-    return location, payoff
-
-
-def _supremum_table(a: float, behavior: BehaviorKind, x_other):
-    """:func:`_supremum` against every opponent location of the array
-    ``x_other``, as three arrays for :func:`_excluded_supremum`: the best
-    payoff, the location where it is attained (NaN when only approached,
-    as always for pessimists) and the runner-up payoff."""
-    if behavior is BehaviorKind.PESSIMISTIC:
-        payoff = np.where(
-            x_other <= 0.5,
-            np.where(x_other + a >= 1.0, 0.0, 1.0 - x_other / (1.0 - a)),
-            np.where(x_other - a <= 0.0, 0.0, 1.0 - (1.0 - x_other) / (1.0 - a)),
-        )
-        return payoff, np.full_like(payoff, np.nan), payoff
-    tops = [_cached_best_deviation(a, behavior, x) for x in x_other.tolist()]
-    return (
-        np.array([best[0] for best, _ in tops]),
-        np.array([best[1] if best[2] else np.nan for best, _ in tops]),
-        np.array([runner_up[0] for _, runner_up in tops]),
-    )
-
-
-def _excluded_supremum(table, index, own_location):
-    """Array form of :func:`_supremum`'s payoff against the opponents
-    ``index`` selects from a :func:`_supremum_table`, with the value attained
-    at ``own_location`` left out."""
-    payoff, attained_at, runner_up = (column[index] for column in table)
-    return np.where(np.abs(attained_at - own_location) <= _SAME_POINT, runner_up, payoff)
+    if behavior is BehaviorKind.OPTIMISTIC:
+        return max(0.0, x_other - a), 1.0
+    mirrored = [(1.0 - x, payoff) for x, payoff in _neutral_candidates(a, 1.0 - x_other)]
+    return max(sorted(_neutral_candidates(a, x_other) + mirrored), key=lambda c: c[1])
 
 
 def best_deviation(
@@ -341,23 +292,17 @@ def best_deviation(
     behavior: BehaviorKind,
     deviator: int,
     x_other: float,
-    *,
-    own_location: float | None = None,
 ) -> DeviationReport:
     """Best deviation against an opponent at ``x_other``, for any behavior.
 
-    As in :func:`best_deviation_pessimistic`, which answers the
-    pessimistic case, the payoff is the supremum over [0, 1] and the
-    location the breakpoint where it is attained or approached from.
-    Neutral payoffs are affine and optimistic ones convex between
-    breakpoints, so the supremum is the largest value at or beside one.
-
-    ``own_location`` is the deviator's current location: staying put is
-    not a deviation, so the value attained there is dropped (the limits
-    beside it stay). It cannot change a pessimistic supremum.
+    The payoff is the supremum over [0, 1] and the location is where it
+    is attained or approached from one side (it can be the deviator's own
+    location: staying put never beats the limit beside it). Pessimistic:
+    see :func:`best_deviation_pessimistic`. Neutral and optimistic: in
+    closed form, ties going to the smallest location.
     """
     _check_deviation_args(deviator, x_other)
-    location, payoff = _supremum(params.a, behavior, x_other, own_location)
+    location, payoff = _supremum(params.a, behavior, x_other)
     return _report(params, deviator, location, x_other, payoff)
 
 
@@ -372,15 +317,16 @@ def is_nash(
 
     The profile's outcome must be a market equilibrium for its locations
     (ValueError otherwise). Each firm's on-path share is compared against
-    its best deviation payoff, the supremum of :func:`best_deviation`
-    with the firm's own location excluded, with weak-inequality slack
-    ``tol``.
+    its best deviation payoff, the supremum of :func:`best_deviation`,
+    with weak-inequality slack ``tol``. Staying put is no deviation, but
+    its value never exceeds the limit beside it, so it changes no
+    supremum and needs no exclusion.
     """
     loc = profile.locations
     if not is_market_equilibrium(params, loc, profile.s1):
         raise ValueError("profile outcome is not a market equilibrium for its locations")
-    for own_share, own_x, opp_x in ((profile.s1, loc.x1, loc.x2), (profile.s2, loc.x2, loc.x1)):
-        if own_share < _supremum(params.a, behavior, opp_x, own_x)[1] - tol:
+    for own_share, opp_x in ((profile.s1, loc.x2), (profile.s2, loc.x1)):
+        if own_share < _supremum(params.a, behavior, opp_x)[1] - tol:
             return False
     return True
 

@@ -34,6 +34,7 @@ from .behaviors import (
     NE_TOL,
     BehaviorKind,
     NoEquilibriumError,
+    _supremum,
     best_deviation,
     is_nash,
     nash_diameter_bounds_check,
@@ -53,9 +54,10 @@ from .model import (
 )
 from .oracle import (
     GridSpec,
+    _passing_shares,
     _region_scan,
+    _runs,
     oracle_best_deviation,
-    oracle_market_equilibria,
     oracle_ne_region_scan,
     oracle_social_optimum,
 )
@@ -196,8 +198,8 @@ def _cmd_nash_check(args) -> int:
         )
     profile = EquilibriumProfile(loc, outcome)
     verdict = is_nash(params, behavior, profile)
-    rep1 = best_deviation(params, behavior, 1, loc.x2, own_location=loc.x1)
-    rep2 = best_deviation(params, behavior, 2, loc.x1, own_location=loc.x2)
+    rep1 = best_deviation(params, behavior, 1, loc.x2)
+    rep2 = best_deviation(params, behavior, 2, loc.x1)
     binding = rep1 if rep1.payoff - profile.s1 >= rep2.payoff - profile.s2 else rep2
     payload = {
         "a": params.a, "theta": params.theta, "behavior": behavior.value,
@@ -347,18 +349,19 @@ def _verify_market_equilibria(rng, grid, instances, failures):
         x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
         params = GameParams(a)
         loc = Locations(float(x1), float(x2))
-        closed = distinct_shares(enumerate_market_equilibria(params, loc))
-        clusters = oracle_market_equilibria(params, loc, grid)
-        slack = 1e-9 + (1.0 + a) * spacing
-        ctol = 2.0 * spacing + slack / (2.0 * min(a, 1.0 - a))
-        ok = all(any(abs(c - s) <= ctol for c in clusters) for s in closed)
-        # near-boundary instances legitimately grow extra clusters from the
+        closed = np.array(distinct_shares(enumerate_market_equilibria(params, loc)))[:, None]
+        # each run of passing shares spans the first to the last one passing
+        first, last = _runs(*_passing_shares(params, loc, grid))
+        near = (first - 2.0 * spacing <= closed) & (closed <= last + 2.0 * spacing)
+        ok = near.any(axis=1).all()
+        # near-boundary instances legitimately grow extra runs from the
         # adjacent branch: a cut at the boundary violates the condition by
         # just its gap, within the share slack plus up to 2 / n_consumers
         # from sampling consumers at cell midpoints; skip the converse there
+        slack = 1e-9 + (1.0 + a) * spacing
         margin = min(map(abs, _condition_gaps(a, loc.x1, loc.x2)))
         if ok and margin > slack + 2.0 / grid.n_consumers:
-            ok = all(any(abs(c - s) <= ctol for s in closed) for c in clusters)
+            ok = near.any(axis=0).all()
         mismatches += not ok
     _check("market-equilibria", mismatches == 0,
            f"{instances} random instances, {mismatches} mismatches", failures)
@@ -403,8 +406,14 @@ def _verify_regions(theta, failures):
         params = GameParams(a, theta)
         # lo depends on x2 only and hi on x1 only: one interval per grid value
         intervals = [pessimistic_nash_interval(params, Locations(x, x)) for x in xs.tolist()]
-        lo = np.array([interval.lo for interval in intervals]) - NE_TOL
-        hi = np.array([interval.hi for interval in intervals]) + NE_TOL
+        lo = np.array([interval.lo for interval in intervals])
+        hi = np.array([interval.hi for interval in intervals])
+        # clamped, lo is firm 1's supremum against x2 and hi 1 - firm 2's against x1
+        suprema = np.array([_supremum(a, BehaviorKind.PESSIMISTIC, x)[1] for x in xs.tolist()])
+        for bound, supremum in ((np.maximum(lo, 0.0), suprema),
+                                (np.minimum(hi, 1.0), 1.0 - suprema)):
+            disagreements += int(np.count_nonzero(np.abs(bound - supremum) > 1e-12))
+        lo, hi = lo - NE_TOL, hi + NE_TOL
         scan = _region_scan(params, BehaviorKind.PESSIMISTIC, grid.n_locations)
         for i, (x1, x2s, kinds, s1s, is_ne) in enumerate(scan):
             # NashInterval.contains, one row of cells at a time

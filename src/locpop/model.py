@@ -303,20 +303,6 @@ def _condition_gaps(a: float, x1: float, x2: float):
     return x2 - x1 - a, x2 - one_minus_2a * x1 - a, x1 - one_minus_2a * x2 - a
 
 
-def _split_share(kind: Kind, a: float, x1: float, x2: float) -> float:
-    """Firm 1's share in the ``kind`` split at x1 <= x2, whether or not it
-    exists, by the arithmetic :func:`_equilibria` inlines for speed."""
-    if kind is Kind.I:
-        return 0.0
-    if kind is Kind.V:
-        return 1.0
-    if kind is Kind.II:
-        return _clip_unit(0.5 - (x2 - x1) / (2.0 * a))
-    if kind is Kind.IV:
-        return _clip_unit(0.5 + (x2 - x1) / (2.0 * a))
-    return _clip_unit((x1 + x2 - a) / (2.0 * (1.0 - a)))
-
-
 def enumerate_market_equilibria(params: GameParams, loc: Locations) -> list:
     """All market equilibria at ``loc``, ordered by increasing s1.
 

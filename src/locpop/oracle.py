@@ -22,8 +22,7 @@ from .behaviors import (
     BehaviorKind,
     _check_deviation_args,
     _deviation_values,
-    _excluded_supremum,
-    _supremum_table,
+    _supremum,
 )
 from .model import (
     _SLOT_KINDS,
@@ -78,6 +77,12 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
     collapsed to their midpoints, returned as Python floats in increasing
     order.
     """
+    return _run_midpoints(*_passing_shares(params, loc, grid))
+
+
+def _passing_shares(params: GameParams, loc: Locations, grid: GridSpec):
+    """The share grid of :func:`oracle_market_equilibria` and its mask of
+    candidates passing the pointwise test."""
     a = params.a
     n = grid.n_consumers
     consumers = (np.arange(n) + 0.5) / n
@@ -98,18 +103,24 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
     ok_right = np.ones(len(candidates), dtype=bool)
     has_right = cut < n
     ok_right[has_right] = shift[has_right] + suffix_max[cut[has_right]] <= slack
-    return _run_midpoints(candidates, ok_left & ok_right)
+    return candidates, ok_left & ok_right
 
 
-def _run_midpoints(values, mask) -> list:
-    """Midpoint of ``values`` over each maximal run of ``mask``, in order.
+def _runs(values, mask):
+    """First and last entry of ``values`` over each maximal run of ``mask``,
+    as two arrays in order.
 
     A run starts where the ``False``-padded mask turns on and ends one
     place before it turns off.
     """
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    starts, ends = edges[0::2], edges[1::2] - 1
-    return (0.5 * (values[starts] + values[ends])).tolist()
+    return values[edges[0::2]], values[edges[1::2] - 1]
+
+
+def _run_midpoints(values, mask) -> list:
+    """Midpoint of ``values`` over each maximal run of ``mask``, in order."""
+    first, last = _runs(values, mask)
+    return (0.5 * (first + last)).tolist()
 
 
 def oracle_best_deviation(
@@ -181,14 +192,14 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
     with one entry per market equilibrium, cells in increasing x2 and each
     cell's splits in the order of :func:`enumerate_market_equilibria`.
     ``is_ne`` is :func:`is_nash`'s verdict by its own arithmetic: each
-    firm's share against the supremum of its best deviation, the value at
-    its own location left out, from one table of suprema per grid value of
-    the opponent. Raises ValueError where ``is_nash`` would: a split that
-    fails the market-equilibrium test.
+    firm's share against the supremum of its best deviation, read from one
+    array of suprema over the grid values of the opponent. Raises
+    ValueError where ``is_nash`` would: a split that fails the
+    market-equilibrium test.
     """
     a = params.a
     xs = np.linspace(0.0, 1.0, n_locations)
-    suprema = _supremum_table(a, behavior, xs)
+    suprema = np.array([_supremum(a, behavior, x)[1] for x in xs.tolist()])
     for i, x1 in enumerate(xs.tolist()):
         shares, unique = _equilibria_array(a, x1, xs[i:])
         order = np.argsort(shares, axis=1, kind="stable")
@@ -200,9 +211,7 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         if not _is_market_equilibrium_array(a, x1, x2, s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
         # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
-        firm1 = _excluded_supremum(suprema, slice(i, None), x1)[cell]
-        firm2 = _excluded_supremum(suprema, i, xs[i:])[cell]
-        is_ne = ~(s1 < firm1 - NE_TOL) & ~(1.0 - s1 < firm2 - NE_TOL)
+        is_ne = ~(s1 < suprema[i:][cell] - NE_TOL) & ~(1.0 - s1 < suprema[i] - NE_TOL)
         yield x1, x2, kind, s1, is_ne
 
 

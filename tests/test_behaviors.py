@@ -25,7 +25,9 @@ from locpop import (
     pessimistic_nash_interval,
     symmetric_pessimistic_nash_set,
 )
-from locpop.behaviors import _aggregate
+from locpop.behaviors import _aggregate, _supremum
+
+import breakpoint_search as search
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 positions = st.floats(min_value=0.0, max_value=1.0)
@@ -177,7 +179,7 @@ def test_best_deviation_generic_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# neutral and optimistic best deviation (exact supremum)
+# neutral and optimistic best deviation (closed forms, against the search)
 
 
 def test_best_deviation_neutral_supremum_beside_band_edge():
@@ -201,14 +203,12 @@ def test_best_deviation_neutral_supremum_beside_kind_boundary():
 
 
 def test_best_deviation_keeps_the_half_breakpoint_at_a_half():
-    from locpop.behaviors import _breakpoints
-
     # at a = 1/2 the kind II/IV boundary a + (1 - 2a) x_other is 1/2 for
     # every opponent; for x_other = 0.2 the mean is (1.7 - x)/3 left of it,
     # (3.3 - x)/5 right of it and 1.3 - x beyond the band edge 0.7
     params = GameParams(0.5)
     for x_other in (0.0, 0.2, 0.5, 0.8, 1.0):
-        assert 0.5 in _breakpoints(0.5, x_other)
+        assert 0.5 in search.breakpoints(0.5, x_other)
     rep = best_deviation(params, BehaviorKind.NEUTRAL, 1, 0.2)
     assert (rep.location, rep.payoff) == (pytest.approx(0.7), pytest.approx(0.6, abs=1e-12))
     assert deviation_payoff(params, BehaviorKind.NEUTRAL, 1, 0.5, 0.2).payoff == pytest.approx(
@@ -247,49 +247,70 @@ def test_own_location_exclusion_is_shared_by_is_nash_and_nash_check(capsys):
     from locpop.cli import main
 
     # optimistic, a = 0.1, firms at 0 and 0.05 with firm 2 serving everyone:
-    # firm 1's best unconstrained move (share 1) is attained at its own
-    # location, so excluding it moves the report to the next candidate of
-    # equal value, co-locating at 0.05
+    # firm 1's best move (share 1) is at its own location, which is no
+    # deviation, but the supremum is also approached from the right of it,
+    # so the report stays there; the search, which left the own location
+    # out, reported co-locating at 0.05 instead
     params = GameParams(0.1)
     profile = EquilibriumProfile(Locations(0.0, 0.05), MarketOutcome(Kind.I, 0.0))
-    free = best_deviation(params, BehaviorKind.OPTIMISTIC, 1, 0.05)
-    assert (free.location, free.payoff) == (0.0, 1.0)
-    excluded = best_deviation(params, BehaviorKind.OPTIMISTIC, 1, 0.05, own_location=0.0)
-    assert (excluded.location, excluded.payoff) == (0.05, 1.0)
+    best = best_deviation(params, BehaviorKind.OPTIMISTIC, 1, 0.05)
+    assert (best.location, best.payoff) == (0.0, 1.0)
+    assert search.supremum(0.1, BehaviorKind.OPTIMISTIC, 0.05, own_location=0.0) == (0.05, 1.0)
     assert not is_nash(params, BehaviorKind.OPTIMISTIC, profile)
 
     code = main(["nash-check", "--a", "0.1", "--x1", "0", "--x2", "0.05", "--s1", "0",
                  "--behavior", "optimistic"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["is_nash"] is False
-    assert doc["binding_deviation"] == {"deviator": 1, "location": 0.05, "payoff": 1.0}
+    assert doc["binding_deviation"] == {"deviator": 1, "location": 0.0, "payoff": 1.0}
+
+
+reference_externalities = st.one_of(st.sampled_from([0.25, 1 / 3, 0.5]), externalities)
+searched_behaviors = st.sampled_from([BehaviorKind.NEUTRAL, BehaviorKind.OPTIMISTIC])
+
+
+def assume_separated_breakpoints(a, *opponents):
+    # the search merges breakpoints closer than 2e-12 and can drop the
+    # value at one of them, so it is exact only where they stay apart
+    for x_other in opponents:
+        points = sorted(search.raw_breakpoints(a, x_other))
+        assume(all(q == p or q - p > 1e-9 for p, q in zip(points, points[1:])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=reference_externalities, x_other=biased_positions, behavior=searched_behaviors)
+@example(a=0.7, x_other=0.075, behavior=BehaviorKind.NEUTRAL)
+@example(a=0.042960144605441675, x_other=0.5327278660623584, behavior=BehaviorKind.NEUTRAL)
+def test_supremum_is_the_breakpoint_search(a, x_other, behavior):
+    assume_separated_breakpoints(a, x_other)
+    location, payoff = _supremum(a, behavior, x_other)
+    _, searched = search.supremum(a, behavior, x_other)
+    assert payoff == pytest.approx(searched, abs=1e-12)
+    assert any(
+        abs(value - payoff) <= 1e-12 and abs(at - location) <= 1e-12
+        for value, at, _ in search.candidates(a, behavior, x_other)
+    )
+    if behavior is BehaviorKind.OPTIMISTIC:
+        assert payoff == searched == 1.0
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    a=biased_externalities,
-    p=biased_positions,
-    q=biased_positions,
-    behavior=st.sampled_from([BehaviorKind.NEUTRAL, BehaviorKind.OPTIMISTIC]),
-)
+@given(a=reference_externalities, p=biased_positions, q=biased_positions,
+       behavior=searched_behaviors)
 def test_is_nash_reads_the_excluded_supremum(a, p, q, behavior):
     # the value attained at a breakpoint always equals or trails a
-    # one-sided limit beside it, so excluding the own location moves the
-    # reported location at most, never the supremum
+    # one-sided limit beside it, so the search's verdict, which left the
+    # own location out, is the verdict of the unexcluded closed form
     from locpop import NE_TOL
 
+    assume_separated_breakpoints(a, p, q)
     params = GameParams(a)
     for profile in profiles_at(params, min(p, q), max(p, q)):
-        verdict = True
-        for firm, own, own_x, opp in (
-            (1, profile.s1, profile.x1, profile.x2),
-            (2, profile.s2, profile.x2, profile.x1),
-        ):
-            excluded = best_deviation(params, behavior, firm, opp, own_location=own_x)
-            assert excluded.payoff == pytest.approx(
-                best_deviation(params, behavior, firm, opp).payoff, abs=1e-12
-            )
-            verdict = verdict and own >= excluded.payoff - NE_TOL
+        verdict = all(
+            own >= search.supremum(a, behavior, opp, own_location=own_x)[1] - NE_TOL
+            for own, own_x, opp in ((profile.s1, profile.x1, profile.x2),
+                                    (profile.s2, profile.x2, profile.x1))
+        )
         assert is_nash(params, behavior, profile) == verdict
 
 
@@ -367,8 +388,8 @@ def test_pessimistic_mirror_invariance(a, p, q):
 
 
 def test_neutral_decision_matches_dense_reference():
-    # cross-check the memoized breakpoint supremum against a plain
-    # dense-grid supremum with the own-location exclusion inlined
+    # cross-check the closed-form supremum against a plain dense-grid
+    # supremum with the own-location exclusion inlined
     import numpy as np
 
     from locpop.behaviors import _deviation_value

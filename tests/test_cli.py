@@ -18,6 +18,7 @@ from locpop import (
     GridSpec,
     Kind,
     Locations,
+    MarketOutcome,
     NashInterval,
     cli,
     consumer_welfare,
@@ -389,19 +390,42 @@ def test_verify_small_run(capsys):
     assert out.count("ok ") >= 6
 
 
-@pytest.mark.parametrize("seed", [902, 906, 907])
-def test_market_equilibria_suite_skips_near_boundary(seed, capsys):
-    # each seed draws an instance whose kind IV condition misses by just
-    # over the share slack, where the oracle grows an extra cluster
+# 902, 906 and 907 each draw an instance whose kind IV condition misses by
+# just over the share slack, where the oracle grows an extra run. The others
+# draw, as their last instance, one with a >= 0.958 and a II or IV condition
+# missing by about 1e-3, whose run merges with the kind III run.
+@pytest.mark.parametrize("seed, instances", [
+    pytest.param(seed, instances, id=str(seed)) for seed, instances in (
+        (902, 1000), (906, 1000), (907, 1000), (86, 685), (97, 354), (693, 871),
+        (718, 637), (808, 79), (866, 429), (1071, 744), (1229, 56), (1303, 140),
+        (1607, 179), (1619, 154), (1950, 653),
+    )
+])
+def test_market_equilibria_suite_skips_near_boundary(seed, instances, capsys):
     failures = []
-    _verify_market_equilibria(np.random.default_rng(seed), GridSpec(), 1000, failures)
+    _verify_market_equilibria(np.random.default_rng(seed), GridSpec(), instances, failures)
     assert failures == []
-    assert "1000 random instances, 0 mismatches" in capsys.readouterr().out
+    assert f"{instances} random instances, 0 mismatches" in capsys.readouterr().out
+
+
+def test_market_equilibria_suite_catches_a_moved_share(monkeypatch, capsys):
+    exact = cli.enumerate_market_equilibria
+
+    def moved(params, loc):
+        return [MarketOutcome(o.kind, o.s1 + 0.002) if o.kind is Kind.II else o
+                for o in exact(params, loc)]
+
+    monkeypatch.setattr(cli, "enumerate_market_equilibria", moved)
+    failures = []
+    _verify_market_equilibria(np.random.default_rng(0), GridSpec(), 100, failures)
+    assert failures == ["market-equilibria"]
+    assert "FAIL market-equilibria" in capsys.readouterr().out
 
 
 # no outcome on the 101-point grid lies within 5e-3 above hi, so a bound
-# widened by less than that leaves every grid verdict unchanged
-@pytest.mark.parametrize("shift", [-1e-3, 1e-2])
+# widened by less than that leaves every grid verdict unchanged; the suite
+# also compares each clamped bound with the pessimistic supremum it equals
+@pytest.mark.parametrize("shift", [-1e-3, 1e-3, 1e-2])
 def test_pessimistic_region_suite_catches_a_moved_bound(shift, monkeypatch, capsys):
     exact = cli.pessimistic_nash_interval
 
