@@ -328,15 +328,15 @@ def is_market_equilibrium(params: GameParams, loc: Locations, s1: float) -> bool
     the cut weakly prefers firm 1 and everyone from the cut on weakly
     prefers firm 2, which reduces to a sign condition on d at the cut:
     d(0) <= 0 for s1 = 0, d(1) >= 0 for s1 = 1, and d(s1) = 0 (within
-    SHARE_TOL) for interior cuts. No sampling is involved.
+    SHARE_TOL) for interior cuts. No sampling is involved. An edge cut
+    also passes the interior test: a UNIQUE split within rounding of an
+    edge (gap just above ``a``) is stored as the edge itself.
     """
     if not 0.0 <= s1 <= 1.0:
         raise ValueError(f"s1 must lie in [0, 1], got {s1}")
     a = params.a
-    if s1 == 0.0:
-        return loc.x2 - loc.x1 <= a
-    if s1 == 1.0:
-        return loc.x2 - loc.x1 <= a
+    if (s1 == 0.0 or s1 == 1.0) and loc.x2 - loc.x1 <= a:
+        return True
     d = a * (2.0 * s1 - 1.0) + abs(s1 - loc.x2) - abs(s1 - loc.x1)
     return abs(d) <= SHARE_TOL
 
@@ -344,9 +344,9 @@ def is_market_equilibrium(params: GameParams, loc: Locations, s1: float) -> bool
 def _is_market_equilibrium_array(a: float, x1, x2, s1):
     """Array form of :func:`is_market_equilibrium`'s test at x1 <= x2, for
     cuts s1 already known to lie in [0, 1]."""
-    edge = (s1 == 0.0) | (s1 == 1.0)
+    edge = ((s1 == 0.0) | (s1 == 1.0)) & (np.subtract(x2, x1) <= a)
     d = a * (2.0 * s1 - 1.0) + np.abs(s1 - x2) - np.abs(s1 - x1)
-    return np.where(edge, np.subtract(x2, x1) <= a, np.abs(d) <= SHARE_TOL)
+    return edge | (np.abs(d) <= SHARE_TOL)
 
 
 def market_equilibrium_count(params: GameParams, loc: Locations) -> EquilibriumCount:

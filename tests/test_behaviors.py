@@ -297,6 +297,7 @@ def test_supremum_is_the_breakpoint_search(a, x_other, behavior):
 @settings(max_examples=150, deadline=None)
 @given(a=reference_externalities, p=biased_positions, q=biased_positions,
        behavior=searched_behaviors)
+@example(a=0.02, p=1.0, q=0.98, behavior=BehaviorKind.NEUTRAL)
 def test_is_nash_reads_the_excluded_supremum(a, p, q, behavior):
     # the value attained at a breakpoint always equals or trails a
     # one-sided limit beside it, so the search's verdict, which left the

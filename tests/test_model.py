@@ -188,6 +188,7 @@ def test_count_reports_tight_conditions():
 
 @settings(max_examples=300, deadline=None)
 @given(a=externalities, p=positions, q=positions)
+@example(a=0.02, p=0.98, q=1.0)  # the UNIQUE share rounds to 1.0
 def test_enumerated_splits_satisfy_definition(a, p, q):
     params = GameParams(a)
     loc = make_locations(p, q)
