@@ -159,11 +159,13 @@ def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: fl
 def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
     """Array form of :func:`_deviation_value` over the deviation locations
     ``x_dev``, bit for bit: the neutral mean is summed left to right in
-    enumeration order, as ``_aggregate`` does."""
+    enumeration order, as ``_aggregate`` does. The minimum and maximum do
+    not depend on slot order, so only the neutral mean sorts the slots."""
     left = x_dev <= x_other
     shares, _ = _equilibria_array(
         a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))
-    shares = np.take_along_axis(shares, np.argsort(shares, axis=-1, kind="stable"), axis=-1)
+    if behavior is BehaviorKind.NEUTRAL:
+        shares = np.take_along_axis(shares, np.argsort(shares, axis=-1, kind="stable"), axis=-1)
     own = np.where(left[..., None], shares, 1.0 - shares)
     if behavior is BehaviorKind.PESSIMISTIC:
         return np.nanmin(own, axis=-1)

@@ -66,6 +66,7 @@ from .welfare import _consumer_welfare_array, consumer_welfare, poa, pos, social
 A_GRID_STEP = 0.005  # default sweep: 0.005 .. 0.995
 REGION_GRID_DEFAULT = 201
 REGION_GRID_MAX = 2001
+VERIFY_GRID_MAX = 10**6  # verify builds arrays of each grid size
 REGION_HEADER = ("a", "x1", "x2", "kind", "s1", "is_ne", "welfare")
 SYMMETRIC_HEADER = ("a", "x1", "s1")
 
@@ -200,7 +201,9 @@ def _cmd_nash_check(args) -> int:
     verdict = is_nash(params, behavior, profile)
     rep1 = best_deviation(params, behavior, 1, loc.x2)
     rep2 = best_deviation(params, behavior, 2, loc.x1)
-    binding = rep1 if rep1.payoff - profile.s1 >= rep2.payoff - profile.s2 else rep2
+    # gains equal in exact arithmetic can round either way: within NE_TOL
+    # of firm 2's, firm 1's gain binds
+    binding = rep1 if rep1.payoff - profile.s1 >= rep2.payoff - profile.s2 - NE_TOL else rep2
     payload = {
         "a": params.a, "theta": params.theta, "behavior": behavior.value,
         "x1": loc.x1, "x2": loc.x2, "s1": outcome.s1, "kind": outcome.kind.value,
@@ -557,9 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--instances", type=_bounded(0), default=1000)
-    s.add_argument("--grid-consumers", type=_bounded(2), default=10_000)
-    s.add_argument("--grid-locations", type=_bounded(2), default=2001)
-    s.add_argument("--grid-shares", type=_bounded(2), default=2001)
+    s.add_argument("--grid-consumers", type=_bounded(2, VERIFY_GRID_MAX), default=10_000)
+    s.add_argument("--grid-locations", type=_bounded(2, VERIFY_GRID_MAX), default=2001)
+    s.add_argument("--grid-shares", type=_bounded(2, VERIFY_GRID_MAX), default=2001)
     s.set_defaults(func=_cmd_verify)
 
     return parser
@@ -582,7 +585,16 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``locpop verify | head -1``): point
+        # stdout at devnull so the interpreter's final flush cannot raise too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ for the frozen expected values in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,10 @@ class GridSpec:
     n_consumers samples the consumer interval (at cell midpoints, so the
     boundary consumers 0 and 1 are not privileged), n_locations the
     location / deviation axis, n_shares the candidate-split axis.
+
+    The grid-only arrays of the market-equilibrium oracle are built once
+    per instance, on first use, and are read-only; equality and hashing
+    see only the three resolutions.
     """
 
     n_consumers: int = 10_000
@@ -63,6 +68,20 @@ class GridSpec:
         for name in ("n_consumers", "n_locations", "n_shares"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
+
+    @cached_property
+    def _share_grid(self):
+        """(consumers, candidates, cut, sign) of :func:`_passing_shares`:
+        the consumer cell midpoints, the candidate splits s1, the index of
+        the first consumer at or right of each cut, and 2 s1 - 1."""
+        n = self.n_consumers
+        consumers = (np.arange(n) + 0.5) / n
+        candidates = np.linspace(0.0, 1.0, self.n_shares)
+        cut = np.searchsorted(consumers, candidates, side="left")
+        sign = 2.0 * candidates - 1.0
+        for array in (consumers, candidates, cut, sign):
+            array.flags.writeable = False
+        return consumers, candidates, cut, sign
 
 
 def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec) -> list:
@@ -82,28 +101,30 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
 
 def _passing_shares(params: GameParams, loc: Locations, grid: GridSpec):
     """The share grid of :func:`oracle_market_equilibria` and its mask of
-    candidates passing the pointwise test."""
+    candidates passing the pointwise test.
+
+    Only the utility margins depend on the instance; the grid arrays come
+    from ``grid``, built once. The prefix minimum of the margins carries a
+    leading +inf and the suffix maximum a trailing -inf, so a cut with no
+    consumer on one side reads a sentinel that passes that side's test.
+    """
     a = params.a
     n = grid.n_consumers
-    consumers = (np.arange(n) + 0.5) / n
+    consumers, candidates, cut, sign = grid._share_grid
     # advantage of firm 1 at share s1: a*(2 s1 - 1) + margin(v)
     margin = np.abs(consumers - loc.x2) - np.abs(consumers - loc.x1)
-    prefix_min = np.minimum.accumulate(margin)
-    suffix_max = np.maximum.accumulate(margin[::-1])[::-1]
+    # prefix_min[c]: least margin left of cut c; suffix_max[c]: greatest from c on
+    prefix_min = np.empty(n + 1)
+    prefix_min[0] = np.inf
+    np.minimum.accumulate(margin, out=prefix_min[1:])
+    suffix_max = np.empty(n + 1)
+    suffix_max[n] = -np.inf
+    np.maximum.accumulate(margin[::-1], out=suffix_max[n - 1::-1])
 
-    candidates = np.linspace(0.0, 1.0, grid.n_shares)
     spacing = 1.0 / (grid.n_shares - 1)
     slack = 1e-9 + (1.0 + a) * spacing
-
-    cut = np.searchsorted(consumers, candidates, side="left")
-    shift = a * (2.0 * candidates - 1.0)
-    ok_left = np.ones(len(candidates), dtype=bool)
-    has_left = cut > 0
-    ok_left[has_left] = shift[has_left] + prefix_min[cut[has_left] - 1] >= -slack
-    ok_right = np.ones(len(candidates), dtype=bool)
-    has_right = cut < n
-    ok_right[has_right] = shift[has_right] + suffix_max[cut[has_right]] <= slack
-    return candidates, ok_left & ok_right
+    shift = a * sign
+    return candidates, (shift + prefix_min[cut] >= -slack) & (shift + suffix_max[cut] <= slack)
 
 
 def _runs(values, mask):

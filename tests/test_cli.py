@@ -20,6 +20,7 @@ from locpop import (
     Locations,
     MarketOutcome,
     NashInterval,
+    best_deviation,
     cli,
     consumer_welfare,
     enumerate_market_equilibria,
@@ -108,6 +109,30 @@ def test_nash_check_verdicts(capsys):
     doc = json.loads(out)
     assert doc["is_nash"] is False
     assert doc["binding_deviation"]["payoff"] == 1.0
+
+
+def test_nash_check_ties_go_to_firm_one(capsys):
+    # neutral, a = 0.1, every split on a 41-point grid: where the two firms'
+    # gains agree within 1e-9 (equal in exact arithmetic, rounded apart),
+    # firm 1's deviation binds whichever gain rounded higher
+    params = GameParams(0.1)
+    xs = np.linspace(0.0, 1.0, 41).tolist()
+    ties = 0
+    for i, x1 in enumerate(xs):
+        for x2 in xs[i:]:
+            gain2 = best_deviation(params, BehaviorKind.NEUTRAL, 2, x1).payoff
+            gain1 = best_deviation(params, BehaviorKind.NEUTRAL, 1, x2).payoff
+            for outcome in enumerate_market_equilibria(params, Locations(x1, x2)):
+                if abs((gain1 - outcome.s1) - (gain2 - outcome.s2)) > 1e-9:
+                    continue
+                ties += 1
+                code, out, _ = run_cli(
+                    capsys, "nash-check", "--a", "0.1", "--x1", repr(x1), "--x2", repr(x2),
+                    "--s1", repr(outcome.s1), "--behavior", "neutral",
+                )
+                assert code == 0
+                assert json.loads(out)["binding_deviation"]["deviator"] == 1, (x1, x2, outcome)
+    assert ties == 333
 
 
 def test_nash_check_rejects_non_equilibrium_share(capsys):
@@ -219,6 +244,16 @@ def test_flag_errors_exit_two(capsys):
     code, out, err = run_cli(capsys, *region, "2002")
     assert code == 2 and out == "" and "must be at most 2001" in err
     assert build_parser().parse_args([*region, "2001"]).grid_locations == 2001
+    # verify's grid sizes: parsed only, so no array of that size is built
+    parser = build_parser()
+    for flag, dest in (("--grid-consumers", "grid_consumers"),
+                       ("--grid-locations", "grid_locations"),
+                       ("--grid-shares", "grid_shares")):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["verify", flag, "1000001"])
+        assert exc.value.code == 2
+        assert "must be at most 1000000" in capsys.readouterr().err
+        assert getattr(parser.parse_args(["verify", flag, "1000000"]), dest) == 10**6
 
 
 def test_json_output_is_strict():
@@ -448,6 +483,33 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    # buffered: the 1.9 MB document fills the pipe, so a write fails
+    (("nash-region", "--a", "0.5", "--behavior", "pessimistic"), False),
+    # unbuffered: each suite's line is written as it is printed
+    (("verify", "--seed", "1", "--instances", "20"), True),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else f"unbuffered={value}")
+def test_closed_stdout_pipe_exits_without_traceback(argv, unbuffered):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from locpop.cli import run; run()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**env, "PYTHONPATH": src},
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()  # as `| head -1` does after its line
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err, err
 
 
 def test_import_does_not_load_scipy():

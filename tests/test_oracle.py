@@ -141,6 +141,50 @@ def test_oracle_market_equilibria_runs_are_the_flag_loop(a, p, q):
     assert found == run_midpoints_reference(values, mask.tolist())
 
 
+def passing_shares_reference(a, x1, x2, n_consumers, n_shares):
+    """The pointwise test of the oracle, one candidate and consumer at a time."""
+    consumers = [(i + 0.5) / n_consumers for i in range(n_consumers)]
+    slack = 1e-9 + (1.0 + a) * (1.0 / (n_shares - 1))
+    mask = []
+    for s1 in np.linspace(0.0, 1.0, n_shares).tolist():
+        shift = a * (2.0 * s1 - 1.0)
+        advantage = [(v, shift + (abs(v - x2) - abs(v - x1))) for v in consumers]
+        mask.append(all(d >= -slack for v, d in advantage if v < s1)
+                    and all(d <= slack for v, d in advantage if v >= s1))
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(min_value=0.02, max_value=0.98),
+       p=st.floats(min_value=0.0, max_value=1.0),
+       q=st.floats(min_value=0.0, max_value=1.0),
+       # odd sizes put a consumer and a candidate at 1/2; more shares than
+       # consumers puts several cuts left of every consumer and right of all
+       n_consumers=st.integers(1, 15).map(lambda k: 2 * k + 1),
+       n_shares=st.integers(1, 30).map(lambda k: 2 * k + 1))
+@example(a=0.5, p=1 / 3, q=2 / 3, n_consumers=3, n_shares=61)
+@example(a=0.25, p=0.0, q=1.0, n_consumers=31, n_shares=3)
+def test_passing_shares_is_the_pointwise_test(a, p, q, n_consumers, n_shares):
+    x1, x2 = sorted((p, q))
+    grid = GridSpec(n_consumers=n_consumers, n_shares=n_shares)
+    candidates, mask = oracle._passing_shares(GameParams(a), Locations(x1, x2), grid)
+    assert candidates.tolist() == np.linspace(0.0, 1.0, n_shares).tolist()
+    assert mask.tolist() == passing_shares_reference(a, x1, x2, n_consumers, n_shares)
+
+
+def test_gridspec_arrays_are_shared_and_read_only():
+    grid, twin = GridSpec(n_consumers=101, n_shares=41), GridSpec(n_consumers=101, n_shares=41)
+    oracle_market_equilibria(GameParams(0.3), Locations(0.2, 0.7), grid)
+    assert grid == twin and hash(grid) == hash(twin)
+    assert len({grid, twin}) == 1
+    arrays = grid._share_grid
+    assert grid._share_grid is arrays  # built once per instance
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_oracle_best_deviation_matches_closed_form():
     params = GameParams(0.3)
     loc, payoff = oracle_best_deviation(
