@@ -92,15 +92,6 @@ class DeviationReport:
     outcomes_considered: tuple
     coincident_shares: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "deviator": self.deviator,
-            "location": self.location,
-            "payoff": self.payoff,
-            "coincident_shares": self.coincident_shares,
-            "outcomes_considered": [o.as_dict() for o in self.outcomes_considered],
-        }
-
 
 @dataclass(frozen=True)
 class NashInterval:
@@ -108,7 +99,8 @@ class NashInterval:
 
     Raw bounds are kept as computed (they may leave [0, 1]); clamping
     happens only at query time so tests can inspect the raw values.
-    Empty iff lo > hi.
+    Empty iff lo > hi. :meth:`contains` widens both bounds by ``NE_TOL``,
+    the slack of :func:`is_nash`, and takes no other.
     """
 
     lo: float
@@ -118,8 +110,8 @@ class NashInterval:
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
-    def contains(self, s1: float, tol: float = NE_TOL) -> bool:
-        return self.lo - tol <= s1 <= self.hi + tol
+    def contains(self, s1: float) -> bool:
+        return self.lo - NE_TOL <= s1 <= self.hi + NE_TOL
 
     def clamped(self):
         """Intersection with [0, 1], or None when empty."""
@@ -312,15 +304,15 @@ def is_nash(
     params: GameParams,
     behavior: BehaviorKind,
     profile: EquilibriumProfile,
-    *,
-    tol: float = NE_TOL,
 ) -> bool:
     """Decide whether a profile is a Nash equilibrium under ``behavior``.
 
     The profile's outcome must be a market equilibrium for its locations
     (ValueError otherwise). Each firm's on-path share is compared against
     its best deviation payoff, the supremum of :func:`best_deviation`,
-    with weak-inequality slack ``tol``. Staying put is no deviation, but
+    with weak-inequality slack ``NE_TOL``; the slack is fixed, so every
+    characterization that promises agreement with this decision uses the
+    same one. Staying put is no deviation, but
     its value never exceeds the limit beside it, so it changes no
     supremum and needs no exclusion.
     """
@@ -328,7 +320,7 @@ def is_nash(
     if not is_market_equilibrium(params, loc, profile.s1):
         raise ValueError("profile outcome is not a market equilibrium for its locations")
     for own_share, opp_x in ((profile.s1, loc.x2), (profile.s2, loc.x1)):
-        if own_share < _supremum(params.a, behavior, opp_x)[1] - tol:
+        if own_share < _supremum(params.a, behavior, opp_x)[1] - NE_TOL:
             return False
     return True
 
@@ -361,7 +353,7 @@ def neutral_nash(params: GameParams):
     return EquilibriumProfile(Locations(0.5, 0.5), MarketOutcome(Kind.III, 0.5))
 
 
-def symmetric_pessimistic_nash_set(params: GameParams, x1: float, tol: float = NE_TOL):
+def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
     """Shares s1 making (x1, 1 - x1, s1, 1 - s1) a pessimistic NE.
 
     Requires x1 <= 1/2. The set grows as the firms approach the center:
@@ -372,36 +364,40 @@ def symmetric_pessimistic_nash_set(params: GameParams, x1: float, tol: float = N
     * additionally {0, 1} from 1 - a.
 
     Returns the sorted tuple of distinct values (union at overlapping
-    region boundaries). The NE-decision slack ``tol`` is mapped through
-    the constraint algebra onto each threshold (factor 1 - a for the
-    outer regions, a (1 - a) for the middle one) so the characterization
-    agrees with :func:`is_nash` decision-for-decision, including at
-    region boundaries that are not floating-point representable.
+    region boundaries). The NE-decision slack ``NE_TOL`` is mapped
+    through the constraint algebra onto each threshold (factor 1 - a for
+    the outer regions, a (1 - a) for the middle one) so the
+    characterization agrees with :func:`is_nash` decision-for-decision,
+    including at region boundaries that are not floating-point
+    representable. The slack is not a parameter: another value would
+    break that agreement.
     """
     if not 0.0 <= x1 <= 0.5:
         raise ValueError(f"symmetric analysis needs x1 in [0, 1/2], got {x1}")
     a = params.a
     values: list = []
-    if x1 >= (1.0 - a) / 2.0 - tol * (1.0 - a):
+    if x1 >= (1.0 - a) / 2.0 - NE_TOL * (1.0 - a):
         values.append(0.5)
-    if x1 >= (1.0 - a * a) / 2.0 - tol * a * (1.0 - a):
+    if x1 >= (1.0 - a * a) / 2.0 - NE_TOL * a * (1.0 - a):
         delta = (1.0 - 2.0 * x1) / (2.0 * a)
         values.extend([0.5 - delta, 0.5 + delta])
-    if x1 >= 1.0 - a - tol * (1.0 - a):
+    if x1 >= 1.0 - a - NE_TOL * (1.0 - a):
         values.extend([0.0, 1.0])
     return tuple(_merge_close(values, 1e-12))
 
 
-def nash_region_a_half(x1: float, x2: float, tol: float = NE_TOL) -> set:
+def nash_region_a_half(x1: float, x2: float) -> set:
     """Kinds forming a pessimistic NE at (x1, x2) when a = 1/2.
 
     Implements the explicit membership inequalities of the a = 1/2 NE
-    map, with the same weak-inequality slack used by the NE decision so
-    grid scans agree exactly. The region is non-convex even for fixed
-    x1 (kind IV pockets below the diagonal detach from the rest).
+    map, with the weak-inequality slack ``NE_TOL`` of the NE decision so
+    grid scans agree exactly; the slack is not a parameter, as another
+    value would break that agreement. The region is non-convex even for
+    fixed x1 (kind IV pockets below the diagonal detach from the rest).
     """
     if not 0.0 <= x1 <= x2 <= 1.0:
         raise ValueError(f"need 0 <= x1 <= x2 <= 1, got ({x1}, {x2})")
+    tol = NE_TOL
     kinds: set = set()
     if abs(x2 - 0.5) <= tol:
         kinds.add(Kind.I)
@@ -418,15 +414,17 @@ def nash_region_a_half(x1: float, x2: float, tol: float = NE_TOL) -> set:
     return kinds
 
 
-def nash_diameter_bounds_check(
-    params: GameParams, profile: EquilibriumProfile, tol: float = 1e-12
-) -> bool:
+_DIAMETER_TOL = 1e-12  # rounding slack of both diameter bounds
+
+
+def nash_diameter_bounds_check(params: GameParams, profile: EquilibriumProfile) -> bool:
     """Diameter bounds every pessimistic NE satisfies.
 
     Locations differ by at most ``a`` and shares by at most
-    ``a / (1 - a)``; both vanish as the externality does.
+    ``a / (1 - a)``; both vanish as the externality does. Both bounds
+    carry the fixed rounding slack ``_DIAMETER_TOL`` (1e-12).
     """
     a = params.a
-    if profile.locations.gap > a + tol:
+    if profile.locations.gap > a + _DIAMETER_TOL:
         return False
-    return abs(profile.s2 - profile.s1) <= a / (1.0 - a) + tol
+    return abs(profile.s2 - profile.s1) <= a / (1.0 - a) + _DIAMETER_TOL

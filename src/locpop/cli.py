@@ -34,33 +34,14 @@ from .behaviors import (
     NE_TOL,
     BehaviorKind,
     NoEquilibriumError,
-    _supremum,
     best_deviation,
     is_nash,
-    nash_diameter_bounds_check,
     neutral_nash,
     pessimistic_nash_interval,
     symmetric_pessimistic_nash_set,
 )
-from .model import (
-    EquilibriumProfile,
-    GameParams,
-    Locations,
-    MarketOutcome,
-    _condition_gaps,
-    distinct_shares,
-    enumerate_market_equilibria,
-    mirror_profile,
-)
-from .oracle import (
-    GridSpec,
-    _passing_shares,
-    _region_scan,
-    _runs,
-    oracle_best_deviation,
-    oracle_ne_region_scan,
-    oracle_social_optimum,
-)
+from .model import EquilibriumProfile, GameParams, Locations, enumerate_market_equilibria
+from .oracle import GridSpec, _region_scan, verify_suites
 from .welfare import _consumer_welfare_array, consumer_welfare, poa, pos, social_optimum
 
 A_GRID_STEP = 0.005  # default sweep: 0.005 .. 0.995
@@ -137,6 +118,13 @@ def _emit(args, header, rows, payload=None, **meta):
         text = _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]})
     if getattr(args, "out", None):
         _atomic_write(args.out, text)
+    elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # unbuffered stdout (PYTHONUNBUFFERED, -u): one raw write can end
+        # short without raising, so write the rest until it is all out or fails
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
     else:
         sys.stdout.write(text)
 
@@ -333,135 +321,14 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _check(name: str, ok: bool, detail: str, failures: list):
-    status = "ok" if ok else "FAIL"
-    print(f"{status:4s} {name}: {detail}")
-    if not ok:
-        failures.append(name)
-
-
-def _verify_market_equilibria(rng, grid, instances, failures):
-    spacing = 1.0 / (grid.n_shares - 1)
-    mismatches = 0
-    for _ in range(instances):
-        a = float(rng.uniform(0.02, 0.98))
-        x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
-        params = GameParams(a)
-        loc = Locations(float(x1), float(x2))
-        closed = np.array(distinct_shares(enumerate_market_equilibria(params, loc)))[:, None]
-        # each run of passing shares spans the first to the last one passing
-        first, last = _runs(*_passing_shares(params, loc, grid))
-        near = (first - 2.0 * spacing <= closed) & (closed <= last + 2.0 * spacing)
-        ok = near.any(axis=1).all()
-        # near-boundary instances legitimately grow extra runs from the
-        # adjacent branch: a cut at the boundary violates the condition by
-        # just its gap, within the share slack plus up to 2 / n_consumers
-        # from sampling consumers at cell midpoints; skip the converse there
-        slack = 1e-9 + (1.0 + a) * spacing
-        margin = min(map(abs, _condition_gaps(a, loc.x1, loc.x2)))
-        if ok and margin > slack + 2.0 / grid.n_consumers:
-            ok = near.any(axis=0).all()
-        mismatches += not ok
-    _check("market-equilibria", mismatches == 0,
-           f"{instances} random instances, {mismatches} mismatches", failures)
-
-
-def _verify_best_deviation(rng, grid, instances, failures):
-    mismatches = 0
-    behaviors = list(BehaviorKind)
-    for k in range(instances):
-        a = float(rng.uniform(0.05, 0.95))
-        x_other = float(rng.uniform(0.0, 1.0))
-        behavior = behaviors[k % 3]
-        params = GameParams(a)
-        analytic = best_deviation(params, behavior, 1, x_other).payoff
-        _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
-        lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
-        tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
-        if grid_best > analytic + 1e-6 or analytic - grid_best > tol:
-            mismatches += 1
-    _check("best-deviation", mismatches == 0,
-           f"{instances} random instances, {mismatches} mismatches", failures)
-
-
-def _verify_social_optimum(theta, failures):
-    worst_gap = 0.0
-    for a in np.arange(1, 20) * 0.05:
-        params = GameParams(float(a), theta)
-        closed = social_optimum(params)[0].welfare
-        found = oracle_social_optimum(params, GridSpec(n_locations=201, n_shares=201))
-        worst_gap = max(worst_gap, abs(found.welfare - closed))
-    _check("social-optimum", worst_gap <= 1e-3,
-           f"max |grid - closed| welfare gap {worst_gap:.2e}", failures)
-
-
-def _verify_regions(theta, failures):
-    grid = GridSpec(n_locations=101)
-
-    xs = np.linspace(0.0, 1.0, grid.n_locations)
-    disagreements = 0
-    half_profiles = []  # the pessimistic NE at a = 0.5, for the mirror check
-    for a in (0.2, 0.5, 0.8):
-        params = GameParams(a, theta)
-        # lo depends on x2 only and hi on x1 only: one interval per grid value
-        intervals = [pessimistic_nash_interval(params, Locations(x, x)) for x in xs.tolist()]
-        lo = np.array([interval.lo for interval in intervals])
-        hi = np.array([interval.hi for interval in intervals])
-        # clamped, lo is firm 1's supremum against x2 and hi 1 - firm 2's against x1
-        suprema = np.array([_supremum(a, BehaviorKind.PESSIMISTIC, x)[1] for x in xs.tolist()])
-        for bound, supremum in ((np.maximum(lo, 0.0), suprema),
-                                (np.minimum(hi, 1.0), 1.0 - suprema)):
-            disagreements += int(np.count_nonzero(np.abs(bound - supremum) > 1e-12))
-        lo, hi = lo - NE_TOL, hi + NE_TOL
-        scan = _region_scan(params, BehaviorKind.PESSIMISTIC, grid.n_locations)
-        for i, (x1, x2s, kinds, s1s, is_ne) in enumerate(scan):
-            # NashInterval.contains, one row of cells at a time
-            inside = (lo[np.searchsorted(xs, x2s)] <= s1s) & (s1s <= hi[i])
-            disagreements += int(np.count_nonzero(inside != is_ne))
-            for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist()):
-                profile = EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
-                if not nash_diameter_bounds_check(params, profile):
-                    disagreements += 1
-                if a == 0.5:
-                    half_profiles.append(profile)
-    _check("pessimistic-region", disagreements == 0,
-           f"3 externality levels on a 101x101 grid, {disagreements} disagreements",
-           failures)
-
-    mirrored = {
-        (round(p.x1, 9), round(p.x2, 9), round(p.s1, 9)) for p in half_profiles
-    }
-    reflected = {
-        (round(q.x1, 9), round(q.x2, 9), round(q.s1, 9))
-        for q in map(mirror_profile, half_profiles)
-    }
-    _check("mirror-symmetry", mirrored == reflected,
-           f"{len(mirrored)} pessimistic NE profiles at a=0.5", failures)
-
-    params = GameParams(0.3, theta)
-    neutral_cells = {
-        (p.x1, p.x2) for p in oracle_ne_region_scan(params, BehaviorKind.NEUTRAL, grid)
-    }
-    _check("neutral-region", neutral_cells == {(0.5, 0.5)},
-           f"NE cells at a=0.3: {sorted(neutral_cells)}", failures)
-
-    optimistic_hits = len(oracle_ne_region_scan(params, BehaviorKind.OPTIMISTIC, grid))
-    _check("optimistic-region", optimistic_hits == 0,
-           f"{optimistic_hits} optimistic NE found at a=0.3", failures)
-
-
 def _cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
     grid = GridSpec(args.grid_consumers, args.grid_locations, args.grid_shares)
-    failures: list = []
-    _verify_market_equilibria(rng, grid, args.instances, failures)
-    _verify_best_deviation(rng, grid, max(60, args.instances // 5), failures)
-    _verify_social_optimum(args.theta, failures)
-    _verify_regions(args.theta, failures)
+    failures = []
+    for suite, ok, detail in verify_suites(args.theta, args.seed, args.instances, grid):
+        status = "ok" if ok else "FAIL"
+        print(f"{status:4s} {suite}: {detail}")
+        if not ok:
+            failures.append(suite)
     if failures:
         print(f"verification FAILED: {', '.join(failures)}")
         return 1
@@ -560,9 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--instances", type=_bounded(0), default=1000)
-    s.add_argument("--grid-consumers", type=_bounded(2, VERIFY_GRID_MAX), default=10_000)
-    s.add_argument("--grid-locations", type=_bounded(2, VERIFY_GRID_MAX), default=2001)
-    s.add_argument("--grid-shares", type=_bounded(2, VERIFY_GRID_MAX), default=2001)
+    s.add_argument("--grid-consumers", type=_bounded(2, VERIFY_GRID_MAX),
+                   default=GridSpec.n_consumers)
+    s.add_argument("--grid-locations", type=_bounded(2, VERIFY_GRID_MAX),
+                   default=GridSpec.n_locations)
+    s.add_argument("--grid-shares", type=_bounded(2, VERIFY_GRID_MAX),
+                   default=GridSpec.n_shares)
     s.set_defaults(func=_cmd_verify)
 
     return parser

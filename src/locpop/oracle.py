@@ -9,6 +9,10 @@ equilibrium of every grid cell, one array row of cells at a time, by the
 same arithmetic as the scalar Nash decision. These routines certify the
 closed forms within principled grid tolerances; they are the provenance
 for the frozen expected values in the test suite.
+
+:func:`verify_suites` runs the seven cross-check suites of ``locpop
+verify`` and yields one ``(suite, ok, detail)`` record per suite; the
+command line only prints them.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .behaviors import (
     _check_deviation_args,
     _deviation_values,
     _supremum,
+    best_deviation,
+    nash_diameter_bounds_check,
+    pessimistic_nash_interval,
 )
 from .model import (
     _SLOT_KINDS,
@@ -32,10 +39,14 @@ from .model import (
     Kind,
     Locations,
     MarketOutcome,
+    _condition_gaps,
     _equilibria_array,
     _is_market_equilibrium_array,
+    distinct_shares,
+    enumerate_market_equilibria,
+    mirror_profile,
 )
-from .welfare import OptimumPoint
+from .welfare import OptimumPoint, social_optimum
 
 __all__ = [
     "GridSpec",
@@ -44,6 +55,7 @@ __all__ = [
     "oracle_social_optimum",
     "oracle_ne_region_scan",
     "oracle_consumer_welfare",
+    "verify_suites",
 ]
 
 
@@ -89,14 +101,19 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
 
     For each candidate s1 on the share grid, every grid consumer left of
     the cut must weakly prefer firm 1 and every consumer from the cut on
-    must weakly prefer firm 2. The slack is 1e-9 plus (1 + a) times the
-    share-grid spacing: an exact equilibrium displaced by one grid step
-    perturbs the utility margins by at most that much, so each true
-    equilibrium produces a run of passing candidates. Maximal runs are
-    collapsed to their midpoints, returned as Python floats in increasing
-    order.
+    must weakly prefer firm 2. The slack (:func:`_share_slack`) is 1e-9
+    plus (1 + a) times the share-grid spacing: an exact equilibrium
+    displaced by one grid step perturbs the utility margins by at most
+    that much, so each true equilibrium produces a run of passing
+    candidates. Maximal runs are collapsed to their midpoints, returned as
+    Python floats in increasing order.
     """
     return _run_midpoints(*_passing_shares(params, loc, grid))
+
+
+def _share_slack(a: float, grid: GridSpec) -> float:
+    """Slack of the pointwise test of :func:`oracle_market_equilibria`."""
+    return 1e-9 + (1.0 + a) * (1.0 / (grid.n_shares - 1))
 
 
 def _passing_shares(params: GameParams, loc: Locations, grid: GridSpec):
@@ -121,8 +138,7 @@ def _passing_shares(params: GameParams, loc: Locations, grid: GridSpec):
     suffix_max[n] = -np.inf
     np.maximum.accumulate(margin[::-1], out=suffix_max[n - 1::-1])
 
-    spacing = 1.0 / (grid.n_shares - 1)
-    slack = 1e-9 + (1.0 + a) * spacing
+    slack = _share_slack(a, grid)
     shift = a * sign
     return candidates, (shift + prefix_min[cut] >= -slack) & (shift + suffix_max[cut] <= slack)
 
@@ -268,3 +284,146 @@ def oracle_consumer_welfare(
         t = lo + (np.arange(n_consumers) + 0.5) * width
         total += float(np.sum(theta + a * share - np.abs(t - x)) * width)
     return total
+
+
+# ---------------------------------------------------------------------------
+# verify suites: each returns (ok, detail) for verify_suites to yield
+
+_REGION_GRID = GridSpec(n_locations=101)
+
+
+def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
+    """Closed-form splits against the runs of the market-equilibrium oracle
+    on ``instances`` random (a, x1, x2)."""
+    spacing = 1.0 / (grid.n_shares - 1)
+    mismatches = 0
+    for _ in range(instances):
+        a = float(rng.uniform(0.02, 0.98))
+        x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
+        params = GameParams(a)
+        loc = Locations(float(x1), float(x2))
+        closed = np.array(distinct_shares(enumerate_market_equilibria(params, loc)))[:, None]
+        # each run of passing shares spans the first to the last one passing
+        first, last = _runs(*_passing_shares(params, loc, grid))
+        near = (first - 2.0 * spacing <= closed) & (closed <= last + 2.0 * spacing)
+        ok = near.any(axis=1).all()
+        # near-boundary instances legitimately grow extra runs from the
+        # adjacent branch: a cut at the boundary violates the condition by
+        # just its gap, within the share slack plus up to 2 / n_consumers
+        # from sampling consumers at cell midpoints; skip the converse there
+        margin = min(map(abs, _condition_gaps(a, loc.x1, loc.x2)))
+        if ok and margin > _share_slack(a, grid) + 2.0 / grid.n_consumers:
+            ok = near.any(axis=0).all()
+        mismatches += not ok
+    return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
+
+
+def _best_deviation_suite(rng, grid: GridSpec, instances: int):
+    """Closed-form best deviations against the deviation oracle, within its
+    Lipschitz bound, on ``instances`` random (a, x_other), behaviors in turn."""
+    mismatches = 0
+    behaviors = list(BehaviorKind)
+    for k in range(instances):
+        a = float(rng.uniform(0.05, 0.95))
+        x_other = float(rng.uniform(0.0, 1.0))
+        behavior = behaviors[k % 3]
+        params = GameParams(a)
+        analytic = best_deviation(params, behavior, 1, x_other).payoff
+        _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
+        lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
+        tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
+        if grid_best > analytic + 1e-6 or analytic - grid_best > tol:
+            mismatches += 1
+    return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
+
+
+def _social_optimum_suite(theta: float):
+    """Closed-form optimal welfare against the welfare-optimum oracle."""
+    worst_gap = 0.0
+    for a in np.arange(1, 20) * 0.05:
+        params = GameParams(float(a), theta)
+        closed = social_optimum(params)[0].welfare
+        found = oracle_social_optimum(params, GridSpec(n_locations=201, n_shares=201))
+        worst_gap = max(worst_gap, abs(found.welfare - closed))
+    return worst_gap <= 1e-3, f"max |grid - closed| welfare gap {worst_gap:.2e}"
+
+
+def _pessimistic_region_suite(theta: float):
+    """The pessimistic region scan against :func:`pessimistic_nash_interval`
+    and the diameter bounds at three externality levels.
+
+    Returns ``(ok, detail, half_profiles)``: the third item is the scan's
+    NE profiles at a = 0.5, which :func:`_mirror_symmetry_suite` reflects.
+    """
+    xs = np.linspace(0.0, 1.0, _REGION_GRID.n_locations)
+    disagreements = 0
+    half_profiles = []
+    for a in (0.2, 0.5, 0.8):
+        params = GameParams(a, theta)
+        # lo depends on x2 only and hi on x1 only: one interval per grid value
+        intervals = [pessimistic_nash_interval(params, Locations(x, x)) for x in xs.tolist()]
+        lo = np.array([interval.lo for interval in intervals])
+        hi = np.array([interval.hi for interval in intervals])
+        # clamped, lo is firm 1's supremum against x2 and hi 1 - firm 2's against x1
+        suprema = np.array([_supremum(a, BehaviorKind.PESSIMISTIC, x)[1] for x in xs.tolist()])
+        for bound, supremum in ((np.maximum(lo, 0.0), suprema),
+                                (np.minimum(hi, 1.0), 1.0 - suprema)):
+            disagreements += int(np.count_nonzero(np.abs(bound - supremum) > 1e-12))
+        lo, hi = lo - NE_TOL, hi + NE_TOL
+        scan = _region_scan(params, BehaviorKind.PESSIMISTIC, _REGION_GRID.n_locations)
+        for i, (x1, x2s, kinds, s1s, is_ne) in enumerate(scan):
+            # NashInterval.contains, one row of cells at a time
+            inside = (lo[np.searchsorted(xs, x2s)] <= s1s) & (s1s <= hi[i])
+            disagreements += int(np.count_nonzero(inside != is_ne))
+            for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist()):
+                profile = EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
+                if not nash_diameter_bounds_check(params, profile):
+                    disagreements += 1
+                if a == 0.5:
+                    half_profiles.append(profile)
+    detail = f"3 externality levels on a 101x101 grid, {disagreements} disagreements"
+    return disagreements == 0, detail, half_profiles
+
+
+def _mirror_symmetry_suite(half_profiles):
+    """The NE profiles map onto themselves under x -> 1 - x."""
+    mirrored = {(round(p.x1, 9), round(p.x2, 9), round(p.s1, 9)) for p in half_profiles}
+    reflected = {
+        (round(q.x1, 9), round(q.x2, 9), round(q.s1, 9))
+        for q in map(mirror_profile, half_profiles)
+    }
+    return mirrored == reflected, f"{len(mirrored)} pessimistic NE profiles at a=0.5"
+
+
+def _neutral_region_suite(theta: float):
+    """Neutral NE only at the centre for a = 0.3 <= 1/2."""
+    profiles = oracle_ne_region_scan(GameParams(0.3, theta), BehaviorKind.NEUTRAL, _REGION_GRID)
+    cells = {(p.x1, p.x2) for p in profiles}
+    return cells == {(0.5, 0.5)}, f"NE cells at a=0.3: {sorted(cells)}"
+
+
+def _optimistic_region_suite(theta: float):
+    """No optimistic NE."""
+    params = GameParams(0.3, theta)
+    hits = len(oracle_ne_region_scan(params, BehaviorKind.OPTIMISTIC, _REGION_GRID))
+    return hits == 0, f"{hits} optimistic NE found at a=0.3"
+
+
+def verify_suites(theta: float, seed: int, instances: int, grid: GridSpec):
+    """Run the cross-check suites of ``locpop verify`` one at a time, in order.
+
+    Yields ``(suite, ok, detail)`` as each suite finishes. The two random
+    suites draw from one ``default_rng(seed)``: ``instances`` market
+    instances with the oracles at ``grid``, then max(60, instances // 5)
+    deviations. The other suites use fixed grids at intrinsic utility
+    ``theta``.
+    """
+    rng = np.random.default_rng(seed)
+    yield ("market-equilibria", *_market_equilibria_suite(rng, grid, instances))
+    yield ("best-deviation", *_best_deviation_suite(rng, grid, max(60, instances // 5)))
+    yield ("social-optimum", *_social_optimum_suite(theta))
+    ok, detail, half_profiles = _pessimistic_region_suite(theta)
+    yield "pessimistic-region", ok, detail
+    yield ("mirror-symmetry", *_mirror_symmetry_suite(half_profiles))
+    yield ("neutral-region", *_neutral_region_suite(theta))
+    yield ("optimistic-region", *_optimistic_region_suite(theta))

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -25,16 +26,10 @@ from locpop import (
     consumer_welfare,
     enumerate_market_equilibria,
     is_nash,
+    oracle,
+    verify_suites,
 )
-from locpop.cli import (
-    _csv_doc,
-    _fmt,
-    _region_rows,
-    _verify_market_equilibria,
-    _verify_regions,
-    build_parser,
-    main,
-)
+from locpop.cli import _csv_doc, _fmt, _region_rows, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -415,14 +410,43 @@ def test_figures_writes_datasets(tmp_path, capsys):
         assert hashlib.sha256(data).hexdigest() == FIGURE_SHA256[name], name
 
 
+# stdout of the small run below, recorded before the suites moved into oracle
+VERIFY_SMALL_RUN = """\
+ok   market-equilibria: 40 random instances, 0 mismatches
+ok   best-deviation: 60 random instances, 0 mismatches
+ok   social-optimum: max |grid - closed| welfare gap 2.22e-16
+ok   pessimistic-region: 3 externality levels on a 101x101 grid, 0 disagreements
+ok   mirror-symmetry: 2676 pessimistic NE profiles at a=0.5
+ok   neutral-region: NE cells at a=0.3: [(0.5, 0.5)]
+ok   optimistic-region: 0 optimistic NE found at a=0.3
+all verification suites passed
+"""
+
+
 def test_verify_small_run(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--instances", "40", "--grid-consumers", "2000",
         "--grid-locations", "401", "--grid-shares", "501", "--seed", "3",
     )
     assert code == 0
-    assert "all verification suites passed" in out
-    assert out.count("ok ") >= 6
+    assert out == VERIFY_SMALL_RUN
+
+
+def perfbench_verify_suites():
+    """VERIFY_SUITES of perfbench/worker.py, the suites its verify gate requires."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "perfbench", "worker.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["VERIFY_SUITES"]]
+    return ast.literal_eval(value)
+
+
+def test_verify_suites_yields_the_benchmarked_suites_in_order():
+    records = list(verify_suites(1.0, 0, 0, GridSpec(2, 2, 2)))
+    assert tuple(suite for suite, _, _ in records) == perfbench_verify_suites()
+    assert all(isinstance(ok, bool) and isinstance(detail, str) for _, ok, detail in records)
 
 
 # 902, 906 and 907 each draw an instance whose kind IV condition misses by
@@ -436,43 +460,42 @@ def test_verify_small_run(capsys):
         (1607, 179), (1619, 154), (1950, 653),
     )
 ])
-def test_market_equilibria_suite_skips_near_boundary(seed, instances, capsys):
-    failures = []
-    _verify_market_equilibria(np.random.default_rng(seed), GridSpec(), instances, failures)
-    assert failures == []
-    assert f"{instances} random instances, 0 mismatches" in capsys.readouterr().out
+def test_market_equilibria_suite_skips_near_boundary(seed, instances):
+    ok, detail = oracle._market_equilibria_suite(
+        np.random.default_rng(seed), GridSpec(), instances)
+    assert ok is True
+    assert detail == f"{instances} random instances, 0 mismatches"
 
 
-def test_market_equilibria_suite_catches_a_moved_share(monkeypatch, capsys):
-    exact = cli.enumerate_market_equilibria
+def test_market_equilibria_suite_catches_a_moved_share(monkeypatch):
+    exact = oracle.enumerate_market_equilibria
 
     def moved(params, loc):
         return [MarketOutcome(o.kind, o.s1 + 0.002) if o.kind is Kind.II else o
                 for o in exact(params, loc)]
 
-    monkeypatch.setattr(cli, "enumerate_market_equilibria", moved)
-    failures = []
-    _verify_market_equilibria(np.random.default_rng(0), GridSpec(), 100, failures)
-    assert failures == ["market-equilibria"]
-    assert "FAIL market-equilibria" in capsys.readouterr().out
+    monkeypatch.setattr(oracle, "enumerate_market_equilibria", moved)
+    ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0), GridSpec(), 100)
+    assert ok is False
+    assert detail == "100 random instances, 40 mismatches"
 
 
 # no outcome on the 101-point grid lies within 5e-3 above hi, so a bound
 # widened by less than that leaves every grid verdict unchanged; the suite
 # also compares each clamped bound with the pessimistic supremum it equals
-@pytest.mark.parametrize("shift", [-1e-3, 1e-3, 1e-2])
-def test_pessimistic_region_suite_catches_a_moved_bound(shift, monkeypatch, capsys):
-    exact = cli.pessimistic_nash_interval
+@pytest.mark.parametrize("shift, disagreements", [(-1e-3, 606), (1e-3, 241), (1e-2, 280)],
+                         ids=["-0.001", "0.001", "0.01"])
+def test_pessimistic_region_suite_catches_a_moved_bound(shift, disagreements, monkeypatch):
+    exact = oracle.pessimistic_nash_interval
 
     def moved(params, loc):
         interval = exact(params, loc)
         return NashInterval(interval.lo, interval.hi + shift)
 
-    monkeypatch.setattr(cli, "pessimistic_nash_interval", moved)
-    failures = []
-    _verify_regions(1.0, failures)
-    assert failures == ["pessimistic-region"]
-    assert "FAIL pessimistic-region" in capsys.readouterr().out
+    monkeypatch.setattr(oracle, "pessimistic_nash_interval", moved)
+    ok, detail, _ = oracle._pessimistic_region_suite(1.0)
+    assert ok is False
+    assert detail == f"3 externality levels on a 101x101 grid, {disagreements} disagreements"
 
 
 def test_module_entrypoint_smoke():
@@ -488,6 +511,8 @@ def test_module_entrypoint_smoke():
 @pytest.mark.parametrize("argv, unbuffered", [
     # buffered: the 1.9 MB document fills the pipe, so a write fails
     (("nash-region", "--a", "0.5", "--behavior", "pessimistic"), False),
+    # unbuffered: one raw write of the document ends short, so it is retried
+    (("nash-region", "--a", "0.5", "--behavior", "pessimistic"), True),
     # unbuffered: each suite's line is written as it is printed
     (("verify", "--seed", "1", "--instances", "20"), True),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else f"unbuffered={value}")

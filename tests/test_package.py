@@ -15,13 +15,13 @@ PUBLIC_NAMES = [
     "oracle_best_deviation", "oracle_consumer_welfare", "oracle_market_equilibria",
     "oracle_ne_region_scan", "oracle_social_optimum", "pessimistic_nash_interval", "poa",
     "poa_minimizer_pessimistic", "pos", "social_optimum", "symmetric_pessimistic_nash_set",
-    "worst_ne_pessimistic",
+    "verify_suites", "worst_ne_pessimistic",
 ]
 
 
 def test_public_api_is_pinned():
     assert sorted(locpop.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 48
     for name in PUBLIC_NAMES:
         getattr(locpop, name)
     namespace = {}
