@@ -313,7 +313,6 @@ def _figure_tables(theta):
 
 def _cmd_figures(args) -> int:
     outdir = args.out or "figures"
-    os.makedirs(outdir, exist_ok=True)
     for name, header, rows in _figure_tables(args.theta):
         path = os.path.join(outdir, name)
         _atomic_write(path, _csv_doc(header, rows))
@@ -322,7 +321,7 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = GridSpec(args.grid_consumers, args.grid_locations, args.grid_shares)
+    grid = GridSpec(args.grid_locations, args.grid_shares)
     failures = []
     for suite, ok, detail in verify_suites(args.theta, args.seed, args.instances, grid):
         status = "ok" if ok else "FAIL"
@@ -427,8 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--instances", type=_bounded(0), default=1000)
-    s.add_argument("--grid-consumers", type=_bounded(2, VERIFY_GRID_MAX),
-                   default=GridSpec.n_consumers)
     s.add_argument("--grid-locations", type=_bounded(2, VERIFY_GRID_MAX),
                    default=GridSpec.n_locations)
     s.add_argument("--grid-shares", type=_bounded(2, VERIFY_GRID_MAX),

@@ -63,50 +63,51 @@ __all__ = [
 class GridSpec:
     """Resolutions for the brute-force routines.
 
-    n_consumers samples the consumer interval (at cell midpoints, so the
-    boundary consumers 0 and 1 are not privileged), n_locations the
-    location / deviation axis, n_shares the candidate-split axis.
+    n_locations is the location / deviation axis and n_shares the
+    candidate-split axis. The market-equilibrium oracle samples one
+    consumer at the midpoint of each of the n_shares - 1 share cells, so
+    the cut at candidate j, counting from 0, has exactly j consumers on
+    its left and every cut inside (0, 1) has a consumer half a cell
+    either side.
 
     The grid-only arrays of the market-equilibrium oracle are built once
     per instance, on first use, and are read-only; equality and hashing
-    see only the three resolutions.
+    see only the two resolutions.
     """
 
-    n_consumers: int = 10_000
     n_locations: int = 2001
     n_shares: int = 2001
 
     def __post_init__(self):
-        for name in ("n_consumers", "n_locations", "n_shares"):
+        for name in ("n_locations", "n_shares"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2")
 
     @cached_property
     def _share_grid(self):
-        """(consumers, candidates, cut, sign) of :func:`_passing_shares`:
-        the consumer cell midpoints, the candidate splits s1, the index of
-        the first consumer at or right of each cut, and 2 s1 - 1."""
-        n = self.n_consumers
+        """(consumers, candidates, sign) of :func:`_passing_shares`: the
+        share-cell midpoints, the candidate splits s1 and 2 s1 - 1."""
+        n = self.n_shares - 1
         consumers = (np.arange(n) + 0.5) / n
         candidates = np.linspace(0.0, 1.0, self.n_shares)
-        cut = np.searchsorted(consumers, candidates, side="left")
         sign = 2.0 * candidates - 1.0
-        for array in (consumers, candidates, cut, sign):
+        for array in (consumers, candidates, sign):
             array.flags.writeable = False
-        return consumers, candidates, cut, sign
+        return consumers, candidates, sign
 
 
 def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec) -> list:
     """Approximate equilibrium splits by checking the definition pointwise.
 
-    For each candidate s1 on the share grid, every grid consumer left of
-    the cut must weakly prefer firm 1 and every consumer from the cut on
-    must weakly prefer firm 2. The slack (:func:`_share_slack`) is 1e-9
-    plus (1 + a) times the share-grid spacing: an exact equilibrium
-    displaced by one grid step perturbs the utility margins by at most
-    that much, so each true equilibrium produces a run of passing
-    candidates. Maximal runs are collapsed to their midpoints, returned as
-    Python floats in increasing order.
+    For each candidate s1 on the share grid, every consumer left of the
+    cut must weakly prefer firm 1 and every consumer right of it must
+    weakly prefer firm 2, the consumers sitting at the share-cell
+    midpoints. The slack (:func:`_share_slack`) is 1e-9 plus (1 + a)
+    times the share-grid spacing: an exact equilibrium displaced by up to
+    half a grid step perturbs the tested utility margins by at most that
+    much, so the grid split nearest each true equilibrium passes. Maximal
+    runs of passing candidates are collapsed to their midpoints, returned
+    as Python floats in increasing order.
     """
     return _run_midpoints(*_passing_shares(params, loc, grid))
 
@@ -121,43 +122,38 @@ def _passing_shares(params: GameParams, loc: Locations, grid: GridSpec):
     candidates passing the pointwise test.
 
     Only the utility margins depend on the instance; the grid arrays come
-    from ``grid``, built once. The prefix minimum of the margins carries a
-    leading +inf and the suffix maximum a trailing -inf, so a cut with no
-    consumer on one side reads a sentinel that passes that side's test.
+    from ``grid``, built once. Candidate j has consumers 0..j-1 on its
+    left, so the prefix minimum and the suffix maximum of the margins are
+    indexed by candidate. The prefix minimum carries a leading +inf and
+    the suffix maximum a trailing -inf, so the cut at 0 (no consumer on
+    its left) and the cut at 1 (none on its right) read a sentinel that
+    passes that side's test.
     """
     a = params.a
-    n = grid.n_consumers
-    consumers, candidates, cut, sign = grid._share_grid
+    consumers, candidates, sign = grid._share_grid
     # advantage of firm 1 at share s1: a*(2 s1 - 1) + margin(v)
     margin = np.abs(consumers - loc.x2) - np.abs(consumers - loc.x1)
-    # prefix_min[c]: least margin left of cut c; suffix_max[c]: greatest from c on
-    prefix_min = np.empty(n + 1)
+    # prefix_min[j]: least margin left of cut j; suffix_max[j]: greatest right of it
+    prefix_min = np.empty(grid.n_shares)
     prefix_min[0] = np.inf
     np.minimum.accumulate(margin, out=prefix_min[1:])
-    suffix_max = np.empty(n + 1)
-    suffix_max[n] = -np.inf
-    np.maximum.accumulate(margin[::-1], out=suffix_max[n - 1::-1])
+    suffix_max = np.empty(grid.n_shares)
+    suffix_max[-1] = -np.inf
+    np.maximum.accumulate(margin[::-1], out=suffix_max[-2::-1])
 
     slack = _share_slack(a, grid)
     shift = a * sign
-    return candidates, (shift + prefix_min[cut] >= -slack) & (shift + suffix_max[cut] <= slack)
+    return candidates, (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
 
 
-def _runs(values, mask):
-    """First and last entry of ``values`` over each maximal run of ``mask``,
-    as two arrays in order.
+def _run_midpoints(values, mask) -> list:
+    """Midpoint of ``values`` over each maximal run of ``mask``, in order.
 
     A run starts where the ``False``-padded mask turns on and ends one
     place before it turns off.
     """
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    return values[edges[0::2]], values[edges[1::2] - 1]
-
-
-def _run_midpoints(values, mask) -> list:
-    """Midpoint of ``values`` over each maximal run of ``mask``, in order."""
-    first, last = _runs(values, mask)
-    return (0.5 * (first + last)).tolist()
+    return (0.5 * (values[edges[0::2]] + values[edges[1::2] - 1])).tolist()
 
 
 def oracle_best_deviation(
@@ -293,8 +289,25 @@ _REGION_GRID = GridSpec(n_locations=101)
 
 
 def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
-    """Closed-form splits against the runs of the market-equilibrium oracle
-    on ``instances`` random (a, x1, x2)."""
+    """Closed-form splits against the passing shares of the
+    market-equilibrium oracle on ``instances`` random (a, x1, x2).
+
+    Firm 1's advantage at a cut s, f(s) = a (2s - 1) + |s - x2| - |s - x1|,
+    is piecewise linear, with slope 2 - 2a in magnitude strictly inside
+    (x1, x2) and 2a outside, and vanishes at every interior split. Both
+    distances below follow from it:
+
+    - the grid share nearest a split always passes, so every split needs
+      a passing share within one spacing;
+    - with a consumer half a cell either side of the cut, a passing share
+      has |f| <= slack + spacing, so it lies within
+      (slack + spacing) / |slope| of a split on its linear piece; one more
+      spacing is kept as margin.
+
+    The second test is skipped near an existence boundary, where a
+    condition gap within slack + 2 spacings lets the adjacent branch pass
+    the pointwise test too.
+    """
     spacing = 1.0 / (grid.n_shares - 1)
     mismatches = 0
     for _ in range(instances):
@@ -302,18 +315,14 @@ def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
         x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
         params = GameParams(a)
         loc = Locations(float(x1), float(x2))
-        closed = np.array(distinct_shares(enumerate_market_equilibria(params, loc)))[:, None]
-        # each run of passing shares spans the first to the last one passing
-        first, last = _runs(*_passing_shares(params, loc, grid))
-        near = (first - 2.0 * spacing <= closed) & (closed <= last + 2.0 * spacing)
-        ok = near.any(axis=1).all()
-        # near-boundary instances legitimately grow extra runs from the
-        # adjacent branch: a cut at the boundary violates the condition by
-        # just its gap, within the share slack plus up to 2 / n_consumers
-        # from sampling consumers at cell midpoints; skip the converse there
-        margin = min(map(abs, _condition_gaps(a, loc.x1, loc.x2)))
-        if ok and margin > _share_slack(a, grid) + 2.0 / grid.n_consumers:
-            ok = near.any(axis=0).all()
+        closed = np.array(distinct_shares(enumerate_market_equilibria(params, loc)))
+        candidates, mask = _passing_shares(params, loc, grid)
+        distance = np.abs(candidates[mask][:, None] - closed)
+        ok = (distance <= spacing).any(axis=0).all()
+        slack = _share_slack(a, grid)
+        if ok and min(map(abs, _condition_gaps(a, loc.x1, loc.x2))) > slack + 2.0 * spacing:
+            slope = np.where((loc.x1 < closed) & (closed < loc.x2), 2.0 - 2.0 * a, 2.0 * a)
+            ok = (distance <= (slack + spacing) / slope + spacing).any(axis=1).all()
         mismatches += not ok
     return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
 
@@ -416,8 +425,9 @@ def verify_suites(theta: float, seed: int, instances: int, grid: GridSpec):
     suites draw from one ``default_rng(seed)``: ``instances`` market
     instances with the oracles at ``grid``, then max(60, instances // 5)
     deviations. The other suites use fixed grids at intrinsic utility
-    ``theta``.
+    ``theta``, which is checked before any suite runs.
     """
+    GameParams(0.5, theta)  # raises on a bad theta
     rng = np.random.default_rng(seed)
     yield ("market-equilibria", *_market_equilibria_suite(rng, grid, instances))
     yield ("best-deviation", *_best_deviation_suite(rng, grid, max(60, instances // 5)))

@@ -229,20 +229,21 @@ def test_flag_errors_exit_two(capsys):
         ("symmetric-region", "--a", "0.5", "--grid-locations", "1"),
         ("verify", "--grid-locations", "0"),
         ("verify", "--grid-locations", "1"),
-        ("verify", "--grid-consumers", "1"),
         ("verify", "--grid-shares", "0"),
         ("verify", "--instances", "-5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "at least" in err
+    # consumers sit at the share-cell midpoints: no grid of their own
+    code, out, err = run_cli(capsys, "verify", "--grid-consumers", "1000")
+    assert code == 2 and out == "" and "unrecognized arguments: --grid-consumers" in err
     region = ("nash-region", "--a", "0.5", "--behavior", "pessimistic", "--grid-locations")
     code, out, err = run_cli(capsys, *region, "2002")
     assert code == 2 and out == "" and "must be at most 2001" in err
     assert build_parser().parse_args([*region, "2001"]).grid_locations == 2001
     # verify's grid sizes: parsed only, so no array of that size is built
     parser = build_parser()
-    for flag, dest in (("--grid-consumers", "grid_consumers"),
-                       ("--grid-locations", "grid_locations"),
+    for flag, dest in (("--grid-locations", "grid_locations"),
                        ("--grid-shares", "grid_shares")):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["verify", flag, "1000001"])
@@ -425,8 +426,8 @@ all verification suites passed
 
 def test_verify_small_run(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--instances", "40", "--grid-consumers", "2000",
-        "--grid-locations", "401", "--grid-shares", "501", "--seed", "3",
+        capsys, "verify", "--instances", "40", "--grid-locations", "401",
+        "--grid-shares", "501", "--seed", "3",
     )
     assert code == 0
     assert out == VERIFY_SMALL_RUN
@@ -444,15 +445,16 @@ def perfbench_verify_suites():
 
 
 def test_verify_suites_yields_the_benchmarked_suites_in_order():
-    records = list(verify_suites(1.0, 0, 0, GridSpec(2, 2, 2)))
+    records = list(verify_suites(1.0, 0, 0, GridSpec(2, 2)))
     assert tuple(suite for suite, _, _ in records) == perfbench_verify_suites()
     assert all(isinstance(ok, bool) and isinstance(detail, str) for _, ok, detail in records)
 
 
-# 902, 906 and 907 each draw an instance whose kind IV condition misses by
-# just over the share slack, where the oracle grows an extra run. The others
-# draw, as their last instance, one with a >= 0.958 and a II or IV condition
-# missing by about 1e-3, whose run merges with the kind III run.
+# Instances near an existence boundary, drawn at the default grid: 902, 906
+# and 907 each draw one whose kind IV condition misses by just over the share
+# slack; the others draw, as their last instance, one with a >= 0.958 and a
+# II or IV condition missing by about 1e-3, where the slope 2a or 2 - 2a is
+# shallow and the passing shares reach far from the split.
 @pytest.mark.parametrize("seed, instances", [
     pytest.param(seed, instances, id=str(seed)) for seed, instances in (
         (902, 1000), (906, 1000), (907, 1000), (86, 685), (97, 354), (693, 871),
@@ -477,7 +479,49 @@ def test_market_equilibria_suite_catches_a_moved_share(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_market_equilibria", moved)
     ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0), GridSpec(), 100)
     assert ok is False
-    assert detail == "100 random instances, 40 mismatches"
+    assert detail == "100 random instances, 42 mismatches"
+
+
+@pytest.mark.parametrize("shift, mismatches", [(-1e-3, 258), (1e-3, 259)],
+                         ids=["-0.001", "0.001"])
+def test_market_equilibria_suite_catches_moved_interior_splits(shift, mismatches, monkeypatch):
+    exact = oracle.enumerate_market_equilibria
+
+    def moved(params, loc):
+        return [o if o.kind in (Kind.I, Kind.V) else MarketOutcome(o.kind, o.s1 + shift)
+                for o in exact(params, loc)]
+
+    monkeypatch.setattr(oracle, "enumerate_market_equilibria", moved)
+    ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0), GridSpec(), 300)
+    assert ok is False
+    assert detail == f"300 random instances, {mismatches} mismatches"
+
+
+# the last case drew 6 mismatches when consumers had a grid of their own
+# (10,000 of them against 4001 shares)
+@pytest.mark.parametrize("n_shares, seed, instances", [
+    (201, 0, 100), (501, 0, 100), (1201, 1, 100), (4001, 1, 1000),
+])
+def test_market_equilibria_suite_at_other_grids(n_shares, seed, instances):
+    ok, detail = oracle._market_equilibria_suite(
+        np.random.default_rng(seed), GridSpec(n_shares=n_shares), instances)
+    assert ok is True
+    assert detail == f"{instances} random instances, 0 mismatches"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theta", "0.5", "--instances", "5"),
+    ("verify", "--theta", "inf"),
+    ("figures", "--theta", "nan"),
+    ("figures", "--theta", "0.5"),
+])
+def test_bad_theta_exits_two_before_any_work(argv, tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    if argv[0] == "figures":
+        argv = (*argv, "--out", str(out_dir))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "theta must be finite and >= 1" in err
+    assert not out_dir.exists()
 
 
 # no outcome on the 101-point grid lies within 5e-3 above hi, so a bound

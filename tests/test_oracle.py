@@ -1,6 +1,7 @@
 """Tests for the brute-force grid oracles against the closed forms."""
 
 import re
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -31,10 +32,11 @@ from locpop.oracle import _run_midpoints
 
 
 def test_gridspec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(n_consumers=1)
+    for name in ("n_locations", "n_shares"):
+        with pytest.raises(ValueError, match=f"{name} must be at least 2"):
+            GridSpec(**{name: 1})
     defaults = GridSpec()
-    assert (defaults.n_consumers, defaults.n_locations, defaults.n_shares) == (10_000, 2001, 2001)
+    assert astuple(defaults) == (defaults.n_locations, defaults.n_shares) == (2001, 2001)
 
 
 def test_oracle_finds_all_five_splits():
@@ -61,7 +63,7 @@ def existence_margin(a, loc):
 
 def test_oracle_agrees_with_enumeration_on_random_instances():
     rng = np.random.default_rng(7)
-    grid = GridSpec(n_consumers=4000, n_shares=2001)
+    grid = GridSpec(n_shares=2001)
     spacing = 1.0 / (grid.n_shares - 1)
     for _ in range(300):
         a = float(rng.uniform(0.05, 0.95))
@@ -84,7 +86,7 @@ def test_oracle_agrees_with_enumeration_on_random_instances():
 def test_oracle_mirror_alignment():
     params = GameParams(0.45)
     loc = Locations(0.2, 0.55)
-    grid = GridSpec(n_consumers=4000)
+    grid = GridSpec()
     direct = oracle_market_equilibria(params, loc, grid)
     reflected = oracle_market_equilibria(params, mirror_locations(loc), grid)
     assert len(direct) == len(reflected)
@@ -141,9 +143,10 @@ def test_oracle_market_equilibria_runs_are_the_flag_loop(a, p, q):
     assert found == run_midpoints_reference(values, mask.tolist())
 
 
-def passing_shares_reference(a, x1, x2, n_consumers, n_shares):
-    """The pointwise test of the oracle, one candidate and consumer at a time."""
-    consumers = [(i + 0.5) / n_consumers for i in range(n_consumers)]
+def passing_shares_reference(a, x1, x2, n_shares):
+    """The pointwise test of the oracle, one candidate and consumer at a time,
+    with one consumer at the midpoint of each share cell."""
+    consumers = [(i + 0.5) / (n_shares - 1) for i in range(n_shares - 1)]
     slack = 1e-9 + (1.0 + a) * (1.0 / (n_shares - 1))
     mask = []
     for s1 in np.linspace(0.0, 1.0, n_shares).tolist():
@@ -158,22 +161,20 @@ def passing_shares_reference(a, x1, x2, n_consumers, n_shares):
 @given(a=st.floats(min_value=0.02, max_value=0.98),
        p=st.floats(min_value=0.0, max_value=1.0),
        q=st.floats(min_value=0.0, max_value=1.0),
-       # odd sizes put a consumer and a candidate at 1/2; more shares than
-       # consumers puts several cuts left of every consumer and right of all
-       n_consumers=st.integers(1, 15).map(lambda k: 2 * k + 1),
+       # odd sizes put a candidate at 1/2, between the two middle consumers
        n_shares=st.integers(1, 30).map(lambda k: 2 * k + 1))
-@example(a=0.5, p=1 / 3, q=2 / 3, n_consumers=3, n_shares=61)
-@example(a=0.25, p=0.0, q=1.0, n_consumers=31, n_shares=3)
-def test_passing_shares_is_the_pointwise_test(a, p, q, n_consumers, n_shares):
+@example(a=0.5, p=1 / 3, q=2 / 3, n_shares=61)
+@example(a=0.25, p=0.0, q=1.0, n_shares=3)
+def test_passing_shares_is_the_pointwise_test(a, p, q, n_shares):
     x1, x2 = sorted((p, q))
-    grid = GridSpec(n_consumers=n_consumers, n_shares=n_shares)
+    grid = GridSpec(n_shares=n_shares)
     candidates, mask = oracle._passing_shares(GameParams(a), Locations(x1, x2), grid)
     assert candidates.tolist() == np.linspace(0.0, 1.0, n_shares).tolist()
-    assert mask.tolist() == passing_shares_reference(a, x1, x2, n_consumers, n_shares)
+    assert mask.tolist() == passing_shares_reference(a, x1, x2, n_shares)
 
 
 def test_gridspec_arrays_are_shared_and_read_only():
-    grid, twin = GridSpec(n_consumers=101, n_shares=41), GridSpec(n_consumers=101, n_shares=41)
+    grid, twin = GridSpec(n_shares=41), GridSpec(n_shares=41)
     oracle_market_equilibria(GameParams(0.3), Locations(0.2, 0.7), grid)
     assert grid == twin and hash(grid) == hash(twin)
     assert len({grid, twin}) == 1
