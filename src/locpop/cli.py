@@ -47,7 +47,7 @@ from .welfare import _consumer_welfare_array, consumer_welfare, poa, pos, social
 A_GRID_STEP = 0.005  # default sweep: 0.005 .. 0.995
 REGION_GRID_DEFAULT = 201
 REGION_GRID_MAX = 2001
-VERIFY_GRID_MAX = 10**6  # verify builds arrays of each grid size
+GRID_MAX = 10**6  # verify and symmetric-region build an array per grid
 REGION_HEADER = ("a", "x1", "x2", "kind", "s1", "is_ne", "welfare")
 SYMMETRIC_HEADER = ("a", "x1", "s1")
 
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("symmetric-region", help="NE shares along x2 = 1 - x1")
     _add_common(s)
-    s.add_argument("--grid-locations", type=_bounded(2), default=501)
+    s.add_argument("--grid-locations", type=_bounded(2, GRID_MAX), default=501)
     s.set_defaults(func=_cmd_symmetric_region, format="csv")
 
     s = subs.add_parser("welfare", help="consumer welfare at one point")
@@ -407,15 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, label in (("poa-curve", poa, "poa"), ("pos-curve", pos, "pos")):
         s = subs.add_parser(name, help=f"{label} over an a-grid")
+        _add_common(s, needs_behavior=True, needs_a=False)
         s.add_argument("--a", type=float, default=None,
                        help="single externality level instead of the grid")
-        s.add_argument("--theta", type=float, default=1.0)
-        s.add_argument("--behavior", required=True,
-                       choices=[b.value for b in BehaviorKind])
-        s.add_argument("--out")
-        s.add_argument("--format", choices=("json", "csv"), default="csv")
         s.set_defaults(func=lambda args, fn=fn, label=label:
-                       _cmd_ratio_curve(args, fn, label))
+                       _cmd_ratio_curve(args, fn, label), format="csv")
 
     s = subs.add_parser("figures", help="emit all figure datasets")
     s.add_argument("--theta", type=float, default=1.0)
@@ -426,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--instances", type=_bounded(0), default=1000)
-    s.add_argument("--grid-locations", type=_bounded(2, VERIFY_GRID_MAX),
+    s.add_argument("--grid-locations", type=_bounded(2, GRID_MAX),
                    default=GridSpec.n_locations)
-    s.add_argument("--grid-shares", type=_bounded(2, VERIFY_GRID_MAX),
+    s.add_argument("--grid-shares", type=_bounded(2, GRID_MAX),
                    default=GridSpec.n_shares)
     s.set_defaults(func=_cmd_verify)
 
@@ -443,7 +439,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NoEquilibriumError as exc:
+    except BrokenPipeError:
+        raise  # run() ends a closed pipe quietly
+    except (NoEquilibriumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

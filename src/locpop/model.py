@@ -185,9 +185,6 @@ class EquilibriumProfile:
     def s2(self) -> float:
         return self.outcome.s2
 
-    def as_dict(self) -> dict:
-        return {"x1": self.x1, "x2": self.x2, **self.outcome.as_dict()}
-
 
 @dataclass(frozen=True)
 class EquilibriumCount:
@@ -231,27 +228,48 @@ def _clip_unit(value: float) -> float:
     return 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
 
 
+def _condition_gaps(a: float, x1: float, x2: float):
+    """Signed slack of the existence conditions at x1 <= x2 (floats or
+    arrays, broadcast together), zero where one is tight: ``x2 - x1 - a``
+    (the band: gap within a at <= 0), ``x2 - (1 - 2a) x1 - a`` (kind II
+    exists at >= 0) and ``x1 - (1 - 2a) x2 - a`` (kind IV exists at <= 0).
+
+    Both enumerations decide existence by these signs (band > 0, ii >= 0,
+    iv <= 0). With gradual underflow the double ``t - a`` is zero only
+    when t equals a and otherwise has the sign of the exact difference, so
+    each sign test decides as the comparison ``t > a``, ``a <= t`` or
+    ``t <= a`` on the same rounded t."""
+    one_minus_2a = 1.0 - 2.0 * a
+    return x2 - x1 - a, x2 - one_minus_2a * x1 - a, x1 - one_minus_2a * x2 - a
+
+
+def _split_shares(a: float, x1: float, x2: float):
+    """Firm 1's unclipped shares in kind II, kind IV and the interior split
+    (III, or UNIQUE beyond the band) at x1 <= x2, floats or arrays."""
+    gap = x2 - x1
+    return 0.5 - gap / (2.0 * a), 0.5 + gap / (2.0 * a), (x1 + x2 - a) / (2.0 * (1.0 - a))
+
+
 def _equilibria(a: float, x1: float, x2: float):
     """Closed-form equilibrium list as (kind, s1) tuples, sorted by s1.
 
-    Internal lean path shared by the public API and the hot loops in the
-    deviation searches; assumes x1 <= x2 and a in (0, 1). The kind II/IV
-    tests inline :func:`_condition_gaps` for speed.
+    Internal lean path shared by the public API and the deviation
+    searches; assumes x1 <= x2 and a in (0, 1). Existence is read from the
+    signs of :func:`_condition_gaps` and shares from :func:`_split_shares`,
+    the arithmetic :func:`_equilibria_array` runs too.
     """
-    gap = x2 - x1
-    if gap > a:
-        return ((Kind.UNIQUE, _clip_unit((x1 + x2 - a) / (2.0 * (1.0 - a)))),)
-
-    one_minus_2a = 1.0 - 2.0 * a
-    has_ii = a <= x2 - one_minus_2a * x1
-    has_iv = x1 - one_minus_2a * x2 <= a
+    band, ii, iv = _condition_gaps(a, x1, x2)
+    low, high, interior = _split_shares(a, x1, x2)
+    if band > 0.0:
+        return ((Kind.UNIQUE, _clip_unit(interior)),)
+    has_ii, has_iv = ii >= 0.0, iv <= 0.0
     found = [(Kind.I, 0.0), (Kind.V, 1.0)]
     if has_ii:
-        found.append((Kind.II, _clip_unit(0.5 - gap / (2.0 * a))))
+        found.append((Kind.II, _clip_unit(low)))
     if has_iv:
-        found.append((Kind.IV, _clip_unit(0.5 + gap / (2.0 * a))))
+        found.append((Kind.IV, _clip_unit(high)))
     if has_ii and has_iv:
-        found.append((Kind.III, _clip_unit((x1 + x2 - a) / (2.0 * (1.0 - a)))))
+        found.append((Kind.III, _clip_unit(interior)))
     # kind order is the share order only in exact arithmetic: at a = 0.5 and
     # (0.08, 0.5), III = 0.07999999999999996 falls below II = 0.08000000000000002
     found.sort(key=lambda item: (item[1], _KIND_RANK[item[0]]))
@@ -265,21 +283,22 @@ def _equilibria_array(a: float, x1, x2):
     ``shares`` has a trailing axis of five slots holding firm 1's share in
     kinds I..V in that order, NaN where a kind is absent; where ``unique``
     (the gap exceeds ``a``) the UNIQUE split sits alone in the III slot.
-    The arithmetic is the scalar function's, so every share agrees bit for
-    bit, and a stable argsort along the slots reproduces its (share, kind)
-    order, ties and the a = 1/2 inversion of II and III included.
+    Existence and shares come from the helpers the scalar function reads,
+    so every decision and share agrees bit for bit; only the selection
+    differs, masks and slots instead of branches. A stable argsort along
+    the slots reproduces its (share, kind) order, ties and the a = 1/2
+    inversion of II and III included.
     """
-    gap = np.subtract(x2, x1)
-    unique = gap > a
-    one_minus_2a = 1.0 - 2.0 * a
-    has_ii = ~unique & (a <= x2 - one_minus_2a * x1)
-    has_iv = ~unique & (x1 - one_minus_2a * x2 <= a)
-    interior = (np.add(x1, x2) - a) / (2.0 * (1.0 - a))
+    band, ii, iv = _condition_gaps(a, x1, x2)
+    low, high, interior = _split_shares(a, x1, x2)
+    unique = np.greater(band, 0.0)  # a numpy bool even for floats, so ~ negates it
+    has_ii = ~unique & (ii >= 0.0)
+    has_iv = ~unique & (iv <= 0.0)
     shares = np.stack([
         np.where(unique, np.nan, 0.0),
-        np.where(has_ii, _clip_unit_array(0.5 - gap / (2.0 * a)), np.nan),
+        np.where(has_ii, _clip_unit_array(low), np.nan),
         np.where(unique | (has_ii & has_iv), _clip_unit_array(interior), np.nan),
-        np.where(has_iv, _clip_unit_array(0.5 + gap / (2.0 * a)), np.nan),
+        np.where(has_iv, _clip_unit_array(high), np.nan),
         np.where(unique, np.nan, 1.0),
     ], axis=-1)
     return shares, unique
@@ -292,15 +311,6 @@ def _clip_unit_array(values):
 
 # Kind held by each slot of _equilibria_array (where unique, III is UNIQUE).
 _SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V], dtype=object)
-
-
-def _condition_gaps(a: float, x1: float, x2: float):
-    """Signed slack of the existence conditions at x1 <= x2, zero where one
-    is tight: ``x2 - x1 - a`` (the band: gap within a at <= 0),
-    ``x2 - (1 - 2a) x1 - a`` (kind II exists at >= 0) and
-    ``x1 - (1 - 2a) x2 - a`` (kind IV exists at <= 0)."""
-    one_minus_2a = 1.0 - 2.0 * a
-    return x2 - x1 - a, x2 - one_minus_2a * x1 - a, x1 - one_minus_2a * x2 - a
 
 
 def enumerate_market_equilibria(params: GameParams, loc: Locations) -> list:
@@ -334,19 +344,15 @@ def is_market_equilibrium(params: GameParams, loc: Locations, s1: float) -> bool
     """
     if not 0.0 <= s1 <= 1.0:
         raise ValueError(f"s1 must lie in [0, 1], got {s1}")
-    a = params.a
-    if (s1 == 0.0 or s1 == 1.0) and loc.x2 - loc.x1 <= a:
-        return True
-    d = a * (2.0 * s1 - 1.0) + abs(s1 - loc.x2) - abs(s1 - loc.x1)
-    return abs(d) <= SHARE_TOL
+    return _is_split(params.a, loc.x1, loc.x2, s1)
 
 
-def _is_market_equilibrium_array(a: float, x1, x2, s1):
-    """Array form of :func:`is_market_equilibrium`'s test at x1 <= x2, for
-    cuts s1 already known to lie in [0, 1]."""
-    edge = ((s1 == 0.0) | (s1 == 1.0)) & (np.subtract(x2, x1) <= a)
-    d = a * (2.0 * s1 - 1.0) + np.abs(s1 - x2) - np.abs(s1 - x1)
-    return edge | (np.abs(d) <= SHARE_TOL)
+def _is_split(a: float, x1, x2, s1):
+    """:func:`is_market_equilibrium`'s test at x1 <= x2 for cuts s1 already
+    known to lie in [0, 1]: a Python bool for floats, a boolean array for
+    arrays (broadcast together)."""
+    edge = ((s1 == 0.0) | (s1 == 1.0)) & (x2 - x1 <= a)
+    return edge | (abs(a * (2.0 * s1 - 1.0) + abs(s1 - x2) - abs(s1 - x1)) <= SHARE_TOL)
 
 
 def market_equilibrium_count(params: GameParams, loc: Locations) -> EquilibriumCount:

@@ -41,7 +41,7 @@ from .model import (
     MarketOutcome,
     _condition_gaps,
     _equilibria_array,
-    _is_market_equilibrium_array,
+    _is_split,
     distinct_shares,
     enumerate_market_equilibria,
     mirror_profile,
@@ -241,7 +241,7 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         x2, s1 = xs[i:][cell], shares[cell, rank]
         kind = _SLOT_KINDS[order[cell, rank]]
         kind[unique[cell]] = Kind.UNIQUE
-        if not _is_market_equilibrium_array(a, x1, x2, s1).all():
+        if not _is_split(a, x1, x2, s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
         # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
         is_ne = ~(s1 < suprema[i:][cell] - NE_TOL) & ~(1.0 - s1 < suprema[i] - NE_TOL)
@@ -252,8 +252,10 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     """All Nash equilibria on an n_locations x n_locations location grid.
 
     Every cell with x1 <= x2 is enumerated and each market equilibrium
-    kept iff the Nash decision accepts it, in enumeration order. Feeds
-    the figure emitters and the diameter-bound checks.
+    kept iff the Nash decision accepts it, in enumeration order, as
+    profiles. The neutral and optimistic region suites read this list;
+    the figure emitters and the pessimistic-region suite, with its
+    diameter-bound checks, read :func:`_region_scan` directly.
     """
     return [
         EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))

@@ -70,9 +70,6 @@ class ProfileWelfare:
     profile: EquilibriumProfile
     welfare: float
 
-    def as_dict(self) -> dict:
-        return {**self.profile.as_dict(), "welfare": self.welfare}
-
 
 @dataclass(frozen=True)
 class RatioReport:
@@ -81,13 +78,6 @@ class RatioReport:
     value: float
     optimum: OptimumPoint
     extremal_ne: ProfileWelfare
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "optimum": self.optimum.as_dict(),
-            "extremal_ne": self.extremal_ne.as_dict(),
-        }
 
 
 def _abs_distance_integral(alpha: float, beta: float, x: float) -> float:
@@ -278,8 +268,7 @@ def poa_minimizer_pessimistic(theta: float) -> float:
     raises RuntimeError on failure. At theta = 1 this is
     (sqrt(57) - 7)/4, about 0.137, with PoA about 1.159.
     """
-    if not (math.isfinite(theta) and theta >= 1.0):
-        raise ValueError(f"theta must be finite and >= 1, got {theta}")
+    GameParams(0.5, theta)  # raises on a bad theta
     a_star = (1.0 - 8.0 * theta + math.sqrt(64.0 * theta * theta - 16.0 * theta + 9.0)) / 4.0
     h = min(1e-4, a_star / 2.0)
 

@@ -241,15 +241,17 @@ def test_flag_errors_exit_two(capsys):
     code, out, err = run_cli(capsys, *region, "2002")
     assert code == 2 and out == "" and "must be at most 2001" in err
     assert build_parser().parse_args([*region, "2001"]).grid_locations == 2001
-    # verify's grid sizes: parsed only, so no array of that size is built
+    # the grids of verify and symmetric-region: parsed only, so no array
+    # of that size is built
     parser = build_parser()
-    for flag, dest in (("--grid-locations", "grid_locations"),
-                       ("--grid-shares", "grid_shares")):
+    for argv, dest in ((("verify", "--grid-locations"), "grid_locations"),
+                       (("verify", "--grid-shares"), "grid_shares"),
+                       (("symmetric-region", "--a", "0.5", "--grid-locations"), "grid_locations")):
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["verify", flag, "1000001"])
+            parser.parse_args([*argv, "1000001"])
         assert exc.value.code == 2
         assert "must be at most 1000000" in capsys.readouterr().err
-        assert getattr(parser.parse_args(["verify", flag, "1000000"]), dest) == 10**6
+        assert getattr(parser.parse_args([*argv, "1000000"]), dest) == 10**6
 
 
 def test_json_output_is_strict():
@@ -578,7 +580,36 @@ def test_closed_stdout_pipe_exits_without_traceback(argv, unbuffered):
     finally:
         proc.kill()
         proc.wait()
-    assert "Traceback" not in err, err
+        proc.stderr.close()
+    assert err == "", err  # neither a traceback nor an error line
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("file", ("figures", "--out", "{target}")),
+    ("directory", ("nash-region", "--a", "0.5", "--behavior", "pessimistic",
+                   "--out", "{target}")),
+    ("file", ("market-eq", "--a", "0.3", "--x1", "0.2", "--x2", "0.4",
+              "--out", "{target}/x.json")),
+], ids=["figures into a file", "nash-region onto a directory", "market-eq below a file"])
+def test_failed_write_exits_one(target, argv, tmp_path):
+    path = tmp_path / "taken"
+    if target == "file":
+        path.write_text("")
+    else:
+        path.mkdir()
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from locpop.cli import run; run()",
+         *(arg.format(target=path) for arg in argv)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_import_does_not_load_scipy():

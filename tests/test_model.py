@@ -1,5 +1,7 @@
 """Tests for the market-equilibrium model and its closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -243,6 +245,45 @@ def test_equilibria_array_matches_scalar(a, p, q):
             for slot in order if not np.isnan(shares[slot])
         ]
         assert found == [(kind, repr(s1)) for kind, s1 in _equilibria(a, x1, x2)]
+
+
+def _paper_kinds(a, x1, x2):
+    """Kinds at x1 <= x2 by the paper's comparisons, written out here."""
+    if x2 - x1 > a:
+        return {Kind.UNIQUE}
+    has_ii = a <= x2 - (1.0 - 2.0 * a) * x1
+    has_iv = x1 - (1.0 - 2.0 * a) * x2 <= a
+    kinds = {Kind.I, Kind.V}
+    if has_ii:
+        kinds.add(Kind.II)
+    if has_iv:
+        kinds.add(Kind.IV)
+    if has_ii and has_iv:
+        kinds.add(Kind.III)
+    return kinds
+
+
+@pytest.mark.parametrize("a, x1, x2", [
+    (0.25, 0.25, 0.5),      # band: the gap equals a
+    (1.0 - 0.7, 0.7, 1.0),  # band: a is the float gap 1.0 - 0.7
+    (0.3, 0.7, 1.0),        # the float gap 1.0 - 0.7 lies just above a = 0.3
+    (0.5, 0.3, 0.5),        # kind II: x2 = a at a = 1/2
+    (0.5, 0.5, 0.7),        # kind IV: x1 = a at a = 1/2
+    (0.5, 0.5, 0.5),        # both
+])
+def test_existence_at_ties_and_one_ulp_beside(a, x1, x2):
+    """Both enumerations decide each condition as the paper's comparison
+    does, at the tie and one ulp to either side of each location."""
+    for p in (math.nextafter(x1, -1.0), x1, math.nextafter(x1, 2.0)):
+        for q in (math.nextafter(x2, -1.0), x2, math.nextafter(x2, 2.0)):
+            if not 0.0 <= p <= q <= 1.0:
+                continue
+            expected = _paper_kinds(a, p, q)
+            assert {kind for kind, _ in _equilibria(a, p, q)} == expected, (p, q)
+            shares, unique = _equilibria_array(a, p, np.array([q]))
+            slots = np.flatnonzero(~np.isnan(shares[0]))
+            found = {Kind.UNIQUE if unique[0] else _SLOT_KINDS[slot] for slot in slots}
+            assert found == expected, (p, q)
 
 
 def _existence_margin(a, loc):
