@@ -417,6 +417,14 @@ def nash_region_a_half(x1: float, x2: float) -> set:
 _DIAMETER_TOL = 1e-12  # rounding slack of both diameter bounds
 
 
+def _diameter_ok(a: float, x1, x2, s1):
+    """:func:`nash_diameter_bounds_check`'s test at x1 <= x2 and firm 1's
+    share s1: a Python bool for floats, a boolean array for arrays
+    (broadcast together)."""
+    return (x2 - x1 <= a + _DIAMETER_TOL) & (
+        abs((1.0 - s1) - s1) <= a / (1.0 - a) + _DIAMETER_TOL)
+
+
 def nash_diameter_bounds_check(params: GameParams, profile: EquilibriumProfile) -> bool:
     """Diameter bounds every pessimistic NE satisfies.
 
@@ -424,7 +432,4 @@ def nash_diameter_bounds_check(params: GameParams, profile: EquilibriumProfile) 
     ``a / (1 - a)``; both vanish as the externality does. Both bounds
     carry the fixed rounding slack ``_DIAMETER_TOL`` (1e-12).
     """
-    a = params.a
-    if profile.locations.gap > a + _DIAMETER_TOL:
-        return False
-    return abs(profile.s2 - profile.s1) <= a / (1.0 - a) + _DIAMETER_TOL
+    return _diameter_ok(params.a, profile.x1, profile.x2, profile.s1)

@@ -15,8 +15,9 @@ verify            run the oracle cross-check suites; nonzero exit on failure
 
 Output is JSON (one document) or CSV (schema-versioned header); floats
 are formatted to 12 significant digits so identical invocations are
-byte-identical. Files are written atomically. CSV tables are streamed
-in chunks of rows as they are computed; a JSON document is built whole.
+byte-identical. Files are written atomically. Tables, CSV or the rows
+of a JSON document, are streamed in chunks of rows as they are computed,
+so no table is ever held whole.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ REGION_GRID_MAX = 2001
 GRID_MAX = 10**6  # verify and symmetric-region build an array per grid
 REGION_HEADER = ("a", "x1", "x2", "kind", "s1", "is_ne", "welfare")
 SYMMETRIC_HEADER = ("a", "x1", "s1")
-CSV_CHUNK_ROWS = 4096  # rows formatted per piece of a streamed CSV table
+CHUNK_ROWS = 4096  # rows formatted per piece of a streamed table
 
 
 def _fmt(x) -> str:
@@ -76,7 +77,7 @@ def _csv_chunks(header, rows):
     """The CSV document of ``rows`` (tuples) under ``header``, in pieces.
 
     Yields the schema and header lines, then the text of at most
-    ``CSV_CHUNK_ROWS`` rows per piece, taking rows from ``rows`` only as
+    ``CHUNK_ROWS`` rows per piece, taking rows from ``rows`` only as
     each piece is formatted, so the memory held does not grow with the
     table. Each row is formatted by one ``%``-template built from the
     first row: ``%.12g`` (the digits of :func:`_fmt`) for a float field,
@@ -90,10 +91,39 @@ def _csv_chunks(header, rows):
     if first is None:
         return
     template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first) + "\n"
-    chunk = [first, *islice(rows, CSV_CHUNK_ROWS - 1)]
+    # each row is formatted as it is taken, so no piece holds its row tuples
+    text = template % first + "".join(map(template.__mod__, islice(rows, CHUNK_ROWS - 1)))
+    while text:  # a formatted row is never empty: "" means no rows were left
+        yield text
+        text = "".join(map(template.__mod__, islice(rows, CHUNK_ROWS)))
+
+
+def _json_chunks(header, rows, meta):
+    """:func:`_json_doc` of ``meta`` followed by the key ``"rows"``, the
+    list of ``rows`` (tuples) keyed by ``header``, in pieces.
+
+    The rows are encoded ``CHUNK_ROWS`` at a time, each piece as the list
+    of its rows at the nesting depth of the whole document, taking rows
+    from ``rows`` only as each piece is encoded, so the memory held does
+    not grow with the table. The pieces join to the bytes of the document
+    built whole.
+    """
+    empty = _json_doc({**meta, "rows": []})
+    rows = iter(rows)
+    chunk = list(islice(rows, CHUNK_ROWS))
+    if not chunk:
+        yield empty
+        return
+    yield empty[:-len("]\n}\n")] + "\n"  # up to '"rows": [' and its line break
+    separator = ""
     while chunk:
-        yield "".join(map(template.__mod__, chunk))
-        chunk = list(islice(rows, CSV_CHUNK_ROWS))
+        # the list alone, without its brackets, indented one level deeper
+        text = json.dumps(_round_floats([dict(zip(header, r)) for r in chunk]),
+                          indent=2, allow_nan=False)
+        yield separator + "  " + text[2:-2].replace("\n", "\n  ")
+        separator = ",\n"
+        chunk = list(islice(rows, CHUNK_ROWS))
+    yield "\n  ]\n}\n"
 
 
 def _atomic_write(path: str, chunks):
@@ -117,11 +147,11 @@ def _atomic_write(path: str, chunks):
 def _emit(args, header, rows, payload=None, **meta):
     """Write a result in ``args.format`` to ``args.out`` or stdout.
 
-    CSV: ``rows`` under ``header``, written chunk by chunk as the rows are
-    generated (:func:`_csv_chunks`), so its memory does not depend on the
-    table size. JSON: one document, ``payload`` when given, else the rows
-    keyed by ``header`` after the ``meta`` keys, written as one chunk.
-    ``--out`` is replaced atomically; stdout keeps the chunks written
+    CSV: ``rows`` under ``header`` (:func:`_csv_chunks`). JSON: one
+    document, ``payload`` when given, else the ``meta`` keys and the rows
+    keyed by ``header`` (:func:`_json_chunks`). Rows are written chunk by
+    chunk as they are generated, so memory does not depend on the table
+    size. ``--out`` is replaced atomically; stdout keeps the chunks written
     before a failure, so every input check must run before this call.
     """
     if args.format == "csv":
@@ -129,7 +159,7 @@ def _emit(args, header, rows, payload=None, **meta):
     elif payload is not None:
         chunks = (_json_doc(payload),)
     else:
-        chunks = (_json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]}),)
+        chunks = _json_chunks(header, rows, meta)
     if getattr(args, "out", None):
         _atomic_write(args.out, chunks)
     elif isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
@@ -230,10 +260,11 @@ def _cmd_nash_check(args) -> int:
 
 def _region_rows(params, behavior, n_locations):
     """REGION_HEADER rows of the region scan, one per market equilibrium,
-    generated one grid row at a time, so no list of every row is built."""
+    generated one block of the scan at a time, so no list of every row is
+    built."""
     for x1, x2, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
         welfare = _consumer_welfare_array(params, x1, x2, s1)
-        yield from zip(repeat(params.a), repeat(x1), x2.tolist(), [k.value for k in kind],
+        yield from zip(repeat(params.a), x1.tolist(), x2.tolist(), [k.value for k in kind],
                        s1.tolist(), is_ne.astype(int).tolist(), welfare.tolist())
 
 
@@ -403,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("nash-region", help="NE scan over the location grid")
     _add_common(s, needs_behavior=True)
-    # the scan is O(n^2) in time and output size; CSV streams, so its
-    # memory does not grow with n (JSON is built as one document)
+    # the scan is O(n^2) in time and output size; both formats stream, so
+    # memory does not grow with n
     s.add_argument("--grid-locations", type=_bounded(2, REGION_GRID_MAX),
                    default=REGION_GRID_DEFAULT)
     s.set_defaults(func=_cmd_nash_region, format="csv")

@@ -5,7 +5,7 @@ market-equilibrium oracle checks the defining utility inequalities at
 every grid consumer for every candidate split, the deviation oracle
 maximizes over a location grid, the welfare optimum oracle exhaustively
 searches the (x1, x2, s1) box, and the region scan decides every market
-equilibrium of every grid cell, one array row of cells at a time, by the
+equilibrium of every grid cell, one block of grid rows at a time, by the
 same arithmetic as the scalar Nash decision. These routines certify the
 closed forms within principled grid tolerances; they are the provenance
 for the frozen expected values in the test suite.
@@ -27,9 +27,9 @@ from .behaviors import (
     BehaviorKind,
     _check_deviation_args,
     _deviation_values,
+    _diameter_ok,
     _supremum,
     best_deviation,
-    nash_diameter_bounds_check,
     pessimistic_nash_interval,
 )
 from .model import (
@@ -44,7 +44,6 @@ from .model import (
     _is_split,
     distinct_shares,
     enumerate_market_equilibria,
-    mirror_profile,
 )
 from .welfare import OptimumPoint, social_optimum
 
@@ -70,9 +69,9 @@ class GridSpec:
     its left and every cut inside (0, 1) has a consumer half a cell
     either side.
 
-    The grid-only arrays of the market-equilibrium oracle are built once
-    per instance, on first use, and are read-only; equality and hashing
-    see only the two resolutions.
+    The grid-only arrays of the market-equilibrium and social-optimum
+    oracles are built once per instance, on first use, and are read-only;
+    equality and hashing see only the two resolutions.
     """
 
     n_locations: int = 2001
@@ -91,9 +90,31 @@ class GridSpec:
         consumers = (np.arange(n) + 0.5) / n
         candidates = np.linspace(0.0, 1.0, self.n_shares)
         sign = 2.0 * candidates - 1.0
-        for array in (consumers, candidates, sign):
-            array.flags.writeable = False
-        return consumers, candidates, sign
+        return _read_only(consumers, candidates, sign)
+
+    @cached_property
+    def _optimum_grid(self):
+        """(xs, ss, i1, i2, left, right) of :func:`oracle_social_optimum`:
+        the location and share grids, and for each share s1 the index of the
+        x1 minimizing the distance integral over [0, s1] and of the x2
+        minimizing it over [s1, 1], with those two minima."""
+        xs = np.linspace(0.0, 1.0, self.n_locations)
+        ss = np.linspace(0.0, 1.0, self.n_shares)
+        s_col = ss[:, None]
+        rows = np.arange(self.n_shares)
+        left = _segment_distance(np.zeros_like(s_col), s_col, xs[None, :])
+        i1 = np.argmin(left, axis=1)
+        left = left[rows, i1]
+        right = _segment_distance(s_col, np.ones_like(s_col), xs[None, :])
+        i2 = np.argmin(right, axis=1)
+        right = right[rows, i2]
+        return _read_only(xs, ss, i1, i2, left, right)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec) -> list:
@@ -197,54 +218,59 @@ def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
     can be minimized independently; the search is effectively
     n_shares * n_locations instead of cubic. Ties resolve to the
     smallest grid location, which reports the idle firm at 0 in the
-    concentrated regime.
+    concentrated regime. Only the popularity term depends on ``params``;
+    the minimized distance integrals come from ``grid``, built once.
     """
-    xs = np.linspace(0.0, 1.0, grid.n_locations)
-    ss = np.linspace(0.0, 1.0, grid.n_shares)
-    s_col = ss[:, None]
-    left = _segment_distance(np.zeros_like(s_col), s_col, xs[None, :])
-    right = _segment_distance(s_col, np.ones_like(s_col), xs[None, :])
-    i1 = np.argmin(left, axis=1)
-    i2 = np.argmin(right, axis=1)
+    xs, ss, i1, i2, left, right = grid._optimum_grid
     popularity = params.a * (ss * ss + (1.0 - ss) ** 2)
-    welfare = (
-        params.theta
-        + popularity
-        - left[np.arange(len(ss)), i1]
-        - right[np.arange(len(ss)), i2]
-    )
+    welfare = params.theta + popularity - left - right
     k = int(np.argmax(welfare))
     return OptimumPoint(float(xs[i1[k]]), float(xs[i2[k]]), float(ss[k]), float(welfare[k]))
 
 
+# Location cells per block of the region scan: enough that numpy's per-call
+# cost is spread over a thousand cells, few enough that a block's arrays and
+# the region rows made from them stay small beside the interpreter (against
+# 1024, 2048 cells raise the peak RSS of `locpop figures` by 0.6 MB and
+# 4096 by 2.6 MB)
+_SCAN_BLOCK_CELLS = 1024
+
+
 def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
     """Every profile on the n_locations x n_locations grid with x1 <= x2 and
-    its Nash verdict, one grid row of x1 at a time.
+    its Nash verdict, one block of consecutive grid rows of x1 at a time.
 
-    Yields ``(x1, x2, kind, s1, is_ne)`` per row: the float x1 and arrays
-    with one entry per market equilibrium, cells in increasing x2 and each
-    cell's splits in the order of :func:`enumerate_market_equilibria`.
-    ``is_ne`` is :func:`is_nash`'s verdict by its own arithmetic: each
-    firm's share against the supremum of its best deviation, read from one
-    array of suprema over the grid values of the opponent. Raises
-    ValueError where ``is_nash`` would: a split that fails the
-    market-equilibrium test.
+    A block has max(1, ``_SCAN_BLOCK_CELLS`` // n_locations) rows, so its
+    size does not grow with the grid. Yields ``(x1, x2, kind, s1, is_ne)``
+    per block: arrays with one entry per market equilibrium, cells in
+    increasing x1 then x2 and each cell's splits in the order of
+    :func:`enumerate_market_equilibria`. ``is_ne`` is :func:`is_nash`'s
+    verdict by its own arithmetic: each firm's share against the supremum
+    of its best deviation, read from one array of suprema over the grid
+    values of the opponent. Raises ValueError where ``is_nash`` would: a
+    split that fails the market-equilibrium test.
     """
     a = params.a
     xs = np.linspace(0.0, 1.0, n_locations)
     suprema = np.array([_supremum(a, behavior, x)[1] for x in xs.tolist()])
-    for i, x1 in enumerate(xs.tolist()):
-        shares, unique = _equilibria_array(a, x1, xs[i:])
+    index = np.arange(n_locations)
+    rows = max(1, _SCAN_BLOCK_CELLS // n_locations)
+    for first in range(0, n_locations, rows):
+        # the cells (i, j), j >= i, of rows first.., in row-major order
+        i, j = np.nonzero(index[first:first + rows, None] <= index)
+        i += first
+        shares, unique = _equilibria_array(a, xs[i], xs[j])
         order = np.argsort(shares, axis=1, kind="stable")
         shares = np.take_along_axis(shares, order, axis=1)
         cell, rank = np.nonzero(~np.isnan(shares))
-        x2, s1 = xs[i:][cell], shares[cell, rank]
+        i, j = i[cell], j[cell]
+        x1, x2, s1 = xs[i], xs[j], shares[cell, rank]
         kind = _SLOT_KINDS[order[cell, rank]]
         kind[unique[cell]] = Kind.UNIQUE
         if not _is_split(a, x1, x2, s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
         # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
-        is_ne = ~(s1 < suprema[i:][cell] - NE_TOL) & ~(1.0 - s1 < suprema[i] - NE_TOL)
+        is_ne = ~(s1 < suprema[j] - NE_TOL) & ~(1.0 - s1 < suprema[i] - NE_TOL)
         yield x1, x2, kind, s1, is_ne
 
 
@@ -259,8 +285,9 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     """
     return [
         EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
-        for x1, x2s, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
-        for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist())
+        for x1s, x2s, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
+        for x1, x2, kind, s1 in zip(
+            x1s[is_ne].tolist(), x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist())
     ]
 
 
@@ -288,6 +315,7 @@ def oracle_consumer_welfare(
 # verify suites: each returns (ok, detail) for verify_suites to yield
 
 _REGION_GRID = GridSpec(n_locations=101)
+_OPTIMUM_GRID = GridSpec(n_locations=201, n_shares=201)
 
 
 def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
@@ -354,7 +382,7 @@ def _social_optimum_suite(theta: float):
     for a in np.arange(1, 20) * 0.05:
         params = GameParams(float(a), theta)
         closed = social_optimum(params)[0].welfare
-        found = oracle_social_optimum(params, GridSpec(n_locations=201, n_shares=201))
+        found = oracle_social_optimum(params, _OPTIMUM_GRID)
         worst_gap = max(worst_gap, abs(found.welfare - closed))
     return worst_gap <= 1e-3, f"max |grid - closed| welfare gap {worst_gap:.2e}"
 
@@ -363,12 +391,13 @@ def _pessimistic_region_suite(theta: float):
     """The pessimistic region scan against :func:`pessimistic_nash_interval`
     and the diameter bounds at three externality levels.
 
-    Returns ``(ok, detail, half_profiles)``: the third item is the scan's
-    NE profiles at a = 0.5, which :func:`_mirror_symmetry_suite` reflects.
+    Returns ``(ok, detail, half_ne)``: the third item is the scan's NE at
+    a = 0.5 as arrays ``(x1, x2, s1)``, which :func:`_mirror_symmetry_suite`
+    reflects.
     """
     xs = np.linspace(0.0, 1.0, _REGION_GRID.n_locations)
     disagreements = 0
-    half_profiles = []
+    half_ne = []
     for a in (0.2, 0.5, 0.8):
         params = GameParams(a, theta)
         # lo depends on x2 only and hi on x1 only: one interval per grid value
@@ -381,28 +410,29 @@ def _pessimistic_region_suite(theta: float):
                                 (np.minimum(hi, 1.0), 1.0 - suprema)):
             disagreements += int(np.count_nonzero(np.abs(bound - supremum) > 1e-12))
         lo, hi = lo - NE_TOL, hi + NE_TOL
-        scan = _region_scan(params, BehaviorKind.PESSIMISTIC, _REGION_GRID.n_locations)
-        for i, (x1, x2s, kinds, s1s, is_ne) in enumerate(scan):
-            # NashInterval.contains, one row of cells at a time
-            inside = (lo[np.searchsorted(xs, x2s)] <= s1s) & (s1s <= hi[i])
+        for x1, x2, _, s1, is_ne in _region_scan(
+                params, BehaviorKind.PESSIMISTIC, _REGION_GRID.n_locations):
+            # NashInterval.contains, one block of cells at a time
+            inside = (lo[np.searchsorted(xs, x2)] <= s1) & (s1 <= hi[np.searchsorted(xs, x1)])
             disagreements += int(np.count_nonzero(inside != is_ne))
-            for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist()):
-                profile = EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
-                if not nash_diameter_bounds_check(params, profile):
-                    disagreements += 1
-                if a == 0.5:
-                    half_profiles.append(profile)
+            ne = (x1[is_ne], x2[is_ne], s1[is_ne])
+            disagreements += int(np.count_nonzero(~_diameter_ok(a, *ne)))
+            if a == 0.5:
+                half_ne.append(ne)
     detail = f"3 externality levels on a 101x101 grid, {disagreements} disagreements"
-    return disagreements == 0, detail, half_profiles
+    return disagreements == 0, detail, tuple(map(np.concatenate, zip(*half_ne)))
 
 
-def _mirror_symmetry_suite(half_profiles):
-    """The NE profiles map onto themselves under x -> 1 - x."""
-    mirrored = {(round(p.x1, 9), round(p.x2, 9), round(p.s1, 9)) for p in half_profiles}
-    reflected = {
-        (round(q.x1, 9), round(q.x2, 9), round(q.s1, 9))
-        for q in map(mirror_profile, half_profiles)
-    }
+def _mirror_symmetry_suite(half_ne):
+    """The NE profiles ``(x1, x2, s1)``, as arrays, map onto themselves
+    under x -> 1 - x, compared after rounding to 9 places."""
+    x1, x2, s1 = half_ne
+
+    def rounded(*columns):
+        return set(zip(*([round(v, 9) for v in column.tolist()] for column in columns)))
+
+    mirrored = rounded(x1, x2, s1)
+    reflected = rounded(1.0 - x2, 1.0 - x1, 1.0 - s1)
     return mirrored == reflected, f"{len(mirrored)} pessimistic NE profiles at a=0.5"
 
 
@@ -434,8 +464,8 @@ def verify_suites(theta: float, seed: int, instances: int, grid: GridSpec):
     yield ("market-equilibria", *_market_equilibria_suite(rng, grid, instances))
     yield ("best-deviation", *_best_deviation_suite(rng, grid, max(60, instances // 5)))
     yield ("social-optimum", *_social_optimum_suite(theta))
-    ok, detail, half_profiles = _pessimistic_region_suite(theta)
+    ok, detail, half_ne = _pessimistic_region_suite(theta)
     yield "pessimistic-region", ok, detail
-    yield ("mirror-symmetry", *_mirror_symmetry_suite(half_profiles))
+    yield ("mirror-symmetry", *_mirror_symmetry_suite(half_ne))
     yield ("neutral-region", *_neutral_region_suite(theta))
     yield ("optimistic-region", *_optimistic_region_suite(theta))

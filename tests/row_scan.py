@@ -1,0 +1,61 @@
+"""Row-at-a-time reference for the NE region scan.
+
+This is ``oracle._region_scan`` as it was before it scanned in blocks of
+grid rows, kept with its arithmetic unchanged as a test oracle, together
+with its two readers of that time: the region rows of ``locpop
+nash-region`` and the profile list of ``oracle_ne_region_scan``. Each row
+yields the float x1 and arrays over the market equilibria of its cells.
+"""
+
+from itertools import repeat
+
+import numpy as np
+
+from locpop.behaviors import NE_TOL, _supremum
+from locpop.model import (
+    _SLOT_KINDS,
+    EquilibriumProfile,
+    Kind,
+    Locations,
+    MarketOutcome,
+    _equilibria_array,
+    _is_split,
+)
+from locpop.welfare import _consumer_welfare_array
+
+
+def row_region_scan(params, behavior, n_locations):
+    a = params.a
+    xs = np.linspace(0.0, 1.0, n_locations)
+    suprema = np.array([_supremum(a, behavior, x)[1] for x in xs.tolist()])
+    for i, x1 in enumerate(xs.tolist()):
+        shares, unique = _equilibria_array(a, x1, xs[i:])
+        order = np.argsort(shares, axis=1, kind="stable")
+        shares = np.take_along_axis(shares, order, axis=1)
+        cell, rank = np.nonzero(~np.isnan(shares))
+        x2, s1 = xs[i:][cell], shares[cell, rank]
+        kind = _SLOT_KINDS[order[cell, rank]]
+        kind[unique[cell]] = Kind.UNIQUE
+        if not _is_split(a, x1, x2, s1).all():
+            raise ValueError("profile outcome is not a market equilibrium for its locations")
+        is_ne = ~(s1 < suprema[i:][cell] - NE_TOL) & ~(1.0 - s1 < suprema[i] - NE_TOL)
+        yield x1, x2, kind, s1, is_ne
+
+
+def row_region_rows(params, behavior, n_locations):
+    """REGION_HEADER rows, as ``cli._region_rows`` made them row by row."""
+    rows = []
+    for x1, x2, kind, s1, is_ne in row_region_scan(params, behavior, n_locations):
+        welfare = _consumer_welfare_array(params, x1, x2, s1)
+        rows.extend(zip(repeat(params.a), repeat(x1), x2.tolist(), [k.value for k in kind],
+                        s1.tolist(), is_ne.astype(int).tolist(), welfare.tolist()))
+    return rows
+
+
+def row_ne_profiles(params, behavior, n_locations):
+    """The NE profiles, as ``oracle_ne_region_scan`` listed them row by row."""
+    return [
+        EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
+        for x1, x2s, kinds, s1s, is_ne in row_region_scan(params, behavior, n_locations)
+        for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist())
+    ]

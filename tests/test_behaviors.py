@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from locpop import (
     pessimistic_nash_interval,
     symmetric_pessimistic_nash_set,
 )
-from locpop.behaviors import _aggregate, _supremum
+from locpop.behaviors import _aggregate, _diameter_ok, _supremum
 
 import breakpoint_search as search
 
@@ -514,6 +515,35 @@ def test_diameter_bounds():
     assert not nash_diameter_bounds_check(params, wide)
     extreme = EquilibriumProfile(Locations(0.5, 0.5), MarketOutcome(Kind.V, 1.0))
     assert nash_diameter_bounds_check(GameParams(0.5), extreme)  # a/(1-a) = 1
+
+
+# points on or next to each bound: x2 - x1 = a and |1 - 2 s1| = a / (1 - a)
+@st.composite
+def diameter_points(draw, a):
+    x1 = draw(positions)
+    x2 = draw(st.one_of(positions, st.just(x1 + a),
+                        st.just(x1 + a + 1e-12), st.just(x1 + a + 2e-12)))
+    s1 = draw(st.one_of(positions, *(st.just(0.5 - sign * 0.5 * a / (1.0 - a) + nudge)
+                                     for sign in (1.0, -1.0) for nudge in (0.0, 5e-13, 1e-12))))
+    x1, x2 = min(x1, x2), min(max(x1, x2), 1.0)
+    return x1, x2, min(max(s1, 0.0), 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), a=externalities)
+@example(data=None, a=0.5)
+def test_diameter_test_is_one_arithmetic_for_floats_and_arrays(data, a):
+    if data is None:  # a = 1/2: both bounds met with equality at the edges
+        points = [(0.25, 0.75, 0.0), (0.25, 0.75, 1.0), (0.2, 0.7 + 1e-12, 0.5)]
+    else:
+        points = data.draw(st.lists(diameter_points(a), min_size=1, max_size=20))
+    verdicts = [_diameter_ok(a, *point) for point in points]
+    assert all(type(verdict) is bool for verdict in verdicts)
+    x1, x2, s1 = map(np.array, zip(*points))
+    assert _diameter_ok(a, x1, x2, s1).tolist() == verdicts
+    for (p1, p2, ps), verdict in zip(points, verdicts):
+        profile = EquilibriumProfile(Locations(p1, p2), MarketOutcome(Kind.III, ps))
+        assert nash_diameter_bounds_check(GameParams(a), profile) is verdict
 
 
 @settings(max_examples=60, deadline=None)

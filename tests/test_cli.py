@@ -24,6 +24,7 @@ from locpop import (
     Locations,
     MarketOutcome,
     NashInterval,
+    behaviors,
     best_deviation,
     cli,
     consumer_welfare,
@@ -32,7 +33,16 @@ from locpop import (
     oracle,
     verify_suites,
 )
-from locpop.cli import CSV_CHUNK_ROWS, _csv_chunks, _fmt, _region_rows, build_parser, main
+from locpop.cli import (
+    CHUNK_ROWS,
+    _csv_chunks,
+    _fmt,
+    _json_chunks,
+    _json_doc,
+    _region_rows,
+    build_parser,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -258,10 +268,10 @@ def test_flag_errors_exit_two(capsys):
 
 
 def test_json_output_is_strict():
-    from locpop.cli import _json_doc
-
     with pytest.raises(ValueError):
         _json_doc({"welfare": float("nan")})
+    with pytest.raises(ValueError):
+        "".join(_json_chunks(("welfare",), [(0.5,), (float("nan"),)], {}))
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):
@@ -387,19 +397,69 @@ def test_csv_doc_edge_tables():
     assert csv_doc(EDGE_HEADER, iter(EDGE_ROWS)) == csv_doc_reference(EDGE_HEADER, EDGE_ROWS)
 
 
+def json_doc_reference(header, rows, meta):
+    """The JSON row document as it was built whole before it streamed."""
+    return _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]})
+
+
+JSON_ROWS = [
+    (0.1 + 0.2, np.float64(1 / 3), 7, True, "unique"),
+    (1e16, np.float64(-0.0), -3, False, 'a "quote", a \\ and a\nbreak'),
+    (123456789012345.0, np.float64(2.5e-300), 10**20, True, "caf\u00e9"),
+]
+
+
+@pytest.mark.parametrize("meta", [{}, {"behavior": "pessimistic", "theta": 1.0}],
+                         ids=["no meta", "meta"])
+@pytest.mark.parametrize("n_rows", [
+    0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1,
+])
+def test_json_chunks_are_the_whole_document(n_rows, meta):
+    rows = list(islice(cycle(JSON_ROWS), n_rows))
+    chunks = list(_json_chunks(EDGE_HEADER, iter(rows), meta))
+    assert "".join(chunks) == json_doc_reference(EDGE_HEADER, rows, meta)
+    # the opening, one piece per CHUNK_ROWS rows and the closing; or one piece
+    assert len(chunks) == (1 if n_rows == 0 else 2 - (-n_rows // CHUNK_ROWS))
+
+
+@pytest.mark.parametrize("argv", [
+    *[("nash-region", "--a", a, "--behavior", behavior.value, "--grid-locations", "41")
+      for a in ("0.3", "0.5") for behavior in BehaviorKind],
+    ("symmetric-region", "--a", "0.5", "--grid-locations", "101"),
+    ("poa-curve", "--behavior", "pessimistic"),
+], ids=" ".join)
+def test_json_rows_are_the_whole_document(argv, monkeypatch, capsys, tmp_path):
+    tables = []
+
+    def recording(header, rows, meta):
+        rows = list(rows)
+        tables.append((header, rows, meta))
+        return _json_chunks(header, rows, meta)
+
+    monkeypatch.setattr(cli, "_json_chunks", recording)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    [(header, rows, meta)] = tables
+    assert rows
+    assert out == json_doc_reference(header, rows, meta)
+    path = tmp_path / "table.json"
+    assert run_cli(capsys, *argv, "--format", "json", "--out", str(path)) == (0, "", "")
+    assert path.read_text() == out
+
+
 @pytest.mark.parametrize("source", ["list", "generator"])
 @pytest.mark.parametrize("n_rows", [
-    0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1,
+    0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1,
 ])
 def test_csv_chunks_at_chunk_boundaries(n_rows, source):
     rows = list(islice(cycle(EDGE_ROWS), n_rows))
     chunks = list(_csv_chunks(EDGE_HEADER, rows if source == "list" else (r for r in rows)))
     assert "".join(chunks) == csv_doc_reference(EDGE_HEADER, rows)
     # the header lines alone, then full chunks of rows and a shorter last one
-    full, rest = divmod(n_rows, CSV_CHUNK_ROWS)
+    full, rest = divmod(n_rows, CHUNK_ROWS)
     assert chunks[0] == "# schema=1\n" + ",".join(EDGE_HEADER) + "\n"
     sizes = [chunk.count("\n") for chunk in chunks[1:]]
-    assert sizes == [CSV_CHUNK_ROWS] * full + [rest] * (rest > 0)
+    assert sizes == [CHUNK_ROWS] * full + [rest] * (rest > 0)
 
 
 # 300,000 rows make a 19 MB document: a writer that builds the whole document
@@ -425,13 +485,30 @@ def test_csv_memory_stays_bounded(tmp_path, monkeypatch):
         assert sum(1 for _ in handle) == n_rows + 2
 
 
+# 20,000 rows make a 3.6 MB document: built whole, with a dict per row, it
+# peaked near 40 MB; streamed, near the encoding of one chunk of rows
+def test_json_memory_stays_bounded(tmp_path):
+    n_rows = 20_000
+    row = (0.5, 0.123456789, 0.876543211, "unique", 0.0411522633, 1, 0.882363809524)
+    path = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        cli._emit(argparse.Namespace(format="json", out=str(path)), cli.REGION_HEADER,
+                  repeat(row, n_rows), behavior="pessimistic", theta=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak
+    assert len(json.loads(path.read_text())["rows"]) == n_rows
+
+
 def test_failed_table_leaves_out_untouched(tmp_path, monkeypatch, capsys):
     path = tmp_path / "symmetric.csv"
     path.write_bytes(b"old bytes\n")
     partial = []
 
     def failing_rows(params, n_points):
-        for i in range(3 * CSV_CHUNK_ROWS + 5):
+        for i in range(3 * CHUNK_ROWS + 5):
             yield params.a, i / n_points, 0.5
         # three chunks have reached the temporary file by now
         partial.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
@@ -491,6 +568,24 @@ ok   neutral-region: NE cells at a=0.3: [(0.5, 0.5)]
 ok   optimistic-region: 0 optimistic NE found at a=0.3
 all verification suites passed
 """
+
+
+VERIFY_SEED_3 = """\
+ok   market-equilibria: 1000 random instances, 0 mismatches
+ok   best-deviation: 200 random instances, 0 mismatches
+ok   social-optimum: max |grid - closed| welfare gap 2.22e-16
+ok   pessimistic-region: 3 externality levels on a 101x101 grid, 0 disagreements
+ok   mirror-symmetry: 2676 pessimistic NE profiles at a=0.5
+ok   neutral-region: NE cells at a=0.3: [(0.5, 0.5)]
+ok   optimistic-region: 0 optimistic NE found at a=0.3
+all verification suites passed
+"""
+
+
+def test_verify_default_run(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--seed", "3")
+    assert code == 0
+    assert out == VERIFY_SEED_3
 
 
 def test_verify_small_run(capsys):
@@ -608,6 +703,19 @@ def test_pessimistic_region_suite_catches_a_moved_bound(shift, disagreements, mo
     monkeypatch.setattr(oracle, "pessimistic_nash_interval", moved)
     ok, detail, _ = oracle._pessimistic_region_suite(1.0)
     assert ok is False
+    assert detail == f"3 externality levels on a 101x101 grid, {disagreements} disagreements"
+
+
+# the diameter bounds as one array test per block: a narrower slack must
+# reject NE profiles that meet a bound, and the counts are those of the
+# per-profile nash_diameter_bounds_check loop the suite ran before; the
+# bounds are necessary conditions only, so a wider slack goes unseen
+@pytest.mark.parametrize("tol, disagreements", [(-1e-3, 203), (-1e-2, 229), (1e-2, 0)],
+                         ids=["narrowed 0.001", "narrowed 0.01", "widened 0.01"])
+def test_pessimistic_region_suite_checks_the_diameter_bounds(tol, disagreements, monkeypatch):
+    monkeypatch.setattr(behaviors, "_DIAMETER_TOL", tol)
+    ok, detail, _ = oracle._pessimistic_region_suite(1.0)
+    assert ok is (disagreements == 0)
     assert detail == f"3 externality levels on a 101x101 grid, {disagreements} disagreements"
 
 

@@ -28,7 +28,11 @@ from locpop import (
     social_optimum,
 )
 from locpop.behaviors import _deviation_value, _deviation_values
-from locpop.oracle import _run_midpoints
+from locpop.cli import _region_rows
+from locpop.oracle import _region_scan, _run_midpoints, _segment_distance
+from locpop.welfare import OptimumPoint
+
+from row_scan import row_ne_profiles, row_region_rows
 
 
 def test_gridspec_validation():
@@ -253,6 +257,59 @@ def test_oracle_social_optimum_both_regimes():
     assert found.s1 in (pytest.approx(0.0, abs=0.01), pytest.approx(1.0, abs=0.01))
 
 
+def per_call_social_optimum(params, grid):
+    """``oracle_social_optimum`` as it was before its grid part was kept
+    per ``GridSpec``: every table built on each call."""
+    xs = np.linspace(0.0, 1.0, grid.n_locations)
+    ss = np.linspace(0.0, 1.0, grid.n_shares)
+    s_col = ss[:, None]
+    left = _segment_distance(np.zeros_like(s_col), s_col, xs[None, :])
+    right = _segment_distance(s_col, np.ones_like(s_col), xs[None, :])
+    i1 = np.argmin(left, axis=1)
+    i2 = np.argmin(right, axis=1)
+    popularity = params.a * (ss * ss + (1.0 - ss) ** 2)
+    welfare = (
+        params.theta
+        + popularity
+        - left[np.arange(len(ss)), i1]
+        - right[np.arange(len(ss)), i2]
+    )
+    k = int(np.argmax(welfare))
+    return OptimumPoint(float(xs[i1[k]]), float(xs[i2[k]]), float(ss[k]), float(welfare[k]))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(201, 201), GridSpec(51, 401), GridSpec(401, 51)],
+                         ids=str)
+def test_oracle_social_optimum_is_the_per_call_computation(grid):
+    for theta in (1.0, 1.5, 3.0):
+        for a in np.arange(1, 20) * 0.05:
+            params = GameParams(float(a), theta)
+            expected = per_call_social_optimum(params, grid)
+            found = oracle_social_optimum(params, grid)
+            assert astuple(found) == astuple(expected)  # field for field, with ==
+            assert repr(found) == repr(expected)
+
+
+def test_oracle_social_optimum_grid_is_built_once_and_read_only():
+    grid = GridSpec(n_locations=31, n_shares=21)
+    oracle_social_optimum(GameParams(0.3), grid)
+    arrays = grid._optimum_grid
+    oracle_social_optimum(GameParams(0.7, 2.0), grid)
+    assert grid._optimum_grid is arrays
+    assert [array.shape for array in arrays] == [(31,), (21,), (21,), (21,), (21,), (21,)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # another instance with the same resolutions is equal but builds its own
+    other = GridSpec(n_locations=31, n_shares=21)
+    assert other == grid and other._optimum_grid is not arrays
+    # verify's suite reads one module-level grid
+    oracle._social_optimum_suite(1.0)
+    assert "_optimum_grid" in vars(oracle._OPTIMUM_GRID)
+    assert oracle._OPTIMUM_GRID == GridSpec(201, 201)
+
+
 def test_oracle_social_optimum_cutoff_degeneracy():
     params = GameParams(0.25)
     found = oracle_social_optimum(params, GridSpec(n_locations=201, n_shares=201))
@@ -296,6 +353,54 @@ def test_region_scan_pessimistic_matches_explicit_map():
         for x2 in xs[i:]:
             expected = nash_region_a_half(float(x1), float(x2))
             assert scanned.get((float(x1), float(x2)), set()) == expected, (x1, x2)
+
+
+# With 1024 cells a block holds max(1, 1024 // n) rows: 2 and 3 fit in one
+# block, 41, 101 and 201 end on a shorter one
+@pytest.mark.parametrize("n_locations", [2, 3, 41, 101, 201])
+@pytest.mark.parametrize("behavior", list(BehaviorKind), ids=lambda b: b.value)
+@pytest.mark.parametrize("a", [0.2, 0.25, 0.5, 0.8])
+def test_block_scan_matches_row_scan(a, behavior, n_locations):
+    params = GameParams(a)
+    rows = list(_region_rows(params, behavior, n_locations))
+    assert list(map(repr, rows)) == list(map(repr, row_region_rows(params, behavior, n_locations)))
+    profiles = oracle_ne_region_scan(params, behavior, GridSpec(n_locations=n_locations))
+    expected = row_ne_profiles(params, behavior, n_locations)
+    assert list(map(repr, profiles)) == list(map(repr, expected))
+
+
+# 128 points fill 16 blocks of 8 rows exactly; 41 points at 16 cells a
+# block take one grid row per block, as any grid beyond 1024 points does
+@pytest.mark.parametrize("n_locations, cells", [(41, 1024), (41, 16), (128, 1024), (201, 1024)])
+def test_block_scan_blocks(n_locations, cells, monkeypatch):
+    monkeypatch.setattr(oracle, "_SCAN_BLOCK_CELLS", cells)
+    rows = max(1, cells // n_locations)
+    xs = np.linspace(0.0, 1.0, n_locations)
+    params = GameParams(0.5)
+    blocks = list(_region_scan(params, BehaviorKind.PESSIMISTIC, n_locations))
+    assert len(blocks) == -(-n_locations // rows)
+    for k, (x1, *_) in enumerate(blocks):
+        assert np.unique(x1).tolist() == xs[k * rows:(k + 1) * rows].tolist()
+    profiles = oracle_ne_region_scan(params, BehaviorKind.PESSIMISTIC, GridSpec(n_locations))
+    expected = row_ne_profiles(params, BehaviorKind.PESSIMISTIC, n_locations)
+    assert list(map(repr, profiles)) == list(map(repr, expected))
+
+
+def test_block_scan_raises_on_a_failing_split(monkeypatch):
+    exact = oracle._is_split
+
+    def failing(a, x1, x2, s1):  # rejects the splits of the cells in rows x1 > 0.6
+        return exact(a, x1, x2, s1) & ~(x1 > 0.6)
+
+    monkeypatch.setattr(oracle, "_is_split", failing)
+    params = GameParams(0.5)
+    for reader in (lambda: list(_region_rows(params, BehaviorKind.PESSIMISTIC, 101)),
+                   lambda: oracle_ne_region_scan(params, BehaviorKind.NEUTRAL, GridSpec(101))):
+        with pytest.raises(ValueError, match="not a market equilibrium for its locations"):
+            reader()
+    # blocks of rows x1 <= 0.6 pass: the scan fails part way through
+    blocks = _region_scan(params, BehaviorKind.PESSIMISTIC, 101)
+    assert next(blocks)[0].max() < 0.6
 
 
 def test_riemann_welfare_agreement():
