@@ -34,6 +34,7 @@ from .model import (
     _equilibria,
     _equilibria_array,
     _merge_close,
+    _share_order,
     distinct_shares,
     enumerate_market_equilibria,
     is_market_equilibrium,
@@ -150,24 +151,29 @@ def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: fl
 
 def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
     """Array form of :func:`_deviation_value` over the deviation locations
-    ``x_dev``, bit for bit: the neutral mean is summed left to right in
-    enumeration order, as ``_aggregate`` does. The minimum and maximum do
-    not depend on slot order, so only the neutral mean sorts the slots."""
+    ``x_dev``, bit for bit. The slots of :func:`_equilibria_array` lead,
+    so the minimum and maximum reduce elementwise over five rows, and the
+    neutral mean adds the rows left to right in the share order of
+    :func:`_share_order`, as ``_aggregate`` sums the enumeration; an
+    absent slot adds an exact 0.0. Only the neutral mean orders the slots:
+    the minimum and maximum do not depend on their order."""
     left = x_dev <= x_other
     shares, _ = _equilibria_array(
         a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))
     if behavior is BehaviorKind.NEUTRAL:
-        shares = np.take_along_axis(shares, np.argsort(shares, axis=-1, kind="stable"), axis=-1)
-    own = np.where(left[..., None], shares, 1.0 - shares)
+        shares, _ = _share_order(shares)
+    own = np.where(left, shares, 1.0 - shares)
+    # fmin / fmax skip NaN, and every cell has a present slot
     if behavior is BehaviorKind.PESSIMISTIC:
-        return np.nanmin(own, axis=-1)
+        return np.fmin.reduce(own, axis=0)
     if behavior is BehaviorKind.OPTIMISTIC:
-        return np.nanmax(own, axis=-1)
-    present = ~np.isnan(own)  # a prefix of the sorted slots
-    total = own[..., 0]
+        return np.fmax.reduce(own, axis=0)
+    present = ~np.isnan(own)
+    own = np.where(present, own, 0.0)
+    total = own[0]
     for slot in range(1, 5):
-        total = total + np.where(present[..., slot], own[..., slot], 0.0)
-    return total / present.sum(axis=-1)
+        total = total + own[slot]
+    return total / present.sum(axis=0)
 
 
 def _check_deviation_args(deviator: int, x_other: float, x_dev: float = 0.0):

@@ -280,14 +280,15 @@ def _equilibria_array(a: float, x1, x2):
     """Array form of :func:`_equilibria` over locations x1 <= x2 (arrays or
     floats, broadcast together): ``(shares, unique)``.
 
-    ``shares`` has a trailing axis of five slots holding firm 1's share in
-    kinds I..V in that order, NaN where a kind is absent; where ``unique``
-    (the gap exceeds ``a``) the UNIQUE split sits alone in the III slot.
-    Existence and shares come from the helpers the scalar function reads,
-    so every decision and share agrees bit for bit; only the selection
-    differs, masks and slots instead of branches. A stable argsort along
-    the slots reproduces its (share, kind) order, ties and the a = 1/2
-    inversion of II and III included.
+    ``shares`` is slot-major, shape ``(5, *broadcast)``: row k holds firm
+    1's share in kind k of I..V, NaN where that kind is absent, so a
+    reduction over the slots runs elementwise on contiguous rows. Where
+    ``unique`` (the gap exceeds ``a``) the UNIQUE split sits alone in the
+    III row. Existence and shares come from the helpers the scalar
+    function reads, so every decision and share agrees bit for bit; only
+    the selection differs, masks and slots instead of branches.
+    :func:`_share_order` puts the slots in its (share, kind) order, ties
+    and the a = 1/2 inversion of II and III included.
     """
     band, ii, iv = _condition_gaps(a, x1, x2)
     low, high, interior = _split_shares(a, x1, x2)
@@ -300,13 +301,38 @@ def _equilibria_array(a: float, x1, x2):
         np.where(unique | (has_ii & has_iv), _clip_unit_array(interior), np.nan),
         np.where(has_iv, _clip_unit_array(high), np.nan),
         np.where(unique, np.nan, 1.0),
-    ], axis=-1)
+    ])
     return shares, unique
 
 
 def _clip_unit_array(values):
     # _clip_unit's own comparisons, so the two agree on every input
     return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+
+
+def _share_order(shares):
+    """The slots of :func:`_equilibria_array` in the order of
+    :func:`_equilibria`, by share with ties by kind: ``(ordered, slots)``,
+    the shares and the slot each came from, both shaped like ``shares``.
+    Absent (NaN) slots stay where they are.
+
+    Only II, III and IV can leave kind order: I (0) and V (1) bound every
+    clipped share, II <= IV always (0.5 -+ the same t), and III exists only
+    with both. So three compare-exchanges of neighbours, II/III, III/IV,
+    II/III, sort them; each swaps only where the later share is strictly
+    below, so ties keep kind order, as a stable sort does, and a NaN, which
+    never compares below or above, never moves.
+    """
+    ordered = shares.copy()
+    slots = np.empty(shares.shape, dtype=np.intp)
+    slots.T[...] = np.arange(5)  # slots[k] = k
+    for lo, hi in ((1, 2), (2, 3), (1, 2)):
+        swap = ordered[hi] < ordered[lo]
+        for array in (ordered, slots):
+            first = array[lo, ...].copy()  # [lo, ...] is a view even for one cell
+            np.copyto(array[lo, ...], array[hi, ...], where=swap)
+            np.copyto(array[hi, ...], first, where=swap)
+    return ordered, slots
 
 
 # Kind held by each slot of _equilibria_array (where unique, III is UNIQUE).

@@ -12,7 +12,11 @@ for the frozen expected values in the test suite.
 
 :func:`verify_suites` runs the seven cross-check suites of ``locpop
 verify`` and yields one ``(suite, ok, detail)`` record per suite; the
-command line only prints them.
+command line only prints them. Each random suite draws all its instances
+in one call and flags each instance as a mismatch or not. The
+market-equilibria suite runs the pointwise test on blocks of instances
+and meets only the passing shares with the closed splits; the
+best-deviation suite calls the deviation oracle once per instance.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .model import (
     _condition_gaps,
     _equilibria_array,
     _is_split,
+    _share_order,
     distinct_shares,
     enumerate_market_equilibria,
 )
@@ -130,37 +135,40 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
     runs of passing candidates are collapsed to their midpoints, returned
     as Python floats in increasing order.
     """
-    return _run_midpoints(*_passing_shares(params, loc, grid))
+    candidates, mask = _passing_shares(params.a, loc.x1, loc.x2, grid)
+    return _run_midpoints(candidates, mask[0])
 
 
-def _share_slack(a: float, grid: GridSpec) -> float:
+def _share_slack(a, grid: GridSpec):
     """Slack of the pointwise test of :func:`oracle_market_equilibria`."""
     return 1e-9 + (1.0 + a) * (1.0 / (grid.n_shares - 1))
 
 
-def _passing_shares(params: GameParams, loc: Locations, grid: GridSpec):
-    """The share grid of :func:`oracle_market_equilibria` and its mask of
-    candidates passing the pointwise test.
+def _passing_shares(a, x1, x2, grid: GridSpec):
+    """The share grid of :func:`oracle_market_equilibria` and, for a block
+    of instances, the mask of candidates passing its pointwise test.
 
-    Only the utility margins depend on the instance; the grid arrays come
-    from ``grid``, built once. Candidate j has consumers 0..j-1 on its
-    left, so the prefix minimum and the suffix maximum of the margins are
-    indexed by candidate. The prefix minimum carries a leading +inf and
-    the suffix maximum a trailing -inf, so the cut at 0 (no consumer on
-    its left) and the cut at 1 (none on its right) read a sentinel that
-    passes that side's test.
+    ``a``, ``x1`` and ``x2`` (x1 <= x2) are floats or 1-D arrays with one
+    entry per instance, broadcast together; the mask has one row per
+    instance. Only the utility margins depend on the instance; the grid
+    arrays come from ``grid``, built once. Candidate j has consumers
+    0..j-1 on its left, so the prefix minimum and the suffix maximum of
+    each row of margins are indexed by candidate. The prefix minimum
+    carries a leading +inf and the suffix maximum a trailing -inf, so the
+    cut at 0 (no consumer on its left) and the cut at 1 (none on its
+    right) read a sentinel that passes that side's test.
     """
-    a = params.a
     consumers, candidates, sign = grid._share_grid
+    a, x1, x2 = (np.reshape(v, (-1, 1)) for v in (a, x1, x2))
     # advantage of firm 1 at share s1: a*(2 s1 - 1) + margin(v)
-    margin = np.abs(consumers - loc.x2) - np.abs(consumers - loc.x1)
-    # prefix_min[j]: least margin left of cut j; suffix_max[j]: greatest right of it
-    prefix_min = np.empty(grid.n_shares)
-    prefix_min[0] = np.inf
-    np.minimum.accumulate(margin, out=prefix_min[1:])
-    suffix_max = np.empty(grid.n_shares)
-    suffix_max[-1] = -np.inf
-    np.maximum.accumulate(margin[::-1], out=suffix_max[-2::-1])
+    margin = np.abs(consumers - x2) - np.abs(consumers - x1)
+    # prefix_min[:, j]: least margin left of cut j; suffix_max[:, j]: greatest right of it
+    prefix_min = np.empty((len(margin), grid.n_shares))
+    prefix_min[:, 0] = np.inf
+    np.minimum.accumulate(margin, axis=1, out=prefix_min[:, 1:])
+    suffix_max = np.empty((len(margin), grid.n_shares))
+    suffix_max[:, -1] = -np.inf
+    np.maximum.accumulate(margin[:, ::-1], axis=1, out=suffix_max[:, -2::-1])
 
     slack = _share_slack(a, grid)
     shift = a * sign
@@ -260,12 +268,12 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         i, j = np.nonzero(index[first:first + rows, None] <= index)
         i += first
         shares, unique = _equilibria_array(a, xs[i], xs[j])
-        order = np.argsort(shares, axis=1, kind="stable")
-        shares = np.take_along_axis(shares, order, axis=1)
-        cell, rank = np.nonzero(~np.isnan(shares))
+        shares, slots = _share_order(shares)
+        # through the transposed view, cells stay in order and splits in share order
+        cell, slot = np.nonzero(~np.isnan(shares.T))
         i, j = i[cell], j[cell]
-        x1, x2, s1 = xs[i], xs[j], shares[cell, rank]
-        kind = _SLOT_KINDS[order[cell, rank]]
+        x1, x2, s1 = xs[i], xs[j], shares[slot, cell]
+        kind = _SLOT_KINDS[slots[slot, cell]]
         kind[unique[cell]] = Kind.UNIQUE
         if not _is_split(a, x1, x2, s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
@@ -318,9 +326,31 @@ _REGION_GRID = GridSpec(n_locations=101)
 _OPTIMUM_GRID = GridSpec(n_locations=201, n_shares=201)
 
 
+# Share-grid cells per block of instances in the market-equilibria suite: 4
+# instances at the default 2001 shares. One instance is too small to spread
+# numpy's per-call cost; a block's temporaries of 16,384 doubles (128 KiB)
+# are too large, as glibc hands the freed top of the heap back to the system
+# and faults it in again on every block (with its trim threshold raised,
+# such blocks ran as fast as 8,192). Medians of eight fresh processes
+# running the suite at 2001 shares, 2 cores: 2,048 cells 123 ms, 4,096
+# 103 ms, 8,192 89 ms, 16,384 134 ms, 32,768 146 ms.
+_MARKET_BLOCK_CELLS = 8192
+
+
 def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
     """Closed-form splits against the passing shares of the
-    market-equilibrium oracle on ``instances`` random (a, x1, x2).
+    market-equilibrium oracle on ``instances`` random (a, x1, x2), drawn
+    per instance as a from uniform(0.02, 0.98), then two uniform(0, 1)
+    locations; see :func:`_market_mismatches`."""
+    draws = rng.uniform([0.02, 0.0, 0.0], [0.98, 1.0, 1.0], size=(instances, 3))
+    x1, x2 = np.sort(draws[:, 1:], axis=1).T
+    mismatches = int(np.count_nonzero(_market_mismatches(draws[:, 0], x1, x2, grid)))
+    return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
+
+
+def _market_mismatches(a, x1, x2, grid: GridSpec):
+    """Per instance (a, x1, x2), whether its closed-form splits disagree with
+    the passing shares of the market-equilibrium oracle, as a bool array.
 
     Firm 1's advantage at a cut s, f(s) = a (2s - 1) + |s - x2| - |s - x1|,
     is piecewise linear, with slope 2 - 2a in magnitude strictly inside
@@ -337,43 +367,61 @@ def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
     The second test is skipped near an existence boundary, where a
     condition gap within slack + 2 spacings lets the adjacent branch pass
     the pointwise test too.
+
+    Instances run through :func:`_passing_shares` in blocks of
+    ``_MARKET_BLOCK_CELLS`` share-grid cells. Only the passing (instance,
+    share) pairs meet the instance's splits, at most five, NaN-padded.
     """
     spacing = 1.0 / (grid.n_shares - 1)
-    mismatches = 0
-    for _ in range(instances):
-        a = float(rng.uniform(0.02, 0.98))
-        x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
-        params = GameParams(a)
-        loc = Locations(float(x1), float(x2))
-        closed = np.array(distinct_shares(enumerate_market_equilibria(params, loc)))
-        candidates, mask = _passing_shares(params, loc, grid)
-        distance = np.abs(candidates[mask][:, None] - closed)
-        ok = (distance <= spacing).any(axis=0).all()
-        slack = _share_slack(a, grid)
-        if ok and min(map(abs, _condition_gaps(a, loc.x1, loc.x2))) > slack + 2.0 * spacing:
-            slope = np.where((loc.x1 < closed) & (closed < loc.x2), 2.0 - 2.0 * a, 2.0 * a)
-            ok = (distance <= (slack + spacing) / slope + spacing).any(axis=1).all()
-        mismatches += not ok
-    return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
+    closed = np.full((len(a), 5), np.nan)
+    for k, (a_k, x1_k, x2_k) in enumerate(zip(a.tolist(), x1.tolist(), x2.tolist())):
+        outcomes = enumerate_market_equilibria(GameParams(a_k), Locations(x1_k, x2_k))
+        shares = distinct_shares(outcomes)
+        closed[k, :len(shares)] = shares
+    rows = max(1, _MARKET_BLOCK_CELLS // grid.n_shares)
+    passing = [np.empty(0, dtype=np.intp)]  # flat indices into (instance, candidate)
+    for first in range(0, len(a), rows):
+        block = slice(first, first + rows)
+        _, mask = _passing_shares(a[block], x1[block], x2[block], grid)
+        passing.append(np.flatnonzero(mask) + first * grid.n_shares)
+    instance, candidate = np.divmod(np.concatenate(passing), grid.n_shares)
+    distance = np.abs(grid._share_grid[1][candidate, None] - closed[instance])
+    covered = np.zeros(closed.shape, dtype=bool)
+    np.logical_or.at(covered, instance, distance <= spacing)
+    missed = ~(covered | np.isnan(closed)).all(axis=1)
+    slack = _share_slack(a, grid)
+    slope = np.where((x1[:, None] < closed) & (closed < x2[:, None]),
+                     2.0 - 2.0 * a[:, None], 2.0 * a[:, None])
+    reach = (slack[:, None] + spacing) / slope + spacing
+    stray = np.bincount(instance[~(distance <= reach[instance]).any(axis=1)], minlength=len(a))
+    far = np.abs(_condition_gaps(a, x1, x2)).min(axis=0) > slack + 2.0 * spacing
+    return missed | (far & (stray > 0))
 
 
 def _best_deviation_suite(rng, grid: GridSpec, instances: int):
-    """Closed-form best deviations against the deviation oracle, within its
-    Lipschitz bound, on ``instances`` random (a, x_other), behaviors in turn."""
-    mismatches = 0
-    behaviors = list(BehaviorKind)
-    for k in range(instances):
-        a = float(rng.uniform(0.05, 0.95))
-        x_other = float(rng.uniform(0.0, 1.0))
-        behavior = behaviors[k % 3]
-        params = GameParams(a)
-        analytic = best_deviation(params, behavior, 1, x_other).payoff
-        _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
-        lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
-        tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
-        if grid_best > analytic + 1e-6 or analytic - grid_best > tol:
-            mismatches += 1
+    """Closed-form best deviations against the deviation oracle on
+    ``instances`` random (a, x_other), drawn per instance from
+    uniform(0.05, 0.95) and uniform(0, 1); see :func:`_deviation_mismatches`."""
+    a, x_other = rng.uniform([0.05, 0.0], [0.95, 1.0], size=(instances, 2)).T
+    mismatches = int(np.count_nonzero(_deviation_mismatches(a, x_other, grid)))
     return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
+
+
+def _deviation_mismatches(a, x_other, grid: GridSpec):
+    """Per instance (a, x_other), behaviors in turn, whether the closed-form
+    best deviation and the deviation oracle's disagree beyond its
+    Lipschitz bound, as a bool array."""
+    behaviors = list(BehaviorKind)
+    mismatch = np.empty(len(a), dtype=bool)
+    for k, (a_k, x) in enumerate(zip(a.tolist(), x_other.tolist())):
+        behavior = behaviors[k % 3]
+        params = GameParams(a_k)
+        analytic = best_deviation(params, behavior, 1, x).payoff
+        _, grid_best = oracle_best_deviation(params, behavior, 1, x, grid)
+        lipschitz = max(1.0 / (1.0 - a_k), 1.0 / (2.0 * a_k))
+        tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
+        mismatch[k] = grid_best > analytic + 1e-6 or analytic - grid_best > tol
+    return mismatch
 
 
 def _social_optimum_suite(theta: float):

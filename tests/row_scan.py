@@ -3,8 +3,10 @@
 This is ``oracle._region_scan`` as it was before it scanned in blocks of
 grid rows, kept with its arithmetic unchanged as a test oracle, together
 with its two readers of that time: the region rows of ``locpop
-nash-region`` and the profile list of ``oracle_ne_region_scan``. Each row
-yields the float x1 and arrays over the market equilibria of its cells.
+nash-region`` and the profile list of ``oracle_ne_region_scan``. It still
+orders each cell's splits by a stable argsort of its slots, where the
+scan now uses ``model._share_order``. Each row yields the float x1 and
+arrays over the market equilibria of its cells.
 """
 
 from itertools import repeat
@@ -30,6 +32,7 @@ def row_region_scan(params, behavior, n_locations):
     suprema = np.array([_supremum(a, behavior, x)[1] for x in xs.tolist()])
     for i, x1 in enumerate(xs.tolist()):
         shares, unique = _equilibria_array(a, x1, xs[i:])
+        shares = np.moveaxis(shares, 0, -1)  # one cell per row, its slots along it
         order = np.argsort(shares, axis=1, kind="stable")
         shares = np.take_along_axis(shares, order, axis=1)
         cell, rank = np.nonzero(~np.isnan(shares))

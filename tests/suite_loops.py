@@ -1,0 +1,69 @@
+"""Instance-at-a-time reference for the two random suites of ``locpop verify``.
+
+These are the market-equilibria and best-deviation suites of
+``oracle.verify_suites`` as they were before the market suite ran in
+blocks of instances, kept with their arithmetic and their draws unchanged
+as a test oracle: each draws its instances one at a time from ``rng`` and
+returns one mismatch flag per instance. The closed-form splits and best
+deviations are looked up in the ``oracle`` namespace, so a test that
+patches them there patches the reference too.
+"""
+
+import numpy as np
+
+from locpop import oracle
+from locpop.behaviors import BehaviorKind
+from locpop.model import GameParams, Locations, _condition_gaps, distinct_shares
+from locpop.oracle import _share_slack, oracle_best_deviation
+
+
+def loop_passing_shares(params, loc, grid):
+    """The share grid and the mask of passing candidates of one instance."""
+    a = params.a
+    consumers, candidates, sign = grid._share_grid
+    margin = np.abs(consumers - loc.x2) - np.abs(consumers - loc.x1)
+    prefix_min = np.empty(grid.n_shares)
+    prefix_min[0] = np.inf
+    np.minimum.accumulate(margin, out=prefix_min[1:])
+    suffix_max = np.empty(grid.n_shares)
+    suffix_max[-1] = -np.inf
+    np.maximum.accumulate(margin[::-1], out=suffix_max[-2::-1])
+    slack = _share_slack(a, grid)
+    shift = a * sign
+    return candidates, (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
+
+
+def loop_market_flags(rng, grid, instances):
+    spacing = 1.0 / (grid.n_shares - 1)
+    flags = []
+    for _ in range(instances):
+        a = float(rng.uniform(0.02, 0.98))
+        x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
+        params = GameParams(a)
+        loc = Locations(float(x1), float(x2))
+        closed = np.array(distinct_shares(oracle.enumerate_market_equilibria(params, loc)))
+        candidates, mask = loop_passing_shares(params, loc, grid)
+        distance = np.abs(candidates[mask][:, None] - closed)
+        ok = (distance <= spacing).any(axis=0).all()
+        slack = _share_slack(a, grid)
+        if ok and min(map(abs, _condition_gaps(a, loc.x1, loc.x2))) > slack + 2.0 * spacing:
+            slope = np.where((loc.x1 < closed) & (closed < loc.x2), 2.0 - 2.0 * a, 2.0 * a)
+            ok = (distance <= (slack + spacing) / slope + spacing).any(axis=1).all()
+        flags.append(not ok)
+    return flags
+
+
+def loop_deviation_flags(rng, grid, instances):
+    flags = []
+    behaviors = list(BehaviorKind)
+    for k in range(instances):
+        a = float(rng.uniform(0.05, 0.95))
+        x_other = float(rng.uniform(0.0, 1.0))
+        behavior = behaviors[k % 3]
+        params = GameParams(a)
+        analytic = oracle.best_deviation(params, behavior, 1, x_other).payoff
+        _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
+        lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
+        tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
+        flags.append(grid_best > analytic + 1e-6 or analytic - grid_best > tol)
+    return flags

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -43,6 +44,8 @@ from locpop.cli import (
     build_parser,
     main,
 )
+
+from suite_loops import loop_deviation_flags, loop_market_flags
 
 
 def run_cli(capsys, *argv):
@@ -462,27 +465,30 @@ def test_csv_chunks_at_chunk_boundaries(n_rows, source):
     assert sizes == [CHUNK_ROWS] * full + [rest] * (rest > 0)
 
 
-# 300,000 rows make a 19 MB document: a writer that builds the whole document
-# first peaks near twice that, a streaming one near the rows of one chunk
+# A streaming writer holds about one chunk of rows however long the table
+# (about 1.0 MB traced here at 3 and at 12 chunks); one that joins the whole
+# document first grows with it (1.6 MB at 3 chunks, 6.4 MB at 12)
 def test_csv_memory_stays_bounded(tmp_path, monkeypatch):
-    n_rows = 300_000
     row = (0.5, 0.123456789, 0.876543211, "unique", 0.0411522633, 1, 0.882363809524)
-    path = tmp_path / "table.csv"
     peaks = {}
     with open(os.devnull, "w") as stdout:
-        for name, out in (("--out", str(path)), ("stdout", None)):
-            monkeypatch.setattr(sys, "stdout", stdout)
-            tracemalloc.start()
-            try:
-                cli._emit(argparse.Namespace(format="csv", out=out), cli.REGION_HEADER,
-                          repeat(row, n_rows))
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-                monkeypatch.undo()
-    assert all(peak < 4 * 2**20 for peak in peaks.values()), peaks
-    with path.open() as handle:
-        assert sum(1 for _ in handle) == n_rows + 2
+        for chunks in (3, 12):
+            path = tmp_path / f"table{chunks}.csv"
+            for name, out in (("--out", str(path)), ("stdout", None)):
+                monkeypatch.setattr(sys, "stdout", stdout)
+                tracemalloc.start()
+                try:
+                    cli._emit(argparse.Namespace(format="csv", out=out), cli.REGION_HEADER,
+                              repeat(row, chunks * CHUNK_ROWS))
+                    peaks[name, chunks] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                    monkeypatch.undo()
+            with path.open() as handle:
+                assert sum(1 for _ in handle) == chunks * CHUNK_ROWS + 2
+    for name in ("--out", "stdout"):
+        assert peaks[name, 12] <= peaks[name, 3] + 128 * 2**10, peaks
+        assert peaks[name, 12] < 4 * 2**20, peaks
 
 
 # 20,000 rows make a 3.6 MB document: built whole, with a dict per row, it
@@ -671,6 +677,94 @@ def test_market_equilibria_suite_at_other_grids(n_shares, seed, instances):
         np.random.default_rng(seed), GridSpec(n_shares=n_shares), instances)
     assert ok is True
     assert detail == f"{instances} random instances, 0 mismatches"
+
+
+def caught(monkeypatch, name):
+    """The (arguments, flags) of every call to ``oracle.<name>`` from now on."""
+    calls = []
+    original = getattr(oracle, name)
+
+    def spy(*args):
+        flags = original(*args)
+        calls.append((args, flags))
+        return flags
+
+    monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 902, 1607])
+def test_random_suites_draw_as_one_call_per_instance(seed, monkeypatch):
+    """The batched draws of both random suites, from one generator in turn,
+    are the doubles of the per-instance calls they replaced."""
+    markets = caught(monkeypatch, "_market_mismatches")
+    deviations = caught(monkeypatch, "_deviation_mismatches")
+    rng = np.random.default_rng(seed)
+    oracle._market_equilibria_suite(rng, GridSpec(2, 2), 1001)
+    oracle._best_deviation_suite(rng, GridSpec(2, 2), 200)
+    reference = np.random.default_rng(seed)
+    expected = []
+    for _ in range(1001):
+        a = float(reference.uniform(0.02, 0.98))
+        x1, x2 = sorted(reference.uniform(0.0, 1.0, size=2))
+        expected.append((a, float(x1), float(x2)))
+    [((a, x1, x2, _), _)] = markets
+    assert list(zip(a.tolist(), x1.tolist(), x2.tolist())) == expected
+    expected = [(float(reference.uniform(0.05, 0.95)), float(reference.uniform(0.0, 1.0)))
+                for _ in range(200)]
+    [((a, x_other, _), _)] = deviations
+    assert list(zip(a.tolist(), x_other.tolist())) == expected
+
+
+SUITE_GRIDS = [GridSpec(2, 2), GridSpec(3, 7), GridSpec(n_shares=201), GridSpec(),
+               GridSpec(n_shares=4001)]
+
+
+# 1001 instances end on a partial block at every grid; shifted interior
+# splits make the flags differ from instance to instance (at 1e-3, 865 of
+# 1001 are flagged at 2001 shares; at 1e-2, 201 shares flag some too)
+@pytest.mark.parametrize("grid", SUITE_GRIDS, ids=lambda g: f"{g.n_locations}x{g.n_shares}")
+@pytest.mark.parametrize("instances", [0, 1, 7, 1001])
+def test_market_equilibria_suite_matches_the_instance_loop(grid, instances, monkeypatch):
+    exact = oracle.enumerate_market_equilibria
+    shift = 0.0
+
+    def moved(params, loc):
+        return [o if o.kind in (Kind.I, Kind.V)
+                else MarketOutcome(o.kind, min(max(o.s1 + shift, 0.0), 1.0))
+                for o in exact(params, loc)]
+
+    monkeypatch.setattr(oracle, "enumerate_market_equilibria", moved)
+    calls = caught(monkeypatch, "_market_mismatches")
+    for shift in (0.0, -1e-3, 1e-3, -2e-3, 2e-3, 1e-2):
+        calls.clear()
+        _, detail = oracle._market_equilibria_suite(np.random.default_rng(7), grid, instances)
+        [(_, flags)] = calls
+        expected = loop_market_flags(np.random.default_rng(7), grid, instances)
+        assert flags.tolist() == expected, shift
+        assert detail == f"{instances} random instances, {sum(expected)} mismatches"
+
+
+# the suite reads only n_locations of its grid
+@pytest.mark.parametrize("grid", SUITE_GRIDS[:3], ids=lambda g: f"{g.n_locations}x{g.n_shares}")
+@pytest.mark.parametrize("instances", [0, 1, 7, 1001])
+def test_best_deviation_suite_matches_the_instance_loop(grid, instances, monkeypatch):
+    exact = oracle.best_deviation
+    raise_by = 0.0
+
+    def raised(params, behavior, deviator, x_other):
+        report = exact(params, behavior, deviator, x_other)
+        return dataclasses.replace(report, payoff=report.payoff + raise_by)
+
+    monkeypatch.setattr(oracle, "best_deviation", raised)
+    calls = caught(monkeypatch, "_deviation_mismatches")
+    for raise_by in (0.0, 3e-3):
+        calls.clear()
+        _, detail = oracle._best_deviation_suite(np.random.default_rng(7), grid, instances)
+        [(_, flags)] = calls
+        expected = loop_deviation_flags(np.random.default_rng(7), grid, instances)
+        assert flags.tolist() == expected, raise_by
+        assert detail == f"{instances} random instances, {sum(expected)} mismatches"
 
 
 @pytest.mark.parametrize("argv", [

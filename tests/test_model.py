@@ -28,6 +28,7 @@ from locpop.model import (
     _condition_gaps,
     _equilibria,
     _equilibria_array,
+    _share_order,
     _split_shares,
 )
 
@@ -245,7 +246,7 @@ def test_equilibria_array_matches_scalar(a, p, q):
     # the cell alone, and inside a row of cells as a region scan passes it
     for x2s, at in ((x2, ()), (np.array([x1, x2, 1.0]), 1)):
         shares, unique = _equilibria_array(a, x1, x2s)
-        shares, unique = shares[at], unique[at]
+        shares, unique = np.moveaxis(shares, 0, -1)[at], unique[at]
         order = np.argsort(shares, kind="stable")
         found = [
             (Kind.UNIQUE if unique else _SLOT_KINDS[slot], repr(float(shares[slot])))
@@ -306,6 +307,41 @@ def test_equilibria_order_matches_keyed_sort(instance):
     assert found == keyed_sort_reference(a, x1, x2)
 
 
+def stable_argsort_reference(shares):
+    """The present slots of one cell of ``_equilibria_array`` as
+    (slot, repr(share)), in the order of a stable argsort of its slots."""
+    return [(int(slot), repr(float(shares[slot])))
+            for slot in np.argsort(shares, kind="stable") if not np.isnan(shares[slot])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=boundary_heavy())
+@example(instance=(0.5, 0.08, 0.5))     # III rounds below II
+@example(instance=(0.25, 0.525, 0.55))  # IV rounds below III
+@example(instance=(0.5, 0.5, 0.5))      # II, III and IV all at one half
+def test_share_order_is_a_stable_argsort(instance):
+    """The cell as floats, then a row of deviations against each firm, as
+    _deviation_values passes them: a grid, both locations, the band edges
+    around each, each one ulp either way."""
+    a, x1, x2 = instance
+    shares, _ = _equilibria_array(a, x1, x2)
+    ordered, slots = _share_order(shares)
+    present = ~np.isnan(ordered)
+    found = list(zip(slots[present].tolist(), map(repr, ordered[present].tolist())))
+    assert found == stable_argsort_reference(shares)
+    edges = [x1, x2, x1 - a, x1 + a, x2 - a, x2 + a]
+    edges += [math.nextafter(x, to) for x in edges for to in (-1.0, 2.0)]
+    xs = np.concatenate([np.linspace(0.0, 1.0, 41), np.clip(edges, 0.0, 1.0)])
+    for x_other in (x1, x2):
+        shares, _ = _equilibria_array(a, np.minimum(xs, x_other), np.maximum(xs, x_other))
+        ordered, slots = _share_order(shares)
+        for cell in range(len(xs)):
+            present = ~np.isnan(ordered[:, cell])
+            found = list(zip(slots[present, cell].tolist(),
+                             map(repr, ordered[present, cell].tolist())))
+            assert found == stable_argsort_reference(shares[:, cell]), xs[cell]
+
+
 def _paper_kinds(a, x1, x2):
     """Kinds at x1 <= x2 by the paper's comparisons, written out here."""
     if x2 - x1 > a:
@@ -342,7 +378,7 @@ def test_existence_at_ties_and_one_ulp_beside(a, x1, x2):
             found = [(kind, repr(s1)) for kind, s1 in _equilibria(a, p, q)]
             assert found == keyed_sort_reference(a, p, q), (p, q)
             shares, unique = _equilibria_array(a, p, np.array([q]))
-            slots = np.flatnonzero(~np.isnan(shares[0]))
+            slots = np.flatnonzero(~np.isnan(shares[:, 0]))
             found = {Kind.UNIQUE if unique[0] else _SLOT_KINDS[slot] for slot in slots}
             assert found == expected, (p, q)
 

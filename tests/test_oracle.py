@@ -162,19 +162,24 @@ def passing_shares_reference(a, x1, x2, n_shares):
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=st.floats(min_value=0.02, max_value=0.98),
-       p=st.floats(min_value=0.0, max_value=1.0),
-       q=st.floats(min_value=0.0, max_value=1.0),
+@given(instances=st.lists(st.tuples(st.floats(min_value=0.02, max_value=0.98),
+                                    st.floats(min_value=0.0, max_value=1.0),
+                                    st.floats(min_value=0.0, max_value=1.0)),
+                          min_size=1, max_size=4),
        # odd sizes put a candidate at 1/2, between the two middle consumers
        n_shares=st.integers(1, 30).map(lambda k: 2 * k + 1))
-@example(a=0.5, p=1 / 3, q=2 / 3, n_shares=61)
-@example(a=0.25, p=0.0, q=1.0, n_shares=3)
-def test_passing_shares_is_the_pointwise_test(a, p, q, n_shares):
-    x1, x2 = sorted((p, q))
+@example(instances=[(0.5, 1 / 3, 2 / 3)], n_shares=61)
+@example(instances=[(0.25, 0.0, 1.0), (0.5, 1 / 3, 2 / 3)], n_shares=3)
+def test_passing_shares_is_the_pointwise_test(instances, n_shares):
+    """A block of instances, one row each, and its first instance as floats."""
+    instances = [(a, *sorted((p, q))) for a, p, q in instances]
+    expected = [passing_shares_reference(*instance, n_shares) for instance in instances]
     grid = GridSpec(n_shares=n_shares)
-    candidates, mask = oracle._passing_shares(GameParams(a), Locations(x1, x2), grid)
+    candidates, mask = oracle._passing_shares(*map(np.array, zip(*instances)), grid)
     assert candidates.tolist() == np.linspace(0.0, 1.0, n_shares).tolist()
-    assert mask.tolist() == passing_shares_reference(a, x1, x2, n_shares)
+    assert mask.tolist() == expected
+    _, mask = oracle._passing_shares(*instances[0], grid)
+    assert mask.tolist() == expected[:1]
 
 
 def test_gridspec_arrays_are_shared_and_read_only():
