@@ -45,6 +45,7 @@ from locpop.cli import (
     main,
 )
 
+import golden_outputs
 from suite_loops import loop_deviation_flags, loop_market_flags
 
 
@@ -561,6 +562,12 @@ def test_figures_writes_datasets(tmp_path, capsys):
     for name in names:
         data = (tmp_path / "figs" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == FIGURE_SHA256[name], name
+
+
+def test_outputs_match_the_golden_manifest():
+    # tables in both formats, verify's stdout and the single-point commands,
+    # byte for byte; see golden_outputs.py to regenerate after an intended change
+    assert golden_outputs.digests() == json.loads(golden_outputs.MANIFEST.read_text())
 
 
 # stdout of the small run below, recorded before the suites moved into oracle
