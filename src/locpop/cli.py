@@ -17,7 +17,12 @@ Output is JSON (one document) or CSV (schema-versioned header); floats
 are formatted to 12 significant digits so identical invocations are
 byte-identical. Files are written atomically. Tables, CSV or the rows
 of a JSON document, are streamed in chunks of rows as they are computed,
-so no table is ever held whole.
+so no table is ever held whole. Both formats render every row through one
+``%``-template built from the table's first row (:func:`_table_chunks`);
+both need each column of a table to keep one type, and no header name or
+field to need CSV quoting. At 201 grid points (61,101 rows; 2 cores, CPython
+3.11) the JSON table takes about 0.4 s in-process against 0.13 s for CSV;
+through ``json.dumps`` per chunk it took about 1.2 s.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -73,57 +79,77 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(_round_floats(payload), indent=2, allow_nan=False) + "\n"
 
 
-def _csv_chunks(header, rows):
-    """The CSV document of ``rows`` (tuples) under ``header``, in pieces.
+def _table_chunks(head, rows, form, separator="", tail="", empty=None):
+    """The text of a table document in pieces: ``head``, then the rows of
+    ``rows`` at most ``CHUNK_ROWS`` to a piece, joined by ``separator``,
+    then ``tail``; ``empty`` (default ``head``) alone if there is no row.
 
-    Yields the schema and header lines, then the text of at most
-    ``CHUNK_ROWS`` rows per piece, taking rows from ``rows`` only as
-    each piece is formatted, so the memory held does not grow with the
-    table. Each row is formatted by one ``%``-template built from the
-    first row: ``%.12g`` (the digits of :func:`_fmt`) for a float field,
-    ``%s`` for any other. Precondition: each column of one table keeps one
-    type, and no header name or field needs CSV quoting (no comma, quote or
-    line break).
+    Both formats write each row through one ``%``-template built from the
+    first row: ``form(first)`` returns it and the function that turns an
+    iterable of rows into the template's argument tuples. Rows are taken
+    from ``rows`` only as each piece is formatted, so the memory held does
+    not grow with the table. Precondition, for both formats: each column of
+    one table keeps one type, and no header name or field needs CSV quoting
+    (no comma, quote or line break).
     """
-    yield "# schema=1\n" + ",".join(header) + "\n"
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
+        yield head if empty is None else empty
         return
-    template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in first) + "\n"
-    # each row is formatted as it is taken, so no piece holds its row tuples
-    text = template % first + "".join(map(template.__mod__, islice(rows, CHUNK_ROWS - 1)))
-    while text:  # a formatted row is never empty: "" means no rows were left
-        yield text
-        text = "".join(map(template.__mod__, islice(rows, CHUNK_ROWS)))
+    template, arguments = form(first)
+    yield head
+    rows, lead = chain((first,), rows), ""
+    # a formatted row is never empty: "" means no rows were left
+    while text := separator.join(map(template.__mod__, arguments(islice(rows, CHUNK_ROWS)))):
+        yield lead + text
+        lead = separator
+    if tail:
+        yield tail
+
+
+def _csv_chunks(header, rows):
+    """The CSV document of ``rows`` (tuples) under ``header``, in pieces
+    (:func:`_table_chunks`): the schema and header lines, then the rows,
+    each formatted as it is taken by a template of ``%.12g`` (the digits of
+    :func:`_fmt`) for a float field and ``%s`` for any other."""
+    return _table_chunks("# schema=1\n" + ",".join(header) + "\n", rows, lambda first: (
+        ",".join("%.12g" if isinstance(v, float) else "%s" for v in first) + "\n",
+        iter))  # the rows as they are
+
+
+def _json_column(is_float, column):
+    """The template arguments of a JSON column. Floats are rounded to the
+    digits of :func:`_round_floats`, for the template's ``%r`` to print as
+    ``json`` does, and infinities and NaN raise, as with ``allow_nan=False``.
+    Any other value is encoded by ``json``, each distinct one once: a column
+    keeps one type, so equal values encode alike."""
+    if is_float:
+        if not all(map(math.isfinite, column)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return map(float, map("%.12g".__mod__, column))
+    text = {v: json.dumps(v) for v in set(column)}
+    return map(text.__getitem__, column)
 
 
 def _json_chunks(header, rows, meta):
     """:func:`_json_doc` of ``meta`` followed by the key ``"rows"``, the
-    list of ``rows`` (tuples) keyed by ``header``, in pieces.
-
-    The rows are encoded ``CHUNK_ROWS`` at a time, each piece as the list
-    of its rows at the nesting depth of the whole document, taking rows
-    from ``rows`` only as each piece is encoded, so the memory held does
-    not grow with the table. The pieces join to the bytes of the document
-    built whole.
-    """
+    list of ``rows`` (tuples) keyed by ``header``, in pieces
+    (:func:`_table_chunks`) that join to the bytes of the document built
+    whole. The template is a row's object at the depth of the document, with
+    ``%r`` for a float field of the first row and ``%s`` for any other; each
+    column is converted by :func:`_json_column`."""
     empty = _json_doc({**meta, "rows": []})
-    rows = iter(rows)
-    chunk = list(islice(rows, CHUNK_ROWS))
-    if not chunk:
-        yield empty
-        return
-    yield empty[:-len("]\n}\n")] + "\n"  # up to '"rows": [' and its line break
-    separator = ""
-    while chunk:
-        # the list alone, without its brackets, indented one level deeper
-        text = json.dumps(_round_floats([dict(zip(header, r)) for r in chunk]),
-                          indent=2, allow_nan=False)
-        yield separator + "  " + text[2:-2].replace("\n", "\n  ")
-        separator = ",\n"
-        chunk = list(islice(rows, CHUNK_ROWS))
-    yield "\n  ]\n}\n"
+    keys = [json.dumps(k).replace("%", "%%") for k in header]
+
+    def form(first):
+        floats = [isinstance(v, float) for v in first]
+        fields = (f"      {k}: {'%r' if f else '%s'}" for k, f in zip(keys, floats))
+        template = "    {\n" + ",\n".join(fields) + "\n    }"
+        return template, lambda chunk: zip(*map(_json_column, floats, zip(*chunk)))
+
+    head = empty[:-len("]\n}\n")] + "\n"  # up to '"rows": [' and its line break
+    return _table_chunks(head, rows, form, ",\n", "\n  ]\n}\n", empty)
 
 
 def _atomic_write(path: str, chunks):
@@ -207,13 +233,6 @@ def _cmd_market_eq(args) -> int:
     return 0
 
 
-def _match_outcome(params, loc, s1):
-    for outcome in enumerate_market_equilibria(params, loc):
-        if abs(outcome.s1 - s1) <= 1e-9:
-            return outcome
-    return None
-
-
 def _cmd_nash_check(args) -> int:
     params = _params(args)
     behavior = _behavior(args)
@@ -225,7 +244,8 @@ def _cmd_nash_check(args) -> int:
             "swap the locations and pass 1 - s1 as --s1"
         )
     loc = Locations(args.x1, args.x2)
-    outcome = _match_outcome(params, loc, args.s1)
+    outcome = next((o for o in enumerate_market_equilibria(params, loc)
+                    if abs(o.s1 - args.s1) <= 1e-9), None)
     if outcome is None:
         raise ValueError(
             f"s1={args.s1} is not a market equilibrium at ({loc.x1}, {loc.x2})"
@@ -316,16 +336,11 @@ def _ratio_header(label):
 
 def _ratio_rows(behavior, theta, ratio_fn, a_values):
     rows = []
-    for a in a_values:
-        params = GameParams(float(a), theta)
-        report = ratio_fn(params, behavior)
-        ne = report.extremal_ne
-        rows.append((
-            params.a, theta, behavior.value, report.value,
-            report.optimum.x1, report.optimum.x2, report.optimum.s1,
-            report.optimum.welfare,
-            ne.profile.x1, ne.profile.x2, ne.profile.s1, ne.welfare,
-        ))
+    for a in map(float, a_values):
+        report = ratio_fn(GameParams(a, theta), behavior)
+        opt, ne = report.optimum, report.extremal_ne
+        rows.append((a, theta, behavior.value, report.value, opt.x1, opt.x2, opt.s1,
+                     opt.welfare, ne.profile.x1, ne.profile.x2, ne.profile.s1, ne.welfare))
     return rows
 
 

@@ -3,9 +3,10 @@
 This is ``oracle._region_scan`` as it was before it scanned in blocks of
 grid rows, kept with its arithmetic unchanged as a test oracle, together
 with its two readers of that time: the region rows of ``locpop
-nash-region`` and the profile list of ``oracle_ne_region_scan``. It still
-orders each cell's splits by a stable argsort of its slots, where the
-scan now uses ``model._share_order``. Each row yields the float x1 and
+nash-region`` and the NE profiles of ``oracle_ne_region_scan`` (as the
+fields of each), which both read one list of its rows, so a test scans
+once for the two. It still orders each cell's splits by a stable argsort
+of its slots, where the scan now uses ``model._share_order``. Each row yields the float x1 and
 arrays over the market equilibria of its cells.
 """
 
@@ -14,15 +15,7 @@ from itertools import repeat
 import numpy as np
 
 from locpop.behaviors import NE_TOL, _supremum
-from locpop.model import (
-    _SLOT_KINDS,
-    EquilibriumProfile,
-    Kind,
-    Locations,
-    MarketOutcome,
-    _equilibria_array,
-    _is_split,
-)
+from locpop.model import _SLOT_KINDS, Kind, _equilibria_array, _is_split
 from locpop.welfare import _consumer_welfare_array
 
 
@@ -45,20 +38,23 @@ def row_region_scan(params, behavior, n_locations):
         yield x1, x2, kind, s1, is_ne
 
 
-def row_region_rows(params, behavior, n_locations):
-    """REGION_HEADER rows, as ``cli._region_rows`` made them row by row."""
+def row_region_rows(params, scan):
+    """REGION_HEADER rows, as ``cli._region_rows`` made them row by row from
+    the rows of ``row_region_scan``."""
     rows = []
-    for x1, x2, kind, s1, is_ne in row_region_scan(params, behavior, n_locations):
+    for x1, x2, kind, s1, is_ne in scan:
         welfare = _consumer_welfare_array(params, x1, x2, s1)
         rows.extend(zip(repeat(params.a), repeat(x1), x2.tolist(), [k.value for k in kind],
                         s1.tolist(), is_ne.astype(int).tolist(), welfare.tolist()))
     return rows
 
 
-def row_ne_profiles(params, behavior, n_locations):
-    """The NE profiles, as ``oracle_ne_region_scan`` listed them row by row."""
+def row_ne_fields(scan):
+    """(x1, x2, kind, s1) of each NE profile, in the order in which
+    ``oracle_ne_region_scan`` listed them row by row, from the rows of
+    ``row_region_scan``."""
     return [
-        EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
-        for x1, x2s, kinds, s1s, is_ne in row_region_scan(params, behavior, n_locations)
+        (x1, x2, kind, s1)
+        for x1, x2s, kinds, s1s, is_ne in scan
         for x2, kind, s1 in zip(x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist())
     ]

@@ -276,6 +276,19 @@ def test_json_output_is_strict():
         _json_doc({"welfare": float("nan")})
     with pytest.raises(ValueError):
         "".join(_json_chunks(("welfare",), [(0.5,), (float("nan"),)], {}))
+    # inf, -inf and nan in a float and in an np.float64 column, in the first
+    # row, a later row and the first row of a later chunk: each raises, as the
+    # whole document does under json.dumps(allow_nan=False)
+    header, good = ("float", "float64"), (0.5, np.float64(0.25))
+    for value in ("inf", "-inf", "nan"):
+        for column, make in enumerate((float, np.float64)):
+            bad = tuple(make(value) if k == column else v for k, v in enumerate(good))
+            for at in (0, 1, CHUNK_ROWS):
+                rows = [good] * at + [bad, good]
+                with pytest.raises(ValueError):
+                    json_doc_reference(header, rows, {})
+                with pytest.raises(ValueError):
+                    "".join(_json_chunks(header, rows, {}))
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):
@@ -424,6 +437,13 @@ def test_json_chunks_are_the_whole_document(n_rows, meta):
     assert "".join(chunks) == json_doc_reference(EDGE_HEADER, rows, meta)
     # the opening, one piece per CHUNK_ROWS rows and the closing; or one piece
     assert len(chunks) == (1 if n_rows == 0 else 2 - (-n_rows // CHUNK_ROWS))
+
+
+def test_json_chunks_encode_header_keys():
+    # keys are json-encoded into the row template, a "%" among them included
+    header = ("100%", 'a "key"', "café", "%s")
+    rows = [(0.1, 1, "x", False), (2.5e-300, -2, "%d", True)]
+    assert "".join(_json_chunks(header, rows, {})) == json_doc_reference(header, rows, {})
 
 
 @pytest.mark.parametrize("argv", [

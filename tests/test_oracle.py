@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import astuple
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -10,9 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from locpop import (
     BehaviorKind,
+    EquilibriumProfile,
     GameParams,
     GridSpec,
+    Kind,
     Locations,
+    MarketOutcome,
     best_deviation_pessimistic,
     consumer_welfare,
     distinct_shares,
@@ -32,7 +36,7 @@ from locpop.cli import _region_rows
 from locpop.oracle import _region_scan, _run_midpoints, _segment_distance
 from locpop.welfare import OptimumPoint
 
-from row_scan import row_ne_profiles, row_region_rows
+from row_scan import row_ne_fields, row_region_rows, row_region_scan
 
 
 def test_gridspec_validation():
@@ -360,6 +364,36 @@ def test_region_scan_pessimistic_matches_explicit_map():
             assert scanned.get((float(x1), float(x2)), set()) == expected, (x1, x2)
 
 
+REGION_TYPES = (float, float, float, str, float, int, float)  # cli.REGION_HEADER
+PROFILE_TYPES = (float, float, Kind, float)  # profile_fields
+
+
+def assert_same_columns(rows, expected, types):
+    """``rows`` equal ``expected`` as strictly as their ``repr``s would: the
+    same number of rows, each column of the Python type in ``types`` in
+    both, floats bit for bit (so -0.0 is not 0.0) and other fields by value."""
+    assert len(rows) == len(expected)
+    if not rows:
+        return
+    assert set(map(len, rows)) | set(map(len, expected)) == {len(types)}
+    for i, kind in enumerate(types):
+        # itemgetter, not zip(*rows), which would make an iterator per row
+        column, want = list(map(itemgetter(i), rows)), list(map(itemgetter(i), expected))
+        assert set(map(type, column)) == set(map(type, want)) == {kind}
+        if kind is float:
+            assert np.array_equal(np.array(column).view(np.int64), np.array(want).view(np.int64))
+        else:
+            assert column == want
+
+
+def profile_fields(profiles):
+    """(x1, x2, kind, s1) of each profile, once every profile is known to be
+    made of exactly the classes its ``repr`` names."""
+    assert {(type(p), type(p.locations), type(p.outcome)) for p in profiles} <= {
+        (EquilibriumProfile, Locations, MarketOutcome)}
+    return [(p.locations.x1, p.locations.x2, p.outcome.kind, p.outcome.s1) for p in profiles]
+
+
 # With 1024 cells a block holds max(1, 1024 // n) rows: 2 and 3 fit in one
 # block, 41, 101 and 201 end on a shorter one
 @pytest.mark.parametrize("n_locations", [2, 3, 41, 101, 201])
@@ -367,11 +401,11 @@ def test_region_scan_pessimistic_matches_explicit_map():
 @pytest.mark.parametrize("a", [0.2, 0.25, 0.5, 0.8])
 def test_block_scan_matches_row_scan(a, behavior, n_locations):
     params = GameParams(a)
+    scan = list(row_region_scan(params, behavior, n_locations))
     rows = list(_region_rows(params, behavior, n_locations))
-    assert list(map(repr, rows)) == list(map(repr, row_region_rows(params, behavior, n_locations)))
+    assert_same_columns(rows, row_region_rows(params, scan), REGION_TYPES)
     profiles = oracle_ne_region_scan(params, behavior, GridSpec(n_locations=n_locations))
-    expected = row_ne_profiles(params, behavior, n_locations)
-    assert list(map(repr, profiles)) == list(map(repr, expected))
+    assert_same_columns(profile_fields(profiles), row_ne_fields(scan), PROFILE_TYPES)
 
 
 # 128 points fill 16 blocks of 8 rows exactly; 41 points at 16 cells a
@@ -387,8 +421,8 @@ def test_block_scan_blocks(n_locations, cells, monkeypatch):
     for k, (x1, *_) in enumerate(blocks):
         assert np.unique(x1).tolist() == xs[k * rows:(k + 1) * rows].tolist()
     profiles = oracle_ne_region_scan(params, BehaviorKind.PESSIMISTIC, GridSpec(n_locations))
-    expected = row_ne_profiles(params, BehaviorKind.PESSIMISTIC, n_locations)
-    assert list(map(repr, profiles)) == list(map(repr, expected))
+    expected = row_ne_fields(row_region_scan(params, BehaviorKind.PESSIMISTIC, n_locations))
+    assert_same_columns(profile_fields(profiles), expected, PROFILE_TYPES)
 
 
 def test_block_scan_raises_on_a_failing_split(monkeypatch):
