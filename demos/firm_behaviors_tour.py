@@ -7,8 +7,6 @@ them most, optimists the one that helps them most, neutrals average.
 The stable location pairs differ drastically across the three attitudes.
 """
 
-import numpy as np
-
 from locpop import (
     BehaviorKind,
     EquilibriumProfile,
@@ -87,8 +85,9 @@ print("=" * 66)
 print("5. The full NE map at a = 1/2 is non-convex")
 print("=" * 66)
 print("  kinds forming an NE along the column x1 = 0.3:")
-for x2 in np.arange(0.30, 0.85, 0.05):
-    kinds = sorted(k.value for k in nash_region_a_half(0.3, float(x2)))
+for step in range(6, 17):
+    x2 = step / 20
+    kinds = sorted(k.value for k in nash_region_a_half(0.3, x2))
     marker = "*" if kinds else " "
     print(f"    x2={x2:.2f} {marker} {kinds}")
 print("\n  Membership switches on, off, and on again: the kind IV pocket")

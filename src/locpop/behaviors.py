@@ -372,11 +372,13 @@ def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
     Returns the sorted tuple of distinct values (union at overlapping
     region boundaries). The NE-decision slack ``NE_TOL`` is mapped
     through the constraint algebra onto each threshold (factor 1 - a for
-    the outer regions, a (1 - a) for the middle one) so the
-    characterization agrees with :func:`is_nash` decision-for-decision,
-    including at region boundaries that are not floating-point
-    representable. The slack is not a parameter: another value would
-    break that agreement.
+    the outer regions, a (1 - a) for the middle one), so the set is the
+    one :func:`is_nash` accepts at every x1 farther than 1e-16 from the
+    three moved thresholds; within rounding of one of them the two may
+    decide differently. The slack is not a parameter: another value would
+    break that agreement. The closed form stays rather than reading
+    :func:`is_nash`, which makes the symmetric figure's rows several
+    times slower.
     """
     if not 0.0 <= x1 <= 0.5:
         raise ValueError(f"symmetric analysis needs x1 in [0, 1/2], got {x1}")
@@ -395,29 +397,20 @@ def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
 def nash_region_a_half(x1: float, x2: float) -> set:
     """Kinds forming a pessimistic NE at (x1, x2) when a = 1/2.
 
-    Implements the explicit membership inequalities of the a = 1/2 NE
-    map, with the weak-inequality slack ``NE_TOL`` of the NE decision so
-    grid scans agree exactly; the slack is not a parameter, as another
-    value would break that agreement. The region is non-convex even for
-    fixed x1 (kind IV pockets below the diagonal detach from the rest).
+    The market splits at (x1, x2) that :func:`is_nash` accepts, by kind,
+    so the map is exact up to the slack ``NE_TOL`` of that decision and
+    names only splits that exist at the point. A UNIQUE split (the gap
+    rounds one ulp past a) is read as kind III, whose share it has. The
+    paper's explicit membership inequalities are checked against this
+    map in the acceptance suite. The region is non-convex even for fixed
+    x1 (kind IV pockets below the diagonal detach from the rest).
     """
     if not 0.0 <= x1 <= x2 <= 1.0:
         raise ValueError(f"need 0 <= x1 <= x2 <= 1, got ({x1}, {x2})")
-    tol = NE_TOL
-    kinds: set = set()
-    if abs(x2 - 0.5) <= tol:
-        kinds.add(Kind.I)
-    if (x1 <= 0.5 + tol and 0.5 - tol <= x2 <= (3.0 + 2.0 * x1) / 6.0 + tol) or (
-        0.5 - tol <= x1 <= 0.75 + tol and x2 <= (3.0 + 2.0 * x1) / 6.0 + tol
-    ):
-        kinds.add(Kind.II)
-    if x1 <= 0.5 + tol and 0.5 - tol <= x2 <= (1.0 + 2.0 * x1) / 2.0 + tol:
-        kinds.add(Kind.III)
-    if 0.25 - tol <= x1 <= 0.5 + tol and x2 <= (-1.0 + 6.0 * x1) / 2.0 + tol:
-        kinds.add(Kind.IV)
-    if abs(x1 - 0.5) <= tol:
-        kinds.add(Kind.V)
-    return kinds
+    params, loc = GameParams(0.5), Locations(x1, x2)
+    return {Kind.III if o.kind is Kind.UNIQUE else o.kind
+            for o in enumerate_market_equilibria(params, loc)
+            if is_nash(params, BehaviorKind.PESSIMISTIC, EquilibriumProfile(loc, o))}
 
 
 _DIAMETER_TOL = 1e-12  # rounding slack of both diameter bounds

@@ -14,9 +14,11 @@ from locpop import (
     Kind,
     Locations,
     MarketOutcome,
+    NE_TOL,
     best_deviation,
     best_deviation_pessimistic,
     deviation_payoff,
+    distinct_shares,
     enumerate_market_equilibria,
     is_nash,
     nash_diameter_bounds_check,
@@ -29,6 +31,7 @@ from locpop import (
 from locpop.behaviors import _aggregate, _diameter_ok, _supremum
 
 import breakpoint_search as search
+from test_acceptance import paper_region_a_half
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 positions = st.floats(min_value=0.0, max_value=1.0)
@@ -303,8 +306,6 @@ def test_is_nash_reads_the_excluded_supremum(a, p, q, behavior):
     # the value attained at a breakpoint always equals or trails a
     # one-sided limit beside it, so the search's verdict, which left the
     # own location out, is the verdict of the unexcluded closed form
-    from locpop import NE_TOL
-
     assume_separated_breakpoints(a, p, q)
     params = GameParams(a)
     for profile in profiles_at(params, min(p, q), max(p, q)):
@@ -484,6 +485,42 @@ def test_symmetric_set_matches_nash_decision():
             assert via_formula == pytest.approx(via_scan, abs=1e-9), (a, x1)
 
 
+def symmetric_edges(a):
+    """The three thresholds of :func:`symmetric_pessimistic_nash_set` in x1,
+    each moved by its mapped ``NE_TOL``, as that function computes them."""
+    return ((1.0 - a) / 2.0 - NE_TOL * (1.0 - a),
+            (1.0 - a * a) / 2.0 - NE_TOL * a * (1.0 - a),
+            1.0 - a - NE_TOL * (1.0 - a))
+
+
+@st.composite
+def symmetric_points(draw):
+    """(a, x1) with x1 in [0, 1/2], often within a few ulps or a small
+    offset of one of the edges."""
+    a = draw(biased_externalities)
+    x1 = draw(st.one_of(st.floats(min_value=0.0, max_value=0.5), st.sampled_from(
+        [e + step for e in symmetric_edges(a) for step in (-1e-15, -2e-16, 0.0, 2e-16, 1e-15)])))
+    ulps = draw(st.integers(min_value=-4, max_value=4))
+    for _ in range(abs(ulps)):
+        x1 = math.nextafter(x1, math.copysign(math.inf, ulps))
+    assume(0.0 <= x1 <= 0.5)
+    return a, x1
+
+
+@settings(max_examples=300, deadline=None)
+@given(point=symmetric_points())
+def test_symmetric_set_is_the_nash_decision_off_its_edges(point):
+    # agreement holds wherever x1 is more than 1e-16 from every edge; within
+    # rounding of an edge the closed form and is_nash may decide differently
+    a, x1 = point
+    assume(all(abs(x1 - edge) > 1e-16 for edge in symmetric_edges(a)))
+    params = GameParams(a)
+    by_nash = distinct_shares(
+        [p.outcome for p in profiles_at(params, x1, 1.0 - x1)
+         if is_nash(params, BehaviorKind.PESSIMISTIC, p)])
+    assert list(symmetric_pessimistic_nash_set(params, x1)) == pytest.approx(by_nash, abs=1e-12)
+
+
 def test_region_a_half_examples():
     assert nash_region_a_half(0.3, 0.5) == {Kind.I, Kind.II, Kind.III}
     assert nash_region_a_half(0.5, 0.9) == {Kind.III, Kind.IV, Kind.V}
@@ -505,6 +542,59 @@ def test_region_a_half_matches_interval_scan():
                 if interval.contains(o.s1)
             }
             assert scanned == nash_region_a_half(x1, x2), (x1, x2)
+
+
+def a_half_splits(x1, x2):
+    """Kinds of the market splits at (x1, x2) when a = 1/2, UNIQUE read as III."""
+    return {Kind.III if o.kind is Kind.UNIQUE else o.kind
+            for o in enumerate_market_equilibria(GameParams(0.5), Locations(x1, x2))}
+
+
+@st.composite
+def near(draw, value):
+    """``value``, or a neighbour one ulp, 5e-10, 1e-9 or 2e-9 away."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    step = draw(st.sampled_from([0.0, "ulp", 5e-10, 1e-9, 2e-9]))
+    return math.nextafter(value, sign * math.inf) if step == "ulp" else value + sign * step
+
+
+# the slanted boundary lines of the a = 1/2 map, x2 as a function of x1
+A_HALF_LINES = (lambda x1: (3.0 + 2.0 * x1) / 6.0, lambda x1: (1.0 + 2.0 * x1) / 2.0,
+                lambda x1: (-1.0 + 6.0 * x1) / 2.0)
+near_quarters = st.sampled_from([0.25, 0.5, 0.75]).flatmap(near)
+
+
+@st.composite
+def a_half_points(draw):
+    """0 <= x1 <= x2 <= 1, coordinates often on or next to 1/4, 1/2 or 3/4
+    and x2 often on or next to a slanted boundary line through x1."""
+    x1 = draw(st.one_of(positions, near_quarters))
+    on_line = st.sampled_from(A_HALF_LINES).flatmap(lambda line: near(line(x1)))
+    x2 = draw(st.one_of(positions, near_quarters, on_line))
+    x1, x2 = (min(max(x, 0.0), 1.0) for x in (x1, x2))
+    return min(x1, x2), max(x1, x2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a_half_points())
+@example((0.3, 0.49999999999999994))  # splits I, IV and V only
+@example((0.5000000000000001, 2 / 3))  # splits I, II and V only
+def test_region_a_half_names_only_existing_splits(point):
+    assert nash_region_a_half(*point) <= a_half_splits(*point)
+
+
+# the boundary lines of the paper's a = 1/2 map, as (p, q, c) for p x1 + q x2 = c
+A_HALF_BOUNDARIES = ((1.0, 0.0, 0.25), (1.0, 0.0, 0.5), (1.0, 0.0, 0.75), (0.0, 1.0, 0.5),
+                     (-1.0 / 3.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (-3.0, 1.0, -0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=positions, v=positions)
+def test_region_a_half_is_the_paper_map_off_its_boundaries(u, v):
+    x1, x2 = min(u, v), max(u, v)
+    assume(all(abs(p * x1 + q * x2 - c) > 1e-8 * math.hypot(p, q)
+               for p, q, c in A_HALF_BOUNDARIES))
+    assert nash_region_a_half(x1, x2) == paper_region_a_half(x1, x2)
 
 
 def test_diameter_bounds():
