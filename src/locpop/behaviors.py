@@ -23,8 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
     EquilibriumProfile,
     Kind,
@@ -32,9 +30,7 @@ from .model import (
     MarketOutcome,
     GameParams,
     _equilibria,
-    _equilibria_array,
     _merge_close,
-    _share_order,
     distinct_shares,
     enumerate_market_equilibria,
     is_market_equilibrium,
@@ -131,7 +127,7 @@ def _aggregate(behavior: BehaviorKind, shares) -> float:
         return min(shares)
     if behavior is BehaviorKind.OPTIMISTIC:
         return max(shares)
-    # a plain left-to-right sum, as _deviation_values takes it: sum() of
+    # a plain left-to-right sum, as oracle._deviation_values takes it: sum() of
     # floats is compensated from CPython 3.12 on
     rest = iter(shares)
     total = next(rest)
@@ -147,33 +143,6 @@ def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: fl
     else:
         shares = [1.0 - s for _, s in _equilibria(a, x_other, x_dev)]
     return _aggregate(behavior, shares)
-
-
-def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
-    """Array form of :func:`_deviation_value` over the deviation locations
-    ``x_dev``, bit for bit. The slots of :func:`_equilibria_array` lead,
-    so the minimum and maximum reduce elementwise over five rows, and the
-    neutral mean adds the rows left to right in the share order of
-    :func:`_share_order`, as ``_aggregate`` sums the enumeration; an
-    absent slot adds an exact 0.0. Only the neutral mean orders the slots:
-    the minimum and maximum do not depend on their order."""
-    left = x_dev <= x_other
-    shares, _ = _equilibria_array(
-        a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))
-    if behavior is BehaviorKind.NEUTRAL:
-        shares, _ = _share_order(shares)
-    own = np.where(left, shares, 1.0 - shares)
-    # fmin / fmax skip NaN, and every cell has a present slot
-    if behavior is BehaviorKind.PESSIMISTIC:
-        return np.fmin.reduce(own, axis=0)
-    if behavior is BehaviorKind.OPTIMISTIC:
-        return np.fmax.reduce(own, axis=0)
-    present = ~np.isnan(own)
-    own = np.where(present, own, 0.0)
-    total = own[0]
-    for slot in range(1, 5):
-        total = total + own[slot]
-    return total / present.sum(axis=0)
 
 
 def _check_deviation_args(deviator: int, x_other: float, x_dev: float = 0.0):
@@ -405,9 +374,7 @@ def nash_region_a_half(x1: float, x2: float) -> set:
     map in the acceptance suite. The region is non-convex even for fixed
     x1 (kind IV pockets below the diagonal detach from the rest).
     """
-    if not 0.0 <= x1 <= x2 <= 1.0:
-        raise ValueError(f"need 0 <= x1 <= x2 <= 1, got ({x1}, {x2})")
-    params, loc = GameParams(0.5), Locations(x1, x2)
+    params, loc = GameParams(0.5), Locations(x1, x2)  # Locations checks the order
     return {Kind.III if o.kind is Kind.UNIQUE else o.kind
             for o in enumerate_market_equilibria(params, loc)
             if is_nash(params, BehaviorKind.PESSIMISTIC, EquilibriumProfile(loc, o))}

@@ -49,8 +49,8 @@ from .behaviors import (
     symmetric_pessimistic_nash_set,
 )
 from .model import EquilibriumProfile, GameParams, Locations, enumerate_market_equilibria
-from .oracle import GridSpec, _region_scan, verify_suites
-from .welfare import _consumer_welfare_array, consumer_welfare, poa, pos, social_optimum
+from .oracle import GridSpec, _consumer_welfare_array, _region_scan, verify_suites
+from .welfare import consumer_welfare, poa, pos, social_optimum
 
 A_GRID_STEP = 0.005  # default sweep: 0.005 .. 0.995
 REGION_GRID_DEFAULT = 201

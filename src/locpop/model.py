@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-import numpy as np
-
 __all__ = [
     "SHARE_TOL",
     "Kind",
@@ -254,7 +252,7 @@ def _equilibria(a: float, x1: float, x2: float):
     Internal lean path shared by the public API and the deviation
     searches; assumes x1 <= x2 and a in (0, 1). Existence is read from the
     signs of :func:`_condition_gaps` and shares from :func:`_split_shares`,
-    the arithmetic :func:`_equilibria_array` runs too.
+    the arithmetic ``oracle._equilibria_array`` runs too.
     """
     band, ii, iv = _condition_gaps(a, x1, x2)
     low, high, interior = _split_shares(a, x1, x2)
@@ -274,69 +272,6 @@ def _equilibria(a: float, x1: float, x2: float):
     # found is in kind order, so a stable sort by share breaks ties by kind
     found.sort(key=itemgetter(1))
     return tuple(found)
-
-
-def _equilibria_array(a: float, x1, x2):
-    """Array form of :func:`_equilibria` over locations x1 <= x2 (arrays or
-    floats, broadcast together): ``(shares, unique)``.
-
-    ``shares`` is slot-major, shape ``(5, *broadcast)``: row k holds firm
-    1's share in kind k of I..V, NaN where that kind is absent, so a
-    reduction over the slots runs elementwise on contiguous rows. Where
-    ``unique`` (the gap exceeds ``a``) the UNIQUE split sits alone in the
-    III row. Existence and shares come from the helpers the scalar
-    function reads, so every decision and share agrees bit for bit; only
-    the selection differs, masks and slots instead of branches.
-    :func:`_share_order` puts the slots in its (share, kind) order, ties
-    and the a = 1/2 inversion of II and III included.
-    """
-    band, ii, iv = _condition_gaps(a, x1, x2)
-    low, high, interior = _split_shares(a, x1, x2)
-    unique = np.greater(band, 0.0)  # a numpy bool even for floats, so ~ negates it
-    has_ii = ~unique & (ii >= 0.0)
-    has_iv = ~unique & (iv <= 0.0)
-    shares = np.stack([
-        np.where(unique, np.nan, 0.0),
-        np.where(has_ii, _clip_unit_array(low), np.nan),
-        np.where(unique | (has_ii & has_iv), _clip_unit_array(interior), np.nan),
-        np.where(has_iv, _clip_unit_array(high), np.nan),
-        np.where(unique, np.nan, 1.0),
-    ])
-    return shares, unique
-
-
-def _clip_unit_array(values):
-    # _clip_unit's own comparisons, so the two agree on every input
-    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
-
-
-def _share_order(shares):
-    """The slots of :func:`_equilibria_array` in the order of
-    :func:`_equilibria`, by share with ties by kind: ``(ordered, slots)``,
-    the shares and the slot each came from, both shaped like ``shares``.
-    Absent (NaN) slots stay where they are.
-
-    Only II, III and IV can leave kind order: I (0) and V (1) bound every
-    clipped share, II <= IV always (0.5 -+ the same t), and III exists only
-    with both. So three compare-exchanges of neighbours, II/III, III/IV,
-    II/III, sort them; each swaps only where the later share is strictly
-    below, so ties keep kind order, as a stable sort does, and a NaN, which
-    never compares below or above, never moves.
-    """
-    ordered = shares.copy()
-    slots = np.empty(shares.shape, dtype=np.intp)
-    slots.T[...] = np.arange(5)  # slots[k] = k
-    for lo, hi in ((1, 2), (2, 3), (1, 2)):
-        swap = ordered[hi] < ordered[lo]
-        for array in (ordered, slots):
-            first = array[lo, ...].copy()  # [lo, ...] is a view even for one cell
-            np.copyto(array[lo, ...], array[hi, ...], where=swap)
-            np.copyto(array[hi, ...], first, where=swap)
-    return ordered, slots
-
-
-# Kind held by each slot of _equilibria_array (where unique, III is UNIQUE).
-_SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V], dtype=object)
 
 
 def enumerate_market_equilibria(params: GameParams, loc: Locations) -> list:

@@ -1,22 +1,33 @@
-"""Brute-force verification of the closed forms by discretization.
+"""The numpy layer: array forms of the closed forms, the region scan,
+brute-force oracles that re-derive the closed forms on grids, and the
+cross-check suites of ``locpop verify``. ``model``, ``behaviors`` and
+``welfare`` import no numpy; apart from the command line's parameter
+grids, every numpy code path of the package is here.
 
-Everything here re-derives results from first principles on grids: the
-market-equilibrium oracle checks the defining utility inequalities at
-every grid consumer for every candidate split, the deviation oracle
-maximizes over a location grid, the welfare optimum oracle exhaustively
-searches the (x1, x2, s1) box, and the region scan decides every market
-equilibrium of every grid cell, one block of grid rows at a time, by the
-same arithmetic as the scalar Nash decision. These routines certify the
-closed forms within principled grid tolerances; they are the provenance
-for the frozen expected values in the test suite.
-
-:func:`verify_suites` runs the seven cross-check suites of ``locpop
-verify`` and yields one ``(suite, ok, detail)`` record per suite; the
-command line only prints them. Each random suite draws all its instances
-in one call and flags each instance as a mismatch or not. The
-market-equilibria suite runs the pointwise test on blocks of instances
-and meets only the passing shares with the closed splits; the
-best-deviation suite calls the deviation oracle once per instance.
+- *Array forms of the closed forms*: the split enumeration, the deviation
+  aggregates and consumer welfare over arrays of locations, bit for bit
+  with their scalar forms. They read the condition gaps, split shares
+  and split test of :mod:`locpop.model`, so each piece of arithmetic is
+  written once; only the selection differs, masks and slots instead of
+  branches.
+- *Region scan*: :func:`_region_scan` decides every market equilibrium
+  of every grid cell, one block of grid rows at a time, by the same
+  arithmetic as the scalar Nash decision. The figure emitters and the
+  region suites read it.
+- *Brute-force oracles*: the market-equilibrium oracle checks the
+  defining utility inequalities at every grid consumer for every
+  candidate split, the deviation oracle maximizes over a location grid,
+  and the welfare optimum oracle exhaustively searches the (x1, x2, s1)
+  box. They certify the closed forms within principled grid tolerances
+  and are the provenance for the frozen expected values in the test
+  suite.
+- *Verify suites*: :func:`verify_suites` runs the seven cross-check
+  suites and yields one ``(suite, ok, detail)`` record per suite; the
+  command line only prints them. Each random suite draws all its
+  instances in one call and flags each instance as a mismatch or not.
+  The market-equilibria suite runs the pointwise test on blocks of
+  instances and meets only the passing shares with the closed splits;
+  the best-deviation suite calls the deviation oracle once per instance.
 """
 
 from __future__ import annotations
@@ -30,23 +41,20 @@ from .behaviors import (
     NE_TOL,
     BehaviorKind,
     _check_deviation_args,
-    _deviation_values,
     _diameter_ok,
     _supremum,
     best_deviation,
     pessimistic_nash_interval,
 )
 from .model import (
-    _SLOT_KINDS,
     EquilibriumProfile,
     GameParams,
     Kind,
     Locations,
     MarketOutcome,
     _condition_gaps,
-    _equilibria_array,
     _is_split,
-    _share_order,
+    _split_shares,
     distinct_shares,
     enumerate_market_equilibria,
 )
@@ -61,6 +69,127 @@ __all__ = [
     "oracle_consumer_welfare",
     "verify_suites",
 ]
+
+
+# ---------------------------------------------------------------------------
+# array forms of the closed forms: the scalar arithmetic of model, behaviors and
+# welfare over arrays, bit for bit, for the scans and grid searches below
+
+
+def _equilibria_array(a: float, x1, x2):
+    """Array form of ``model._equilibria`` over locations x1 <= x2 (arrays or
+    floats, broadcast together): ``(shares, unique)``.
+
+    ``shares`` is slot-major, shape ``(5, *broadcast)``: row k holds firm
+    1's share in kind k of I..V, NaN where that kind is absent, so a
+    reduction over the slots runs elementwise on contiguous rows. Where
+    ``unique`` (the gap exceeds ``a``) the UNIQUE split sits alone in the
+    III row. Existence and shares come from the helpers the scalar
+    function reads, so every decision and share agrees bit for bit; only
+    the selection differs, masks and slots instead of branches.
+    :func:`_share_order` puts the slots in its (share, kind) order, ties
+    and the a = 1/2 inversion of II and III included.
+    """
+    band, ii, iv = _condition_gaps(a, x1, x2)
+    low, high, interior = _split_shares(a, x1, x2)
+    unique = np.greater(band, 0.0)  # a numpy bool even for floats, so ~ negates it
+    has_ii = ~unique & (ii >= 0.0)
+    has_iv = ~unique & (iv <= 0.0)
+    shares = np.stack([
+        np.where(unique, np.nan, 0.0),
+        np.where(has_ii, _clip_unit_array(low), np.nan),
+        np.where(unique | (has_ii & has_iv), _clip_unit_array(interior), np.nan),
+        np.where(has_iv, _clip_unit_array(high), np.nan),
+        np.where(unique, np.nan, 1.0),
+    ])
+    return shares, unique
+
+
+def _clip_unit_array(values):
+    # model._clip_unit's own comparisons, so the two agree on every input
+    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+
+
+def _share_order(shares):
+    """The slots of :func:`_equilibria_array` in the order of
+    ``model._equilibria``, by share with ties by kind: ``(ordered, slots)``,
+    the shares and the slot each came from, both shaped like ``shares``.
+    Absent (NaN) slots stay where they are.
+
+    Only II, III and IV can leave kind order: I (0) and V (1) bound every
+    clipped share, II <= IV always (0.5 -+ the same t), and III exists only
+    with both. So three compare-exchanges of neighbours, II/III, III/IV,
+    II/III, sort them; each swaps only where the later share is strictly
+    below, so ties keep kind order, as a stable sort does, and a NaN, which
+    never compares below or above, never moves.
+    """
+    ordered = shares.copy()
+    slots = np.empty(shares.shape, dtype=np.intp)
+    slots.T[...] = np.arange(5)  # slots[k] = k
+    for lo, hi in ((1, 2), (2, 3), (1, 2)):
+        swap = ordered[hi] < ordered[lo]
+        for array in (ordered, slots):
+            first = array[lo, ...].copy()  # [lo, ...] is a view even for one cell
+            np.copyto(array[lo, ...], array[hi, ...], where=swap)
+            np.copyto(array[hi, ...], first, where=swap)
+    return ordered, slots
+
+
+# Kind held by each slot of _equilibria_array (where unique, III is UNIQUE).
+_SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V], dtype=object)
+
+
+def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
+    """Array form of ``behaviors._deviation_value`` over the deviation locations
+    ``x_dev``, bit for bit. The slots of :func:`_equilibria_array` lead,
+    so the minimum and maximum reduce elementwise over five rows, and the
+    neutral mean adds the rows left to right in the share order of
+    :func:`_share_order`, as ``behaviors._aggregate`` sums the enumeration; an
+    absent slot adds an exact 0.0. Only the neutral mean orders the slots:
+    the minimum and maximum do not depend on their order."""
+    left = x_dev <= x_other
+    shares, _ = _equilibria_array(
+        a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))
+    if behavior is BehaviorKind.NEUTRAL:
+        shares, _ = _share_order(shares)
+    own = np.where(left, shares, 1.0 - shares)
+    # fmin / fmax skip NaN, and every cell has a present slot
+    if behavior is BehaviorKind.PESSIMISTIC:
+        return np.fmin.reduce(own, axis=0)
+    if behavior is BehaviorKind.OPTIMISTIC:
+        return np.fmax.reduce(own, axis=0)
+    present = ~np.isnan(own)
+    own = np.where(present, own, 0.0)
+    total = own[0]
+    for slot in range(1, 5):
+        total = total + own[slot]
+    return total / present.sum(axis=0)
+
+
+def _abs_distance_integral_array(alpha, beta, x):
+    """Array form of ``welfare._abs_distance_integral``, bit for bit. Squares
+    use ``np.float_power``, which calls the C library's ``pow`` as Python's
+    ``** 2`` does; numpy's ``** 2`` and ``np.square`` multiply instead, and
+    differ from it in about one value of 1,150."""
+    outer = 0.5 * (beta * beta - alpha * alpha)
+    return np.where(
+        x <= alpha,
+        outer - x * (beta - alpha),
+        np.where(
+            x >= beta,
+            x * (beta - alpha) - outer,
+            0.5 * (np.float_power(x - alpha, 2.0) + np.float_power(beta - x, 2.0)),
+        ),
+    )
+
+
+def _consumer_welfare_array(params: GameParams, x1, x2, s1):
+    """Array form of ``welfare.consumer_welfare``, bit for bit, for inputs
+    already known to lie in [0, 1]."""
+    a = params.a
+    popularity = a * (s1 * s1 + (1.0 - s1) * (1.0 - s1))
+    travel = _abs_distance_integral_array(0.0, s1, x1) + _abs_distance_integral_array(s1, 1.0, x2)
+    return params.theta + popularity - travel
 
 
 @dataclass(frozen=True)
@@ -107,10 +236,10 @@ class GridSpec:
         ss = np.linspace(0.0, 1.0, self.n_shares)
         s_col = ss[:, None]
         rows = np.arange(self.n_shares)
-        left = _segment_distance(np.zeros_like(s_col), s_col, xs[None, :])
+        left = _abs_distance_integral_array(0.0, s_col, xs[None, :])
         i1 = np.argmin(left, axis=1)
         left = left[rows, i1]
-        right = _segment_distance(s_col, np.ones_like(s_col), xs[None, :])
+        right = _abs_distance_integral_array(s_col, 1.0, xs[None, :])
         i2 = np.argmin(right, axis=1)
         right = right[rows, i2]
         return _read_only(xs, ss, i1, i2, left, right)
@@ -204,18 +333,6 @@ def oracle_best_deviation(
     values = _deviation_values(params.a, behavior, xs, x_other)
     best = int(np.argmax(values))  # the first maximum, as a scan keeping strict gains
     return float(xs[best]), float(values[best])
-
-
-def _segment_distance(endpoint_lo, endpoint_hi, x):
-    """Vectorized integral of |t - x| over [endpoint_lo, endpoint_hi]."""
-    mid = 0.5 * (endpoint_lo + endpoint_hi)
-    length = endpoint_hi - endpoint_lo
-    inside = 0.5 * ((x - endpoint_lo) ** 2 + (endpoint_hi - x) ** 2)
-    return np.where(
-        x <= endpoint_lo,
-        (mid - x) * length,
-        np.where(x >= endpoint_hi, (x - mid) * length, inside),
-    )
 
 
 def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .behaviors import BehaviorKind, NoEquilibriumError, neutral_nash
 from .model import (
     EquilibriumProfile,
@@ -87,32 +85,6 @@ def _abs_distance_integral(alpha: float, beta: float, x: float) -> float:
     if x >= beta:
         return x * (beta - alpha) - 0.5 * (beta * beta - alpha * alpha)
     return 0.5 * ((x - alpha) ** 2 + (beta - x) ** 2)
-
-
-def _abs_distance_integral_array(alpha, beta, x):
-    """Array form of :func:`_abs_distance_integral`, bit for bit. Squares
-    use ``np.float_power``, which calls the C library's ``pow`` as Python's
-    ``** 2`` does; numpy's ``** 2`` and ``np.square`` multiply instead, and
-    differ from it in about one value of 1,150."""
-    outer = 0.5 * (beta * beta - alpha * alpha)
-    return np.where(
-        x <= alpha,
-        outer - x * (beta - alpha),
-        np.where(
-            x >= beta,
-            x * (beta - alpha) - outer,
-            0.5 * (np.float_power(x - alpha, 2.0) + np.float_power(beta - x, 2.0)),
-        ),
-    )
-
-
-def _consumer_welfare_array(params: GameParams, x1, x2, s1):
-    """Array form of :func:`consumer_welfare`, bit for bit, for inputs
-    already known to lie in [0, 1]."""
-    a = params.a
-    popularity = a * (s1 * s1 + (1.0 - s1) * (1.0 - s1))
-    travel = _abs_distance_integral_array(0.0, s1, x1) + _abs_distance_integral_array(s1, 1.0, x2)
-    return params.theta + popularity - travel
 
 
 def consumer_welfare(params: GameParams, x1: float, x2: float, s1: float) -> float:

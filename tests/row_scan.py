@@ -6,7 +6,7 @@ with its two readers of that time: the region rows of ``locpop
 nash-region`` and the NE profiles of ``oracle_ne_region_scan`` (as the
 fields of each), which both read one list of its rows, so a test scans
 once for the two. It still orders each cell's splits by a stable argsort
-of its slots, where the scan now uses ``model._share_order``. Each row yields the float x1 and
+of its slots, where the scan now uses ``oracle._share_order``. Each row yields the float x1 and
 arrays over the market equilibria of its cells.
 """
 
@@ -15,8 +15,8 @@ from itertools import repeat
 import numpy as np
 
 from locpop.behaviors import NE_TOL, _supremum
-from locpop.model import _SLOT_KINDS, Kind, _equilibria_array, _is_split
-from locpop.welfare import _consumer_welfare_array
+from locpop.model import Kind, _is_split
+from locpop.oracle import _SLOT_KINDS, _consumer_welfare_array, _equilibria_array
 
 
 def row_region_scan(params, behavior, n_locations):

@@ -23,14 +23,12 @@ from locpop import (
     oracle_market_equilibria,
 )
 from locpop.model import (
-    _SLOT_KINDS,
     _clip_unit,
     _condition_gaps,
     _equilibria,
-    _equilibria_array,
-    _share_order,
     _split_shares,
 )
+from locpop.oracle import _SLOT_KINDS, _equilibria_array, _share_order
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 positions = st.floats(min_value=0.0, max_value=1.0)

@@ -31,9 +31,15 @@ from locpop import (
     oracle,
     social_optimum,
 )
-from locpop.behaviors import _deviation_value, _deviation_values
+from locpop.behaviors import _deviation_value
 from locpop.cli import _region_rows
-from locpop.oracle import _region_scan, _run_midpoints, _segment_distance
+from locpop.oracle import (
+    _OPTIMUM_GRID,
+    _abs_distance_integral_array,
+    _deviation_values,
+    _region_scan,
+    _run_midpoints,
+)
 from locpop.welfare import OptimumPoint
 
 from row_scan import row_ne_fields, row_region_rows, row_region_scan
@@ -266,14 +272,30 @@ def test_oracle_social_optimum_both_regimes():
     assert found.s1 in (pytest.approx(0.0, abs=0.01), pytest.approx(1.0, abs=0.01))
 
 
-def per_call_social_optimum(params, grid):
+def segment_distance_reference(endpoint_lo, endpoint_hi, x):
+    """The optimum oracle's own integral of |t - x| over [endpoint_lo,
+    endpoint_hi], from before it read the welfare integral's array form:
+    the same exact integral, rounded differently (21-36% of the table
+    cells differ by ulps)."""
+    mid = 0.5 * (endpoint_lo + endpoint_hi)
+    length = endpoint_hi - endpoint_lo
+    inside = 0.5 * ((x - endpoint_lo) ** 2 + (endpoint_hi - x) ** 2)
+    return np.where(
+        x <= endpoint_lo,
+        (mid - x) * length,
+        np.where(x >= endpoint_hi, (x - mid) * length, inside),
+    )
+
+
+def per_call_social_optimum(params, grid, distance=_abs_distance_integral_array):
     """``oracle_social_optimum`` as it was before its grid part was kept
-    per ``GridSpec``: every table built on each call."""
+    per ``GridSpec``: every table built on each call, each distance
+    integral by ``distance(lo, hi, x)``."""
     xs = np.linspace(0.0, 1.0, grid.n_locations)
     ss = np.linspace(0.0, 1.0, grid.n_shares)
     s_col = ss[:, None]
-    left = _segment_distance(np.zeros_like(s_col), s_col, xs[None, :])
-    right = _segment_distance(s_col, np.ones_like(s_col), xs[None, :])
+    left = distance(0.0, s_col, xs[None, :])
+    right = distance(s_col, 1.0, xs[None, :])
     i1 = np.argmin(left, axis=1)
     i2 = np.argmin(right, axis=1)
     popularity = params.a * (ss * ss + (1.0 - ss) ** 2)
@@ -297,6 +319,19 @@ def test_oracle_social_optimum_is_the_per_call_computation(grid):
             found = oracle_social_optimum(params, grid)
             assert astuple(found) == astuple(expected)  # field for field, with ==
             assert repr(found) == repr(expected)
+
+
+def test_oracle_social_optimum_points_are_those_of_the_old_integral():
+    """The verify suite's optimum points (x1, x2, s1) are the ones the
+    oracle's former distance integral picks, though table cells differ by
+    ulps; the welfares differ by at most a few ulps."""
+    for theta in (1.0, 1.5, 3.0):
+        for a in np.arange(1, 20) * 0.05:
+            params = GameParams(float(a), theta)
+            old = per_call_social_optimum(params, _OPTIMUM_GRID, segment_distance_reference)
+            found = oracle_social_optimum(params, _OPTIMUM_GRID)
+            assert (found.x1, found.x2, found.s1) == (old.x1, old.x2, old.s1)
+            assert found.welfare == pytest.approx(old.welfare, rel=4 * np.finfo(float).eps)
 
 
 def test_oracle_social_optimum_grid_is_built_once_and_read_only():

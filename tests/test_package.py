@@ -1,6 +1,12 @@
-"""The package namespace: one export list, gathered from the submodules."""
+"""The package namespace: one export list, gathered from the submodules,
+and a scalar core that runs without numpy."""
+
+import subprocess
+import sys
 
 import locpop
+
+import scalar_corpus
 
 PUBLIC_NAMES = [
     "BEST_NE_BREAKPOINT", "BehaviorKind", "ConsumerPosition", "DeviationReport",
@@ -34,3 +40,12 @@ def test_exports_are_the_submodule_objects():
     for module in (locpop.model, locpop.behaviors, locpop.welfare, locpop.oracle):
         for name in module.__all__:
             assert getattr(locpop, name) is getattr(module, name)
+
+
+def test_scalar_core_runs_without_numpy():
+    """``model``, ``behaviors`` and ``welfare`` import and run with numpy
+    blocked, and their closed forms give the pinned corpus digest."""
+    done = subprocess.run([sys.executable, scalar_corpus.__file__],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"sha256 {scalar_corpus.PINNED_SHA256}"

@@ -25,7 +25,7 @@ from locpop import (
     social_optimum,
     worst_ne_pessimistic,
 )
-from locpop.welfare import _consumer_welfare_array
+from locpop.oracle import _consumer_welfare_array
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 unit = st.floats(min_value=0.0, max_value=1.0)
