@@ -36,8 +36,6 @@ import sys
 import tempfile
 from itertools import chain, islice, repeat
 
-import numpy as np
-
 from .behaviors import (
     NE_TOL,
     BehaviorKind,
@@ -49,7 +47,6 @@ from .behaviors import (
     symmetric_pessimistic_nash_set,
 )
 from .model import EquilibriumProfile, GameParams, Locations, enumerate_market_equilibria
-from .oracle import GridSpec, _consumer_welfare_array, _region_scan, verify_suites
 from .welfare import consumer_welfare, poa, pos, social_optimum
 
 A_GRID_STEP = 0.005  # default sweep: 0.005 .. 0.995
@@ -208,11 +205,12 @@ def _behavior(args) -> BehaviorKind:
     return BehaviorKind(args.behavior)
 
 
-def _a_grid(behavior: BehaviorKind) -> np.ndarray:
+def _a_grid(behavior: BehaviorKind) -> list:
     """The default a-sweep, cut for neutral firms to the levels with an NE."""
-    grid = np.arange(1, 200) * A_GRID_STEP
+    # bit for bit the floats of np.arange(1, 200) * A_GRID_STEP
+    grid = [k * A_GRID_STEP for k in range(1, 200)]
     if behavior is BehaviorKind.NEUTRAL:
-        grid = grid[[neutral_nash(GameParams(float(a))) is not None for a in grid]]
+        grid = [a for a in grid if neutral_nash(GameParams(a)) is not None]
     return grid
 
 
@@ -282,6 +280,8 @@ def _region_rows(params, behavior, n_locations):
     """REGION_HEADER rows of the region scan, one per market equilibrium,
     generated one block of the scan at a time, so no list of every row is
     built."""
+    from .oracle import _consumer_welfare_array, _region_scan
+
     for x1, x2, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
         welfare = _consumer_welfare_array(params, x1, x2, s1)
         yield from zip(repeat(params.a), x1.tolist(), x2.tolist(), [k.value for k in kind],
@@ -298,7 +298,9 @@ def _cmd_nash_region(args) -> int:
 
 def _symmetric_rows(params, n_points):
     """SYMMETRIC_HEADER rows along the diagonal, generated point by point."""
-    for x1 in map(float, np.linspace(0.0, 0.5, n_points)):
+    step = 0.5 / (n_points - 1)
+    # bit for bit the floats of np.linspace(0.0, 0.5, n_points): k * step, then 0.5
+    for x1 in chain((k * step for k in range(n_points - 1)), (0.5,)):
         for s1 in symmetric_pessimistic_nash_set(params, x1):
             yield params.a, x1, s1
 
@@ -336,7 +338,7 @@ def _ratio_header(label):
 
 def _ratio_rows(behavior, theta, ratio_fn, a_values):
     rows = []
-    for a in map(float, a_values):
+    for a in a_values:
         report = ratio_fn(GameParams(a, theta), behavior)
         opt, ne = report.optimum, report.extremal_ne
         rows.append((a, theta, behavior.value, report.value, opt.x1, opt.x2, opt.s1,
@@ -359,7 +361,7 @@ def _figure_tables(theta):
     pessimistic = BehaviorKind.PESSIMISTIC
     yield "symmetric_equilibria.csv", SYMMETRIC_HEADER, (
         row for a in _a_grid(pessimistic)
-        for row in _symmetric_rows(GameParams(float(a), theta), 201)
+        for row in _symmetric_rows(GameParams(a, theta), 201)
     )
     yield "nash_region_a_half.csv", REGION_HEADER, _region_rows(
         GameParams(0.5, theta), pessimistic, REGION_GRID_DEFAULT)
@@ -383,7 +385,11 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = GridSpec(args.grid_locations, args.grid_shares)
+    from .oracle import GridSpec, verify_suites
+
+    # the flags given; GridSpec holds the defaults
+    sizes = {"n_locations": args.grid_locations, "n_shares": args.grid_shares}
+    grid = GridSpec(**{name: n for name, n in sizes.items() if n is not None})
     failures = []
     for suite, ok, detail in verify_suites(args.theta, args.seed, args.instances, grid):
         status = "ok" if ok else "FAIL"
@@ -485,10 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--instances", type=_bounded(0), default=1000)
-    s.add_argument("--grid-locations", type=_bounded(2, GRID_MAX),
-                   default=GridSpec.n_locations)
-    s.add_argument("--grid-shares", type=_bounded(2, GRID_MAX),
-                   default=GridSpec.n_shares)
+    s.add_argument("--grid-locations", type=_bounded(2, GRID_MAX))
+    s.add_argument("--grid-shares", type=_bounded(2, GRID_MAX))
     s.set_defaults(func=_cmd_verify)
 
     return parser

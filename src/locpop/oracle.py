@@ -1,8 +1,7 @@
 """The numpy layer: array forms of the closed forms, the region scan,
 brute-force oracles that re-derive the closed forms on grids, and the
 cross-check suites of ``locpop verify``. ``model``, ``behaviors`` and
-``welfare`` import no numpy; apart from the command line's parameter
-grids, every numpy code path of the package is here.
+``welfare`` import no numpy; every numpy code path of the package is here.
 
 - *Array forms of the closed forms*: the split enumeration, the deviation
   aggregates and consumer welfare over arrays of locations, bit for bit
@@ -37,6 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _ORACLE_EXPORTS
 from .behaviors import (
     NE_TOL,
     BehaviorKind,
@@ -60,15 +60,7 @@ from .model import (
 )
 from .welfare import OptimumPoint, social_optimum
 
-__all__ = [
-    "GridSpec",
-    "oracle_market_equilibria",
-    "oracle_best_deviation",
-    "oracle_social_optimum",
-    "oracle_ne_region_scan",
-    "oracle_consumer_welfare",
-    "verify_suites",
-]
+__all__ = _ORACLE_EXPORTS  # written once, in the package, which loads this module on first use
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,13 @@
 
 ``locpop.model``, ``locpop.behaviors`` and ``locpop.welfare`` must import and
 run without numpy. This script blocks numpy (``sys.modules["numpy"] =
-None`` makes every import of it raise), loads the three modules from
-``src/locpop`` through a bare package object (``locpop/__init__`` imports
-``oracle``, the numpy layer), and prints the ``repr`` of every public scalar
-closed form on a fixed corpus of boundary instances: gap == a, one ulp either
-side of it, tight kind II and IV conditions, a = 1/4 and a = 1/2, the
-II/III and III/IV share inversions, and ``BEST_NE_BREAKPOINT``. Sets are
-printed sorted, so the output does not depend on string hashing. The last
-line is the sha256 of the lines before it. The script exits 1 when that
-digest is not ``PINNED_SHA256``.
+None`` makes every import of it raise), imports ``locpop`` from ``src``, and
+prints the ``repr`` of every public scalar closed form on a fixed corpus of
+boundary instances: gap == a, one ulp either side of it, tight kind II and IV
+conditions, a = 1/4 and a = 1/2, the II/III and III/IV share inversions, and
+``BEST_NE_BREAKPOINT``. Sets are printed sorted, so the output does not
+depend on string hashing. The last line is the sha256 of the lines before it.
+The script exits 1 when that digest is not ``PINNED_SHA256``.
 
 Run it as ``python tests/scalar_corpus.py`` under any supported interpreter;
 it needs no installed package. Float ``repr`` is the shortest round-trip
@@ -21,25 +19,23 @@ intended lines moved, and paste the new digest into ``PINNED_SHA256``.
 """
 
 import hashlib
-import importlib
 import math
 import pathlib
 import sys
-import types
 
 PINNED_SHA256 = "0b7b4f60f3376f339471406b6e0570c53bb7a5acc678db020a094ff32a32baa4"
 
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "locpop"
+SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def load_scalar_modules():
-    """(model, behaviors, welfare), imported from SOURCE with numpy blocked."""
+    """(model, behaviors, welfare) of the ``locpop`` in SOURCE, imported with
+    numpy blocked."""
     sys.modules["numpy"] = None
-    package = types.ModuleType("locpop")
-    package.__path__ = [str(SOURCE)]
-    sys.modules["locpop"] = package
-    return tuple(importlib.import_module(f"locpop.{name}")
-                 for name in ("model", "behaviors", "welfare"))
+    sys.path.insert(0, str(SOURCE))
+    import locpop
+
+    return locpop.model, locpop.behaviors, locpop.welfare
 
 
 def corpus_lines(model, behaviors, welfare):

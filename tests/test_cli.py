@@ -31,6 +31,7 @@ from locpop import (
     consumer_welfare,
     enumerate_market_equilibria,
     is_nash,
+    neutral_nash,
     oracle,
     verify_suites,
 )
@@ -923,11 +924,75 @@ def test_failed_write_exits_one(target, argv, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_import_does_not_load_scipy():
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+# commands outside the numpy layer, and a child process that imports the
+# package and builds the parser, lists what it loaded of numpy and scipy, then
+# blocks numpy (every later import of it raises) and hashes their pinned outputs
+NUMPY_FREE_COMMANDS = ("market-eq", "nash-check", "welfare", "social-opt",
+                       "symmetric-region", "poa-curve", "pos-curve")
+NUMPY_BLOCKED_RUN = f"""\
+import json, sys
+import locpop
+from locpop import cli
+cli.build_parser()
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy"))
+sys.modules["numpy"] = None
+import golden_outputs
+argvs = [argv for argv in golden_outputs.invocations() if argv[0] in {NUMPY_FREE_COMMANDS}]
+print(json.dumps({{"loaded": loaded, "digests": golden_outputs.digests(argvs)}}))
+"""
+
+
+def test_numpy_free_commands_run_with_numpy_blocked():
+    """``import locpop`` and the parser load neither numpy nor scipy (with
+    numpy importable, so a guarded import would show too), and the commands
+    outside the numpy layer print their golden-manifest bytes with numpy
+    blocked."""
+    tests = os.path.dirname(os.path.abspath(__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", "import locpop, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", NUMPY_BLOCKED_RUN],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join([os.path.join(tests, os.pardir, "src"), tests])},
     )
     assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    manifest = json.loads(golden_outputs.MANIFEST.read_text())
+    pinned = {key: digest for key, digest in manifest.items()
+              if key.split()[0] in NUMPY_FREE_COMMANDS}
+    assert len(pinned) == 24
+    assert result["digests"] == pinned
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 7, 201, 501, 1000, 2999])
+def test_parameter_grids_are_numpys_bit_for_bit(n_points, monkeypatch):
+    """The a-sweep and the diagonal points are the floats of ``np.arange(1,
+    200) * A_GRID_STEP`` and ``np.linspace(0, 0.5, n)``, bit for bit; the
+    12-digit outputs alone would not show a one-ulp move."""
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+    arange = np.arange(1, 200) * cli.A_GRID_STEP
+    assert bits(cli._a_grid(BehaviorKind.PESSIMISTIC)) == bits(arange)
+    neutral = [a for a in arange.tolist() if neutral_nash(GameParams(a)) is not None]
+    assert bits(cli._a_grid(BehaviorKind.NEUTRAL)) == bits(neutral)
+    # one row per point
+    monkeypatch.setattr(cli, "symmetric_pessimistic_nash_set", lambda params, x1: (0.5,))
+    x1 = [row[1] for row in cli._symmetric_rows(GameParams(0.5), n_points)]
+    assert bits(x1) == bits(np.linspace(0.0, 0.5, n_points))
+
+
+@pytest.mark.parametrize("flags, grid", [
+    ((), GridSpec(2001, 2001)),
+    (("--grid-locations", "401"), GridSpec(401, 2001)),
+    (("--grid-shares", "3"), GridSpec(2001, 3)),
+    (("--grid-locations", "5", "--grid-shares", "7"), GridSpec(5, 7)),
+])
+def test_verify_grid_flags(flags, grid, monkeypatch, capsys):
+    """``verify`` hands the suites GridSpec() with no grid flag, and each
+    given flag in place of its GridSpec default."""
+    grids = []
+    monkeypatch.setattr(oracle, "verify_suites",
+                        lambda theta, seed, instances, g: grids.append(g) or [])
+    assert run_cli(capsys, "verify", *flags)[0] == 0
+    assert grids == [grid]
