@@ -24,8 +24,9 @@ import enum
 from dataclasses import dataclass
 
 from .model import (
+    _III,
+    _UNIQUE,
     EquilibriumProfile,
-    Kind,
     Locations,
     MarketOutcome,
     GameParams,
@@ -65,6 +66,13 @@ class BehaviorKind(enum.Enum):
     PESSIMISTIC = "pessimistic"
     NEUTRAL = "neutral"
     OPTIMISTIC = "optimistic"
+
+
+# The members as module names, read by the per-call code, for the reason
+# given at model.Kind's: about 130 ns a ``BehaviorKind.NEUTRAL`` on CPython
+# <= 3.11, against 2-10 ns for a module global
+_PESSIMISTIC, _NEUTRAL, _OPTIMISTIC = (
+    BehaviorKind.PESSIMISTIC, BehaviorKind.NEUTRAL, BehaviorKind.OPTIMISTIC)
 
 
 class NoEquilibriumError(Exception):
@@ -123,9 +131,9 @@ class NashInterval:
 
 
 def _aggregate(behavior: BehaviorKind, shares) -> float:
-    if behavior is BehaviorKind.PESSIMISTIC:
+    if behavior is _PESSIMISTIC:
         return min(shares)
-    if behavior is BehaviorKind.OPTIMISTIC:
+    if behavior is _OPTIMISTIC:
         return max(shares)
     # a plain left-to-right sum, as oracle._deviation_values takes it: sum() of
     # floats is compensated from CPython 3.12 on
@@ -200,7 +208,7 @@ def best_deviation_pessimistic(
     aggregate over ``outcomes_considered`` at the reported location
     itself (which always contains a zero-share outcome).
     """
-    return best_deviation(params, BehaviorKind.PESSIMISTIC, deviator, x_other)
+    return best_deviation(params, _PESSIMISTIC, deviator, x_other)
 
 
 def _neutral_candidates(a: float, y: float):
@@ -242,7 +250,7 @@ def _supremum(a: float, behavior: BehaviorKind, x_other: float):
     largest of the candidates of both sides, the side right of x_other
     being the mirror image (x -> 1 - x) of the left one.
     """
-    if behavior is BehaviorKind.PESSIMISTIC:
+    if behavior is _PESSIMISTIC:
         if x_other <= 0.5:
             if x_other + a >= 1.0:
                 return min(x_other + a, 1.0), 0.0
@@ -250,7 +258,7 @@ def _supremum(a: float, behavior: BehaviorKind, x_other: float):
         if x_other - a <= 0.0:
             return max(x_other - a, 0.0), 0.0
         return x_other - a, 1.0 - (1.0 - x_other) / (1.0 - a)
-    if behavior is BehaviorKind.OPTIMISTIC:
+    if behavior is _OPTIMISTIC:
         return max(0.0, x_other - a), 1.0
     mirrored = [(1.0 - x, payoff) for x, payoff in _neutral_candidates(a, 1.0 - x_other)]
     return max(sorted(_neutral_candidates(a, x_other) + mirrored), key=lambda c: c[1])
@@ -325,7 +333,7 @@ def neutral_nash(params: GameParams):
     """
     if params.a > 0.5:
         return None
-    return EquilibriumProfile(Locations(0.5, 0.5), MarketOutcome(Kind.III, 0.5))
+    return EquilibriumProfile(Locations(0.5, 0.5), MarketOutcome(_III, 0.5))
 
 
 def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
@@ -375,9 +383,9 @@ def nash_region_a_half(x1: float, x2: float) -> set:
     x1 (kind IV pockets below the diagonal detach from the rest).
     """
     params, loc = GameParams(0.5), Locations(x1, x2)  # Locations checks the order
-    return {Kind.III if o.kind is Kind.UNIQUE else o.kind
+    return {_III if o.kind is _UNIQUE else o.kind
             for o in enumerate_market_equilibria(params, loc)
-            if is_nash(params, BehaviorKind.PESSIMISTIC, EquilibriumProfile(loc, o))}
+            if is_nash(params, _PESSIMISTIC, EquilibriumProfile(loc, o))}
 
 
 _DIAMETER_TOL = 1e-12  # rounding slack of both diameter bounds

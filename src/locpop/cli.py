@@ -37,6 +37,8 @@ import tempfile
 from itertools import chain, islice, repeat
 
 from .behaviors import (
+    _NEUTRAL,
+    _PESSIMISTIC,
     NE_TOL,
     BehaviorKind,
     NoEquilibriumError,
@@ -209,7 +211,7 @@ def _a_grid(behavior: BehaviorKind) -> list:
     """The default a-sweep, cut for neutral firms to the levels with an NE."""
     # bit for bit the floats of np.arange(1, 200) * A_GRID_STEP
     grid = [k * A_GRID_STEP for k in range(1, 200)]
-    if behavior is BehaviorKind.NEUTRAL:
+    if behavior is _NEUTRAL:
         grid = [a for a in grid if neutral_nash(GameParams(a)) is not None]
     return grid
 
@@ -265,7 +267,7 @@ def _cmd_nash_check(args) -> int:
             "payoff": binding.payoff,
         },
     }
-    if behavior is BehaviorKind.PESSIMISTIC:
+    if behavior is _PESSIMISTIC:
         payload["support_interval"] = pessimistic_nash_interval(params, loc).as_dict()
     header = ("a", "theta", "behavior", "x1", "x2", "s1", "kind", "is_nash",
               "deviator", "deviation_location", "deviation_payoff")
@@ -279,12 +281,16 @@ def _cmd_nash_check(args) -> int:
 def _region_rows(params, behavior, n_locations):
     """REGION_HEADER rows of the region scan, one per market equilibrium,
     generated one block of the scan at a time, so no list of every row is
-    built."""
-    from .oracle import _consumer_welfare_array, _region_scan
+    built. The kind column is read from the kind codes of the scan through
+    one array of the kinds' values."""
+    import numpy as np
 
+    from .oracle import _SLOT_KINDS, _consumer_welfare_array, _region_scan
+
+    values = np.array([kind.value for kind in _SLOT_KINDS], dtype=object)
     for x1, x2, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
         welfare = _consumer_welfare_array(params, x1, x2, s1)
-        yield from zip(repeat(params.a), x1.tolist(), x2.tolist(), [k.value for k in kind],
+        yield from zip(repeat(params.a), x1.tolist(), x2.tolist(), values[kind].tolist(),
                        s1.tolist(), is_ne.astype(int).tolist(), welfare.tolist())
 
 
@@ -358,7 +364,7 @@ def _cmd_ratio_curve(args, ratio_fn, label) -> int:
 def _figure_tables(theta):
     """(file name, header, rows) of each figure dataset, one at a time; the
     symmetric and region rows are generated as their table is written."""
-    pessimistic = BehaviorKind.PESSIMISTIC
+    pessimistic = _PESSIMISTIC
     yield "symmetric_equilibria.csv", SYMMETRIC_HEADER, (
         row for a in _a_grid(pessimistic)
         for row in _symmetric_rows(GameParams(a, theta), 201)
@@ -366,7 +372,7 @@ def _figure_tables(theta):
     yield "nash_region_a_half.csv", REGION_HEADER, _region_rows(
         GameParams(0.5, theta), pessimistic, REGION_GRID_DEFAULT)
     for name, behavior, ratio_fn in (
-        ("neutral_efficiency.csv", BehaviorKind.NEUTRAL, poa),
+        ("neutral_efficiency.csv", _NEUTRAL, poa),
         ("pessimistic_poa.csv", pessimistic, poa),
         ("pessimistic_pos.csv", pessimistic, pos),
     ):

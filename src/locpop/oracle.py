@@ -38,6 +38,9 @@ import numpy as np
 
 from . import _ORACLE_EXPORTS
 from .behaviors import (
+    _NEUTRAL,
+    _OPTIMISTIC,
+    _PESSIMISTIC,
     NE_TOL,
     BehaviorKind,
     _check_deviation_args,
@@ -127,8 +130,10 @@ def _share_order(shares):
     return ordered, slots
 
 
-# Kind held by each slot of _equilibria_array (where unique, III is UNIQUE).
-_SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V], dtype=object)
+# The kind of each slot code: the five slots of _equilibria_array (where
+# unique, III is UNIQUE), then UNIQUE at 5, so that the kind column of
+# _region_scan is one array of codes
+_SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V, Kind.UNIQUE], dtype=object)
 
 
 def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
@@ -142,13 +147,13 @@ def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
     left = x_dev <= x_other
     shares, _ = _equilibria_array(
         a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))
-    if behavior is BehaviorKind.NEUTRAL:
+    if behavior is _NEUTRAL:
         shares, _ = _share_order(shares)
     own = np.where(left, shares, 1.0 - shares)
     # fmin / fmax skip NaN, and every cell has a present slot
-    if behavior is BehaviorKind.PESSIMISTIC:
+    if behavior is _PESSIMISTIC:
         return np.fmin.reduce(own, axis=0)
-    if behavior is BehaviorKind.OPTIMISTIC:
+    if behavior is _OPTIMISTIC:
         return np.fmax.reduce(own, axis=0)
     present = ~np.isnan(own)
     own = np.where(present, own, 0.0)
@@ -162,17 +167,24 @@ def _abs_distance_integral_array(alpha, beta, x):
     """Array form of ``welfare._abs_distance_integral``, bit for bit. Squares
     use ``np.float_power``, which calls the C library's ``pow`` as Python's
     ``** 2`` does; numpy's ``** 2`` and ``np.square`` multiply instead, and
-    differ from it in about one value of 1,150."""
+    differ from it in about one value of 1,150.
+
+    The squares, the costly part, are taken only for the cells strictly
+    inside (alpha, beta), where the scalar form takes them; a difference
+    with fewer cells of its own than that, such as the row of an outer
+    product, is squared over its own cells and then broadcast."""
     outer = 0.5 * (beta * beta - alpha * alpha)
-    return np.where(
-        x <= alpha,
-        outer - x * (beta - alpha),
-        np.where(
-            x >= beta,
-            x * (beta - alpha) - outer,
-            0.5 * (np.float_power(x - alpha, 2.0) + np.float_power(beta - x, 2.0)),
-        ),
-    )
+    result = np.where(x <= alpha, outer - x * (beta - alpha), x * (beta - alpha) - outer)
+    inside = (alpha < x) & (x < beta)
+    count = np.count_nonzero(inside)
+
+    def squares(difference):
+        if np.size(difference) <= count:
+            return np.broadcast_to(np.float_power(difference, 2.0), result.shape)[inside]
+        return np.float_power(np.broadcast_to(difference, result.shape)[inside], 2.0)
+
+    result[inside] = 0.5 * (squares(x - alpha) + squares(beta - x))
+    return result
 
 
 def _consumer_welfare_array(params: GameParams, x1, x2, s1):
@@ -361,11 +373,12 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
     size does not grow with the grid. Yields ``(x1, x2, kind, s1, is_ne)``
     per block: arrays with one entry per market equilibrium, cells in
     increasing x1 then x2 and each cell's splits in the order of
-    :func:`enumerate_market_equilibria`. ``is_ne`` is :func:`is_nash`'s
-    verdict by its own arithmetic: each firm's share against the supremum
-    of its best deviation, read from one array of suprema over the grid
-    values of the opponent. Raises ValueError where ``is_nash`` would: a
-    split that fails the market-equilibrium test.
+    :func:`enumerate_market_equilibria`. ``kind`` holds slot codes, indices
+    into ``_SLOT_KINDS`` (5 for UNIQUE), so no enum member is read per split.
+    ``is_ne`` is :func:`is_nash`'s verdict by its own arithmetic: each firm's
+    share against the supremum of its best deviation, read from one array of
+    suprema over the grid values of the opponent. Raises ValueError where
+    ``is_nash`` would: a split that fails the market-equilibrium test.
     """
     a = params.a
     xs = np.linspace(0.0, 1.0, n_locations)
@@ -382,8 +395,7 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         cell, slot = np.nonzero(~np.isnan(shares.T))
         i, j = i[cell], j[cell]
         x1, x2, s1 = xs[i], xs[j], shares[slot, cell]
-        kind = _SLOT_KINDS[slots[slot, cell]]
-        kind[unique[cell]] = Kind.UNIQUE
+        kind = np.where(unique[cell], 5, slots[slot, cell])
         if not _is_split(a, x1, x2, s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
         # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
@@ -403,8 +415,8 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     return [
         EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
         for x1s, x2s, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
-        for x1, x2, kind, s1 in zip(
-            x1s[is_ne].tolist(), x2s[is_ne].tolist(), kinds[is_ne], s1s[is_ne].tolist())
+        for x1, x2, kind, s1 in zip(x1s[is_ne].tolist(), x2s[is_ne].tolist(),
+                                    _SLOT_KINDS[kinds[is_ne]], s1s[is_ne].tolist())
     ]
 
 
@@ -562,13 +574,13 @@ def _pessimistic_region_suite(theta: float):
         lo = np.array([interval.lo for interval in intervals])
         hi = np.array([interval.hi for interval in intervals])
         # clamped, lo is firm 1's supremum against x2 and hi 1 - firm 2's against x1
-        suprema = np.array([_supremum(a, BehaviorKind.PESSIMISTIC, x)[1] for x in xs.tolist()])
+        suprema = np.array([_supremum(a, _PESSIMISTIC, x)[1] for x in xs.tolist()])
         for bound, supremum in ((np.maximum(lo, 0.0), suprema),
                                 (np.minimum(hi, 1.0), 1.0 - suprema)):
             disagreements += int(np.count_nonzero(np.abs(bound - supremum) > 1e-12))
         lo, hi = lo - NE_TOL, hi + NE_TOL
         for x1, x2, _, s1, is_ne in _region_scan(
-                params, BehaviorKind.PESSIMISTIC, _REGION_GRID.n_locations):
+                params, _PESSIMISTIC, _REGION_GRID.n_locations):
             # NashInterval.contains, one block of cells at a time
             inside = (lo[np.searchsorted(xs, x2)] <= s1) & (s1 <= hi[np.searchsorted(xs, x1)])
             disagreements += int(np.count_nonzero(inside != is_ne))
@@ -595,7 +607,7 @@ def _mirror_symmetry_suite(half_ne):
 
 def _neutral_region_suite(theta: float):
     """Neutral NE only at the centre for a = 0.3 <= 1/2."""
-    profiles = oracle_ne_region_scan(GameParams(0.3, theta), BehaviorKind.NEUTRAL, _REGION_GRID)
+    profiles = oracle_ne_region_scan(GameParams(0.3, theta), _NEUTRAL, _REGION_GRID)
     cells = {(p.x1, p.x2) for p in profiles}
     return cells == {(0.5, 0.5)}, f"NE cells at a=0.3: {sorted(cells)}"
 
@@ -603,7 +615,7 @@ def _neutral_region_suite(theta: float):
 def _optimistic_region_suite(theta: float):
     """No optimistic NE."""
     params = GameParams(0.3, theta)
-    hits = len(oracle_ne_region_scan(params, BehaviorKind.OPTIMISTIC, _REGION_GRID))
+    hits = len(oracle_ne_region_scan(params, _OPTIMISTIC, _REGION_GRID))
     return hits == 0, f"{hits} optimistic NE found at a=0.3"
 
 

@@ -20,13 +20,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .behaviors import BehaviorKind, NoEquilibriumError, neutral_nash
+from .behaviors import (
+    _OPTIMISTIC,
+    _PESSIMISTIC,
+    BehaviorKind,
+    NoEquilibriumError,
+    neutral_nash,
+)
 from .model import (
+    _I,
+    _III,
+    _IV,
+    _UNIQUE,
     EquilibriumProfile,
     GameParams,
-    Kind,
     Locations,
     MarketOutcome,
+    _condition_gaps,
 )
 
 __all__ = [
@@ -136,7 +146,7 @@ def worst_ne_pessimistic(params: GameParams) -> ProfileWelfare:
     theta - (1 - a)^2 / 4 (computed here by direct evaluation).
     """
     x = (1.0 - params.a) / 2.0
-    profile = EquilibriumProfile(Locations(x, x), MarketOutcome(Kind.IV, 0.5))
+    profile = EquilibriumProfile(Locations(x, x), MarketOutcome(_IV, 0.5))
     return ProfileWelfare(profile, consumer_welfare(params, x, x, 0.5))
 
 
@@ -164,17 +174,20 @@ def best_ne_pessimistic(params: GameParams) -> ProfileWelfare:
     """
     a = params.a
 
+    def interior(x1, x2, s1):
+        # the interior split is kind III in the band; where the gap rounds
+        # above a, the enumeration lists it alone, as UNIQUE
+        kind = _UNIQUE if _condition_gaps(a, x1, x2)[0] > 0.0 else _III
+        return EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
+
     def branch_low():
-        loc = Locations((1.0 - a) / 2.0, (1.0 + a) / 2.0)
-        return EquilibriumProfile(loc, MarketOutcome(Kind.III, 0.5))
+        return interior((1.0 - a) / 2.0, (1.0 + a) / 2.0, 0.5)
 
     def branch_mid():
-        s1 = (1.0 - 2.0 * a) / (2.0 * (1.0 - a))
-        loc = Locations(0.5 - a, 0.5)
-        return EquilibriumProfile(loc, MarketOutcome(Kind.III, s1))
+        return interior(0.5 - a, 0.5, (1.0 - 2.0 * a) / (2.0 * (1.0 - a)))
 
     def branch_high():
-        return EquilibriumProfile(Locations(0.0, 0.5), MarketOutcome(Kind.I, 0.0))
+        return EquilibriumProfile(Locations(0.0, 0.5), MarketOutcome(_I, 0.0))
 
     if a <= BEST_NE_BREAKPOINT:
         profile = branch_low()
@@ -196,9 +209,9 @@ def best_ne_pessimistic(params: GameParams) -> ProfileWelfare:
 def _extremal_ne(params: GameParams, behavior: BehaviorKind, pessimistic_ne) -> ProfileWelfare:
     """The extremal NE under ``behavior``: ``pessimistic_ne(params)``, or the
     unique neutral one. Raises NoEquilibriumError when there is none."""
-    if behavior is BehaviorKind.OPTIMISTIC:
+    if behavior is _OPTIMISTIC:
         raise NoEquilibriumError("no equilibrium exists for optimistic firms")
-    if behavior is BehaviorKind.PESSIMISTIC:
+    if behavior is _PESSIMISTIC:
         return pessimistic_ne(params)
     profile = neutral_nash(params)
     if profile is None:
@@ -245,7 +258,7 @@ def poa_minimizer_pessimistic(theta: float) -> float:
     h = min(1e-4, a_star / 2.0)
 
     def ratio(a):
-        return poa(GameParams(a, theta), BehaviorKind.PESSIMISTIC).value
+        return poa(GameParams(a, theta), _PESSIMISTIC).value
 
     center = ratio(a_star)
     if not ratio(a_star - h) >= center:

@@ -18,6 +18,9 @@ from locpop.cli import main
 
 MANIFEST = pathlib.Path(__file__).with_name("golden_outputs.json")
 BEHAVIORS = ("pessimistic", "neutral", "optimistic")
+# the commands outside the numpy layer, which run on the stdlib alone
+NUMPY_FREE_COMMANDS = ("market-eq", "nash-check", "welfare", "social-opt",
+                       "symmetric-region", "poa-curve", "pos-curve")
 
 
 def invocations():

@@ -23,7 +23,7 @@ import math
 import pathlib
 import sys
 
-PINNED_SHA256 = "0b7b4f60f3376f339471406b6e0570c53bb7a5acc678db020a094ff32a32baa4"
+PINNED_SHA256 = "9fae39f3c32679fafc40e5ed6c1aa04f60033efb8f3d4a0c286b192303fb2ea8"
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src"
 

@@ -924,12 +924,10 @@ def test_failed_write_exits_one(target, argv, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-# commands outside the numpy layer, and a child process that imports the
-# package and builds the parser, lists what it loaded of numpy and scipy, then
-# blocks numpy (every later import of it raises) and hashes their pinned outputs
-NUMPY_FREE_COMMANDS = ("market-eq", "nash-check", "welfare", "social-opt",
-                       "symmetric-region", "poa-curve", "pos-curve")
-NUMPY_BLOCKED_RUN = f"""\
+# a child process that imports the package and builds the parser, lists what
+# it loaded of numpy and scipy, then blocks numpy (every later import of it
+# raises) and hashes the pinned outputs of the commands outside the numpy layer
+NUMPY_BLOCKED_RUN = """\
 import json, sys
 import locpop
 from locpop import cli
@@ -937,8 +935,9 @@ cli.build_parser()
 loaded = sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy"))
 sys.modules["numpy"] = None
 import golden_outputs
-argvs = [argv for argv in golden_outputs.invocations() if argv[0] in {NUMPY_FREE_COMMANDS}]
-print(json.dumps({{"loaded": loaded, "digests": golden_outputs.digests(argvs)}}))
+argvs = [argv for argv in golden_outputs.invocations()
+         if argv[0] in golden_outputs.NUMPY_FREE_COMMANDS]
+print(json.dumps({"loaded": loaded, "digests": golden_outputs.digests(argvs)}))
 """
 
 
@@ -959,7 +958,7 @@ def test_numpy_free_commands_run_with_numpy_blocked():
     assert result["loaded"] == []
     manifest = json.loads(golden_outputs.MANIFEST.read_text())
     pinned = {key: digest for key, digest in manifest.items()
-              if key.split()[0] in NUMPY_FREE_COMMANDS}
+              if key.split()[0] in golden_outputs.NUMPY_FREE_COMMANDS}
     assert len(pinned) == 24
     assert result["digests"] == pinned
 

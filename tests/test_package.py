@@ -1,10 +1,14 @@
 """The package namespace: one export list, gathered from the submodules,
-and a scalar core that runs without numpy."""
+a scalar core that runs without numpy, and per-call code that reads no enum
+member through its class."""
 
+import ast
+import inspect
 import subprocess
 import sys
 
 import locpop
+from locpop import cli, oracle
 
 import scalar_corpus
 
@@ -49,3 +53,24 @@ def test_scalar_core_runs_without_numpy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"sha256 {scalar_corpus.PINNED_SHA256}"
+
+
+def test_no_enum_member_is_read_through_its_class_per_call():
+    """No function or lambda body reads ``Kind.<MEMBER>`` or
+    ``BehaviorKind.<MEMBER>``: on CPython <= 3.11 each such read runs the
+    enum class's ``__getattr__``, so per-call code reads the members'
+    module names. Module-level tables may spell them out."""
+    members = {"Kind": set(locpop.Kind.__members__),
+               "BehaviorKind": set(locpop.BehaviorKind.__members__)}
+    sites = set()
+    for module in (locpop.model, locpop.behaviors, locpop.welfare, oracle, cli):
+        for scope in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            bodies = [scope.body] if isinstance(scope, ast.Lambda) else scope.body
+            sites.update(
+                f"{module.__name__}:{node.lineno}:{node.col_offset} {node.value.id}.{node.attr}"
+                for body in bodies for node in ast.walk(body)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.attr in members.get(node.value.id, ()))
+    assert sorted(sites) == []

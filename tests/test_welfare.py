@@ -12,9 +12,11 @@ from locpop import (
     BehaviorKind,
     GameParams,
     GridSpec,
+    SHARE_TOL,
     NoEquilibriumError,
     best_ne_pessimistic,
     consumer_welfare,
+    enumerate_market_equilibria,
     is_market_equilibrium,
     is_nash,
     oracle_consumer_welfare,
@@ -180,11 +182,16 @@ def test_best_ne_branch_values():
 
 @pytest.mark.parametrize("a", [0.05, 0.2, BEST_NE_BREAKPOINT, 0.35, 0.45, 0.5, 0.6, 0.9])
 def test_best_ne_is_valid_equilibrium(a):
+    """The best NE is a pessimistic NE, and its outcome one the enumeration
+    lists at its locations, kind for kind: at 0.05 and at the breakpoint the
+    gap rounds above a, where the interior split is the UNIQUE one."""
     params = GameParams(a)
     report = best_ne_pessimistic(params)
     profile = report.profile
     assert is_market_equilibrium(params, profile.locations, profile.s1)
     assert is_nash(params, BehaviorKind.PESSIMISTIC, profile)
+    assert any(o.kind is profile.outcome.kind and abs(o.s1 - profile.s1) <= SHARE_TOL
+               for o in enumerate_market_equilibria(params, profile.locations))
 
 
 def test_best_ne_continuity_at_breakpoints():
