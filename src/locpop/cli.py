@@ -283,14 +283,11 @@ def _region_rows(params, behavior, n_locations):
     generated one block of the scan at a time, so no list of every row is
     built. The kind column is read from the kind codes of the scan through
     one array of the kinds' values."""
-    import numpy as np
+    from .oracle import _SLOT_VALUES, _consumer_welfare_array, _region_scan
 
-    from .oracle import _SLOT_KINDS, _consumer_welfare_array, _region_scan
-
-    values = np.array([kind.value for kind in _SLOT_KINDS], dtype=object)
     for x1, x2, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
         welfare = _consumer_welfare_array(params, x1, x2, s1)
-        yield from zip(repeat(params.a), x1.tolist(), x2.tolist(), values[kind].tolist(),
+        yield from zip(repeat(params.a), x1.tolist(), x2.tolist(), _SLOT_VALUES[kind].tolist(),
                        s1.tolist(), is_ne.astype(int).tolist(), welfare.tolist())
 
 

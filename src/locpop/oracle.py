@@ -134,6 +134,8 @@ def _share_order(shares):
 # unique, III is UNIQUE), then UNIQUE at 5, so that the kind column of
 # _region_scan is one array of codes
 _SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V, Kind.UNIQUE], dtype=object)
+# the value of each slot code's kind, for the kind column of a table
+_SLOT_VALUES = np.array([kind.value for kind in _SLOT_KINDS], dtype=object)
 
 
 def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
@@ -167,23 +169,14 @@ def _abs_distance_integral_array(alpha, beta, x):
     """Array form of ``welfare._abs_distance_integral``, bit for bit. Squares
     use ``np.float_power``, which calls the C library's ``pow`` as Python's
     ``** 2`` does; numpy's ``** 2`` and ``np.square`` multiply instead, and
-    differ from it in about one value of 1,150.
-
-    The squares, the costly part, are taken only for the cells strictly
-    inside (alpha, beta), where the scalar form takes them; a difference
-    with fewer cells of its own than that, such as the row of an outer
-    product, is squared over its own cells and then broadcast."""
+    differ from it in about one value of 1,150. The squares, the costly
+    part, are taken only for the cells strictly inside (alpha, beta), where
+    the scalar form takes them."""
     outer = 0.5 * (beta * beta - alpha * alpha)
     result = np.where(x <= alpha, outer - x * (beta - alpha), x * (beta - alpha) - outer)
     inside = (alpha < x) & (x < beta)
-    count = np.count_nonzero(inside)
-
-    def squares(difference):
-        if np.size(difference) <= count:
-            return np.broadcast_to(np.float_power(difference, 2.0), result.shape)[inside]
-        return np.float_power(np.broadcast_to(difference, result.shape)[inside], 2.0)
-
-    result[inside] = 0.5 * (squares(x - alpha) + squares(beta - x))
+    result[inside] = 0.5 * (np.float_power(np.broadcast_to(x - alpha, result.shape)[inside], 2.0)
+                            + np.float_power(np.broadcast_to(beta - x, result.shape)[inside], 2.0))
     return result
 
 

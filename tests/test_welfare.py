@@ -27,7 +27,8 @@ from locpop import (
     social_optimum,
     worst_ne_pessimistic,
 )
-from locpop.oracle import _consumer_welfare_array
+from locpop.oracle import _abs_distance_integral_array, _consumer_welfare_array
+from locpop.welfare import _abs_distance_integral
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -112,6 +113,18 @@ def test_welfare_array_matches_scalar_in_bulk():
     rng = np.random.default_rng(5)
     params = GameParams(0.37, 1.3)
     assert_welfare_array_is_scalar(params, rng.uniform(0.0, 1.0, size=(20_000, 3)).tolist())
+    # the distance integrals over the (n, 1) x (1, n) outer products of
+    # GridSpec._optimum_grid, whose cells lie below, on the ends of and
+    # strictly inside each segment
+    xs = np.linspace(0.0, 1.0, 41)
+    s_col = xs[:, None]
+    for alpha, beta, segment in ((0.0, s_col, lambda s: (0.0, s)),
+                                 (s_col, 1.0, lambda s: (s, 1.0))):
+        got = _abs_distance_integral_array(alpha, beta, xs[None, :])
+        want = np.array([[_abs_distance_integral(*segment(s), x) for x in xs.tolist()]
+                         for s in xs.tolist()])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
