@@ -336,6 +336,33 @@ def neutral_nash(params: GameParams):
     return EquilibriumProfile(Locations(0.5, 0.5), MarketOutcome(_III, 0.5))
 
 
+def _symmetric_thresholds(a: float):
+    """The x1 from which the symmetric pessimistic NE set holds 1/2, the
+    tails 1/2 +- (1 - 2 x1)/(2 a), and {0, 1}: (1 - a)/2, (1 - a^2)/2 and
+    1 - a, each moved down by the NE-decision slack ``NE_TOL`` mapped
+    through the constraint algebra (factor 1 - a for the outer two,
+    a (1 - a) for the middle one)."""
+    return ((1.0 - a) / 2.0 - NE_TOL * (1.0 - a),
+            (1.0 - a * a) / 2.0 - NE_TOL * a * (1.0 - a),
+            1.0 - a - NE_TOL * (1.0 - a))
+
+
+def _symmetric_shares(a: float, thresholds, x1: float) -> list:
+    """The sorted distinct shares of the symmetric set at ``x1``, given
+    ``_symmetric_thresholds(a)``: each part from its threshold on, merged
+    within 1e-12 where parts meet."""
+    center, tails, ends = thresholds
+    values: list = []
+    if x1 >= center:
+        values.append(0.5)
+    if x1 >= tails:
+        delta = (1.0 - 2.0 * x1) / (2.0 * a)
+        values.extend([0.5 - delta, 0.5 + delta])
+    if x1 >= ends:
+        values.extend([0.0, 1.0])
+    return _merge_close(values, 1e-12)
+
+
 def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
     """Shares s1 making (x1, 1 - x1, s1, 1 - s1) a pessimistic NE.
 
@@ -348,27 +375,19 @@ def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
 
     Returns the sorted tuple of distinct values (union at overlapping
     region boundaries). The NE-decision slack ``NE_TOL`` is mapped
-    through the constraint algebra onto each threshold (factor 1 - a for
-    the outer regions, a (1 - a) for the middle one), so the set is the
-    one :func:`is_nash` accepts at every x1 farther than 1e-16 from the
-    three moved thresholds; within rounding of one of them the two may
-    decide differently. The slack is not a parameter: another value would
-    break that agreement. The closed form stays rather than reading
-    :func:`is_nash`, which makes the symmetric figure's rows several
-    times slower.
+    through the constraint algebra onto each threshold
+    (:func:`_symmetric_thresholds`), so the set is the one :func:`is_nash`
+    accepts at every x1 farther than 1e-16 from the three moved thresholds;
+    within rounding of one of them the two may decide differently. The
+    slack is not a parameter: another value would break that agreement. The
+    closed form stays rather than reading :func:`is_nash`, which makes the
+    symmetric figure's rows several times slower; those rows read
+    :func:`_symmetric_shares` with the thresholds computed once per level.
     """
     if not 0.0 <= x1 <= 0.5:
         raise ValueError(f"symmetric analysis needs x1 in [0, 1/2], got {x1}")
     a = params.a
-    values: list = []
-    if x1 >= (1.0 - a) / 2.0 - NE_TOL * (1.0 - a):
-        values.append(0.5)
-    if x1 >= (1.0 - a * a) / 2.0 - NE_TOL * a * (1.0 - a):
-        delta = (1.0 - 2.0 * x1) / (2.0 * a)
-        values.extend([0.5 - delta, 0.5 + delta])
-    if x1 >= 1.0 - a - NE_TOL * (1.0 - a):
-        values.extend([0.0, 1.0])
-    return tuple(_merge_close(values, 1e-12))
+    return tuple(_symmetric_shares(a, _symmetric_thresholds(a), x1))
 
 
 def nash_region_a_half(x1: float, x2: float) -> set:

@@ -135,7 +135,17 @@ def _share_order(shares):
 # _region_scan is one array of codes
 _SLOT_KINDS = np.array([Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V, Kind.UNIQUE], dtype=object)
 # the value of each slot code's kind, for the kind column of a table
-_SLOT_VALUES = np.array([kind.value for kind in _SLOT_KINDS], dtype=object)
+_SLOT_VALUES = tuple(kind.value for kind in _SLOT_KINDS)
+
+
+def _float_codes(values):
+    """``(distinct, codes)`` of a float64 array: its distinct values as
+    Python floats, and for each entry the index of its value among them.
+    Values are told apart by their bits (``np.unique`` over the int64
+    view), so -0.0 and 0.0 stay apart, as do NaNs of different payloads,
+    and ``distinct[codes[k]]`` is entry k bit for bit."""
+    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    return bits.view(np.float64).tolist(), codes.tolist()
 
 
 def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
@@ -358,23 +368,29 @@ def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
 _SCAN_BLOCK_CELLS = 1024
 
 
+def _location_grid(n_locations: int):
+    """The n_locations equally spaced locations on [0, 1] of the region scan."""
+    return np.linspace(0.0, 1.0, n_locations)
+
+
 def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
     """Every profile on the n_locations x n_locations grid with x1 <= x2 and
     its Nash verdict, one block of consecutive grid rows of x1 at a time.
 
     A block has max(1, ``_SCAN_BLOCK_CELLS`` // n_locations) rows, so its
-    size does not grow with the grid. Yields ``(x1, x2, kind, s1, is_ne)``
+    size does not grow with the grid. Yields ``(i, j, kind, s1, is_ne)``
     per block: arrays with one entry per market equilibrium, cells in
     increasing x1 then x2 and each cell's splits in the order of
-    :func:`enumerate_market_equilibria`. ``kind`` holds slot codes, indices
-    into ``_SLOT_KINDS`` (5 for UNIQUE), so no enum member is read per split.
+    :func:`enumerate_market_equilibria`. ``i`` and ``j`` index x1 and x2 in
+    :func:`_location_grid`. ``kind`` holds slot codes, indices into
+    ``_SLOT_KINDS`` (5 for UNIQUE), so no enum member is read per split.
     ``is_ne`` is :func:`is_nash`'s verdict by its own arithmetic: each firm's
     share against the supremum of its best deviation, read from one array of
     suprema over the grid values of the opponent. Raises ValueError where
     ``is_nash`` would: a split that fails the market-equilibrium test.
     """
     a = params.a
-    xs = np.linspace(0.0, 1.0, n_locations)
+    xs = _location_grid(n_locations)
     suprema = np.array([_supremum(a, behavior, x)[1] for x in xs.tolist()])
     index = np.arange(n_locations)
     rows = max(1, _SCAN_BLOCK_CELLS // n_locations)
@@ -386,14 +402,13 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         shares, slots = _share_order(shares)
         # through the transposed view, cells stay in order and splits in share order
         cell, slot = np.nonzero(~np.isnan(shares.T))
-        i, j = i[cell], j[cell]
-        x1, x2, s1 = xs[i], xs[j], shares[slot, cell]
+        i, j, s1 = i[cell], j[cell], shares[slot, cell]
         kind = np.where(unique[cell], 5, slots[slot, cell])
-        if not _is_split(a, x1, x2, s1).all():
+        if not _is_split(a, xs[i], xs[j], s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
         # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
         is_ne = ~(s1 < suprema[j] - NE_TOL) & ~(1.0 - s1 < suprema[i] - NE_TOL)
-        yield x1, x2, kind, s1, is_ne
+        yield i, j, kind, s1, is_ne
 
 
 def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: GridSpec) -> list:
@@ -405,10 +420,11 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     the figure emitters and the pessimistic-region suite, with its
     diameter-bound checks, read :func:`_region_scan` directly.
     """
+    xs = _location_grid(grid.n_locations)
     return [
         EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
-        for x1s, x2s, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
-        for x1, x2, kind, s1 in zip(x1s[is_ne].tolist(), x2s[is_ne].tolist(),
+        for i, j, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
+        for x1, x2, kind, s1 in zip(xs[i[is_ne]].tolist(), xs[j[is_ne]].tolist(),
                                     _SLOT_KINDS[kinds[is_ne]], s1s[is_ne].tolist())
     ]
 
@@ -557,7 +573,7 @@ def _pessimistic_region_suite(theta: float):
     a = 0.5 as arrays ``(x1, x2, s1)``, which :func:`_mirror_symmetry_suite`
     reflects.
     """
-    xs = np.linspace(0.0, 1.0, _REGION_GRID.n_locations)
+    xs = _location_grid(_REGION_GRID.n_locations)
     disagreements = 0
     half_ne = []
     for a in (0.2, 0.5, 0.8):
@@ -572,12 +588,11 @@ def _pessimistic_region_suite(theta: float):
                                 (np.minimum(hi, 1.0), 1.0 - suprema)):
             disagreements += int(np.count_nonzero(np.abs(bound - supremum) > 1e-12))
         lo, hi = lo - NE_TOL, hi + NE_TOL
-        for x1, x2, _, s1, is_ne in _region_scan(
-                params, _PESSIMISTIC, _REGION_GRID.n_locations):
+        for i, j, _, s1, is_ne in _region_scan(params, _PESSIMISTIC, _REGION_GRID.n_locations):
             # NashInterval.contains, one block of cells at a time
-            inside = (lo[np.searchsorted(xs, x2)] <= s1) & (s1 <= hi[np.searchsorted(xs, x1)])
+            inside = (lo[j] <= s1) & (s1 <= hi[i])
             disagreements += int(np.count_nonzero(inside != is_ne))
-            ne = (x1[is_ne], x2[is_ne], s1[is_ne])
+            ne = (xs[i[is_ne]], xs[j[is_ne]], s1[is_ne])
             disagreements += int(np.count_nonzero(~_diameter_ok(a, *ne)))
             if a == 0.5:
                 half_ne.append(ne)
@@ -590,11 +605,16 @@ def _mirror_symmetry_suite(half_ne):
     under x -> 1 - x, compared after rounding to 9 places."""
     x1, x2, s1 = half_ne
 
-    def rounded(*columns):
-        return set(zip(*([round(v, 9) for v in column.tolist()] for column in columns)))
+    def rounded(column):
+        # each distinct value rounded once; coded by bits, every entry gets
+        # its own round(v, 9). A coding by value, merging -0.0 with 0.0,
+        # would give the same sets: tuples that differ only in the sign of
+        # a zero compare and hash equal
+        distinct, codes = _float_codes(column)
+        return map([round(v, 9) for v in distinct].__getitem__, codes)
 
-    mirrored = rounded(x1, x2, s1)
-    reflected = rounded(1.0 - x2, 1.0 - x1, 1.0 - s1)
+    mirrored = set(zip(*map(rounded, (x1, x2, s1))))
+    reflected = set(zip(*map(rounded, (1.0 - x2, 1.0 - x1, 1.0 - s1))))
     return mirrored == reflected, f"{len(mirrored)} pessimistic NE profiles at a=0.5"
 
 

@@ -7,7 +7,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ from itertools import cycle, islice, repeat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from locpop import (
     BehaviorKind,
@@ -33,6 +36,7 @@ from locpop import (
     is_nash,
     neutral_nash,
     oracle,
+    symmetric_pessimistic_nash_set,
     verify_suites,
 )
 from locpop.cli import (
@@ -42,12 +46,14 @@ from locpop.cli import (
     _json_chunks,
     _json_doc,
     _region_rows,
+    _row_blocks,
     build_parser,
     main,
 )
 
 import golden_outputs
 from suite_loops import loop_deviation_flags, loop_market_flags
+from table_blocks import block_rows
 
 
 def run_cli(capsys, *argv):
@@ -276,7 +282,7 @@ def test_json_output_is_strict():
     with pytest.raises(ValueError):
         _json_doc({"welfare": float("nan")})
     with pytest.raises(ValueError):
-        "".join(_json_chunks(("welfare",), [(0.5,), (float("nan"),)], {}))
+        "".join(_json_chunks(("welfare",), _row_blocks([(0.5,), (float("nan"),)]), {}))
     # inf, -inf and nan in a float and in an np.float64 column, in the first
     # row, a later row and the first row of a later chunk: each raises, as the
     # whole document does under json.dumps(allow_nan=False)
@@ -289,7 +295,7 @@ def test_json_output_is_strict():
                 with pytest.raises(ValueError):
                     json_doc_reference(header, rows, {})
                 with pytest.raises(ValueError):
-                    "".join(_json_chunks(header, rows, {}))
+                    "".join(_json_chunks(header, _row_blocks(rows), {}))
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):
@@ -350,7 +356,7 @@ def kind_order_inversions(rows):
 def test_region_rows_match_scalar_reference(a, behavior, n_locations):
     params = GameParams(a)
     expected = scalar_region_rows(params, behavior, n_locations)
-    rows = list(_region_rows(params, behavior, n_locations))
+    rows = block_rows(_region_rows(params, behavior, n_locations))
     # bit for bit and type for type, as the CSV and JSON writers see them
     assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in expected]
     if n_locations == 201:  # III rounds below II on these cells at a = 1/2
@@ -381,7 +387,7 @@ def csv_doc_reference(header, rows):
 
 
 def csv_doc(header, rows):
-    return "".join(_csv_chunks(header, rows))
+    return "".join(_csv_chunks(header, _row_blocks(rows)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,10 +405,10 @@ def csv_doc(header, rows):
 def test_csv_doc_is_the_csv_writer(argv, monkeypatch, capsys):
     tables = []
 
-    def recording(header, rows):
-        rows = list(rows)
-        tables.append((header, rows))
-        return _csv_chunks(header, rows)
+    def recording(header, blocks):
+        blocks = list(blocks)
+        tables.append((header, block_rows(blocks)))
+        return _csv_chunks(header, blocks)
 
     monkeypatch.setattr(cli, "_csv_chunks", recording)
     code, out, _ = run_cli(capsys, *argv)
@@ -448,17 +454,17 @@ JSON_ROWS = [
 ])
 def test_json_chunks_are_the_whole_document(n_rows, meta):
     rows = list(islice(cycle(JSON_ROWS), n_rows))
-    chunks = list(_json_chunks(EDGE_HEADER, iter(rows), meta))
+    chunks = list(_json_chunks(EDGE_HEADER, _row_blocks(iter(rows)), meta))
     assert_same_document("".join(chunks), json_doc_reference(EDGE_HEADER, rows, meta))
     # the opening, one piece per CHUNK_ROWS rows and the closing; or one piece
     assert len(chunks) == (1 if n_rows == 0 else 2 - (-n_rows // CHUNK_ROWS))
 
 
 def test_json_chunks_encode_header_keys():
-    # keys are json-encoded into the row template, a "%" among them included
+    # keys are json-encoded into each field, a "%" among them included
     header = ("100%", 'a "key"', "café", "%s")
     rows = [(0.1, 1, "x", False), (2.5e-300, -2, "%d", True)]
-    assert_same_document("".join(_json_chunks(header, rows, {})),
+    assert_same_document("".join(_json_chunks(header, _row_blocks(rows), {})),
                          json_doc_reference(header, rows, {}))
 
 
@@ -471,10 +477,10 @@ def test_json_chunks_encode_header_keys():
 def test_json_rows_are_the_whole_document(argv, monkeypatch, capsys, tmp_path):
     tables = []
 
-    def recording(header, rows, meta):
-        rows = list(rows)
-        tables.append((header, rows, meta))
-        return _json_chunks(header, rows, meta)
+    def recording(header, blocks, meta):
+        blocks = list(blocks)
+        tables.append((header, block_rows(blocks), meta))
+        return _json_chunks(header, blocks, meta)
 
     monkeypatch.setattr(cli, "_json_chunks", recording)
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -493,7 +499,8 @@ def test_json_rows_are_the_whole_document(argv, monkeypatch, capsys, tmp_path):
 ])
 def test_csv_chunks_at_chunk_boundaries(n_rows, source):
     rows = list(islice(cycle(EDGE_ROWS), n_rows))
-    chunks = list(_csv_chunks(EDGE_HEADER, rows if source == "list" else (r for r in rows)))
+    chunks = list(_csv_chunks(EDGE_HEADER, _row_blocks(
+        rows if source == "list" else (r for r in rows))))
     assert "".join(chunks) == csv_doc_reference(EDGE_HEADER, rows)
     # the header lines alone, then full chunks of rows and a shorter last one
     full, rest = divmod(n_rows, CHUNK_ROWS)
@@ -502,9 +509,10 @@ def test_csv_chunks_at_chunk_boundaries(n_rows, source):
     assert sizes == [CHUNK_ROWS] * full + [rest] * (rest > 0)
 
 
-# A streaming writer holds about one chunk of rows however long the table
-# (about 1.0 MB traced here at 3 and at 12 chunks); one that joins the whole
-# document first grows with it (1.6 MB at 3 chunks, 6.4 MB at 12)
+# A streaming writer holds about one block of rows however long the table
+# (about 1.4 MB traced here at 3 and at 12 blocks of CHUNK_ROWS rows); one
+# that joins the whole document first grows with it (1.7 MB at 3 blocks,
+# 3.1 MB at 12)
 def test_csv_memory_stays_bounded(tmp_path, monkeypatch):
     row = (0.5, 0.123456789, 0.876543211, "unique", 0.0411522633, 1, 0.882363809524)
     peaks = {}
@@ -516,7 +524,7 @@ def test_csv_memory_stays_bounded(tmp_path, monkeypatch):
                 tracemalloc.start()
                 try:
                     cli._emit(argparse.Namespace(format="csv", out=out), cli.REGION_HEADER,
-                              repeat(row, chunks * CHUNK_ROWS))
+                              _row_blocks(repeat(row, chunks * CHUNK_ROWS)))
                     peaks[name, chunks] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -537,7 +545,7 @@ def test_json_memory_stays_bounded(tmp_path):
     tracemalloc.start()
     try:
         cli._emit(argparse.Namespace(format="json", out=str(path)), cli.REGION_HEADER,
-                  repeat(row, n_rows), behavior="pessimistic", theta=1.0)
+                  _row_blocks(repeat(row, n_rows)), behavior="pessimistic", theta=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -550,14 +558,14 @@ def test_failed_table_leaves_out_untouched(tmp_path, monkeypatch, capsys):
     path.write_bytes(b"old bytes\n")
     partial = []
 
-    def failing_rows(params, n_points):
+    def failing_rows(a_values, n_points):
         for i in range(3 * CHUNK_ROWS + 5):
-            yield params.a, i / n_points, 0.5
-        # three chunks have reached the temporary file by now
+            yield a_values[0], i / n_points, 0.5
+        # three blocks have reached the temporary file by now
         partial.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
         raise ValueError("a row failed mid-stream")
 
-    monkeypatch.setattr(cli, "_symmetric_rows", failing_rows)
+    monkeypatch.setattr(cli, "_symmetric_rows", lambda *args: _row_blocks(failing_rows(*args)))
     code, out, err = run_cli(capsys, "symmetric-region", "--a", "0.5", "--out", str(path))
     assert code == 2 and out == "" and err == "error: a row failed mid-stream\n"
     assert len(partial) == 1 and partial[0] > 0
@@ -577,6 +585,94 @@ def test_symmetric_region_rows(capsys):
         by_x1.setdefault(float(r["x1"]), []).append(float(r["s1"]))
     assert by_x1[0.5] == [0.0, 0.5, 1.0]
     assert 0.1 not in by_x1  # beyond reach below (1-a)/2
+
+
+def symmetric_reference(a_values, n_points):
+    """The symmetric rows point by point, through the public closed form."""
+    xs = np.linspace(0.0, 0.5, n_points).tolist()
+    return [(a, x1, s1) for a in a_values for x1 in xs
+            for s1 in symmetric_pessimistic_nash_set(GameParams(a), x1)]
+
+
+def assert_symmetric_rows_exact(a_values, n_points):
+    rows = block_rows(cli._symmetric_rows(a_values, n_points))
+    expected = symmetric_reference(a_values, n_points)
+    assert {type(v) for row in rows for v in row} <= {float}
+    assert np.array_equal(np.array(rows, dtype=float).reshape(-1, 3).view(np.int64),
+                          np.array(expected, dtype=float).reshape(-1, 3).view(np.int64))
+
+
+# (a, n_points, threshold): the threshold of _symmetric_thresholds(a), 0 for
+# 1/2, 1 for the tails, 2 for {0, 1}, lies exactly on a diagonal point
+SYMMETRIC_EDGES = [
+    (0.24999999849999996, 5, 0), (0.89499999979, 201, 0),
+    (0.7071067808936543, 3, 1), (0.9082951061375426, 201, 1), (0.975448614716379, 2001, 1),
+    (0.74999999975, 3, 2), (0.4999999994999999, 3, 2), (0.9474999999475, 201, 2),
+    (0.98424999998425, 2001, 2),
+]
+
+
+@pytest.mark.parametrize("a, n_points, threshold", SYMMETRIC_EDGES)
+def test_symmetric_edge_cases_sit_on_the_diagonal(a, n_points, threshold):
+    edge = behaviors._symmetric_thresholds(a)[threshold]
+    assert edge in np.linspace(0.0, 0.5, n_points).tolist()
+    assert_symmetric_rows_exact([a], n_points)
+
+
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+# several levels at 2001 points fill more than one block, and a block can
+# span two levels
+@settings(max_examples=60, deadline=None)
+@given(a_values=st.lists(unit_open, min_size=1, max_size=3),
+       n_points=st.integers(min_value=2, max_value=2001))
+@example(a_values=[0.005, 0.5, 0.995], n_points=2001)
+@example(a_values=[a for a, _, _ in SYMMETRIC_EDGES if a > 0.9], n_points=2001)
+def test_symmetric_rows_are_the_closed_form_bit_for_bit(a_values, n_points):
+    assert_symmetric_rows_exact(a_values, n_points)
+
+
+# one column's values that a coding by value would confuse: the two zeros,
+# two NaN objects of different payloads, a float and an np.float64 of one
+# value, and both infinities
+CODED_VALUES = [
+    0.0, -0.0, float("nan"), struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0],
+    0.1 + 0.2, np.float64(0.1 + 0.2), math.inf, -math.inf,
+]
+
+
+def coded_blocks(rows, cut):
+    """``rows`` (value, value) as blocks cut before row ``cut`` (one block
+    at either end): the first column coded by bits through
+    ``oracle._float_codes``, as the region rows code theirs, the second
+    plain."""
+    for part in (rows[:cut], rows[cut:]):
+        if part:
+            values = [value for value, _ in part]
+            yield oracle._float_codes(np.array(values)), (values, None)
+
+
+def test_coded_columns_are_exact():
+    """A coded column writes each row's value as a plain one does, in one
+    block and across a block boundary, in CSV; in JSON it raises wherever
+    the document built whole raises, and is that document elsewhere."""
+    header = ("coded", "plain")
+    finite = [v for v in CODED_VALUES if math.isfinite(v)]
+    tables = [CODED_VALUES, finite, *([*finite, v] for v in CODED_VALUES if not math.isfinite(v))]
+    for values in tables:
+        rows = [(v, v) for v in values * 2]
+        for cut in range(len(rows) + 1):
+            blocks = list(coded_blocks(rows, cut))
+            assert_same_document("".join(_csv_chunks(header, blocks)),
+                                 csv_doc_reference(header, rows))
+            try:
+                whole = json_doc_reference(header, rows, {})
+            except ValueError:
+                with pytest.raises(ValueError):
+                    "".join(_json_chunks(header, blocks, {}))
+            else:
+                assert_same_document("".join(_json_chunks(header, blocks, {})), whole)
 
 
 # sha256 of `locpop figures --theta 1` output; figure data is frozen
@@ -959,11 +1055,16 @@ def test_numpy_free_commands_run_with_numpy_blocked():
     manifest = json.loads(golden_outputs.MANIFEST.read_text())
     pinned = {key: digest for key, digest in manifest.items()
               if key.split()[0] in golden_outputs.NUMPY_FREE_COMMANDS}
-    assert len(pinned) == 24
+    # the invocations run are exactly the manifest's numpy-free keys, and
+    # there are some
+    assert pinned
+    assert result["digests"].keys() == pinned.keys()
     assert result["digests"] == pinned
 
 
-@pytest.mark.parametrize("n_points", [2, 3, 7, 201, 501, 1000, 2999])
+# 9001 points, one row each, make three blocks, the later two coding x1
+# over a stretch of the diagonal that starts past its first point
+@pytest.mark.parametrize("n_points", [2, 3, 7, 201, 501, 1000, 2999, 9001])
 def test_parameter_grids_are_numpys_bit_for_bit(n_points, monkeypatch):
     """The a-sweep and the diagonal points are the floats of ``np.arange(1,
     200) * A_GRID_STEP`` and ``np.linspace(0, 0.5, n)``, bit for bit; the
@@ -975,9 +1076,10 @@ def test_parameter_grids_are_numpys_bit_for_bit(n_points, monkeypatch):
     assert bits(cli._a_grid(BehaviorKind.PESSIMISTIC)) == bits(arange)
     neutral = [a for a in arange.tolist() if neutral_nash(GameParams(a)) is not None]
     assert bits(cli._a_grid(BehaviorKind.NEUTRAL)) == bits(neutral)
-    # one row per point
-    monkeypatch.setattr(cli, "symmetric_pessimistic_nash_set", lambda params, x1: (0.5,))
-    x1 = [row[1] for row in cli._symmetric_rows(GameParams(0.5), n_points)]
+    # one row per point: every threshold at 0, one share each
+    monkeypatch.setattr(cli, "_symmetric_thresholds", lambda a: (0.0, 0.0, 0.0))
+    monkeypatch.setattr(cli, "_symmetric_shares", lambda a, thresholds, x1: [0.5])
+    x1 = [row[1] for row in block_rows(cli._symmetric_rows([0.5], n_points))]
     assert bits(x1) == bits(np.linspace(0.0, 0.5, n_points))
 
 

@@ -43,6 +43,7 @@ from locpop.oracle import (
 from locpop.welfare import OptimumPoint
 
 from row_scan import row_ne_fields, row_region_rows, row_region_scan
+from table_blocks import block_rows
 
 
 def test_gridspec_validation():
@@ -437,7 +438,7 @@ def profile_fields(profiles):
 def test_block_scan_matches_row_scan(a, behavior, n_locations):
     params = GameParams(a)
     scan = list(row_region_scan(params, behavior, n_locations))
-    rows = list(_region_rows(params, behavior, n_locations))
+    rows = block_rows(_region_rows(params, behavior, n_locations))
     assert_same_columns(rows, row_region_rows(params, scan), REGION_TYPES)
     profiles = oracle_ne_region_scan(params, behavior, GridSpec(n_locations=n_locations))
     assert_same_columns(profile_fields(profiles), row_ne_fields(scan), PROFILE_TYPES)
@@ -453,11 +454,14 @@ def test_block_scan_blocks(n_locations, cells, monkeypatch):
     params = GameParams(0.5)
     blocks = list(_region_scan(params, BehaviorKind.PESSIMISTIC, n_locations))
     assert len(blocks) == -(-n_locations // rows)
-    for k, (x1, *_) in enumerate(blocks):
-        assert np.unique(x1).tolist() == xs[k * rows:(k + 1) * rows].tolist()
+    for k, (i, *_) in enumerate(blocks):
+        assert np.unique(xs[i]).tolist() == xs[k * rows:(k + 1) * rows].tolist()
+    scan = list(row_region_scan(params, BehaviorKind.PESSIMISTIC, n_locations))
     profiles = oracle_ne_region_scan(params, BehaviorKind.PESSIMISTIC, GridSpec(n_locations))
-    expected = row_ne_fields(row_region_scan(params, BehaviorKind.PESSIMISTIC, n_locations))
-    assert_same_columns(profile_fields(profiles), expected, PROFILE_TYPES)
+    assert_same_columns(profile_fields(profiles), row_ne_fields(scan), PROFILE_TYPES)
+    # the table blocks code x1 and x2 over the grid from each block's first x1
+    rows = block_rows(_region_rows(params, BehaviorKind.PESSIMISTIC, n_locations))
+    assert_same_columns(rows, row_region_rows(params, scan), REGION_TYPES)
 
 
 def test_block_scan_raises_on_a_failing_split(monkeypatch):
@@ -474,7 +478,7 @@ def test_block_scan_raises_on_a_failing_split(monkeypatch):
             reader()
     # blocks of rows x1 <= 0.6 pass: the scan fails part way through
     blocks = _region_scan(params, BehaviorKind.PESSIMISTIC, 101)
-    assert next(blocks)[0].max() < 0.6
+    assert oracle._location_grid(101)[next(blocks)[0]].max() < 0.6
 
 
 def test_riemann_welfare_agreement():
