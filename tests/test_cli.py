@@ -435,6 +435,14 @@ def test_csv_doc_edge_tables():
     assert_same_document(csv_doc(EDGE_HEADER, iter(EDGE_ROWS)), reference)
 
 
+# row counts one short of, at and one past a whole number of pieces, for one,
+# two and four pieces
+CHUNK_BOUNDARY_ROWS = [
+    CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+    2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1, 4 * CHUNK_ROWS + 1,
+]
+
+
 def json_doc_reference(header, rows, meta):
     """The JSON row document as it was built whole before it streamed."""
     return _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]})
@@ -450,7 +458,7 @@ JSON_ROWS = [
 @pytest.mark.parametrize("meta", [{}, {"behavior": "pessimistic", "theta": 1.0}],
                          ids=["no meta", "meta"])
 @pytest.mark.parametrize("n_rows", [
-    0, 1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1,
+    0, 1, 2, *CHUNK_BOUNDARY_ROWS,
 ])
 def test_json_chunks_are_the_whole_document(n_rows, meta):
     rows = list(islice(cycle(JSON_ROWS), n_rows))
@@ -494,9 +502,7 @@ def test_json_rows_are_the_whole_document(argv, monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("source", ["list", "generator"])
-@pytest.mark.parametrize("n_rows", [
-    0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1,
-])
+@pytest.mark.parametrize("n_rows", [0, 1, *CHUNK_BOUNDARY_ROWS])
 def test_csv_chunks_at_chunk_boundaries(n_rows, source):
     rows = list(islice(cycle(EDGE_ROWS), n_rows))
     chunks = list(_csv_chunks(EDGE_HEADER, _row_blocks(
