@@ -116,7 +116,7 @@ class NashInterval:
         return self.lo > self.hi
 
     def contains(self, s1: float) -> bool:
-        return self.lo - NE_TOL <= s1 <= self.hi + NE_TOL
+        return _interval_ok(self.lo, self.hi, s1)
 
     def clamped(self):
         """Intersection with [0, 1], or None when empty."""
@@ -128,6 +128,20 @@ class NashInterval:
 
     def as_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "empty": self.is_empty}
+
+
+def _nash_ok(share, supremum):
+    """The Nash test of one firm: its share reaches the supremum of its best
+    deviation, with the slack ``NE_TOL``. A Python bool for floats, a boolean
+    array for arrays (broadcast together)."""
+    return share >= supremum - NE_TOL
+
+
+def _interval_ok(lo, hi, s1):
+    """:meth:`NashInterval.contains`'s test of firm 1's share s1 against the
+    bounds lo and hi: a Python bool for floats, a boolean array for arrays
+    (broadcast together)."""
+    return (lo - NE_TOL <= s1) & (s1 <= hi + NE_TOL)
 
 
 def _aggregate(behavior: BehaviorKind, shares) -> float:
@@ -302,10 +316,8 @@ def is_nash(
     loc = profile.locations
     if not is_market_equilibrium(params, loc, profile.s1):
         raise ValueError("profile outcome is not a market equilibrium for its locations")
-    for own_share, opp_x in ((profile.s1, loc.x2), (profile.s2, loc.x1)):
-        if own_share < _supremum(params.a, behavior, opp_x)[1] - NE_TOL:
-            return False
-    return True
+    return (_nash_ok(profile.s1, _supremum(params.a, behavior, loc.x2)[1])
+            and _nash_ok(profile.s2, _supremum(params.a, behavior, loc.x1)[1]))
 
 
 def pessimistic_nash_interval(params: GameParams, loc: Locations) -> NashInterval:

@@ -24,10 +24,7 @@ coded column is converted once, then each row joins its fields' texts.
 The region table codes all seven columns, and most of its 305k floats
 repeat; the symmetric table codes ``a`` and ``x1`` and keeps ``s1`` plain.
 Both formats need each column of a table to keep one type, and no header
-name or field to need CSV quoting. At 201 grid points (61,101 rows; 2
-cores, CPython 3.11) ``nash-region --out`` takes about 0.17 s in-process
-for JSON and 0.10 s for CSV, against 0.42-0.45 s and 0.17-0.20 s when
-each row went through a ``%``-template.
+name or field to need CSV quoting.
 """
 
 from __future__ import annotations
@@ -67,8 +64,8 @@ SYMMETRIC_HEADER = ("a", "x1", "s1")
 CHUNK_ROWS = 2048  # rows formatted per piece of a streamed table
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+# the text of every float in every output: 12 significant digits
+_fmt = "%.12g".__mod__
 
 
 def _round_floats(obj):
@@ -132,9 +129,9 @@ def _table_chunks(head, blocks, texts, frame, separator="", tail="", empty=None)
 
 
 def _csv_texts(values):
-    """A CSV column's fields: ``%.12g`` (the digits of :func:`_fmt`) for
-    floats, ``str`` for any other type."""
-    return list(map("%.12g".__mod__ if values and isinstance(values[0], float) else str, values))
+    """A CSV column's fields: :func:`_fmt` for floats, ``str`` for any other
+    type."""
+    return list(map(_fmt if values and isinstance(values[0], float) else str, values))
 
 
 def _csv_chunks(header, blocks):
@@ -152,7 +149,7 @@ def _json_texts(key, values):
     if values and isinstance(values[0], float):
         if not all(map(math.isfinite, values)):
             raise ValueError("Out of range float values are not JSON compliant")
-        values = map(repr, map(float, map("%.12g".__mod__, values)))
+        values = map(repr, map(float, map(_fmt, values)))
     else:
         values = map(json.dumps, values)
     return list(map(key.__add__, values))
@@ -309,11 +306,11 @@ def _region_rows(params, behavior, n_locations):
         _SLOT_VALUES,
         _consumer_welfare_array,
         _float_codes,
-        _location_grid,
         _region_scan,
+        _unit_grid,
     )
 
-    xs = _location_grid(n_locations)
+    xs = _unit_grid(n_locations)
     grid, a = xs.tolist(), [params.a]
     for i, j, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
         welfare = _consumer_welfare_array(params, xs[i], xs[j], s1)

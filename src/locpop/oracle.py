@@ -24,13 +24,18 @@ cross-check suites of ``locpop verify``. ``model``, ``behaviors`` and
   suites and yields one ``(suite, ok, detail)`` record per suite; the
   command line only prints them. Each random suite draws all its
   instances in one call and flags each instance as a mismatch or not.
-  The market-equilibria suite runs the pointwise test on blocks of
+  The market-equilibria suite takes every instance's closed splits from
+  one :func:`_equilibria_array` call, runs the pointwise test on blocks of
   instances and meets only the passing shares with the closed splits;
-  the best-deviation suite calls the deviation oracle once per instance.
+  the best-deviation suite reads the closed-form supremum,
+  :func:`behaviors._supremum`, and calls the deviation oracle once per
+  instance. Those two names, looked up in this module, are where a test
+  injects a fault into the closed forms the random suites check.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,12 +46,12 @@ from .behaviors import (
     _NEUTRAL,
     _OPTIMISTIC,
     _PESSIMISTIC,
-    NE_TOL,
     BehaviorKind,
     _check_deviation_args,
     _diameter_ok,
+    _interval_ok,
+    _nash_ok,
     _supremum,
-    best_deviation,
     pessimistic_nash_interval,
 )
 from .model import (
@@ -58,10 +63,8 @@ from .model import (
     _condition_gaps,
     _is_split,
     _split_shares,
-    distinct_shares,
-    enumerate_market_equilibria,
 )
-from .welfare import OptimumPoint, social_optimum
+from .welfare import OptimumPoint, _check_point, _welfare_sum, social_optimum
 
 __all__ = _ORACLE_EXPORTS  # written once, in the package, which loads this module on first use
 
@@ -193,10 +196,26 @@ def _abs_distance_integral_array(alpha, beta, x):
 def _consumer_welfare_array(params: GameParams, x1, x2, s1):
     """Array form of ``welfare.consumer_welfare``, bit for bit, for inputs
     already known to lie in [0, 1]."""
-    a = params.a
-    popularity = a * (s1 * s1 + (1.0 - s1) * (1.0 - s1))
     travel = _abs_distance_integral_array(0.0, s1, x1) + _abs_distance_integral_array(s1, 1.0, x2)
-    return params.theta + popularity - travel
+    return _welfare_sum(params, s1, travel)
+
+
+def _unit_grid(n: int):
+    """The n equally spaced points of [0, 1], both ends included: every
+    location and share grid of this module."""
+    return np.linspace(0.0, 1.0, n)
+
+
+def _size(name: str, value, minimum: int) -> int:
+    """``value`` as an int, or TypeError unless it is an integer and
+    ValueError if it is below ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -220,8 +239,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("n_locations", "n_shares"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2")
+            _size(name, getattr(self, name), 2)
 
     @cached_property
     def _share_grid(self):
@@ -229,7 +247,7 @@ class GridSpec:
         share-cell midpoints, the candidate splits s1 and 2 s1 - 1."""
         n = self.n_shares - 1
         consumers = (np.arange(n) + 0.5) / n
-        candidates = np.linspace(0.0, 1.0, self.n_shares)
+        candidates = _unit_grid(self.n_shares)
         sign = 2.0 * candidates - 1.0
         return _read_only(consumers, candidates, sign)
 
@@ -239,8 +257,8 @@ class GridSpec:
         the location and share grids, and for each share s1 the index of the
         x1 minimizing the distance integral over [0, s1] and of the x2
         minimizing it over [s1, 1], with those two minima."""
-        xs = np.linspace(0.0, 1.0, self.n_locations)
-        ss = np.linspace(0.0, 1.0, self.n_shares)
+        xs = _unit_grid(self.n_locations)
+        ss = _unit_grid(self.n_shares)
         s_col = ss[:, None]
         rows = np.arange(self.n_shares)
         left = _abs_distance_integral_array(0.0, s_col, xs[None, :])
@@ -336,7 +354,7 @@ def oracle_best_deviation(
     grid spacing.
     """
     _check_deviation_args(deviator, x_other)
-    xs = np.linspace(0.0, 1.0, grid.n_locations)
+    xs = _unit_grid(grid.n_locations)
     values = _deviation_values(params.a, behavior, xs, x_other)
     best = int(np.argmax(values))  # the first maximum, as a scan keeping strict gains
     return float(xs[best]), float(values[best])
@@ -354,8 +372,8 @@ def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
     the minimized distance integrals come from ``grid``, built once.
     """
     xs, ss, i1, i2, left, right = grid._optimum_grid
-    popularity = params.a * (ss * ss + (1.0 - ss) ** 2)
-    welfare = params.theta + popularity - left - right
+    # theta + popularity - left - right, subtracted in that order
+    welfare = _welfare_sum(params, ss, left) - right
     k = int(np.argmax(welfare))
     return OptimumPoint(float(xs[i1[k]]), float(xs[i2[k]]), float(ss[k]), float(welfare[k]))
 
@@ -368,9 +386,10 @@ def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
 _SCAN_BLOCK_CELLS = 1024
 
 
-def _location_grid(n_locations: int):
-    """The n_locations equally spaced locations on [0, 1] of the region scan."""
-    return np.linspace(0.0, 1.0, n_locations)
+def _suprema(a: float, behavior: BehaviorKind, xs):
+    """The supremum of the best deviation against each opponent location of
+    the array ``xs``, as an array."""
+    return np.array([_supremum(a, behavior, x)[1] for x in xs.tolist()])
 
 
 def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
@@ -382,16 +401,16 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
     per block: arrays with one entry per market equilibrium, cells in
     increasing x1 then x2 and each cell's splits in the order of
     :func:`enumerate_market_equilibria`. ``i`` and ``j`` index x1 and x2 in
-    :func:`_location_grid`. ``kind`` holds slot codes, indices into
+    :func:`_unit_grid`. ``kind`` holds slot codes, indices into
     ``_SLOT_KINDS`` (5 for UNIQUE), so no enum member is read per split.
-    ``is_ne`` is :func:`is_nash`'s verdict by its own arithmetic: each firm's
-    share against the supremum of its best deviation, read from one array of
-    suprema over the grid values of the opponent. Raises ValueError where
+    ``is_ne`` is :func:`is_nash`'s verdict by its own test, ``_nash_ok``:
+    each firm's share against the supremum of its best deviation, read from
+    the table of :func:`_suprema` over the grid. Raises ValueError where
     ``is_nash`` would: a split that fails the market-equilibrium test.
     """
     a = params.a
-    xs = _location_grid(n_locations)
-    suprema = np.array([_supremum(a, behavior, x)[1] for x in xs.tolist()])
+    xs = _unit_grid(n_locations)
+    suprema = _suprema(a, behavior, xs)
     index = np.arange(n_locations)
     rows = max(1, _SCAN_BLOCK_CELLS // n_locations)
     for first in range(0, n_locations, rows):
@@ -407,7 +426,7 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         if not _is_split(a, xs[i], xs[j], s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
         # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
-        is_ne = ~(s1 < suprema[j] - NE_TOL) & ~(1.0 - s1 < suprema[i] - NE_TOL)
+        is_ne = _nash_ok(s1, suprema[j]) & _nash_ok(1.0 - s1, suprema[i])
         yield i, j, kind, s1, is_ne
 
 
@@ -420,7 +439,7 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     the figure emitters and the pessimistic-region suite, with its
     diameter-bound checks, read :func:`_region_scan` directly.
     """
-    xs = _location_grid(grid.n_locations)
+    xs = _unit_grid(grid.n_locations)
     return [
         EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
         for i, j, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
@@ -433,11 +452,8 @@ def oracle_consumer_welfare(
     params: GameParams, x1: float, x2: float, s1: float, n_consumers: int = 100_000
 ) -> float:
     """Riemann-sum welfare with n_consumers midpoint samples per segment."""
-    for name, value in (("x1", x1), ("x2", x2), ("s1", s1)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    if n_consumers < 1:
-        raise ValueError(f"n_consumers must be at least 1, got {n_consumers}")
+    _check_point(x1, x2, s1)
+    n_consumers = _size("n_consumers", n_consumers, 1)
     a, theta = params.a, params.theta
     total = 0.0
     for lo, hi, x, share in ((0.0, s1, x1, s1), (s1, 1.0, x2, 1.0 - s1)):
@@ -498,16 +514,15 @@ def _market_mismatches(a, x1, x2, grid: GridSpec):
     condition gap within slack + 2 spacings lets the adjacent branch pass
     the pointwise test too.
 
+    Every instance's splits come from one :func:`_equilibria_array` call,
+    one slot per kind, NaN where absent; coincident shares stay apart, which
+    changes no flag, as every test is per slot or any over the slots.
     Instances run through :func:`_passing_shares` in blocks of
     ``_MARKET_BLOCK_CELLS`` share-grid cells. Only the passing (instance,
-    share) pairs meet the instance's splits, at most five, NaN-padded.
+    share) pairs meet the instance's splits.
     """
     spacing = 1.0 / (grid.n_shares - 1)
-    closed = np.full((len(a), 5), np.nan)
-    for k, (a_k, x1_k, x2_k) in enumerate(zip(a.tolist(), x1.tolist(), x2.tolist())):
-        outcomes = enumerate_market_equilibria(GameParams(a_k), Locations(x1_k, x2_k))
-        shares = distinct_shares(outcomes)
-        closed[k, :len(shares)] = shares
+    closed = _equilibria_array(a, x1, x2)[0].T
     rows = max(1, _MARKET_BLOCK_CELLS // grid.n_shares)
     passing = [np.empty(0, dtype=np.intp)]  # flat indices into (instance, candidate)
     for first in range(0, len(a), rows):
@@ -538,16 +553,16 @@ def _best_deviation_suite(rng, grid: GridSpec, instances: int):
 
 
 def _deviation_mismatches(a, x_other, grid: GridSpec):
-    """Per instance (a, x_other), behaviors in turn, whether the closed-form
-    best deviation and the deviation oracle's disagree beyond its
+    """Per instance (a, x_other), behaviors in turn, whether the supremum of
+    the closed-form best deviation (:func:`_supremum`, as the region scan
+    reads it) and the deviation oracle's maximum disagree beyond its
     Lipschitz bound, as a bool array."""
     behaviors = list(BehaviorKind)
     mismatch = np.empty(len(a), dtype=bool)
     for k, (a_k, x) in enumerate(zip(a.tolist(), x_other.tolist())):
         behavior = behaviors[k % 3]
-        params = GameParams(a_k)
-        analytic = best_deviation(params, behavior, 1, x).payoff
-        _, grid_best = oracle_best_deviation(params, behavior, 1, x, grid)
+        analytic = _supremum(a_k, behavior, x)[1]
+        _, grid_best = oracle_best_deviation(GameParams(a_k), behavior, 1, x, grid)
         lipschitz = max(1.0 / (1.0 - a_k), 1.0 / (2.0 * a_k))
         tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
         mismatch[k] = grid_best > analytic + 1e-6 or analytic - grid_best > tol
@@ -573,24 +588,21 @@ def _pessimistic_region_suite(theta: float):
     a = 0.5 as arrays ``(x1, x2, s1)``, which :func:`_mirror_symmetry_suite`
     reflects.
     """
-    xs = _location_grid(_REGION_GRID.n_locations)
+    xs = _unit_grid(_REGION_GRID.n_locations)
     disagreements = 0
     half_ne = []
     for a in (0.2, 0.5, 0.8):
         params = GameParams(a, theta)
         # lo depends on x2 only and hi on x1 only: one interval per grid value
         intervals = [pessimistic_nash_interval(params, Locations(x, x)) for x in xs.tolist()]
-        lo = np.array([interval.lo for interval in intervals])
-        hi = np.array([interval.hi for interval in intervals])
+        lo, hi = np.array([(interval.lo, interval.hi) for interval in intervals]).T
         # clamped, lo is firm 1's supremum against x2 and hi 1 - firm 2's against x1
-        suprema = np.array([_supremum(a, _PESSIMISTIC, x)[1] for x in xs.tolist()])
+        suprema = _suprema(a, _PESSIMISTIC, xs)
         for bound, supremum in ((np.maximum(lo, 0.0), suprema),
                                 (np.minimum(hi, 1.0), 1.0 - suprema)):
             disagreements += int(np.count_nonzero(np.abs(bound - supremum) > 1e-12))
-        lo, hi = lo - NE_TOL, hi + NE_TOL
         for i, j, _, s1, is_ne in _region_scan(params, _PESSIMISTIC, _REGION_GRID.n_locations):
-            # NashInterval.contains, one block of cells at a time
-            inside = (lo[j] <= s1) & (s1 <= hi[i])
+            inside = _interval_ok(lo[j], hi[i], s1)
             disagreements += int(np.count_nonzero(inside != is_ne))
             ne = (xs[i[is_ne]], xs[j[is_ne]], s1[is_ne])
             disagreements += int(np.count_nonzero(~_diameter_ok(a, *ne)))
@@ -639,9 +651,10 @@ def verify_suites(theta: float, seed: int, instances: int, grid: GridSpec):
     suites draw from one ``default_rng(seed)``: ``instances`` market
     instances with the oracles at ``grid``, then max(60, instances // 5)
     deviations. The other suites use fixed grids at intrinsic utility
-    ``theta``, which is checked before any suite runs.
+    ``theta``; it and ``instances`` are checked before any suite runs.
     """
     GameParams(0.5, theta)  # raises on a bad theta
+    instances = _size("instances", instances, 0)
     rng = np.random.default_rng(seed)
     yield ("market-equilibria", *_market_equilibria_suite(rng, grid, instances))
     yield ("best-deviation", *_best_deviation_suite(rng, grid, max(60, instances // 5)))

@@ -111,13 +111,23 @@ def consumer_welfare(params: GameParams, x1: float, x2: float, s1: float) -> flo
     integration range. The locations need not be ordered and s1 need not
     lie between them (tail splits place it outside).
     """
+    _check_point(x1, x2, s1)
+    travel = _abs_distance_integral(0.0, s1, x1) + _abs_distance_integral(s1, 1.0, x2)
+    return _welfare_sum(params, s1, travel)
+
+
+def _check_point(x1: float, x2: float, s1: float):
+    """Raise ValueError unless the locations and the split lie in [0, 1]."""
     for name, value in (("x1", x1), ("x2", x2), ("s1", s1)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    a = params.a
-    popularity = a * (s1 * s1 + (1.0 - s1) * (1.0 - s1))
-    travel = _abs_distance_integral(0.0, s1, x1) + _abs_distance_integral(s1, 1.0, x2)
-    return params.theta + popularity - travel
+
+
+def _welfare_sum(params: GameParams, s1, travel):
+    """The welfare at split s1 given the consumers' ``travel``: theta plus
+    the popularity term a s1^2 + a (1 - s1)^2 minus travel, for floats or
+    arrays."""
+    return params.theta + params.a * (s1 * s1 + (1.0 - s1) * (1.0 - s1)) - travel
 
 
 def social_optimum(params: GameParams):

@@ -5,15 +5,17 @@ These are the market-equilibria and best-deviation suites of
 blocks of instances, kept with their arithmetic and their draws unchanged
 as a test oracle: each draws its instances one at a time from ``rng`` and
 returns one mismatch flag per instance. The closed-form splits and best
-deviations are looked up in the ``oracle`` namespace, so a test that
-patches them there patches the reference too.
+deviation suprema are looked up in the ``oracle`` namespace, as
+``oracle._equilibria_array`` (called with one instance's floats) and
+``oracle._supremum``, the names the suites read: a test that patches them
+there patches the reference too.
 """
 
 import numpy as np
 
 from locpop import oracle
 from locpop.behaviors import BehaviorKind
-from locpop.model import GameParams, Locations, _condition_gaps, distinct_shares
+from locpop.model import SHARE_TOL, GameParams, Locations, _condition_gaps, _merge_close
 from locpop.oracle import _share_slack, oracle_best_deviation
 
 
@@ -41,7 +43,8 @@ def loop_market_flags(rng, grid, instances):
         x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
         params = GameParams(a)
         loc = Locations(float(x1), float(x2))
-        closed = np.array(distinct_shares(oracle.enumerate_market_equilibria(params, loc)))
+        shares = oracle._equilibria_array(a, loc.x1, loc.x2)[0]
+        closed = np.array(_merge_close(shares[~np.isnan(shares)].tolist(), SHARE_TOL))
         candidates, mask = loop_passing_shares(params, loc, grid)
         distance = np.abs(candidates[mask][:, None] - closed)
         ok = (distance <= spacing).any(axis=0).all()
@@ -61,7 +64,7 @@ def loop_deviation_flags(rng, grid, instances):
         x_other = float(rng.uniform(0.0, 1.0))
         behavior = behaviors[k % 3]
         params = GameParams(a)
-        analytic = oracle.best_deviation(params, behavior, 1, x_other).payoff
+        analytic = oracle._supremum(a, behavior, x_other)[1]
         _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
         lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
         tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6

@@ -1,6 +1,7 @@
 """Tests for deviation payoffs and Nash decisions under the three behaviors."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from locpop import (
     Locations,
     MarketOutcome,
     NE_TOL,
+    NashInterval,
     best_deviation,
     best_deviation_pessimistic,
     deviation_payoff,
@@ -28,7 +30,8 @@ from locpop import (
     pessimistic_nash_interval,
     symmetric_pessimistic_nash_set,
 )
-from locpop.behaviors import _aggregate, _diameter_ok, _supremum
+from locpop import behaviors
+from locpop.behaviors import _aggregate, _diameter_ok, _interval_ok, _nash_ok, _supremum
 
 import breakpoint_search as search
 from test_acceptance import paper_region_a_half
@@ -404,16 +407,20 @@ def test_neutral_decision_matches_dense_reference():
     for _ in range(8):
         p, q = np.sort(rng.uniform(0.0, 1.0, size=2))
         loc = Locations(float(p), float(q))
+        # each firm's supremum depends on the location pair only
+        sups = [
+            max(
+                _deviation_value(params.a, BehaviorKind.NEUTRAL, float(x), opp)
+                for x in xs_ref
+                if abs(float(x) - own_x) > 1e-12
+            )
+            for own_x, opp in ((loc.x1, loc.x2), (loc.x2, loc.x1))
+        ]
         for out in enumerate_market_equilibria(params, loc):
             profile = EquilibriumProfile(loc, out)
             fast = is_nash(params, BehaviorKind.NEUTRAL, profile)
             reference, borderline = True, False
-            for own, own_x, opp in ((out.s1, loc.x1, loc.x2), (out.s2, loc.x2, loc.x1)):
-                sup = max(
-                    _deviation_value(params.a, BehaviorKind.NEUTRAL, float(x), opp)
-                    for x in xs_ref
-                    if abs(float(x) - own_x) > 1e-12
-                )
+            for own, sup in zip((out.s1, out.s2), sups):
                 if abs(own - sup) < 2e-3:  # beyond the reference resolution
                     borderline = True
                     break
@@ -634,6 +641,64 @@ def test_diameter_test_is_one_arithmetic_for_floats_and_arrays(data, a):
     for (p1, p2, ps), verdict in zip(points, verdicts):
         profile = EquilibriumProfile(Locations(p1, p2), MarketOutcome(Kind.III, ps))
         assert nash_diameter_bounds_check(GameParams(a), profile) is verdict
+
+
+def ulps(value, steps):
+    """``value`` moved ``steps`` ulps up, or down for negative steps."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+ULP_STEPS = range(-3, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(supremum=positions, a=externalities, p=positions, q=positions, data=st.data())
+@example(supremum=0.0, a=0.5, p=0.25, q=0.75, data=None)
+@example(supremum=1.0, a=0.5, p=0.5, q=0.5, data=None)
+def test_nash_test_is_one_arithmetic_for_floats_and_arrays(supremum, a, p, q, data):
+    # shares at the threshold supremum - NE_TOL and a few ulps either side
+    shares = [ulps(supremum - NE_TOL, k) for k in ULP_STEPS]
+    verdicts = [_nash_ok(share, supremum) for share in shares]
+    assert all(type(verdict) is bool for verdict in verdicts)
+    assert verdicts == [k >= 0 for k in ULP_STEPS]
+    assert _nash_ok(np.array(shares), supremum).tolist() == verdicts
+    assert _nash_ok(np.array(shares), np.full(len(shares), supremum)).tolist() == verdicts
+    # is_nash against suprema whose threshold lies a few ulps either side of
+    # a firm's share, the other firm's supremum 0 (it never binds)
+    params = GameParams(a)
+    profiles = profiles_at(params, min(p, q), max(p, q))
+    profile = profiles[0] if data is None else data.draw(st.sampled_from(profiles))
+    for firm, own in ((1, profile.s1), (2, profile.s2)):
+        suprema = [ulps(own + NE_TOL, k) for k in ULP_STEPS]
+        verdicts = [_nash_ok(own, value) for value in suprema]
+        assert _nash_ok(own, np.array(suprema)).tolist() == verdicts
+        for value, verdict in zip(suprema, verdicts):
+            # is_nash asks for firm 1's supremum first, firm 2's second
+            values = iter((value, 0.0) if firm == 1 else (0.0, value))
+            with patch.object(behaviors, "_supremum", lambda a, b, x: (x, next(values))):
+                assert is_nash(params, BehaviorKind.PESSIMISTIC, profile) is verdict
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds=st.lists(st.floats(min_value=-1.0, max_value=2.0), min_size=2, max_size=2))
+@example(bounds=[0.0, 1.0])
+@example(bounds=[0.5, 0.5])
+def test_interval_test_is_one_arithmetic_for_floats_and_arrays(bounds):
+    lo, hi = sorted(bounds)
+    # shares at each widened bound and a few ulps either side: in from lo -
+    # NE_TOL up, and up to hi + NE_TOL
+    shares = [ulps(lo - NE_TOL, k) for k in ULP_STEPS] + [ulps(hi + NE_TOL, k) for k in ULP_STEPS]
+    verdicts = [_interval_ok(lo, hi, share) for share in shares]
+    assert all(type(verdict) is bool for verdict in verdicts)
+    assert verdicts == [k >= 0 for k in ULP_STEPS] + [k <= 0 for k in ULP_STEPS]
+    assert _interval_ok(lo, hi, np.array(shares)).tolist() == verdicts
+    size = len(shares)
+    assert _interval_ok(np.full(size, lo), np.full(size, hi), np.array(shares)).tolist() == verdicts
+    interval = NashInterval(lo, hi)
+    assert [interval.contains(share) for share in shares] == verdicts
 
 
 @settings(max_examples=60, deadline=None)

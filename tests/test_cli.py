@@ -3,7 +3,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -26,7 +25,6 @@ from locpop import (
     GridSpec,
     Kind,
     Locations,
-    MarketOutcome,
     NashInterval,
     behaviors,
     best_deviation,
@@ -759,6 +757,17 @@ def perfbench_verify_suites():
     return ast.literal_eval(value)
 
 
+@pytest.mark.parametrize("instances, error, message", [
+    (-3, ValueError, "instances must be at least 0, got -3"),
+    (2.5, TypeError, "instances must be an integer, got 2.5"),
+])
+def test_verify_suites_rejects_a_bad_instance_count(instances, error, message, monkeypatch):
+    calls = caught(monkeypatch, "_market_mismatches")
+    with pytest.raises(error, match=message):
+        next(verify_suites(1.0, 0, instances, GridSpec(5, 5)))
+    assert calls == []  # before any suite runs
+
+
 def test_verify_suites_yields_the_benchmarked_suites_in_order():
     records = list(verify_suites(1.0, 0, 0, GridSpec(2, 2)))
     assert tuple(suite for suite, _, _ in records) == perfbench_verify_suites()
@@ -785,13 +794,14 @@ def test_market_equilibria_suite_skips_near_boundary(seed, instances):
 
 
 def test_market_equilibria_suite_catches_a_moved_share(monkeypatch):
-    exact = oracle.enumerate_market_equilibria
+    exact = oracle._equilibria_array
 
-    def moved(params, loc):
-        return [MarketOutcome(o.kind, o.s1 + 0.002) if o.kind is Kind.II else o
-                for o in exact(params, loc)]
+    def moved(a, x1, x2):  # kind II, the second slot, moved
+        shares, unique = exact(a, x1, x2)
+        shares[1] += 0.002
+        return shares, unique
 
-    monkeypatch.setattr(oracle, "enumerate_market_equilibria", moved)
+    monkeypatch.setattr(oracle, "_equilibria_array", moved)
     ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0), GridSpec(), 100)
     assert ok is False
     assert detail == "100 random instances, 42 mismatches"
@@ -800,13 +810,14 @@ def test_market_equilibria_suite_catches_a_moved_share(monkeypatch):
 @pytest.mark.parametrize("shift, mismatches", [(-1e-3, 258), (1e-3, 259)],
                          ids=["-0.001", "0.001"])
 def test_market_equilibria_suite_catches_moved_interior_splits(shift, mismatches, monkeypatch):
-    exact = oracle.enumerate_market_equilibria
+    exact = oracle._equilibria_array
 
-    def moved(params, loc):
-        return [o if o.kind in (Kind.I, Kind.V) else MarketOutcome(o.kind, o.s1 + shift)
-                for o in exact(params, loc)]
+    def moved(a, x1, x2):  # every kind but I and V, the end slots, moved
+        shares, unique = exact(a, x1, x2)
+        shares[1:4] += shift
+        return shares, unique
 
-    monkeypatch.setattr(oracle, "enumerate_market_equilibria", moved)
+    monkeypatch.setattr(oracle, "_equilibria_array", moved)
     ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0), GridSpec(), 300)
     assert ok is False
     assert detail == f"300 random instances, {mismatches} mismatches"
@@ -871,15 +882,15 @@ SUITE_GRIDS = [GridSpec(2, 2), GridSpec(3, 7), GridSpec(n_shares=201), GridSpec(
 @pytest.mark.parametrize("grid", SUITE_GRIDS, ids=lambda g: f"{g.n_locations}x{g.n_shares}")
 @pytest.mark.parametrize("instances", [0, 1, 7, 1001])
 def test_market_equilibria_suite_matches_the_instance_loop(grid, instances, monkeypatch):
-    exact = oracle.enumerate_market_equilibria
+    exact = oracle._equilibria_array
     shift = 0.0
 
-    def moved(params, loc):
-        return [o if o.kind in (Kind.I, Kind.V)
-                else MarketOutcome(o.kind, min(max(o.s1 + shift, 0.0), 1.0))
-                for o in exact(params, loc)]
+    def moved(a, x1, x2):  # every kind but I and V moved, kept in [0, 1]
+        shares, unique = exact(a, x1, x2)
+        shares[1:4] = np.clip(shares[1:4] + shift, 0.0, 1.0)
+        return shares, unique
 
-    monkeypatch.setattr(oracle, "enumerate_market_equilibria", moved)
+    monkeypatch.setattr(oracle, "_equilibria_array", moved)
     calls = caught(monkeypatch, "_market_mismatches")
     for shift in (0.0, -1e-3, 1e-3, -2e-3, 2e-3, 1e-2):
         calls.clear()
@@ -894,14 +905,14 @@ def test_market_equilibria_suite_matches_the_instance_loop(grid, instances, monk
 @pytest.mark.parametrize("grid", SUITE_GRIDS[:3], ids=lambda g: f"{g.n_locations}x{g.n_shares}")
 @pytest.mark.parametrize("instances", [0, 1, 7, 1001])
 def test_best_deviation_suite_matches_the_instance_loop(grid, instances, monkeypatch):
-    exact = oracle.best_deviation
+    exact = oracle._supremum
     raise_by = 0.0
 
-    def raised(params, behavior, deviator, x_other):
-        report = exact(params, behavior, deviator, x_other)
-        return dataclasses.replace(report, payoff=report.payoff + raise_by)
+    def raised(a, behavior, x_other):
+        location, payoff = exact(a, behavior, x_other)
+        return location, payoff + raise_by
 
-    monkeypatch.setattr(oracle, "best_deviation", raised)
+    monkeypatch.setattr(oracle, "_supremum", raised)
     calls = caught(monkeypatch, "_deviation_mismatches")
     for raise_by in (0.0, 3e-3):
         calls.clear()

@@ -54,6 +54,15 @@ def test_gridspec_validation():
     assert astuple(defaults) == (defaults.n_locations, defaults.n_shares) == (2001, 2001)
 
 
+@pytest.mark.parametrize("value", [41.5, 41.0, "41"])
+@pytest.mark.parametrize("name", ["n_locations", "n_shares"])
+def test_gridspec_rejects_sizes_that_are_not_integers(name, value):
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        GridSpec(**{name: value})
+    # any integer type is a size
+    assert GridSpec(**{name: np.int64(41)}) == GridSpec(**{name: 41})
+
+
 def test_oracle_finds_all_five_splits():
     clusters = oracle_market_equilibria(GameParams(0.5), Locations(1 / 3, 2 / 3), GridSpec())
     assert len(clusters) == 5
@@ -478,7 +487,7 @@ def test_block_scan_raises_on_a_failing_split(monkeypatch):
             reader()
     # blocks of rows x1 <= 0.6 pass: the scan fails part way through
     blocks = _region_scan(params, BehaviorKind.PESSIMISTIC, 101)
-    assert oracle._location_grid(101)[next(blocks)[0]].max() < 0.6
+    assert oracle._unit_grid(101)[next(blocks)[0]].max() < 0.6
 
 
 def test_riemann_welfare_agreement():
@@ -505,3 +514,15 @@ def test_riemann_welfare_rejects_bad_input(point, n_consumers, message):
             consumer_welfare(params, *point)
     with pytest.raises(ValueError, match=re.escape(message)):
         oracle_consumer_welfare(params, *point, n_consumers=n_consumers)
+
+
+# 10.5 consumers sampled 11 points at the width 1/10.5: 1.0601 at this point,
+# against the exact 1.02
+@pytest.mark.parametrize("n_consumers", [10.5, 10.0, "10"])
+def test_riemann_welfare_rejects_counts_that_are_not_integers(n_consumers):
+    params = GameParams(0.3)
+    message = f"n_consumers must be an integer, got {n_consumers!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        oracle_consumer_welfare(params, 0.2, 0.7, 0.5, n_consumers=n_consumers)
+    assert (oracle_consumer_welfare(params, 0.2, 0.7, 0.5, n_consumers=np.int64(10))
+            == oracle_consumer_welfare(params, 0.2, 0.7, 0.5, n_consumers=10))

@@ -6,6 +6,7 @@ import ast
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import locpop
 from locpop import cli, oracle
@@ -74,3 +75,32 @@ def test_no_enum_member_is_read_through_its_class_per_call():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.attr in members.get(node.value.id, ()))
     assert sorted(sites) == []
+
+
+def test_code_line_count_skips_blank_comment_and_docstring_lines(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text('''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts
+
+
+def f(x):
+    """Docstring."""
+    # a comment line
+    text = """a string that is
+    not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    value = 1
+''')
+    script = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+    out = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                         capture_output=True, text=True, check=True).stdout
+    # import, def, text (2 lines), return (2 lines), class, value
+    assert out.splitlines() == [f"     8  {source}", "     8  total"]
