@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("verify", help="oracle cross-check suites")
     s.add_argument("--theta", type=float, default=1.0)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_bounded(0), default=0)
     s.add_argument("--instances", type=_bounded(0), default=1000)
     s.add_argument("--grid-locations", type=_bounded(2, GRID_MAX))
     s.add_argument("--grid-shares", type=_bounded(2, GRID_MAX))

@@ -1,9 +1,11 @@
 """sha256 digests of CLI outputs, pinned in ``golden_outputs.json``.
 
 Each invocation runs in-process through ``locpop.cli.main`` and its stdout
-is hashed; ``test_cli.py::test_outputs_match_the_golden_manifest`` compares
-the digests with the manifest. After an intended output change only,
-regenerate the manifest with
+is hashed. ``mismatches`` is the one comparison with the manifest: tier-1's
+``test_cli.py::test_outputs_match_the_golden_manifest`` runs it on every
+command, and ``scalar_corpus.py`` on the commands outside the numpy layer
+with numpy blocked. After an intended output change only, regenerate the
+manifest with
 
     PYTHONPATH=src python tests/golden_outputs.py
 """
@@ -58,11 +60,17 @@ def invocations():
             yield ("symmetric-region", "--a", a, "--grid-locations", n, "--format", fmt)
 
 
-def digests(argvs=None):
-    """{invocation: sha256 of its stdout} for each of ``argvs`` (default:
-    every pinned invocation), each of which must exit 0."""
+def _chosen(argv, commands):
+    return commands is None or argv[0] in commands
+
+
+def digests(commands=None):
+    """{invocation: sha256 of its stdout} for every pinned invocation of
+    ``commands`` (default: all of them), each of which must exit 0."""
     result = {}
-    for argv in invocations() if argvs is None else argvs:
+    for argv in invocations():
+        if not _chosen(argv, commands):
+            continue
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(list(argv))
@@ -70,6 +78,22 @@ def digests(argvs=None):
             raise RuntimeError(f"{' '.join(argv)} exited {code}")
         result[" ".join(argv)] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return result
+
+
+def mismatches(commands=None):
+    """One line per way the outputs of ``commands`` (default: every command)
+    miss the manifest: a digest that differs, an invocation pinned but not
+    run or run but not pinned, or no invocation selected at all."""
+    pinned = {key: digest for key, digest in json.loads(MANIFEST.read_text()).items()
+              if _chosen(key.split(), commands)}
+    got = digests(commands)
+    lines = [f"differs from the manifest: {key}" for key, digest in got.items()
+             if key in pinned and digest != pinned[key]]
+    lines += [f"pinned but not run: {key}" for key in pinned.keys() - got.keys()]
+    lines += [f"run but not pinned: {key}" for key in got.keys() - pinned.keys()]
+    if not pinned and not got:
+        lines.append(f"no invocation of {commands} pinned or run")
+    return sorted(lines)
 
 
 if __name__ == "__main__":

@@ -1,21 +1,35 @@
-"""The scalar closed forms on boundary instances, run with the stdlib alone.
+"""The bare-interpreter check: the scalar core and the numpy-free commands
+run on the stdlib alone and give their pinned outputs.
 
-``locpop.model``, ``locpop.behaviors`` and ``locpop.welfare`` must import and
-run without numpy. This script blocks numpy (``sys.modules["numpy"] =
-None`` makes every import of it raise), imports ``locpop`` from ``src``, and
-prints the ``repr`` of every public scalar closed form on a fixed corpus of
-boundary instances: gap == a, one ulp either side of it, tight kind II and IV
-conditions, a = 1/4 and a = 1/2, the II/III and III/IV share inversions, and
-``BEST_NE_BREAKPOINT``. Sets are printed sorted, so the output does not
-depend on string hashing. The last line is the sha256 of the lines before it.
-The script exits 1 when that digest is not ``PINNED_SHA256``.
+``locpop.model``, ``locpop.behaviors``, ``locpop.welfare`` and the CLI
+commands outside the numpy layer must import and run without numpy. This
+script imports ``locpop`` from ``src``, and checks in this order:
+
+1. ``import locpop`` and building the CLI parser load no ``numpy`` or
+   ``scipy`` module. numpy is still importable here, so a guarded import
+   shows too wherever numpy is installed.
+2. numpy is blocked (``sys.modules["numpy"] = None`` makes every later
+   import of it raise).
+3. The ``repr`` of every public scalar closed form on a fixed corpus of
+   boundary instances is printed: gap == a, one ulp either side of it,
+   tight kind II and IV conditions, a = 1/4 and a = 1/2, the II/III and
+   III/IV share inversions, and ``BEST_NE_BREAKPOINT``. Sets are printed
+   sorted, so the output does not depend on string hashing. The last
+   stdout line is the sha256 of the lines before it, which must be
+   ``PINNED_SHA256``.
+4. Every pinned invocation of ``golden_outputs.NUMPY_FREE_COMMANDS`` prints
+   its golden-manifest bytes (``golden_outputs.mismatches``).
+
+Each failure is one line on stderr, and the script then exits 1.
 
 Run it as ``python tests/scalar_corpus.py`` under any supported interpreter;
-it needs no installed package. Float ``repr`` is the shortest round-trip
-string, so equal digests mean bit-identical results. After an intended change
-to a scalar closed form, compare this output with the parent commit's
-(``git stash``, run, ``git stash pop``, run, ``diff``), check that only the
-intended lines moved, and paste the new digest into ``PINNED_SHA256``.
+it needs no installed package. CI runs it before numpy is installed, and
+tier-1's ``test_package.py::test_scalar_core_runs_without_numpy`` with
+numpy installed. Float ``repr`` is the shortest round-trip string, so equal
+digests mean bit-identical results. After an intended change to a scalar
+closed form, compare this output with the parent commit's (``git stash``,
+run, ``git stash pop``, run, ``diff``), check that only the intended lines
+moved, and paste the new digest into ``PINNED_SHA256``.
 """
 
 import hashlib
@@ -26,16 +40,6 @@ import sys
 PINNED_SHA256 = "9fae39f3c32679fafc40e5ed6c1aa04f60033efb8f3d4a0c286b192303fb2ea8"
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-
-def load_scalar_modules():
-    """(model, behaviors, welfare) of the ``locpop`` in SOURCE, imported with
-    numpy blocked."""
-    sys.modules["numpy"] = None
-    sys.path.insert(0, str(SOURCE))
-    import locpop
-
-    return locpop.model, locpop.behaviors, locpop.welfare
 
 
 def corpus_lines(model, behaviors, welfare):
@@ -161,13 +165,26 @@ def corpus_lines(model, behaviors, welfare):
 
 
 def main():
-    lines = corpus_lines(*load_scalar_modules())
+    sys.path.insert(0, str(SOURCE))
+    import locpop
+    from locpop import cli
+
+    cli.build_parser()
+    loaded = sorted({name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+    if loaded:
+        sys.exit(f"import locpop and the CLI parser loaded {loaded}")
+    sys.modules["numpy"] = None
+    lines = corpus_lines(locpop.model, locpop.behaviors, locpop.welfare)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(*lines, f"sha256 {digest}", sep="\n")
+    import golden_outputs
+
+    failures = golden_outputs.mismatches(golden_outputs.NUMPY_FREE_COMMANDS)
     if digest != PINNED_SHA256:
-        print(f"digest differs from PINNED_SHA256 {PINNED_SHA256}", file=sys.stderr)
-        return 1
-    return 0
+        failures.insert(0, f"digest differs from PINNED_SHA256 {PINNED_SHA256}")
+    for line in failures:
+        print(line, file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

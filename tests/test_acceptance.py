@@ -59,7 +59,7 @@ def test_criterion_02_count_law():
     a_draw = rng.uniform(1e-6, 1 - 1e-6, size=100_000)
     x_draw = np.sort(rng.uniform(0.0, 1.0, size=(100_000, 2)), axis=1)
     start = time.perf_counter()
-    for a, (x1, x2) in zip(a_draw, x_draw):
+    for a, (x1, x2) in zip(a_draw.tolist(), x_draw.tolist()):
         params = GameParams(a)
         loc = Locations(x1, x2)
         count = market_equilibrium_count(params, loc).count

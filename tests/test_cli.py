@@ -253,6 +253,7 @@ def test_flag_errors_exit_two(capsys):
         ("verify", "--grid-locations", "1"),
         ("verify", "--grid-shares", "0"),
         ("verify", "--instances", "-5"),
+        ("verify", "--seed", "-1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "at least" in err
@@ -679,31 +680,36 @@ def test_coded_columns_are_exact():
                 assert_same_document("".join(_json_chunks(header, blocks, {})), whole)
 
 
-# sha256 of `locpop figures --theta 1` output; figure data is frozen
-FIGURE_SHA256 = {
-    "symmetric_equilibria.csv": "61c0040bd831d68dad0bfa9c8492ab6a38f6f0738e2986b4087087506a117a4a",
-    "nash_region_a_half.csv": "d9662ea2f8648174768e466f6caf7df680f3766ef885e71b505d852af16f9e89",
-    "neutral_efficiency.csv": "94f9ac50ea2a62b3b498376d033f0776139b8731d3e05b6787146106ae3e0d70",
-    "pessimistic_poa.csv": "438d4ca9c7f17bbc935e586fb664049cebf8af7ad79bb42be8954eca2c5c29b4",
-    "pessimistic_pos.csv": "f9cb5e10a07976155b49e9619dfcb089281e07636693212844eb3f190d3bc0c6",
-}
+def perfbench_literal(name):
+    """The literal bound to ``name`` in perfbench/worker.py, whose gates
+    require it: VERIFY_SUITES, the suites of the verify gate, or
+    FIGURE_SHA256, the digests of the figures gate."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "perfbench", "worker.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == [name]]
+    return ast.literal_eval(value)
 
 
 def test_figures_writes_datasets(tmp_path, capsys):
     code = main(["figures", "--out", str(tmp_path / "figs")])
     out = capsys.readouterr().out
     assert code == 0
+    # figure data is frozen: the benchmark's figures gate pins the same digests
+    figure_sha256 = perfbench_literal("FIGURE_SHA256")
     names = [line.rsplit("/", 1)[-1] for line in out.splitlines()]
-    assert names == list(FIGURE_SHA256)
+    assert names == list(figure_sha256)
     for name in names:
         data = (tmp_path / "figs" / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == FIGURE_SHA256[name], name
+        assert hashlib.sha256(data).hexdigest() == figure_sha256[name], name
 
 
 def test_outputs_match_the_golden_manifest():
     # tables in both formats, verify's stdout and the single-point commands,
     # byte for byte; see golden_outputs.py to regenerate after an intended change
-    assert golden_outputs.digests() == json.loads(golden_outputs.MANIFEST.read_text())
+    assert golden_outputs.mismatches() == []
 
 
 # stdout of the small run below, recorded before the suites moved into oracle
@@ -746,17 +752,6 @@ def test_verify_small_run(capsys):
     assert out == VERIFY_SMALL_RUN
 
 
-def perfbench_verify_suites():
-    """VERIFY_SUITES of perfbench/worker.py, the suites its verify gate requires."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                        "perfbench", "worker.py")
-    with open(path) as handle:
-        tree = ast.parse(handle.read())
-    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
-               and [t.id for t in node.targets] == ["VERIFY_SUITES"]]
-    return ast.literal_eval(value)
-
-
 @pytest.mark.parametrize("instances, error, message", [
     (-3, ValueError, "instances must be at least 0, got -3"),
     (2.5, TypeError, "instances must be an integer, got 2.5"),
@@ -770,7 +765,7 @@ def test_verify_suites_rejects_a_bad_instance_count(instances, error, message, m
 
 def test_verify_suites_yields_the_benchmarked_suites_in_order():
     records = list(verify_suites(1.0, 0, 0, GridSpec(2, 2)))
-    assert tuple(suite for suite, _, _ in records) == perfbench_verify_suites()
+    assert tuple(suite for suite, _, _ in records) == perfbench_literal("VERIFY_SUITES")
     assert all(isinstance(ok, bool) and isinstance(detail, str) for _, ok, detail in records)
 
 
@@ -1035,48 +1030,6 @@ def test_failed_write_exits_one(target, argv, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not list(tmp_path.rglob("*.tmp"))
-
-
-# a child process that imports the package and builds the parser, lists what
-# it loaded of numpy and scipy, then blocks numpy (every later import of it
-# raises) and hashes the pinned outputs of the commands outside the numpy layer
-NUMPY_BLOCKED_RUN = """\
-import json, sys
-import locpop
-from locpop import cli
-cli.build_parser()
-loaded = sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "scipy"))
-sys.modules["numpy"] = None
-import golden_outputs
-argvs = [argv for argv in golden_outputs.invocations()
-         if argv[0] in golden_outputs.NUMPY_FREE_COMMANDS]
-print(json.dumps({"loaded": loaded, "digests": golden_outputs.digests(argvs)}))
-"""
-
-
-def test_numpy_free_commands_run_with_numpy_blocked():
-    """``import locpop`` and the parser load neither numpy nor scipy (with
-    numpy importable, so a guarded import would show too), and the commands
-    outside the numpy layer print their golden-manifest bytes with numpy
-    blocked."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_BLOCKED_RUN],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ,
-             "PYTHONPATH": os.pathsep.join([os.path.join(tests, os.pardir, "src"), tests])},
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["loaded"] == []
-    manifest = json.loads(golden_outputs.MANIFEST.read_text())
-    pinned = {key: digest for key, digest in manifest.items()
-              if key.split()[0] in golden_outputs.NUMPY_FREE_COMMANDS}
-    # the invocations run are exactly the manifest's numpy-free keys, and
-    # there are some
-    assert pinned
-    assert result["digests"].keys() == pinned.keys()
-    assert result["digests"] == pinned
 
 
 # 9001 points, one row each, make three blocks, the later two coding x1

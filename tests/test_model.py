@@ -381,16 +381,6 @@ def test_existence_at_ties_and_one_ulp_beside(a, x1, x2):
             assert found == expected, (p, q)
 
 
-def _existence_margin(a, loc):
-    """Distance of the instance from every existence-condition boundary."""
-    one_minus_2a = 1.0 - 2.0 * a
-    return min(
-        abs(loc.gap - a),
-        abs(loc.x2 - one_minus_2a * loc.x1 - a),
-        abs(loc.x1 - one_minus_2a * loc.x2 - a),
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(a=externalities, p=positions, q=positions)
 def test_mirror_symmetry_of_shares(a, p, q):
@@ -399,8 +389,8 @@ def test_mirror_symmetry_of_shares(a, p, q):
     # (existence comparisons are deliberately tolerance-free)
     params = GameParams(a)
     loc = make_locations(p, q)
-    assume(_existence_margin(a, loc) > 1e-9)
-    assume(_existence_margin(a, mirror_locations(loc)) > 1e-9)
+    for at in (loc, mirror_locations(loc)):
+        assume(min(map(abs, _condition_gaps(a, at.x1, at.x2))) > 1e-9)
     direct = distinct_shares(enumerate_market_equilibria(params, loc), tol=1e-9)
     reflected = distinct_shares(
         enumerate_market_equilibria(params, mirror_locations(loc)), tol=1e-9
@@ -416,8 +406,8 @@ def test_mirror_symmetry_of_kinds(a, p, q):
     # away from exact condition ties the kind lists reflect one-to-one
     params = GameParams(a)
     loc = make_locations(p, q)
-    assume(_existence_margin(a, loc) > 1e-9)
-    assume(_existence_margin(a, mirror_locations(loc)) > 1e-9)
+    for at in (loc, mirror_locations(loc)):
+        assume(min(map(abs, _condition_gaps(a, at.x1, at.x2))) > 1e-9)
     direct = enumerate_market_equilibria(params, loc)
     reflected = enumerate_market_equilibria(params, mirror_locations(loc))
     assert len(direct) == len(reflected)

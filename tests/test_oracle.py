@@ -33,6 +33,7 @@ from locpop import (
 )
 from locpop.behaviors import _deviation_value
 from locpop.cli import _region_rows
+from locpop.model import _condition_gaps
 from locpop.oracle import (
     _OPTIMUM_GRID,
     _abs_distance_integral_array,
@@ -76,15 +77,6 @@ def test_oracle_unique_split():
     assert clusters[0] == pytest.approx(0.5, abs=2.0 / 2001)
 
 
-def existence_margin(a, loc):
-    one_minus_2a = 1.0 - 2.0 * a
-    return min(
-        abs(loc.gap - a),
-        abs(loc.x2 - one_minus_2a * loc.x1 - a),
-        abs(loc.x1 - one_minus_2a * loc.x2 - a),
-    )
-
-
 def test_oracle_agrees_with_enumeration_on_random_instances():
     rng = np.random.default_rng(7)
     grid = GridSpec(n_shares=2001)
@@ -93,7 +85,7 @@ def test_oracle_agrees_with_enumeration_on_random_instances():
         a = float(rng.uniform(0.05, 0.95))
         x1, x2 = np.sort(rng.uniform(0.0, 1.0, size=2))
         params = GameParams(a)
-        loc = Locations(float(x1), float(x2))
+        loc = Locations(x1, x2)  # np.float64 through the scalar API
         closed = distinct_shares(enumerate_market_equilibria(params, loc))
         clusters = oracle_market_equilibria(params, loc, grid)
         slack = 1e-9 + (1.0 + a) * spacing
@@ -103,7 +95,7 @@ def test_oracle_agrees_with_enumeration_on_random_instances():
         # the converse only holds away from existence boundaries: within
         # the oracle's slack of one, near-splits of the adjacent branch
         # legitimately pass the pointwise check
-        if existence_margin(a, loc) > slack:
+        if min(map(abs, _condition_gaps(a, loc.x1, loc.x2))) > slack:
             assert all(any(abs(c - s) <= ctol for s in closed) for c in clusters), (a, x1, x2)
 
 
