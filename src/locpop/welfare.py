@@ -258,13 +258,16 @@ def pos(params: GameParams, behavior: BehaviorKind) -> RatioReport:
 def poa_minimizer_pessimistic(theta: float) -> float:
     """Externality level minimizing the pessimistic price of anarchy.
 
-    Closed form ``(1 - 8 theta + sqrt(64 theta^2 - 16 theta + 9)) / 4``;
-    local minimality is checked by a finite-difference sign test, which
+    Closed form ``(1 - 8 theta + sqrt(64 theta^2 - 16 theta + 9)) / 4``,
+    evaluated as the equal ``2 / (sqrt(64 theta^2 - 16 theta + 9) + 8 theta
+    - 1)``: the first form subtracts two terms near 8 theta and loses its
+    digits as theta grows (0.0 at theta = 1e8), the second adds them.
+    Local minimality is checked by a finite-difference sign test, which
     raises RuntimeError on failure. At theta = 1 this is
     (sqrt(57) - 7)/4, about 0.137, with PoA about 1.159.
     """
     GameParams(0.5, theta)  # raises on a bad theta
-    a_star = (1.0 - 8.0 * theta + math.sqrt(64.0 * theta * theta - 16.0 * theta + 9.0)) / 4.0
+    a_star = 2.0 / (math.sqrt(64.0 * theta * theta - 16.0 * theta + 9.0) + 8.0 * theta - 1.0)
     h = min(1e-4, a_star / 2.0)
 
     def ratio(a):

@@ -37,7 +37,7 @@ import math
 import pathlib
 import sys
 
-PINNED_SHA256 = "9fae39f3c32679fafc40e5ed6c1aa04f60033efb8f3d4a0c286b192303fb2ea8"
+PINNED_SHA256 = "5c1c8049e708f073aa2138d44734b1a0452c630e615352d939318273a95dfbd4"
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src"
 

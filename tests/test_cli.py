@@ -51,7 +51,7 @@ from locpop.cli import (
 
 import golden_outputs
 from suite_loops import loop_deviation_flags, loop_market_flags
-from table_blocks import block_rows
+from table_blocks import REGION_TYPES, assert_same_columns, block_rows
 
 
 def run_cli(capsys, *argv):
@@ -357,7 +357,7 @@ def test_region_rows_match_scalar_reference(a, behavior, n_locations):
     expected = scalar_region_rows(params, behavior, n_locations)
     rows = block_rows(_region_rows(params, behavior, n_locations))
     # bit for bit and type for type, as the CSV and JSON writers see them
-    assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in expected]
+    assert_same_columns(rows, expected, REGION_TYPES)
     if n_locations == 201:  # III rounds below II on these cells at a = 1/2
         assert kind_order_inversions(rows) == 45
 
@@ -385,36 +385,68 @@ def csv_doc_reference(header, rows):
     return buf.getvalue()
 
 
+def json_doc_reference(header, rows, meta):
+    """The JSON row document as it was built whole before it streamed."""
+    return _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]})
+
+
+# the reference document of cli._<format>_chunks, from its arguments with rows for blocks
+DOC_REFERENCES = {"csv": csv_doc_reference, "json": json_doc_reference}
+
+
 def csv_doc(header, rows):
     return "".join(_csv_chunks(header, _row_blocks(rows)))
 
 
-@pytest.mark.parametrize("argv", [
-    *[("nash-region", "--a", "0.3", "--behavior", behavior.value, "--grid-locations", "41")
-      for behavior in BehaviorKind],
+TABLE_ARGV = [
+    *[("nash-region", "--a", a, "--behavior", behavior.value, "--grid-locations", "41")
+      for a in ("0.3", "0.5") for behavior in BehaviorKind],
     ("symmetric-region", "--a", "0.5", "--grid-locations", "101"),
     ("poa-curve", "--behavior", "pessimistic"),
     ("pos-curve", "--behavior", "neutral", "--theta", "1.5"),
+]
+
+
+def assert_reference_document(argv, monkeypatch, capsys, tmp_path):
+    """The document of ``argv`` is its format's reference document, built from
+    the rows the writer was given, on stdout and in its ``--out`` file."""
+    fmt = "json" if argv[-1] == "json" else "csv"
+    name = f"_{fmt}_chunks"
+    writer, tables = getattr(cli, name), []
+
+    def recording(header, blocks, *meta):
+        blocks = list(blocks)
+        tables.append((header, block_rows(blocks), *meta))
+        return writer(header, blocks, *meta)
+
+    monkeypatch.setattr(cli, name, recording)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    [(header, rows, *meta)] = tables
+    assert rows
+    assert_same_document(out, DOC_REFERENCES[fmt](header, rows, *meta))
+    path = tmp_path / f"table.{fmt}"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert_same_document(path.read_text(), out)
+
+
+# the tables in CSV, their default, and the single-point commands, whose JSON
+# is a document of their own
+@pytest.mark.parametrize("argv", [
+    *TABLE_ARGV,
     ("nash-check", "--a", "0.3", "--x1", "0.4", "--x2", "0.6", "--s1", "0.5",
      "--behavior", "pessimistic", "--format", "csv"),
     ("market-eq", "--a", "0.5", "--x1", "0.333333", "--x2", "0.666667", "--format", "csv"),
     ("social-opt", "--a", "0.25", "--format", "csv"),
     ("welfare", "--a", "0.4", "--x1", "0.3", "--x2", "0.3", "--s1", "0.5", "--format", "csv"),
 ], ids=" ".join)
-def test_csv_doc_is_the_csv_writer(argv, monkeypatch, capsys):
-    tables = []
+def test_csv_doc_is_the_csv_writer(argv, monkeypatch, capsys, tmp_path):
+    assert_reference_document(argv, monkeypatch, capsys, tmp_path)
 
-    def recording(header, blocks):
-        blocks = list(blocks)
-        tables.append((header, block_rows(blocks)))
-        return _csv_chunks(header, blocks)
 
-    monkeypatch.setattr(cli, "_csv_chunks", recording)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    [(header, rows)] = tables
-    assert rows
-    assert_same_document(out, csv_doc_reference(header, rows))
+@pytest.mark.parametrize("argv", TABLE_ARGV, ids=" ".join)
+def test_json_rows_are_the_whole_document(argv, monkeypatch, capsys, tmp_path):
+    assert_reference_document((*argv, "--format", "json"), monkeypatch, capsys, tmp_path)
 
 
 EDGE_HEADER = ("float", "float64", "int", "bool", "str")
@@ -442,11 +474,6 @@ CHUNK_BOUNDARY_ROWS = [
 ]
 
 
-def json_doc_reference(header, rows, meta):
-    """The JSON row document as it was built whole before it streamed."""
-    return _json_doc({**meta, "rows": [dict(zip(header, r)) for r in rows]})
-
-
 JSON_ROWS = [
     (0.1 + 0.2, np.float64(1 / 3), 7, True, "unique"),
     (1e16, np.float64(-0.0), -3, False, 'a "quote", a \\ and a\nbreak'),
@@ -454,17 +481,34 @@ JSON_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("meta", [{}, {"behavior": "pessimistic", "theta": 1.0}],
-                         ids=["no meta", "meta"])
-@pytest.mark.parametrize("n_rows", [
-    0, 1, 2, *CHUNK_BOUNDARY_ROWS,
-])
-def test_json_chunks_are_the_whole_document(n_rows, meta):
-    rows = list(islice(cycle(JSON_ROWS), n_rows))
-    chunks = list(_json_chunks(EDGE_HEADER, _row_blocks(iter(rows)), meta))
-    assert_same_document("".join(chunks), json_doc_reference(EDGE_HEADER, rows, meta))
-    # the opening, one piece per CHUNK_ROWS rows and the closing; or one piece
-    assert len(chunks) == (1 if n_rows == 0 else 2 - (-n_rows // CHUNK_ROWS))
+# the rows each format cycles through: CSV writes infinities and NaN, which
+# JSON rejects; JSON escapes quotes, backslashes and line breaks
+@pytest.mark.parametrize("fmt, cycled, meta", [
+    ("csv", EDGE_ROWS, ()), ("json", JSON_ROWS, ({},)),
+    ("json", JSON_ROWS, ({"behavior": "pessimistic", "theta": 1.0},)),
+], ids=["csv", "json no meta", "json meta"])
+@pytest.mark.parametrize("source", ["list", "generator"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, *CHUNK_BOUNDARY_ROWS])
+def test_chunks_at_chunk_boundaries(n_rows, source, fmt, cycled, meta):
+    rows = list(islice(cycle(cycled), n_rows))
+    chunks = list(getattr(cli, f"_{fmt}_chunks")(EDGE_HEADER, _row_blocks(
+        rows if source == "list" else (r for r in rows)), *meta))
+    reference = DOC_REFERENCES[fmt](EDGE_HEADER, rows, *meta)
+    assert_same_document("".join(chunks), reference)
+    if not rows:
+        assert chunks == [reference]
+        return
+    # the head alone, then full chunks of rows and a shorter last one; in
+    # JSON, the closing alone after them
+    full, rest = divmod(n_rows, CHUNK_ROWS)
+    sizes = [CHUNK_ROWS] * full + [rest] * (rest > 0)
+    if fmt == "csv":
+        assert chunks[0] == "# schema=1\n" + ",".join(EDGE_HEADER) + "\n"
+        assert [piece.count("\n") for piece in chunks[1:]] == sizes
+    else:  # up to '"rows": [' and its line break; each row ends its object
+        assert chunks[0] == reference[:reference.index("    {\n")]
+        assert [piece.count("\n    }") for piece in chunks[1:-1]] == sizes
+        assert chunks[-1] == "\n  ]\n}\n"
 
 
 def test_json_chunks_encode_header_keys():
@@ -473,45 +517,6 @@ def test_json_chunks_encode_header_keys():
     rows = [(0.1, 1, "x", False), (2.5e-300, -2, "%d", True)]
     assert_same_document("".join(_json_chunks(header, _row_blocks(rows), {})),
                          json_doc_reference(header, rows, {}))
-
-
-@pytest.mark.parametrize("argv", [
-    *[("nash-region", "--a", a, "--behavior", behavior.value, "--grid-locations", "41")
-      for a in ("0.3", "0.5") for behavior in BehaviorKind],
-    ("symmetric-region", "--a", "0.5", "--grid-locations", "101"),
-    ("poa-curve", "--behavior", "pessimistic"),
-], ids=" ".join)
-def test_json_rows_are_the_whole_document(argv, monkeypatch, capsys, tmp_path):
-    tables = []
-
-    def recording(header, blocks, meta):
-        blocks = list(blocks)
-        tables.append((header, block_rows(blocks), meta))
-        return _json_chunks(header, blocks, meta)
-
-    monkeypatch.setattr(cli, "_json_chunks", recording)
-    code, out, _ = run_cli(capsys, *argv, "--format", "json")
-    assert code == 0
-    [(header, rows, meta)] = tables
-    assert rows
-    assert_same_document(out, json_doc_reference(header, rows, meta))
-    path = tmp_path / "table.json"
-    assert run_cli(capsys, *argv, "--format", "json", "--out", str(path)) == (0, "", "")
-    assert_same_document(path.read_text(), out)
-
-
-@pytest.mark.parametrize("source", ["list", "generator"])
-@pytest.mark.parametrize("n_rows", [0, 1, *CHUNK_BOUNDARY_ROWS])
-def test_csv_chunks_at_chunk_boundaries(n_rows, source):
-    rows = list(islice(cycle(EDGE_ROWS), n_rows))
-    chunks = list(_csv_chunks(EDGE_HEADER, _row_blocks(
-        rows if source == "list" else (r for r in rows))))
-    assert "".join(chunks) == csv_doc_reference(EDGE_HEADER, rows)
-    # the header lines alone, then full chunks of rows and a shorter last one
-    full, rest = divmod(n_rows, CHUNK_ROWS)
-    assert chunks[0] == "# schema=1\n" + ",".join(EDGE_HEADER) + "\n"
-    sizes = [chunk.count("\n") for chunk in chunks[1:]]
-    assert sizes == [CHUNK_ROWS] * full + [rest] * (rest > 0)
 
 
 # A streaming writer holds about one block of rows however long the table
@@ -601,10 +606,7 @@ def symmetric_reference(a_values, n_points):
 
 def assert_symmetric_rows_exact(a_values, n_points):
     rows = block_rows(cli._symmetric_rows(a_values, n_points))
-    expected = symmetric_reference(a_values, n_points)
-    assert {type(v) for row in rows for v in row} <= {float}
-    assert np.array_equal(np.array(rows, dtype=float).reshape(-1, 3).view(np.int64),
-                          np.array(expected, dtype=float).reshape(-1, 3).view(np.int64))
+    assert_same_columns(rows, symmetric_reference(a_values, n_points), (float, float, float))
 
 
 # (a, n_points, threshold): the threshold of _symmetric_thresholds(a), 0 for
@@ -964,14 +966,27 @@ def test_pessimistic_region_suite_checks_the_diameter_bounds(tol, disagreements,
     assert detail == f"3 externality levels on a 101x101 grid, {disagreements} disagreements"
 
 
-def test_module_entrypoint_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "locpop.cli", "market-eq", "--a", "0.5",
-         "--x1", "0.3", "--x2", "0.9"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["count"] == 1
+def cli_env(unbuffered):
+    """The environment of a CLI child: this process's, with ``src`` on the
+    path and ``PYTHONUNBUFFERED`` set if and only if ``unbuffered``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return {**env, "PYTHONPATH": src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})}
+
+
+# stdout is a pipe: unbuffered, _emit writes raw and retries short writes;
+# the pinned 78,759-byte table is more than a 64 KiB pipe buffer holds
+@pytest.mark.parametrize("unbuffered", [False, True], ids=lambda value: f"unbuffered={value}")
+def test_module_entrypoint_smoke(unbuffered):
+    table = "nash-region --a 0.5 --behavior pessimistic --grid-locations 41 --format csv"
+    market, region = [subprocess.run(
+        [sys.executable, "-m", "locpop.cli", *argv.split()], capture_output=True, timeout=120,
+        env=cli_env(unbuffered)) for argv in ("market-eq --a 0.5 --x1 0.3 --x2 0.9", table)]
+    assert [(proc.returncode, proc.stderr) for proc in (market, region)] == [(0, b"")] * 2
+    assert json.loads(market.stdout)["count"] == 1
+    assert len(region.stdout) > 64 * 2**10
+    pinned = json.loads(golden_outputs.MANIFEST.read_text())[table]
+    assert hashlib.sha256(region.stdout).hexdigest() == pinned
 
 
 @pytest.mark.parametrize("argv, unbuffered", [
@@ -983,14 +998,9 @@ def test_module_entrypoint_smoke():
     (("verify", "--seed", "1", "--instances", "20"), True),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else f"unbuffered={value}")
 def test_closed_stdout_pipe_exits_without_traceback(argv, unbuffered):
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-c", "from locpop.cli import run; run()", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**env, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(unbuffered),
     )
     try:
         assert proc.stdout.readline()
@@ -1017,12 +1027,10 @@ def test_failed_write_exits_one(target, argv, tmp_path):
         path.write_text("")
     else:
         path.mkdir()
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run(
         [sys.executable, "-c", "from locpop.cli import run; run()",
          *(arg.format(target=path) for arg in argv)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120, env=cli_env(False),
     )
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -1,8 +1,7 @@
 """Tests for the brute-force grid oracles against the closed forms."""
 
 import re
-from dataclasses import astuple
-from operator import itemgetter
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -44,7 +43,7 @@ from locpop.oracle import (
 from locpop.welfare import OptimumPoint
 
 from row_scan import row_ne_fields, row_region_rows, row_region_scan
-from table_blocks import block_rows
+from table_blocks import REGION_TYPES, assert_same_columns, block_rows
 
 
 def test_gridspec_validation():
@@ -367,6 +366,20 @@ def test_oracle_social_optimum_cutoff_degeneracy():
         )
 
 
+# the suite's gate is 1e-3 plus the rounding of the two welfare sums at the
+# size of theta: at 1e13 and 1e15 the gap is one ulp of theta (1.95e-3 and
+# 0.125), and a closed form moved by 2e-3 still fails where an ulp is small
+@pytest.mark.parametrize("theta, moved, ok", [
+    (1.0, 0.0, True), (1e11, 0.0, True), (1e13, 0.0, True), (1e15, 0.0, True),
+    (1.0, 2e-3, False), (1e11, 2e-3, False),
+])
+def test_social_optimum_suite_allows_rounding_at_theta(theta, moved, ok, monkeypatch):
+    exact = oracle.social_optimum
+    monkeypatch.setattr(oracle, "social_optimum", lambda params: tuple(
+        replace(point, welfare=point.welfare + moved) for point in exact(params)))
+    assert oracle._social_optimum_suite(theta)[0] is ok
+
+
 def test_region_scan_neutral_single_cell():
     profiles = oracle_ne_region_scan(
         GameParams(0.3), BehaviorKind.NEUTRAL, GridSpec(n_locations=41)
@@ -401,26 +414,7 @@ def test_region_scan_pessimistic_matches_explicit_map():
             assert scanned.get((float(x1), float(x2)), set()) == expected, (x1, x2)
 
 
-REGION_TYPES = (float, float, float, str, float, int, float)  # cli.REGION_HEADER
 PROFILE_TYPES = (float, float, Kind, float)  # profile_fields
-
-
-def assert_same_columns(rows, expected, types):
-    """``rows`` equal ``expected`` as strictly as their ``repr``s would: the
-    same number of rows, each column of the Python type in ``types`` in
-    both, floats bit for bit (so -0.0 is not 0.0) and other fields by value."""
-    assert len(rows) == len(expected)
-    if not rows:
-        return
-    assert set(map(len, rows)) | set(map(len, expected)) == {len(types)}
-    for i, kind in enumerate(types):
-        # itemgetter, not zip(*rows), which would make an iterator per row
-        column, want = list(map(itemgetter(i), rows)), list(map(itemgetter(i), expected))
-        assert set(map(type, column)) == set(map(type, want)) == {kind}
-        if kind is float:
-            assert np.array_equal(np.array(column).view(np.int64), np.array(want).view(np.int64))
-        else:
-            assert column == want
 
 
 def profile_fields(profiles):

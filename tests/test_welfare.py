@@ -1,6 +1,7 @@
 """Tests for consumer welfare, optima, and the efficiency ratios."""
 
 import math
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,9 +359,21 @@ def test_poa_minimizer_closed_form():
         1.159, abs=1e-3
     )
     # frozen from the closed form; the function checks local minimality itself
-    assert poa_minimizer_pessimistic(10.0) == pytest.approx(0.012654173971672122, abs=1e-15)
+    assert poa_minimizer_pessimistic(10.0) == pytest.approx(0.012654173971673283, abs=1e-15)
     with pytest.raises(ValueError):
         poa_minimizer_pessimistic(0.5)
+
+
+@pytest.mark.parametrize("theta", [1e6, 1e8, 1e12])
+def test_poa_minimizer_at_large_theta(theta):
+    # the root of 2 a^2 + (8 theta - 1) a - 1 = 0 in (0, 1), to 60 digits:
+    # the form that subtracts near-equal terms gave 0.0 at theta = 1e8
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = Decimal(theta)
+        root = 2 / ((64 * t * t - 16 * t + 9).sqrt() + 8 * t - 1)
+    a_star = poa_minimizer_pessimistic(theta)
+    assert abs(Decimal(a_star) - root) <= 2 * Decimal(math.ulp(float(root))), (a_star, root)
 
 
 def test_poa_minimizer_is_global_on_grid():
