@@ -32,7 +32,6 @@ from .model import (
     GameParams,
     _equilibria,
     _merge_close,
-    distinct_shares,
     enumerate_market_equilibria,
     is_market_equilibrium,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "NashInterval",
     "deviation_payoff",
     "best_deviation",
-    "best_deviation_pessimistic",
     "is_nash",
     "pessimistic_nash_interval",
     "neutral_nash",
@@ -87,15 +85,12 @@ class DeviationReport:
     min / mean / max of the deviator's share over ``outcomes_considered``
     according to the active behavior; for best deviations it is the
     supremum, which the aggregate at ``location`` may only approach.
-    ``coincident_shares`` flags boundary instances where two kinds carry
-    the same share within 1e-12 (the neutral mean still counts each once).
     """
 
     deviator: int
     location: float
     payoff: float
     outcomes_considered: tuple
-    coincident_shares: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,11 +139,19 @@ def _interval_ok(lo, hi, s1):
     return (lo - NE_TOL <= s1) & (s1 <= hi + NE_TOL)
 
 
+def _behavior_error(behavior) -> ValueError:
+    """The error of a behavior dispatch given anything but a
+    :class:`BehaviorKind` member."""
+    return ValueError(f"behavior must be a BehaviorKind member, got {behavior!r}")
+
+
 def _aggregate(behavior: BehaviorKind, shares) -> float:
     if behavior is _PESSIMISTIC:
         return min(shares)
     if behavior is _OPTIMISTIC:
         return max(shares)
+    if behavior is not _NEUTRAL:
+        raise _behavior_error(behavior)
     # a plain left-to-right sum, as oracle._deviation_values takes it: sum() of
     # floats is compensated from CPython 3.12 on
     rest = iter(shares)
@@ -177,13 +180,7 @@ def _check_deviation_args(deviator: int, x_other: float, x_dev: float = 0.0):
 def _report(params: GameParams, deviator: int, location: float, x_other: float, payoff: float):
     loc = Locations.from_unordered(location, x_other)
     outcomes = tuple(enumerate_market_equilibria(params, loc))
-    return DeviationReport(
-        deviator=deviator,
-        location=location,
-        payoff=payoff,
-        outcomes_considered=outcomes,
-        coincident_shares=len(distinct_shares(outcomes)) < len(outcomes),
-    )
+    return DeviationReport(deviator, location, payoff, outcomes)
 
 
 def deviation_payoff(
@@ -203,26 +200,6 @@ def deviation_payoff(
     _check_deviation_args(deviator, x_other, x_dev)
     payoff = _deviation_value(params.a, behavior, x_dev, x_other)
     return _report(params, deviator, x_dev, x_other, payoff)
-
-
-def best_deviation_pessimistic(
-    params: GameParams, deviator: int, x_other: float
-) -> DeviationReport:
-    """Best pessimistic deviation against an opponent at ``x_other``.
-
-    Any deviation within ``a`` of the opponent admits a zero-share
-    equilibrium, so a pessimist only gains by jumping outside that band,
-    and the closest admissible point on the far side of the market is
-    best. Against x_other <= 1/2 that is x_other + a with value
-    ``1 - x_other / (1 - a)`` (a supremum, approached from the right of
-    the reported location); mirrored for x_other >= 1/2. When the band
-    covers the whole interval every deviation is worth 0.
-
-    The reported payoff is that supremum, so it is not the pessimistic
-    aggregate over ``outcomes_considered`` at the reported location
-    itself (which always contains a zero-share outcome).
-    """
-    return best_deviation(params, _PESSIMISTIC, deviator, x_other)
 
 
 def _neutral_candidates(a: float, y: float):
@@ -259,10 +236,20 @@ def _supremum(a: float, behavior: BehaviorKind, x_other: float):
     form: the supremum over [0, 1] and the smallest location where it is
     attained or approached.
 
-    Pessimistic: see :func:`best_deviation_pessimistic`. Optimistic: the
-    whole market, from the left end of the band on. Neutral: the first
-    largest of the candidates of both sides, the side right of x_other
-    being the mirror image (x -> 1 - x) of the left one.
+    Pessimistic: any deviation within ``a`` of the opponent admits a
+    zero-share equilibrium, so a pessimist only gains by jumping outside
+    that band, and the closest admissible point on the far side of the
+    market is best. Against x_other <= 1/2 that is x_other + a with value
+    ``1 - x_other / (1 - a)`` (a supremum, approached from the right of
+    the reported location); mirrored for x_other >= 1/2. When the band
+    covers the whole interval every deviation is worth 0. The supremum is
+    not the pessimistic aggregate at the reported location itself, where
+    a zero-share split always exists.
+
+    Optimistic: the whole market, from the left end of the band on.
+    Neutral: the first largest of the candidates of both sides, the side
+    right of x_other being the mirror image (x -> 1 - x) of the left one.
+    Anything but a :class:`BehaviorKind` member raises ValueError.
     """
     if behavior is _PESSIMISTIC:
         if x_other <= 0.5:
@@ -274,6 +261,8 @@ def _supremum(a: float, behavior: BehaviorKind, x_other: float):
         return x_other - a, 1.0 - (1.0 - x_other) / (1.0 - a)
     if behavior is _OPTIMISTIC:
         return max(0.0, x_other - a), 1.0
+    if behavior is not _NEUTRAL:
+        raise _behavior_error(behavior)
     mirrored = [(1.0 - x, payoff) for x, payoff in _neutral_candidates(a, 1.0 - x_other)]
     return max(sorted(_neutral_candidates(a, x_other) + mirrored), key=lambda c: c[1])
 
@@ -286,11 +275,12 @@ def best_deviation(
 ) -> DeviationReport:
     """Best deviation against an opponent at ``x_other``, for any behavior.
 
-    The payoff is the supremum over [0, 1] and the location is where it
-    is attained or approached from one side (it can be the deviator's own
-    location: staying put never beats the limit beside it). Pessimistic:
-    see :func:`best_deviation_pessimistic`. Neutral and optimistic: in
-    closed form, ties going to the smallest location.
+    The payoff is the supremum over [0, 1] and the location the smallest
+    where it is attained or approached from one side (it can be the
+    deviator's own location: staying put never beats the limit beside it).
+    Both are in closed form; :func:`_supremum` derives them for each
+    behavior. Where the supremum is only approached, the payoff is not the
+    aggregate over ``outcomes_considered`` at the location.
     """
     _check_deviation_args(deviator, x_other)
     location, payoff = _supremum(params.a, behavior, x_other)

@@ -370,7 +370,8 @@ def _symmetric_rows(a_values, n_points):
 
 
 def _cmd_symmetric_region(args) -> int:
-    blocks = _symmetric_rows([_params(args).a], args.grid_locations)
+    # the symmetric set does not depend on theta, so the command takes none
+    blocks = _symmetric_rows([GameParams(args.a).a], args.grid_locations)
     _emit(args, SYMMETRIC_HEADER, blocks)
     return 0
 
@@ -483,10 +484,11 @@ def _bounded(minimum, maximum=None):
 
 
 def _add_common(sub, *, needs_locations=False, needs_share=False, needs_behavior=False,
-                needs_a=True):
+                needs_a=True, needs_theta=True):
     if needs_a:
         sub.add_argument("--a", type=float, required=True, help="externality magnitude in (0,1)")
-    sub.add_argument("--theta", type=float, default=1.0, help="intrinsic utility (default 1)")
+    if needs_theta:
+        sub.add_argument("--theta", type=float, default=1.0, help="intrinsic utility (default 1)")
     if needs_locations:
         sub.add_argument("--x1", type=float, required=True)
         sub.add_argument("--x2", type=float, required=True)
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_nash_region, format="csv")
 
     s = subs.add_parser("symmetric-region", help="NE shares along x2 = 1 - x1")
-    _add_common(s)
+    _add_common(s, needs_theta=False)
     s.add_argument("--grid-locations", type=_bounded(2, GRID_MAX), default=501)
     s.set_defaults(func=_cmd_symmetric_region, format="csv")
 

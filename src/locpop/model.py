@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Kind",
     "GameParams",
     "Locations",
-    "ConsumerPosition",
     "MarketOutcome",
     "EquilibriumProfile",
     "EquilibriumCount",
@@ -103,13 +102,11 @@ class GameParams:
 class Locations:
     """Ordered firm positions on [0, 1] with x1 <= x2.
 
-    ``from_unordered`` sorts its arguments and records whether it had to
-    swap them, so callers can map shares back to the original firms.
+    ``from_unordered`` sorts its two arguments.
     """
 
     x1: float
     x2: float
-    swapped: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.x1 <= self.x2 <= 1.0:
@@ -119,24 +116,11 @@ class Locations:
 
     @classmethod
     def from_unordered(cls, first: float, second: float) -> "Locations":
-        if first > second:
-            return cls(second, first, swapped=True)
-        return cls(first, second)
+        return cls(second, first) if first > second else cls(first, second)
 
     @property
     def gap(self) -> float:
         return self.x2 - self.x1
-
-
-@dataclass(frozen=True)
-class ConsumerPosition:
-    """A consumer's ideal characteristic, a point of [0, 1]."""
-
-    v: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.v <= 1.0:
-            raise ValueError(f"consumer position must lie in [0, 1], got {self.v}")
 
 
 @dataclass(frozen=True)
@@ -206,25 +190,21 @@ class EquilibriumCount:
     count: int
     tight: frozenset
 
-    def __int__(self) -> int:
-        return self.count
 
+def consumer_utility(params: GameParams, v: float, x: float, s: float) -> float:
+    """Utility of a consumer at ``v`` buying from a firm at ``x`` with share
+    ``s``.
 
-def consumer_utility(params: GameParams, v, x: float, s: float) -> float:
-    """Utility of buying from a firm at ``x`` with share ``s``.
-
-    ``v`` may be a plain float or a :class:`ConsumerPosition`. Returns
-    ``theta + a*s - |v - x|`` exactly; raises ValueError when any input
-    leaves its admissible range.
+    Returns ``theta + a*s - |v - x|`` exactly; raises ValueError when any
+    input leaves its admissible range.
     """
-    pos = v.v if isinstance(v, ConsumerPosition) else float(v)
-    if not 0.0 <= pos <= 1.0:
-        raise ValueError(f"consumer position must lie in [0, 1], got {pos}")
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"consumer position must lie in [0, 1], got {v}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"firm location must lie in [0, 1], got {x}")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"market share must lie in [0, 1], got {s}")
-    return params.theta + params.a * s - abs(pos - x)
+    return params.theta + params.a * s - abs(v - x)
 
 
 def _clip_unit(value: float) -> float:
@@ -336,14 +316,14 @@ def market_equilibrium_count(params: GameParams, loc: Locations) -> EquilibriumC
     return EquilibriumCount(count, tight)
 
 
-def distinct_shares(outcomes, tol: float = SHARE_TOL) -> list:
-    """Deduplicate outcome shares that coincide within ``tol``.
+def distinct_shares(outcomes) -> list:
+    """Deduplicate outcome shares that coincide within ``SHARE_TOL``.
 
     Returns the sorted representative s1 values, one per cluster. The
     enumeration order already sorts by s1, but arbitrary outcome
     collections are accepted.
     """
-    return _merge_close((o.s1 for o in outcomes), tol)
+    return _merge_close((o.s1 for o in outcomes), SHARE_TOL)
 
 
 def _merge_close(values, tol: float) -> list:

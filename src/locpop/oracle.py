@@ -48,6 +48,7 @@ from .behaviors import (
     _OPTIMISTIC,
     _PESSIMISTIC,
     BehaviorKind,
+    _behavior_error,
     _check_deviation_args,
     _diameter_ok,
     _interval_ok,
@@ -171,6 +172,8 @@ def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
         return np.fmin.reduce(own, axis=0)
     if behavior is _OPTIMISTIC:
         return np.fmax.reduce(own, axis=0)
+    if behavior is not _NEUTRAL:
+        raise _behavior_error(behavior)
     present = ~np.isnan(own)
     own = np.where(present, own, 0.0)
     total = own[0]
@@ -340,21 +343,18 @@ def _run_midpoints(values, mask) -> list:
     return (0.5 * (values[edges[0::2]] + values[edges[1::2] - 1])).tolist()
 
 
-def oracle_best_deviation(
-    params: GameParams,
-    behavior: BehaviorKind,
-    deviator: int,
-    x_other: float,
-    grid: GridSpec,
-):
-    """Exhaustive deviation search: (location, payoff) at the grid argmax.
+def oracle_best_deviation(params: GameParams, behavior: BehaviorKind, x_other: float,
+                          grid: GridSpec):
+    """Exhaustive deviation search against an opponent at ``x_other``:
+    (location, payoff) at the grid argmax. Either firm deviating gets the
+    same, as the firms differ only in their labels.
 
     The payoff map is piecewise Lipschitz in the deviation location
     (constant up to max(1/(1-a), 1/(2a)) across pieces), so the grid
     maximum trails the true supremum by at most that constant times the
     grid spacing.
     """
-    _check_deviation_args(deviator, x_other)
+    _check_deviation_args(1, x_other)  # firm 1 stands for either
     xs = _unit_grid(grid.n_locations)
     values = _deviation_values(params.a, behavior, xs, x_other)
     best = int(np.argmax(values))  # the first maximum, as a scan keeping strict gains
@@ -449,12 +449,10 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     ]
 
 
-def oracle_consumer_welfare(
-    params: GameParams, x1: float, x2: float, s1: float, n_consumers: int = 100_000
-) -> float:
-    """Riemann-sum welfare with n_consumers midpoint samples per segment."""
+def oracle_consumer_welfare(params: GameParams, x1: float, x2: float, s1: float) -> float:
+    """Riemann-sum welfare with 100,000 midpoint samples per segment."""
     _check_point(x1, x2, s1)
-    n_consumers = _size("n_consumers", n_consumers, 1)
+    n_consumers = 100_000
     a, theta = params.a, params.theta
     total = 0.0
     for lo, hi, x, share in ((0.0, s1, x1, s1), (s1, 1.0, x2, 1.0 - s1)):
@@ -563,7 +561,7 @@ def _deviation_mismatches(a, x_other, grid: GridSpec):
     for k, (a_k, x) in enumerate(zip(a.tolist(), x_other.tolist())):
         behavior = behaviors[k % 3]
         analytic = _supremum(a_k, behavior, x)[1]
-        _, grid_best = oracle_best_deviation(GameParams(a_k), behavior, 1, x, grid)
+        _, grid_best = oracle_best_deviation(GameParams(a_k), behavior, x, grid)
         lipschitz = max(1.0 / (1.0 - a_k), 1.0 / (2.0 * a_k))
         tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
         mismatch[k] = grid_best > analytic + 1e-6 or analytic - grid_best > tol

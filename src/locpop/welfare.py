@@ -21,10 +21,12 @@ import math
 from dataclasses import dataclass
 
 from .behaviors import (
+    _NEUTRAL,
     _OPTIMISTIC,
     _PESSIMISTIC,
     BehaviorKind,
     NoEquilibriumError,
+    _behavior_error,
     neutral_nash,
 )
 from .model import (
@@ -218,11 +220,14 @@ def best_ne_pessimistic(params: GameParams) -> ProfileWelfare:
 
 def _extremal_ne(params: GameParams, behavior: BehaviorKind, pessimistic_ne) -> ProfileWelfare:
     """The extremal NE under ``behavior``: ``pessimistic_ne(params)``, or the
-    unique neutral one. Raises NoEquilibriumError when there is none."""
+    unique neutral one. Raises NoEquilibriumError when there is none, and
+    ValueError for anything but a :class:`BehaviorKind` member."""
     if behavior is _OPTIMISTIC:
         raise NoEquilibriumError("no equilibrium exists for optimistic firms")
     if behavior is _PESSIMISTIC:
         return pessimistic_ne(params)
+    if behavior is not _NEUTRAL:
+        raise _behavior_error(behavior)
     profile = neutral_nash(params)
     if profile is None:
         raise NoEquilibriumError("no equilibrium exists for neutral firms with a > 1/2")
@@ -255,27 +260,34 @@ def pos(params: GameParams, behavior: BehaviorKind) -> RatioReport:
     return _ratio(params, _extremal_ne(params, behavior, best_ne_pessimistic))
 
 
+def _poa_slope(a: float, u: float) -> float:
+    """A value with the sign of the pessimistic PoA's slope dPoA/da at
+    a <= 1/4, where u = 1/theta: ``2 a^2 + (8 theta - 1) a - 1`` divided by
+    theta, so no term overflows at any finite theta."""
+    return 2.0 * a * a * u + (8.0 - u) * a - u
+
+
 def poa_minimizer_pessimistic(theta: float) -> float:
     """Externality level minimizing the pessimistic price of anarchy.
 
-    Closed form ``(1 - 8 theta + sqrt(64 theta^2 - 16 theta + 9)) / 4``,
-    evaluated as the equal ``2 / (sqrt(64 theta^2 - 16 theta + 9) + 8 theta
-    - 1)``: the first form subtracts two terms near 8 theta and loses its
-    digits as theta grows (0.0 at theta = 1e8), the second adds them.
-    Local minimality is checked by a finite-difference sign test, which
-    raises RuntimeError on failure. At theta = 1 this is
-    (sqrt(57) - 7)/4, about 0.137, with PoA about 1.159.
+    Up to a = 1/4 the PoA is (theta - 1/8 + a/2) / (theta - (1 - a)^2 / 4),
+    whose slope has the sign of 2 a^2 + (8 theta - 1) a - 1; the minimizer
+    is that quadratic's root in (0, 1/4), ``(1 - 8 theta + sqrt(64 theta^2 -
+    16 theta + 9)) / 4``. It is evaluated as the equal ``2 u / (sqrt(64 -
+    16 u + 9 u^2) + 8 - u)`` with u = 1/theta: the first form subtracts two
+    terms near 8 theta and loses its digits as theta grows (0.0 at theta =
+    1e8), and 64 theta^2 overflows from theta of about 1.3e154 on; the
+    second adds positive terms of at most 16. Local minimality is checked
+    by the sign of that slope (:func:`_poa_slope`) a relative 1e-6 either
+    side, which raises RuntimeError on failure and resolves at every
+    finite theta >= 1. At theta = 1 this is (sqrt(57) - 7)/4, about 0.137,
+    with PoA about 1.159.
     """
     GameParams(0.5, theta)  # raises on a bad theta
-    a_star = 2.0 / (math.sqrt(64.0 * theta * theta - 16.0 * theta + 9.0) + 8.0 * theta - 1.0)
-    h = min(1e-4, a_star / 2.0)
-
-    def ratio(a):
-        return poa(GameParams(a, theta), _PESSIMISTIC).value
-
-    center = ratio(a_star)
-    if not ratio(a_star - h) >= center:
+    u = 1.0 / theta
+    a_star = 2.0 * u / (math.sqrt(64.0 - 16.0 * u + 9.0 * u * u) + 8.0 - u)
+    if not _poa_slope(a_star * (1.0 - 1e-6), u) < 0.0:
         raise RuntimeError("PoA closed form is not a local minimum (left)")
-    if not ratio(a_star + h) >= center:
+    if not _poa_slope(a_star * (1.0 + 1e-6), u) > 0.0:
         raise RuntimeError("PoA closed form is not a local minimum (right)")
     return a_star

@@ -37,7 +37,7 @@ import math
 import pathlib
 import sys
 
-PINNED_SHA256 = "5c1c8049e708f073aa2138d44734b1a0452c630e615352d939318273a95dfbd4"
+PINNED_SHA256 = "50025efa155e1678a508b1caac304f665cd1a8838d61a5bcef444e69d652572a"
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -125,8 +125,6 @@ def corpus_lines(model, behaviors, welfare):
                 lambda: behaviors.best_deviation(params, behavior, 1, x2))
             add(f"{name} best_deviation against x1",
                 lambda: behaviors.best_deviation(params, behavior, 2, x1))
-        add("best_deviation_pessimistic against x2",
-            lambda: behaviors.best_deviation_pessimistic(params, 1, x2))
         add("symmetric_pessimistic_nash_set at x1",
             lambda: behaviors.symmetric_pessimistic_nash_set(params, x1))
         add("nash_region_a_half", lambda: sorted(

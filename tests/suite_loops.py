@@ -65,7 +65,7 @@ def loop_deviation_flags(rng, grid, instances):
         behavior = behaviors[k % 3]
         params = GameParams(a)
         analytic = oracle._supremum(a, behavior, x_other)[1]
-        _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
+        _, grid_best = oracle_best_deviation(params, behavior, x_other, grid)
         lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
         tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
         flags.append(grid_best > analytic + 1e-6 or analytic - grid_best > tol)

@@ -18,7 +18,6 @@ from locpop import (
     NE_TOL,
     NashInterval,
     best_deviation,
-    best_deviation_pessimistic,
     deviation_payoff,
     distinct_shares,
     enumerate_market_equilibria,
@@ -27,7 +26,10 @@ from locpop import (
     nash_region_a_half,
     neutral_nash,
     oracle_best_deviation,
+    oracle_ne_region_scan,
     pessimistic_nash_interval,
+    poa,
+    pos,
     symmetric_pessimistic_nash_set,
 )
 from locpop import behaviors
@@ -71,8 +73,9 @@ def test_optimist_colocating_gets_everything():
 
 
 def test_deviation_report_flags_coincident_shares():
+    # the report keeps every kind; distinct_shares shows which coincide
     rep = deviation_payoff(GameParams(0.5), BehaviorKind.NEUTRAL, 1, 0.5, 0.5)
-    assert rep.coincident_shares
+    assert len(distinct_shares(rep.outcomes_considered)) < len(rep.outcomes_considered)
     assert len(rep.outcomes_considered) == 5
 
 
@@ -143,19 +146,19 @@ def test_neutral_mean_is_a_left_to_right_sum(first, fraction, rest):
 
 
 def test_best_deviation_pessimistic_center_opponent():
-    rep = best_deviation_pessimistic(GameParams(0.5), 1, 0.5)
+    rep = best_deviation(GameParams(0.5), BehaviorKind.PESSIMISTIC, 1, 0.5)
     assert rep.payoff == 0.0
     assert rep.location == 1.0
 
 
 def test_best_deviation_pessimistic_formula_and_grid():
     params = GameParams(0.3)
-    rep = best_deviation_pessimistic(params, 1, 0.4)
+    rep = best_deviation(params, BehaviorKind.PESSIMISTIC, 1, 0.4)
     assert rep.location == pytest.approx(0.7, abs=1e-12)
     assert rep.payoff == pytest.approx(1 - 0.4 / 0.7, abs=1e-12)
     # grid search takes the min over splits at every deviation point
     loc, payoff = oracle_best_deviation(
-        params, BehaviorKind.PESSIMISTIC, 1, 0.4, GridSpec(n_locations=10001)
+        params, BehaviorKind.PESSIMISTIC, 0.4, GridSpec(n_locations=10001)
     )
     assert payoff <= rep.payoff + 1e-9
     assert rep.payoff - payoff <= 2.0 / 10000 / (1 - params.a)
@@ -163,17 +166,17 @@ def test_best_deviation_pessimistic_formula_and_grid():
 
 
 def test_best_deviation_pessimistic_band_covers_market():
-    rep = best_deviation_pessimistic(GameParams(0.7), 1, 0.4)
+    rep = best_deviation(GameParams(0.7), BehaviorKind.PESSIMISTIC, 1, 0.4)
     assert rep.payoff == 0.0
     _, payoff = oracle_best_deviation(
-        GameParams(0.7), BehaviorKind.PESSIMISTIC, 1, 0.4, GridSpec(n_locations=2001)
+        GameParams(0.7), BehaviorKind.PESSIMISTIC, 0.4, GridSpec(n_locations=2001)
     )
     assert payoff == 0.0
 
 
 def test_best_deviation_pessimistic_mirror_branch():
     params = GameParams(0.3)
-    rep = best_deviation_pessimistic(params, 2, 0.6)
+    rep = best_deviation(params, BehaviorKind.PESSIMISTIC, 2, 0.6)
     assert rep.location == pytest.approx(0.3, abs=1e-12)
     assert rep.payoff == pytest.approx(1 - 0.4 / 0.7, abs=1e-12)
 
@@ -183,6 +186,25 @@ def test_best_deviation_generic_dispatch():
     assert best_deviation(params, BehaviorKind.OPTIMISTIC, 1, 0.5).payoff == 1.0
     pess = best_deviation(params, BehaviorKind.PESSIMISTIC, 1, 0.2)
     assert pess.payoff == pytest.approx(1 - 0.2 / 0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("behavior", ["pessimistic", "optimistic", None])
+def test_behavior_must_be_a_member(behavior):
+    # a value, or any other non-member, fell through to the neutral branch:
+    # best_deviation(a = 0.3, "pessimistic", against 0.4) paid 0.5833, not 0.4286
+    params = GameParams(0.3)
+    calls = [
+        lambda: best_deviation(params, behavior, 1, 0.4),
+        lambda: deviation_payoff(params, behavior, 1, 0.2, 0.4),
+        lambda: is_nash(params, behavior, CENTER),
+        lambda: poa(params, behavior),
+        lambda: pos(params, behavior),
+        lambda: oracle_best_deviation(params, behavior, 0.4, GridSpec(n_locations=11)),
+        lambda: oracle_ne_region_scan(params, behavior, GridSpec(n_locations=11)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="behavior must be a BehaviorKind member"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +263,7 @@ biased_positions = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), positions)
 def test_best_deviation_brackets_the_grid_maximum(a, x_other, behavior):
     params = GameParams(a)
     grid = GridSpec(n_locations=2001)
-    _, grid_best = oracle_best_deviation(params, behavior, 1, x_other, grid)
+    _, grid_best = oracle_best_deviation(params, behavior, x_other, grid)
     spacing = 1.0 / (grid.n_locations - 1)
     payoff = best_deviation(params, behavior, 1, x_other).payoff
     assert payoff >= grid_best - 1e-12

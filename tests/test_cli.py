@@ -260,6 +260,9 @@ def test_flag_errors_exit_two(capsys):
     # consumers sit at the share-cell midpoints: no grid of their own
     code, out, err = run_cli(capsys, "verify", "--grid-consumers", "1000")
     assert code == 2 and out == "" and "unrecognized arguments: --grid-consumers" in err
+    # the symmetric set does not depend on theta: no flag for it
+    code, out, err = run_cli(capsys, "symmetric-region", "--a", "0.5", "--theta", "1")
+    assert code == 2 and out == "" and "unrecognized arguments: --theta 1" in err
     region = ("nash-region", "--a", "0.5", "--behavior", "pessimistic", "--grid-locations")
     code, out, err = run_cli(capsys, *region, "2002")
     assert code == 2 and out == "" and "must be at most 2001" in err

@@ -16,7 +16,7 @@ from locpop import (
     Kind,
     Locations,
     MarketOutcome,
-    best_deviation_pessimistic,
+    best_deviation,
     consumer_welfare,
     distinct_shares,
     enumerate_market_equilibria,
@@ -209,9 +209,9 @@ def test_gridspec_arrays_are_shared_and_read_only():
 def test_oracle_best_deviation_matches_closed_form():
     params = GameParams(0.3)
     loc, payoff = oracle_best_deviation(
-        params, BehaviorKind.PESSIMISTIC, 1, 0.4, GridSpec(n_locations=2001)
+        params, BehaviorKind.PESSIMISTIC, 0.4, GridSpec(n_locations=2001)
     )
-    closed = best_deviation_pessimistic(params, 1, 0.4)
+    closed = best_deviation(params, BehaviorKind.PESSIMISTIC, 1, 0.4)
     assert payoff <= closed.payoff + 1e-12
     assert closed.payoff - payoff <= 2.0 / 2000 / (1 - 0.3)
     assert loc == pytest.approx(closed.location, abs=1e-3)
@@ -219,7 +219,7 @@ def test_oracle_best_deviation_matches_closed_form():
 
 def test_oracle_best_deviation_optimist_saturates():
     _, payoff = oracle_best_deviation(
-        GameParams(0.4), BehaviorKind.OPTIMISTIC, 1, 0.5, GridSpec(n_locations=801)
+        GameParams(0.4), BehaviorKind.OPTIMISTIC, 0.5, GridSpec(n_locations=801)
     )
     assert payoff == 1.0
 
@@ -227,7 +227,7 @@ def test_oracle_best_deviation_optimist_saturates():
 def test_oracle_best_deviation_neutral_center_exceeds_half():
     # certifies the neutral instability beyond a = 1/2
     _, payoff = oracle_best_deviation(
-        GameParams(0.6), BehaviorKind.NEUTRAL, 1, 0.5, GridSpec(n_locations=2001)
+        GameParams(0.6), BehaviorKind.NEUTRAL, 0.5, GridSpec(n_locations=2001)
     )
     assert payoff > 0.5 + 1e-3
 
@@ -254,7 +254,7 @@ def test_oracle_best_deviation_is_the_pointwise_loop(a, x_other, behavior, n_loc
     assert list(map(repr, _deviation_values(a, behavior, xs, x_other).tolist())) == list(
         map(repr, values))
     found = oracle_best_deviation(
-        GameParams(a), behavior, 1, x_other, GridSpec(n_locations=n_locations))
+        GameParams(a), behavior, x_other, GridSpec(n_locations=n_locations))
     assert repr(found) == repr((best_x, best_v))
 
 
@@ -486,29 +486,14 @@ def test_riemann_welfare_agreement():
         assert exact == pytest.approx(sampled, abs=1e-5)
 
 
-@pytest.mark.parametrize("point, n_consumers, message", [
-    ((-0.1, 0.5, 0.5), 100, "x1 must lie in [0, 1], got -0.1"),
-    ((0.5, 1.2, 0.5), 100, "x2 must lie in [0, 1], got 1.2"),
-    ((0.2, 0.6, 1.5), 100, "s1 must lie in [0, 1], got 1.5"),
-    ((0.2, 0.6, 0.5), 0, "n_consumers must be at least 1, got 0"),
-    ((0.2, 0.6, 0.5), -5, "n_consumers must be at least 1, got -5"),
+@pytest.mark.parametrize("point, message", [
+    ((-0.1, 0.5, 0.5), "x1 must lie in [0, 1], got -0.1"),
+    ((0.5, 1.2, 0.5), "x2 must lie in [0, 1], got 1.2"),
+    ((0.2, 0.6, 1.5), "s1 must lie in [0, 1], got 1.5"),
 ])
-def test_riemann_welfare_rejects_bad_input(point, n_consumers, message):
+def test_riemann_welfare_rejects_bad_input(point, message):
     params = GameParams(0.3)
-    if n_consumers > 0:  # the same message as the closed form
+    # the same message as the closed form
+    for welfare in (consumer_welfare, oracle_consumer_welfare):
         with pytest.raises(ValueError, match=re.escape(message)):
-            consumer_welfare(params, *point)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        oracle_consumer_welfare(params, *point, n_consumers=n_consumers)
-
-
-# 10.5 consumers sampled 11 points at the width 1/10.5: 1.0601 at this point,
-# against the exact 1.02
-@pytest.mark.parametrize("n_consumers", [10.5, 10.0, "10"])
-def test_riemann_welfare_rejects_counts_that_are_not_integers(n_consumers):
-    params = GameParams(0.3)
-    message = f"n_consumers must be an integer, got {n_consumers!r}"
-    with pytest.raises(TypeError, match=re.escape(message)):
-        oracle_consumer_welfare(params, 0.2, 0.7, 0.5, n_consumers=n_consumers)
-    assert (oracle_consumer_welfare(params, 0.2, 0.7, 0.5, n_consumers=np.int64(10))
-            == oracle_consumer_welfare(params, 0.2, 0.7, 0.5, n_consumers=10))
+            welfare(params, *point)

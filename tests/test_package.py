@@ -14,11 +14,10 @@ from locpop import cli, oracle
 import scalar_corpus
 
 PUBLIC_NAMES = [
-    "BEST_NE_BREAKPOINT", "BehaviorKind", "ConsumerPosition", "DeviationReport",
-    "EquilibriumCount", "EquilibriumProfile", "GameParams", "GridSpec", "Kind",
-    "Locations", "MarketOutcome", "NE_TOL", "NashInterval", "NoEquilibriumError",
-    "OptimumPoint", "ProfileWelfare", "RatioReport", "SHARE_TOL", "best_deviation",
-    "best_deviation_pessimistic", "best_ne_pessimistic", "consumer_utility",
+    "BEST_NE_BREAKPOINT", "BehaviorKind", "DeviationReport", "EquilibriumCount",
+    "EquilibriumProfile", "GameParams", "GridSpec", "Kind", "Locations", "MarketOutcome",
+    "NE_TOL", "NashInterval", "NoEquilibriumError", "OptimumPoint", "ProfileWelfare",
+    "RatioReport", "SHARE_TOL", "best_deviation", "best_ne_pessimistic", "consumer_utility",
     "consumer_welfare", "deviation_payoff", "distinct_shares",
     "enumerate_market_equilibria", "is_market_equilibrium", "is_nash",
     "market_equilibrium_count", "mirror_locations", "mirror_outcome", "mirror_profile",
@@ -32,7 +31,7 @@ PUBLIC_NAMES = [
 
 def test_public_api_is_pinned():
     assert sorted(locpop.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 46
     for name in PUBLIC_NAMES:
         getattr(locpop, name)
     namespace = {}

@@ -1,8 +1,9 @@
 """Tests for consumer welfare, optima, and the efficiency ratios."""
 
 import math
+import random
+import sys
 from decimal import Decimal, localcontext
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -364,16 +365,41 @@ def test_poa_minimizer_closed_form():
         poa_minimizer_pessimistic(0.5)
 
 
-@pytest.mark.parametrize("theta", [1e6, 1e8, 1e12])
-def test_poa_minimizer_at_large_theta(theta):
-    # the root of 2 a^2 + (8 theta - 1) a - 1 = 0 in (0, 1), to 60 digits:
-    # the form that subtracts near-equal terms gave 0.0 at theta = 1e8
+def minimizer_root(theta):
+    """The root of 2 a^2 + (8 theta - 1) a - 1 = 0 in (0, 1), to 60 digits."""
     with localcontext() as ctx:
         ctx.prec = 60
         t = Decimal(theta)
-        root = 2 / ((64 * t * t - 16 * t + 9).sqrt() + 8 * t - 1)
+        return 2 / ((64 * t * t - 16 * t + 9).sqrt() + 8 * t - 1)
+
+
+@pytest.mark.parametrize("theta", [1e6, 1e8, 1e12])
+def test_poa_minimizer_at_large_theta(theta):
+    # the form that subtracts near-equal terms gave 0.0 at theta = 1e8
+    root = minimizer_root(theta)
     a_star = poa_minimizer_pessimistic(theta)
     assert abs(Decimal(a_star) - root) <= 2 * Decimal(math.ulp(float(root))), (a_star, root)
+
+
+# the finite-difference check raised at the first three (left, left, right),
+# where the PoA values it compared differed by an ulp or less; from about
+# 1.3e154 on, 64 theta^2 overflowed and a* came out 0.0
+@pytest.mark.parametrize("theta", [24517.70354455098, 25100.063922007535, 54748.38088963801,
+                                   1e154, 1e300, sys.float_info.max])
+def test_poa_minimizer_at_every_finite_theta(theta):
+    a_star = poa_minimizer_pessimistic(theta)
+    assert 0.0 < a_star < 1.0
+    root = minimizer_root(theta)
+    assert abs(Decimal(a_star) - root) <= 2 * Decimal(math.ulp(float(root))), (a_star, root)
+
+
+def test_poa_minimizer_at_log_uniform_theta():
+    rng = random.Random(0)
+    for _ in range(600):
+        theta = math.exp(rng.uniform(0.0, math.log(1e15)))
+        a_star = poa_minimizer_pessimistic(theta)
+        root = minimizer_root(theta)
+        assert abs(Decimal(a_star) - root) <= 2 * Decimal(math.ulp(float(root))), (theta, a_star)
 
 
 def test_poa_minimizer_is_global_on_grid():
@@ -391,8 +417,7 @@ def test_regime_checks_survive_optimized_mode(monkeypatch):
     monkeypatch.setattr(welfare, "consumer_welfare", lambda params, x1, x2, s1: x1)
     with pytest.raises(RuntimeError, match="breakpoint"):
         best_ne_pessimistic(GameParams(BEST_NE_BREAKPOINT))
-    monkeypatch.setattr(
-        welfare, "poa", lambda params, behavior: SimpleNamespace(value=-abs(params.a - 0.1))
-    )
-    with pytest.raises(RuntimeError, match="local minimum"):
-        poa_minimizer_pessimistic(1.0)
+    for slope, side in ((1.0, "left"), (-1.0, "right")):
+        monkeypatch.setattr(welfare, "_poa_slope", lambda a, u, slope=slope: slope)
+        with pytest.raises(RuntimeError, match=f"local minimum \\({side}\\)"):
+            poa_minimizer_pessimistic(1.0)
