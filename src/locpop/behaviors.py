@@ -57,6 +57,10 @@ __all__ = [
 # on a band edge or with a tight kind II/IV condition.
 NE_TOL = 1e-9
 
+# Values of the symmetric NE set no more than this apart are one share
+# (:func:`_symmetric_shares`).
+_SYMMETRIC_GAP = 1e-12
+
 
 class BehaviorKind(enum.Enum):
     """Attitude toward the multiplicity of market equilibria."""
@@ -352,7 +356,7 @@ def _symmetric_thresholds(a: float):
 def _symmetric_shares(a: float, thresholds, x1: float) -> list:
     """The sorted distinct shares of the symmetric set at ``x1``, given
     ``_symmetric_thresholds(a)``: each part from its threshold on, merged
-    within 1e-12 where parts meet."""
+    within ``_SYMMETRIC_GAP`` where parts meet."""
     center, tails, ends = thresholds
     values: list = []
     if x1 >= center:
@@ -362,7 +366,7 @@ def _symmetric_shares(a: float, thresholds, x1: float) -> list:
         values.extend([0.5 - delta, 0.5 + delta])
     if x1 >= ends:
         values.extend([0.0, 1.0])
-    return _merge_close(values, 1e-12)
+    return _merge_close(values, _SYMMETRIC_GAP)
 
 
 def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
@@ -383,8 +387,12 @@ def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
     within rounding of one of them the two may decide differently. The
     slack is not a parameter: another value would break that agreement. The
     closed form stays rather than reading :func:`is_nash`, which makes the
-    symmetric figure's rows several times slower; those rows read
-    :func:`_symmetric_shares` with the thresholds computed once per level.
+    symmetric figure's rows several times slower. Those rows
+    (``cli._symmetric_rows``) take the thresholds once per level and write
+    each stretch between two of them as a pattern of 1, 3 or 5 shares,
+    with ``s1`` coded; a point where :func:`_merge_close` would merge two of
+    the pattern's values (x1 = 1/2 among them) reads
+    :func:`_symmetric_shares`.
     """
     if not 0.0 <= x1 <= 0.5:
         raise ValueError(f"symmetric analysis needs x1 in [0, 1/2], got {x1}")

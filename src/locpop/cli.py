@@ -22,7 +22,8 @@ coded: its distinct values and one index per row. Both formats render a
 block column by column (:func:`_table_chunks`): each distinct value of a
 coded column is converted once, then each row joins its fields' texts.
 The region table codes all seven columns, and most of its 305k floats
-repeat; the symmetric table codes ``a`` and ``x1`` and keeps ``s1`` plain.
+repeat; the symmetric table codes all three, ``s1`` over 1/2, 0, 1 and
+each point's pair 1/2 -+ d.
 Both formats need each column of a table to keep one type, and no header
 name or field to need CSV quoting.
 """
@@ -36,12 +37,14 @@ import math
 import os
 import sys
 import tempfile
+from bisect import bisect_left
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 
 from .behaviors import (
     _NEUTRAL,
     _PESSIMISTIC,
+    _SYMMETRIC_GAP,
     NE_TOL,
     BehaviorKind,
     NoEquilibriumError,
@@ -329,43 +332,100 @@ def _cmd_nash_region(args) -> int:
     return 0
 
 
-def _diagonal(n_points, lo=0, hi=None):
-    """Points lo to hi - 1 (default: to the end) of the diagonal grid, bit
-    for bit the floats of np.linspace(0.0, 0.5, n_points)[lo:hi]: k * step,
-    and 0.5 last."""
+def _diagonal(n_points):
+    """The diagonal grid's point function: index k to the float of
+    np.linspace(0.0, 0.5, n_points)[k], bit for bit (k * step, and 0.5
+    last)."""
     last = n_points - 1
-    hi = n_points if hi is None else hi
-    points = map((0.5 / last).__mul__, range(lo, min(hi, last)))
-    return chain(points, (0.5,)) if hi == n_points else points
+    step = 0.5 / last
+    return lambda k: 0.5 if k == last else k * step
 
 
 def _symmetric_rows(a_values, n_points):
     """SYMMETRIC_HEADER blocks (:func:`_table_chunks`) along the diagonal
-    for each level of the list ``a_values`` in turn, a block ending at the
-    first diagonal point that brings it to ``CHUNK_ROWS`` rows. ``a`` is
-    coded by its index into ``a_values`` and ``x1`` by its diagonal index,
-    over the stretch of the diagonal the block spans; ``s1`` holds one value
-    per row. The set's thresholds are computed once per level."""
-    codes, ks, s1 = [], [], []
+    for each level of ``a_values`` in turn, a block ending at the first
+    diagonal point that brings it to ``CHUNK_ROWS`` rows, inside a level or
+    not, so no level is held whole.
 
-    def block():
-        lo = min(ks)
-        x1 = list(_diagonal(n_points, lo, max(ks) + 1))
-        return (a_values, codes), (x1, [k - lo for k in ks]), (s1, None)
+    A level's thresholds (:func:`_symmetric_thresholds`) start three ranges
+    of diagonal indices, each at the first point at or past its threshold.
+    A point's rows are its range's pattern: 1/2; then 1/2 - d, 1/2,
+    1/2 + d; then 0, 1/2 - d, 1/2, 1/2 + d, 1; with d as
+    :func:`_symmetric_shares` computes it. Where a value of the pattern is
+    not more than ``_SYMMETRIC_GAP`` above the one before it (the test of
+    :func:`_merge_close`), the point's rows are :func:`_symmetric_shares`'
+    instead; at x1 = 1/2, where d = 0, they always are.
 
-    for code, a in enumerate(a_values):
+    Every column is coded: ``a`` over the levels the block spans, ``x1``
+    by diagonal index over the stretch of the diagonal the block spans, and
+    ``s1`` over 1/2, 0 and 1, then the lows and the highs of each run of
+    points."""
+    point, gap = _diagonal(n_points), _SYMMETRIC_GAP
+    a_vals, a_codes, x1_codes, s1_vals, s1_codes = [], [], [], [0.5, 0.0, 1.0], []
+    x1_lo, x1_hi = n_points, 0
+
+    def block():  # x1 coded over the stretch x1_lo .. x1_hi - 1 of the diagonal
+        x1 = (list(map(point, range(x1_lo, x1_hi))), list(map(x1_lo.__rsub__, x1_codes)))
+        return (a_vals, a_codes), x1, (s1_vals, s1_codes)
+
+    for a in a_values:
         thresholds = _symmetric_thresholds(a)
-        lowest = min(thresholds)  # below every threshold the set is empty
-        for k, x1 in enumerate(_diagonal(n_points)):
-            if x1 >= lowest:
-                shares = _symmetric_shares(a, thresholds, x1)
-                s1 += shares
-                codes += [code] * len(shares)
-                ks += [k] * len(shares)
-                if len(s1) >= CHUNK_ROWS:
+        two_a = 2.0 * a
+        # the starts rise: the tails' threshold passes the ends' only for a
+        # within 1e-8 of 1, where both lie below 1e-8, and so below every
+        # diagonal point but 0 up to GRID_MAX points
+        starts = [bisect_left(range(n_points), t, key=point) for t in thresholds]
+        for width, k, end in zip((1, 3, 5), starts, [*starts[1:], n_points]):
+            while k < end:
+                if not a_vals or a_vals[-1] != a:
+                    a_vals.append(a)
+                # the points that fill the block at ``width`` rows each
+                xs = list(map(point, range(k, min(end, k - (len(s1_codes) - CHUNK_ROWS) // width))))
+                run, per, s0 = len(xs), width, len(s1_vals)
+                if width == 1:
+                    codes = [0] * run
+                else:
+                    deltas = [(1.0 - 2.0 * x1) / two_a for x1 in xs]
+                    lows = [0.5 - d for d in deltas]
+                    highs = [0.5 + d for d in deltas]
+                    # each value of a point's pattern against the one before
+                    # it, compared as _merge_close compares them
+                    if width == 3:
+                        kept = [0.5 - low > gap and high - 0.5 > gap
+                                for low, high in zip(lows, highs)]
+                    else:
+                        kept = [low - 0.0 > gap and 0.5 - low > gap and high - 0.5 > gap
+                                and 1.0 - high > gap for low, high in zip(lows, highs)]
+                    if not all(kept):
+                        run = kept.index(False)
+                    # 1/2, 0 and 1 are codes 0, 1 and 2; the run's lows and
+                    # highs follow, each in its slot beside 1/2's
+                    codes = ([0, 0, 0] if width == 3 else [1, 0, 0, 0, 2]) * run
+                    slot = width // 2 - 1
+                    codes[slot::width] = range(s0, s0 + run)
+                    codes[width - 1 - slot::width] = range(s0 + run, s0 + 2 * run)
+                    s1_vals += lows[:run]
+                    s1_vals += highs[:run]
+                if not run:  # _merge_close merges values of the first point
+                    shares = _symmetric_shares(a, thresholds, xs[0])
+                    run, per, codes = 1, len(shares), list(range(s0, s0 + len(shares)))
+                    s1_vals += shares
+                s1_codes += codes
+                # each point's index, once per row
+                at = list(range(k, k + run))
+                codes = [0] * (per * run)
+                for i in range(per):
+                    codes[i::per] = at
+                x1_codes += codes
+                x1_lo, x1_hi = min(x1_lo, k), max(x1_hi, k + run)
+                a_codes += [len(a_vals) - 1] * (per * run)
+                k += run
+                if len(s1_codes) >= CHUNK_ROWS:
                     yield block()
-                    codes, ks, s1 = [], [], []
-    if s1:
+                    a_vals, a_codes, x1_codes = [], [], []
+                    s1_vals, s1_codes = [0.5, 0.0, 1.0], []
+                    x1_lo, x1_hi = n_points, 0
+    if s1_codes:
         yield block()
 
 

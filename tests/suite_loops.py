@@ -4,7 +4,10 @@ These are the market-equilibria and best-deviation suites of
 ``oracle.verify_suites`` as they were before the market suite ran in
 blocks of instances, kept with their arithmetic and their draws unchanged
 as a test oracle: each draws its instances one at a time from ``rng`` and
-returns one mismatch flag per instance. The closed-form splits and best
+gives one mismatch flag per instance. The market reference draws in
+:func:`loop_market_instances`, which also keeps each instance's passing
+shares, and flags in :func:`loop_market_flags`, so a test can flag one
+draw against several closed forms. The closed-form splits and best
 deviation suprema are looked up in the ``oracle`` namespace, as
 ``oracle._equilibria_array`` (called with one instance's floats) and
 ``oracle._supremum``, the names the suites read: a test that patches them
@@ -35,18 +38,30 @@ def loop_passing_shares(params, loc, grid):
     return candidates, (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
 
 
-def loop_market_flags(rng, grid, instances):
-    spacing = 1.0 / (grid.n_shares - 1)
-    flags = []
+def loop_market_instances(rng, grid, instances):
+    """The market suite's instances, drawn one at a time from ``rng``: each
+    one's params, locations and the share-grid candidates that pass at them,
+    none of which reads the closed-form splits."""
+    drawn = []
     for _ in range(instances):
         a = float(rng.uniform(0.02, 0.98))
         x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
         params = GameParams(a)
         loc = Locations(float(x1), float(x2))
+        candidates, mask = loop_passing_shares(params, loc, grid)
+        drawn.append((params, loc, candidates[mask]))
+    return drawn
+
+
+def loop_market_flags(drawn, grid):
+    """One mismatch flag per instance of :func:`loop_market_instances`."""
+    spacing = 1.0 / (grid.n_shares - 1)
+    flags = []
+    for params, loc, passing in drawn:
+        a = params.a
         shares = oracle._equilibria_array(a, loc.x1, loc.x2)[0]
         closed = np.array(_merge_close(shares[~np.isnan(shares)].tolist(), SHARE_TOL))
-        candidates, mask = loop_passing_shares(params, loc, grid)
-        distance = np.abs(candidates[mask][:, None] - closed)
+        distance = np.abs(passing[:, None] - closed)
         ok = (distance <= spacing).any(axis=0).all()
         slack = _share_slack(a, grid)
         if ok and min(map(abs, _condition_gaps(a, loc.x1, loc.x2))) > slack + 2.0 * spacing:

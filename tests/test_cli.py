@@ -12,7 +12,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from itertools import cycle, islice, repeat
+from itertools import cycle, groupby, islice, repeat
 
 import numpy as np
 import pytest
@@ -50,7 +50,7 @@ from locpop.cli import (
 )
 
 import golden_outputs
-from suite_loops import loop_deviation_flags, loop_market_flags
+from suite_loops import loop_deviation_flags, loop_market_flags, loop_market_instances
 from table_blocks import REGION_TYPES, assert_same_columns, block_rows
 
 
@@ -639,6 +639,9 @@ unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
        n_points=st.integers(min_value=2, max_value=2001))
 @example(a_values=[0.005, 0.5, 0.995], n_points=2001)
 @example(a_values=[a for a, _, _ in SYMMETRIC_EDGES if a > 0.9], n_points=2001)
+# the second level's tails threshold lies above its ends threshold, as only
+# within 1e-8 of a = 1
+@example(a_values=[0.9999999999999999, 0.9999999925669992], n_points=2001)
 def test_symmetric_rows_are_the_closed_form_bit_for_bit(a_values, n_points):
     assert_symmetric_rows_exact(a_values, n_points)
 
@@ -892,11 +895,13 @@ def test_market_equilibria_suite_matches_the_instance_loop(grid, instances, monk
 
     monkeypatch.setattr(oracle, "_equilibria_array", moved)
     calls = caught(monkeypatch, "_market_mismatches")
+    # the draws and their passing shares do not depend on the shift
+    drawn = loop_market_instances(np.random.default_rng(7), grid, instances)
     for shift in (0.0, -1e-3, 1e-3, -2e-3, 2e-3, 1e-2):
         calls.clear()
         _, detail = oracle._market_equilibria_suite(np.random.default_rng(7), grid, instances)
         [(_, flags)] = calls
-        expected = loop_market_flags(np.random.default_rng(7), grid, instances)
+        expected = loop_market_flags(drawn, grid)
         assert flags.tolist() == expected, shift
         assert detail == f"{instances} random instances, {sum(expected)} mismatches"
 
@@ -1043,13 +1048,14 @@ def test_failed_write_exits_one(target, argv, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-# 9001 points, one row each, make three blocks, the later two coding x1
-# over a stretch of the diagonal that starts past its first point
+# 9001 points at a = 0.3 make three blocks, the later two coding x1 over a
+# stretch of the diagonal that starts past its first point
 @pytest.mark.parametrize("n_points", [2, 3, 7, 201, 501, 1000, 2999, 9001])
-def test_parameter_grids_are_numpys_bit_for_bit(n_points, monkeypatch):
-    """The a-sweep and the diagonal points are the floats of ``np.arange(1,
-    200) * A_GRID_STEP`` and ``np.linspace(0, 0.5, n)``, bit for bit; the
-    12-digit outputs alone would not show a one-ulp move."""
+def test_parameter_grids_are_numpys_bit_for_bit(n_points):
+    """The a-sweep, the diagonal's points and the ``x1`` of the symmetric
+    rows are the floats of ``np.arange(1, 200) * A_GRID_STEP`` and
+    ``np.linspace(0, 0.5, n)``, bit for bit; the 12-digit outputs alone
+    would not show a one-ulp move."""
     def bits(values):
         return np.asarray(values, dtype=float).view(np.int64).tolist()
 
@@ -1057,11 +1063,14 @@ def test_parameter_grids_are_numpys_bit_for_bit(n_points, monkeypatch):
     assert bits(cli._a_grid(BehaviorKind.PESSIMISTIC)) == bits(arange)
     neutral = [a for a in arange.tolist() if neutral_nash(GameParams(a)) is not None]
     assert bits(cli._a_grid(BehaviorKind.NEUTRAL)) == bits(neutral)
-    # one row per point: every threshold at 0, one share each
-    monkeypatch.setattr(cli, "_symmetric_thresholds", lambda a: (0.0, 0.0, 0.0))
-    monkeypatch.setattr(cli, "_symmetric_shares", lambda a, thresholds, x1: [0.5])
-    x1 = [row[1] for row in block_rows(cli._symmetric_rows([0.5], n_points))]
-    assert bits(x1) == bits(np.linspace(0.0, 0.5, n_points))
+    linspace = np.linspace(0.0, 0.5, n_points)
+    assert bits(list(map(cli._diagonal(n_points), range(n_points)))) == bits(linspace)
+    # every point from the first at or past the lowest threshold has rows
+    first = int(np.searchsorted(linspace, behaviors._symmetric_thresholds(0.3)[0]))
+    blocks = list(cli._symmetric_rows([0.3], n_points))
+    x1 = [x for x, _ in groupby(row[1] for row in block_rows(blocks))]
+    assert bits(x1) == bits(linspace[first:])
+    assert len(blocks) == (3 if n_points == 9001 else 1)
 
 
 @pytest.mark.parametrize("flags, grid", [
