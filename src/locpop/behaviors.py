@@ -58,7 +58,7 @@ __all__ = [
 NE_TOL = 1e-9
 
 # Values of the symmetric NE set no more than this apart are one share
-# (:func:`_symmetric_shares`).
+# (:func:`symmetric_pessimistic_nash_set`).
 _SYMMETRIC_GAP = 1e-12
 
 
@@ -353,22 +353,6 @@ def _symmetric_thresholds(a: float):
             1.0 - a - NE_TOL * (1.0 - a))
 
 
-def _symmetric_shares(a: float, thresholds, x1: float) -> list:
-    """The sorted distinct shares of the symmetric set at ``x1``, given
-    ``_symmetric_thresholds(a)``: each part from its threshold on, merged
-    within ``_SYMMETRIC_GAP`` where parts meet."""
-    center, tails, ends = thresholds
-    values: list = []
-    if x1 >= center:
-        values.append(0.5)
-    if x1 >= tails:
-        delta = (1.0 - 2.0 * x1) / (2.0 * a)
-        values.extend([0.5 - delta, 0.5 + delta])
-    if x1 >= ends:
-        values.extend([0.0, 1.0])
-    return _merge_close(values, _SYMMETRIC_GAP)
-
-
 def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
     """Shares s1 making (x1, 1 - x1, s1, 1 - s1) a pessimistic NE.
 
@@ -379,25 +363,30 @@ def symmetric_pessimistic_nash_set(params: GameParams, x1: float):
     * additionally 1/2 +- (1 - 2 x1)/(2 a) from (1 - a^2)/2,
     * additionally {0, 1} from 1 - a.
 
-    Returns the sorted tuple of distinct values (union at overlapping
-    region boundaries). The NE-decision slack ``NE_TOL`` is mapped
-    through the constraint algebra onto each threshold
-    (:func:`_symmetric_thresholds`), so the set is the one :func:`is_nash`
-    accepts at every x1 farther than 1e-16 from the three moved thresholds;
-    within rounding of one of them the two may decide differently. The
-    slack is not a parameter: another value would break that agreement. The
-    closed form stays rather than reading :func:`is_nash`, which makes the
-    symmetric figure's rows several times slower. Those rows
-    (``cli._symmetric_rows``) take the thresholds once per level and write
-    each stretch between two of them as a pattern of 1, 3 or 5 shares,
-    with ``s1`` coded; a point where :func:`_merge_close` would merge two of
-    the pattern's values (x1 = 1/2 among them) reads
-    :func:`_symmetric_shares`.
+    Returns the sorted tuple of distinct values, merged within
+    ``_SYMMETRIC_GAP`` where parts meet (at x1 = 1/2 the tails are 1/2).
+    The NE-decision slack ``NE_TOL`` is mapped through the constraint
+    algebra onto each threshold (:func:`_symmetric_thresholds`), so the set
+    is the one :func:`is_nash` accepts at every x1 farther than 1e-16 from
+    the three moved thresholds; within rounding of one of them the two may
+    decide differently. The slack is not a parameter: another value would
+    break that agreement. The closed form stays rather than reading
+    :func:`is_nash`, which makes the symmetric figure's rows several times
+    slower.
     """
     if not 0.0 <= x1 <= 0.5:
         raise ValueError(f"symmetric analysis needs x1 in [0, 1/2], got {x1}")
     a = params.a
-    return tuple(_symmetric_shares(a, _symmetric_thresholds(a), x1))
+    center, tails, ends = _symmetric_thresholds(a)
+    values: list = []
+    if x1 >= center:
+        values.append(0.5)
+    if x1 >= tails:
+        delta = (1.0 - 2.0 * x1) / (2.0 * a)
+        values.extend([0.5 - delta, 0.5 + delta])
+    if x1 >= ends:
+        values.extend([0.0, 1.0])
+    return tuple(_merge_close(values, _SYMMETRIC_GAP))
 
 
 def nash_region_a_half(x1: float, x2: float) -> set:

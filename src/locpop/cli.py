@@ -44,16 +44,15 @@ from itertools import islice
 from .behaviors import (
     _NEUTRAL,
     _PESSIMISTIC,
-    _SYMMETRIC_GAP,
     NE_TOL,
     BehaviorKind,
     NoEquilibriumError,
-    _symmetric_shares,
     _symmetric_thresholds,
     best_deviation,
     is_nash,
     neutral_nash,
     pessimistic_nash_interval,
+    symmetric_pessimistic_nash_set,
 )
 from .model import EquilibriumProfile, GameParams, Locations, enumerate_market_equilibria
 from .welfare import consumer_welfare, poa, pos, social_optimum
@@ -342,91 +341,56 @@ def _diagonal(n_points):
 
 
 def _symmetric_rows(a_values, n_points):
-    """SYMMETRIC_HEADER blocks (:func:`_table_chunks`) along the diagonal
-    for each level of ``a_values`` in turn, a block ending at the first
-    diagonal point that brings it to ``CHUNK_ROWS`` rows, inside a level or
-    not, so no level is held whole.
+    """SYMMETRIC_HEADER blocks (:func:`_table_chunks`) along the diagonal,
+    level by level of ``a_values``.
 
     A level's thresholds (:func:`_symmetric_thresholds`) start three ranges
-    of diagonal indices, each at the first point at or past its threshold.
-    A point's rows are its range's pattern: 1/2; then 1/2 - d, 1/2,
-    1/2 + d; then 0, 1/2 - d, 1/2, 1/2 + d, 1; with d as
-    :func:`_symmetric_shares` computes it. Where a value of the pattern is
-    not more than ``_SYMMETRIC_GAP`` above the one before it (the test of
-    :func:`_merge_close`), the point's rows are :func:`_symmetric_shares`'
-    instead; at x1 = 1/2, where d = 0, they always are.
+    of the diagonal's points below x1 = 1/2, each at the first point at or
+    past its threshold. A point's rows are its range's pattern: 1/2; then
+    1/2 - d, 1/2, 1/2 + d; then 0, 1/2 - d, 1/2, 1/2 + d, 1; with
+    d = (1 - 2 x1)/(2 a). A block is one run of at most
+    ``CHUNK_ROWS // width`` points of one range, ``width`` being its
+    pattern's length, so no level is held whole; each level ends with one
+    block for x1 = 1/2, whose rows are
+    :func:`symmetric_pessimistic_nash_set`'s (there d = 0, and the tails
+    merge into 1/2).
 
-    Every column is coded: ``a`` over the levels the block spans, ``x1``
-    by diagonal index over the stretch of the diagonal the block spans, and
-    ``s1`` over 1/2, 0 and 1, then the lows and the highs of each run of
-    points."""
-    point, gap = _diagonal(n_points), _SYMMETRIC_GAP
-    a_vals, a_codes, x1_codes, s1_vals, s1_codes = [], [], [], [0.5, 0.0, 1.0], []
-    x1_lo, x1_hi = n_points, 0
+    The patterns are that function's sets: below 1/2, 1 - 2 x1 is at least
+    1/(n_points - 1), so each gap between neighbouring values of a pattern
+    is far wider than the merge tolerance ``_SYMMETRIC_GAP`` up to
+    ``GRID_MAX`` points, and no value merges into another (the tests check
+    this at 2, 3 and ``GRID_MAX`` points).
 
-    def block():  # x1 coded over the stretch x1_lo .. x1_hi - 1 of the diagonal
-        x1 = (list(map(point, range(x1_lo, x1_hi))), list(map(x1_lo.__rsub__, x1_codes)))
-        return (a_vals, a_codes), x1, (s1_vals, s1_codes)
-
+    Every column is coded: ``a`` over the level, ``x1`` over the run's
+    points, and ``s1`` over 1/2, 0 and 1, then the run's lows and highs."""
+    point = _diagonal(n_points)
+    half = n_points - 1  # the index of x1 = 1/2
     for a in a_values:
-        thresholds = _symmetric_thresholds(a)
         two_a = 2.0 * a
         # the starts rise: the tails' threshold passes the ends' only for a
         # within 1e-8 of 1, where both lie below 1e-8, and so below every
         # diagonal point but 0 up to GRID_MAX points
-        starts = [bisect_left(range(n_points), t, key=point) for t in thresholds]
-        for width, k, end in zip((1, 3, 5), starts, [*starts[1:], n_points]):
-            while k < end:
-                if not a_vals or a_vals[-1] != a:
-                    a_vals.append(a)
-                # the points that fill the block at ``width`` rows each
-                xs = list(map(point, range(k, min(end, k - (len(s1_codes) - CHUNK_ROWS) // width))))
-                run, per, s0 = len(xs), width, len(s1_vals)
-                if width == 1:
-                    codes = [0] * run
-                else:
+        starts = [bisect_left(range(half), t, key=point) for t in _symmetric_thresholds(a)]
+        # a point's s1 codes in each range: 1/2, 0 and 1 are codes 0, 1 and
+        # 2, and its low and high take the slots beside 1/2's
+        for pattern, start, end in zip(([0], [0] * 3, [1, 0, 0, 0, 2]), starts,
+                                       [*starts[1:], half]):
+            width = len(pattern)
+            for k in range(start, end, CHUNK_ROWS // width):
+                xs = list(map(point, range(k, min(end, k + CHUNK_ROWS // width))))
+                run = len(xs)
+                s1, s1_codes, x1_codes = [0.5, 0.0, 1.0], pattern * run, [0] * (width * run)
+                if width > 1:
                     deltas = [(1.0 - 2.0 * x1) / two_a for x1 in xs]
-                    lows = [0.5 - d for d in deltas]
-                    highs = [0.5 + d for d in deltas]
-                    # each value of a point's pattern against the one before
-                    # it, compared as _merge_close compares them
-                    if width == 3:
-                        kept = [0.5 - low > gap and high - 0.5 > gap
-                                for low, high in zip(lows, highs)]
-                    else:
-                        kept = [low - 0.0 > gap and 0.5 - low > gap and high - 0.5 > gap
-                                and 1.0 - high > gap for low, high in zip(lows, highs)]
-                    if not all(kept):
-                        run = kept.index(False)
-                    # 1/2, 0 and 1 are codes 0, 1 and 2; the run's lows and
-                    # highs follow, each in its slot beside 1/2's
-                    codes = ([0, 0, 0] if width == 3 else [1, 0, 0, 0, 2]) * run
-                    slot = width // 2 - 1
-                    codes[slot::width] = range(s0, s0 + run)
-                    codes[width - 1 - slot::width] = range(s0 + run, s0 + 2 * run)
-                    s1_vals += lows[:run]
-                    s1_vals += highs[:run]
-                if not run:  # _merge_close merges values of the first point
-                    shares = _symmetric_shares(a, thresholds, xs[0])
-                    run, per, codes = 1, len(shares), list(range(s0, s0 + len(shares)))
-                    s1_vals += shares
-                s1_codes += codes
-                # each point's index, once per row
-                at = list(range(k, k + run))
-                codes = [0] * (per * run)
-                for i in range(per):
-                    codes[i::per] = at
-                x1_codes += codes
-                x1_lo, x1_hi = min(x1_lo, k), max(x1_hi, k + run)
-                a_codes += [len(a_vals) - 1] * (per * run)
-                k += run
-                if len(s1_codes) >= CHUNK_ROWS:
-                    yield block()
-                    a_vals, a_codes, x1_codes = [], [], []
-                    s1_vals, s1_codes = [0.5, 0.0, 1.0], []
-                    x1_lo, x1_hi = n_points, 0
-    if s1_codes:
-        yield block()
+                    s1 += [0.5 - d for d in deltas]
+                    s1 += [0.5 + d for d in deltas]
+                    s1_codes[width // 2 - 1::width] = range(3, 3 + run)
+                    s1_codes[width // 2 + 1::width] = range(3 + run, 3 + 2 * run)
+                for i in range(width):
+                    x1_codes[i::width] = range(run)
+                yield ([a], [0] * len(s1_codes)), (xs, x1_codes), (s1, s1_codes)
+        shares = symmetric_pessimistic_nash_set(GameParams(a), 0.5)
+        yield ([a], [0] * len(shares)), ([0.5], [0] * len(shares)), (list(shares), None)
 
 
 def _cmd_symmetric_region(args) -> int:

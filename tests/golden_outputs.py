@@ -51,12 +51,14 @@ def invocations():
             yield (curve, "--behavior", "pessimistic", "--format", fmt)
             yield (curve, "--behavior", "neutral", "--theta", "1.5", "--format", fmt)
     # edges of the tables' blocks: the smallest grids, the diagonal at the
-    # largest externality of the figure sweep, and a level of 8,243 rows that
-    # five blocks split
+    # largest externality of the figure sweep, a level of 8,243 rows that
+    # seven blocks split, and a level whose tails threshold lies above its
+    # ends threshold
     for fmt in ("csv", "json"):
         yield ("nash-region", "--a", "0.5", "--behavior", "pessimistic",
                "--grid-locations", "2", "--format", fmt)
-    for a, n in (("0.5", "2"), ("0.5", "3"), ("0.995", "201"), ("0.9", "2001")):
+    for a, n in (("0.5", "2"), ("0.5", "3"), ("0.995", "201"), ("0.9", "2001"),
+                 ("0.9999999925669992", "2001")):
         for fmt in ("csv", "json"):
             yield ("symmetric-region", "--a", a, "--grid-locations", n, "--format", fmt)
 

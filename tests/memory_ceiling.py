@@ -4,7 +4,7 @@ A 1001-point ``nash-region`` writes about 50 MB of CSV and a 401-point one
 about 36 MB of JSON. Streamed, each child's peak RSS stays near that of a
 small table, under 80 MB (the whole-document writers peaked at 130 and
 566 MB). A 200001-point ``symmetric-region`` at a = 0.9 writes one level of
-824,003 rows in about 400 blocks; it stays under 40 MB (about 17 MB
+824,003 rows in 405 blocks; it stays under 40 MB (about 17 MB
 streamed), where a build that holds the level whole peaks at about 240 MB.
 The JSON document must also parse as standard JSON (no NaN or Infinity),
 with every row keyed by ``REGION_HEADER``.

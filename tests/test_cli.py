@@ -484,6 +484,11 @@ JSON_ROWS = [
 ]
 
 
+# (format, row count, meta) to the reference document, built by the first
+# of the two row sources to run and taken by the other
+CHUNK_REFERENCES = {}
+
+
 # the rows each format cycles through: CSV writes infinities and NaN, which
 # JSON rejects; JSON escapes quotes, backslashes and line breaks
 @pytest.mark.parametrize("fmt, cycled, meta", [
@@ -496,7 +501,11 @@ def test_chunks_at_chunk_boundaries(n_rows, source, fmt, cycled, meta):
     rows = list(islice(cycle(cycled), n_rows))
     chunks = list(getattr(cli, f"_{fmt}_chunks")(EDGE_HEADER, _row_blocks(
         rows if source == "list" else (r for r in rows)), *meta))
-    reference = DOC_REFERENCES[fmt](EDGE_HEADER, rows, *meta)
+    key = fmt, n_rows, repr(meta)
+    if key in CHUNK_REFERENCES:
+        reference = CHUNK_REFERENCES.pop(key)
+    else:
+        reference = CHUNK_REFERENCES[key] = DOC_REFERENCES[fmt](EDGE_HEADER, rows, *meta)
     assert_same_document("".join(chunks), reference)
     if not rows:
         assert chunks == [reference]
@@ -607,8 +616,25 @@ def symmetric_reference(a_values, n_points):
             for s1 in symmetric_pessimistic_nash_set(GameParams(a), x1)]
 
 
+def symmetric_block_rows(a_values, n_points):
+    """The rows of ``cli._symmetric_rows``, whose blocks must keep its rule:
+    each block holds one level and 1 to ``CHUNK_ROWS`` rows, and each level
+    ends with a block of x1 = 1/2 alone."""
+    blocks = [block_rows([block]) for block in cli._symmetric_rows(a_values, n_points)]
+    ends = [{row[1] for row in rows} == {0.5} for rows in blocks]
+    assert sum(ends) == len(a_values) and ends[-1]
+    levels = iter(a_values)
+    a = next(levels)
+    for rows, level_ends in zip(blocks, ends):
+        assert 0 < len(rows) <= CHUNK_ROWS
+        assert {row[0] for row in rows} == {a}
+        if level_ends:
+            a = next(levels, None)
+    return [row for rows in blocks for row in rows]
+
+
 def assert_symmetric_rows_exact(a_values, n_points):
-    rows = block_rows(cli._symmetric_rows(a_values, n_points))
+    rows = symmetric_block_rows(a_values, n_points)
     assert_same_columns(rows, symmetric_reference(a_values, n_points), (float, float, float))
 
 
@@ -632,8 +658,7 @@ def test_symmetric_edge_cases_sit_on_the_diagonal(a, n_points, threshold):
 unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 
-# several levels at 2001 points fill more than one block, and a block can
-# span two levels
+# a level at 2001 points can fill several blocks of each range
 @settings(max_examples=60, deadline=None)
 @given(a_values=st.lists(unit_open, min_size=1, max_size=3),
        n_points=st.integers(min_value=2, max_value=2001))
@@ -644,6 +669,27 @@ unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 @example(a_values=[0.9999999999999999, 0.9999999925669992], n_points=2001)
 def test_symmetric_rows_are_the_closed_form_bit_for_bit(a_values, n_points):
     assert_symmetric_rows_exact(a_values, n_points)
+
+
+# the largest float below 1, the level whose pattern gap was the smallest
+# found over many grids and levels (3.3e-7), and three more down to 1e-300
+@pytest.mark.parametrize("n_points", [2, 3, cli.GRID_MAX])
+def test_symmetric_patterns_do_not_merge_below_one_half(n_points):
+    """``cli._symmetric_rows`` writes each point below x1 = 1/2 as its
+    range's whole pattern of 1, 3 or 5 shares, with no merge test: each gap
+    between neighbouring values of a pattern must be wider than the
+    ``_merge_close`` tolerance of ``symmetric_pessimistic_nash_set``, in the
+    float arithmetic of both, and the ranges must come in threshold order."""
+    x1 = np.linspace(0.0, 0.5, n_points)[:-1]
+    for a in (math.nextafter(1.0, 0.0), 0.9999996663067081, 0.5, 0.25, 1e-300):
+        thresholds = behaviors._symmetric_thresholds(a)
+        assert 0.0 < min(thresholds)  # x1 = 0 lies below all three
+        center, tails, ends = np.searchsorted(x1, thresholds)
+        assert center <= tails <= ends
+        d = (1.0 - 2.0 * x1[tails:]) / (2.0 * a)
+        low, high = 0.5 - d, 0.5 + d
+        gaps = [0.5 - low, high - 0.5, (low - 0.0)[ends - tails:], (1.0 - high)[ends - tails:]]
+        assert all(np.all(gap > behaviors._SYMMETRIC_GAP) for gap in gaps), a
 
 
 # one column's values that a coding by value would confuse: the two zeros,
@@ -1048,8 +1094,8 @@ def test_failed_write_exits_one(target, argv, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-# 9001 points at a = 0.3 make three blocks, the later two coding x1 over a
-# stretch of the diagonal that starts past its first point
+# 9001 points at a = 0.3 split the tails' range into two blocks, the second
+# coding x1 over points that start past the range's first
 @pytest.mark.parametrize("n_points", [2, 3, 7, 201, 501, 1000, 2999, 9001])
 def test_parameter_grids_are_numpys_bit_for_bit(n_points):
     """The a-sweep, the diagonal's points and the ``x1`` of the symmetric
@@ -1067,10 +1113,8 @@ def test_parameter_grids_are_numpys_bit_for_bit(n_points):
     assert bits(list(map(cli._diagonal(n_points), range(n_points)))) == bits(linspace)
     # every point from the first at or past the lowest threshold has rows
     first = int(np.searchsorted(linspace, behaviors._symmetric_thresholds(0.3)[0]))
-    blocks = list(cli._symmetric_rows([0.3], n_points))
-    x1 = [x for x, _ in groupby(row[1] for row in block_rows(blocks))]
+    x1 = [x for x, _ in groupby(row[1] for row in symmetric_block_rows([0.3], n_points))]
     assert bits(x1) == bits(linspace[first:])
-    assert len(blocks) == (3 if n_points == 9001 else 1)
 
 
 @pytest.mark.parametrize("flags, grid", [
