@@ -21,9 +21,14 @@ so no table is ever held whole. A block holds columns, and a column may be
 coded: its distinct values and one index per row. Both formats render a
 block column by column (:func:`_table_chunks`): each distinct value of a
 coded column is converted once, then each row joins its fields' texts.
+A column also reuses its texts while the next block passes the same value
+list object, so a list that a table shares across blocks is converted
+once per table; a value list is never mutated after its block is yielded.
 The region table codes all seven columns, and most of its 305k floats
-repeat; the symmetric table codes all three, ``s1`` over 1/2, 0, 1 and
-each point's pair 1/2 -+ d.
+repeat; ``a``, ``x1``, ``x2``, ``kind`` and ``is_ne`` are coded over lists
+made once per table. The symmetric table codes all three: ``a`` over the
+levels, ``x1`` over a window of the diagonal that every level shares, and
+``s1`` over 1/2, 0, 1 and each point's pair 1/2 -+ d.
 Both formats need each column of a table to keep one type, and no header
 name or field to need CSV quoting.
 """
@@ -38,7 +43,7 @@ import os
 import sys
 import tempfile
 from bisect import bisect_left
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 
 from .behaviors import (
@@ -107,16 +112,25 @@ def _table_chunks(head, blocks, texts, frame, separator="", tail="", empty=None)
     block's piece its rows joined by ``between``, after ``opening`` and
     before ``closing``. Blocks are taken from ``blocks`` only as each piece is
     formatted, so the memory held does not grow with the table.
-    Precondition, for both formats: each column of one table keeps one type,
-    and no header name or field needs CSV quoting (no comma, quote or line
-    break).
+
+    A column keeps the texts of its last value list, and reuses them while
+    the next block passes that very list object (compared with ``is``, not
+    by value), so a list that several blocks share is converted once per
+    run of blocks. Precondition: a value list is never mutated after its
+    block is yielded. Also, for both formats: each column of one table keeps
+    one type, and no header name or field needs CSV quoting (no comma,
+    quote or line break).
     """
     opening, fields, between, closing = frame
     lead = None
+    last = [(None, None)] * len(texts)  # per column: its last value list and their texts
     for block in blocks:
         columns = []
-        for convert, (values, codes) in zip(texts, block, strict=True):
-            column = convert(values)
+        for c, (convert, (values, codes)) in enumerate(zip(texts, block, strict=True)):
+            if values is not last[c][0]:
+                last[c] = None, None  # frees the old texts before the new are made
+                last[c] = values, convert(values)
+            column = last[c][1]
             columns.append(column if codes is None else map(column.__getitem__, codes))
         if rows := list(map(fields.join, zip(*columns))):
             if lead is None:
@@ -303,7 +317,12 @@ def _region_rows(params, behavior, n_locations):
     per block of the scan, so no list of every row is built. ``a`` is one
     value; ``x1`` and ``x2`` are coded by the scan's grid indices over the
     grid, ``kind`` by slot code over the kinds' values, ``is_ne`` over 0 and
-    1, and ``s1`` and ``welfare`` over their distinct bit patterns."""
+    1, and ``s1`` and ``welfare`` over their distinct bit patterns.
+
+    The value lists of ``a``, ``x1``, ``x2``, ``kind`` and ``is_ne`` are
+    made once per table and shared by every block, so
+    :func:`_table_chunks` converts each of them once per table; only
+    ``s1`` and ``welfare`` are converted per block."""
     from .oracle import (
         _SLOT_VALUES,
         _consumer_welfare_array,
@@ -313,14 +332,12 @@ def _region_rows(params, behavior, n_locations):
     )
 
     xs = _unit_grid(n_locations)
-    grid, a = xs.tolist(), [params.a]
+    grid, a, verdicts = xs.tolist(), [params.a], [0, 1]
     for i, j, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
         welfare = _consumer_welfare_array(params, xs[i], xs[j], s1)
-        # the grid from the block's first x1 on holds every x1 and x2 of it
-        lo = int(i[0])
-        yield ((a, [0] * len(s1)), (grid[lo:i[-1] + 1], (i - lo).tolist()),
-               (grid[lo:], (j - lo).tolist()), (_SLOT_VALUES, kind.tolist()), _float_codes(s1),
-               ((0, 1), is_ne.astype(int).tolist()), _float_codes(welfare))
+        yield ((a, [0] * len(s1)), (grid, i.tolist()), (grid, j.tolist()),
+               (_SLOT_VALUES, kind.tolist()), _float_codes(s1),
+               (verdicts, is_ne.astype(int).tolist()), _float_codes(welfare))
 
 
 def _cmd_nash_region(args) -> int:
@@ -348,12 +365,12 @@ def _symmetric_rows(a_values, n_points):
     of the diagonal's points below x1 = 1/2, each at the first point at or
     past its threshold. A point's rows are its range's pattern: 1/2; then
     1/2 - d, 1/2, 1/2 + d; then 0, 1/2 - d, 1/2, 1/2 + d, 1; with
-    d = (1 - 2 x1)/(2 a). A block is one run of at most
-    ``CHUNK_ROWS // width`` points of one range, ``width`` being its
-    pattern's length, so no level is held whole; each level ends with one
-    block for x1 = 1/2, whose rows are
-    :func:`symmetric_pessimistic_nash_set`'s (there d = 0, and the tails
-    merge into 1/2).
+    d = (1 - 2 x1)/(2 a). The diagonal is cut into windows of
+    ``CHUNK_ROWS // 5`` points, from index 0 on. A block is the points of
+    one range inside one window, so it holds at most ``CHUNK_ROWS`` rows
+    and no level is held whole; each level ends with one block for
+    x1 = 1/2, whose rows are :func:`symmetric_pessimistic_nash_set`'s
+    (there d = 0, and the tails merge into 1/2).
 
     The patterns are that function's sets: below 1/2, 1 - 2 x1 is at least
     1/(n_points - 1), so each gap between neighbouring values of a pattern
@@ -361,11 +378,20 @@ def _symmetric_rows(a_values, n_points):
     ``GRID_MAX`` points, and no value merges into another (the tests check
     this at 2, 3 and ``GRID_MAX`` points).
 
-    Every column is coded: ``a`` over the level, ``x1`` over the run's
-    points, and ``s1`` over 1/2, 0 and 1, then the run's lows and highs."""
+    Every column is coded: ``a`` by level over ``a_values``, which must be
+    a list; ``x1`` over its window's points, x1 = 1/2 too; and ``s1`` over
+    1/2, 0 and 1, then the block's lows and highs. Consecutive blocks in
+    one window share its list, and ``a_values`` is shared by the whole
+    table, so :func:`_table_chunks` converts ``a_values`` once and each
+    window once per run of blocks in it: once per table when the diagonal
+    fits one window, as at the figure's 201 points. Only one window is held
+    at a time, so memory does not grow with ``n_points``."""
     point = _diagonal(n_points)
     half = n_points - 1  # the index of x1 = 1/2
-    for a in a_values:
+    size = CHUNK_ROWS // 5  # points per window: five shares per point fill a block
+    window = lru_cache(maxsize=1)(
+        lambda first: list(map(point, range(first, min(n_points, first + size)))))
+    for level, a in enumerate(a_values):
         two_a = 2.0 * a
         # the starts rise: the tails' threshold passes the ends' only for a
         # within 1e-8 of 1, where both lie below 1e-8, and so below every
@@ -375,22 +401,27 @@ def _symmetric_rows(a_values, n_points):
         # 2, and its low and high take the slots beside 1/2's
         for pattern, start, end in zip(([0], [0] * 3, [1, 0, 0, 0, 2]), starts,
                                        [*starts[1:], half]):
+            if start == end:
+                continue
             width = len(pattern)
-            for k in range(start, end, CHUNK_ROWS // width):
-                xs = list(map(point, range(k, min(end, k + CHUNK_ROWS // width))))
-                run = len(xs)
+            for first in range(start - start % size, end, size):  # the windows the range meets
+                xs = window(first)
+                lo, hi = max(start, first) - first, min(end, first + size) - first
+                run = hi - lo
                 s1, s1_codes, x1_codes = [0.5, 0.0, 1.0], pattern * run, [0] * (width * run)
                 if width > 1:
-                    deltas = [(1.0 - 2.0 * x1) / two_a for x1 in xs]
+                    deltas = [(1.0 - 2.0 * x1) / two_a for x1 in xs[lo:hi]]
                     s1 += [0.5 - d for d in deltas]
                     s1 += [0.5 + d for d in deltas]
                     s1_codes[width // 2 - 1::width] = range(3, 3 + run)
                     s1_codes[width // 2 + 1::width] = range(3 + run, 3 + 2 * run)
                 for i in range(width):
-                    x1_codes[i::width] = range(run)
-                yield ([a], [0] * len(s1_codes)), (xs, x1_codes), (s1, s1_codes)
+                    x1_codes[i::width] = range(lo, hi)
+                yield (a_values, [level] * len(s1_codes)), (xs, x1_codes), (s1, s1_codes)
+        first = half - half % size
         shares = symmetric_pessimistic_nash_set(GameParams(a), 0.5)
-        yield ([a], [0] * len(shares)), ([0.5], [0] * len(shares)), (list(shares), None)
+        yield ((a_values, [level] * len(shares)), (window(first), [half - first] * len(shares)),
+               (list(shares), None))
 
 
 def _cmd_symmetric_region(args) -> int:

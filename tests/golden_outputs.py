@@ -52,7 +52,7 @@ def invocations():
             yield (curve, "--behavior", "neutral", "--theta", "1.5", "--format", fmt)
     # edges of the tables' blocks: the smallest grids, the diagonal at the
     # largest externality of the figure sweep, a level of 8,243 rows that
-    # seven blocks split, and a level whose tails threshold lies above its
+    # eight blocks split, and a level whose tails threshold lies above its
     # ends threshold
     for fmt in ("csv", "json"):
         yield ("nash-region", "--a", "0.5", "--behavior", "pessimistic",

@@ -6,12 +6,14 @@ blocks of instances, kept with their arithmetic and their draws unchanged
 as a test oracle: each draws its instances one at a time from ``rng`` and
 gives one mismatch flag per instance. The market reference draws in
 :func:`loop_market_instances`, which also keeps each instance's passing
-shares, and flags in :func:`loop_market_flags`, so a test can flag one
-draw against several closed forms. The closed-form splits and best
-deviation suprema are looked up in the ``oracle`` namespace, as
-``oracle._equilibria_array`` (called with one instance's floats) and
-``oracle._supremum``, the names the suites read: a test that patches them
-there patches the reference too.
+shares, and flags in :func:`loop_market_flags`; the deviation reference
+draws in :func:`loop_deviation_instances`, which also keeps each
+instance's oracle maximum, and flags in :func:`loop_deviation_flags`. So a
+test can flag one draw against several closed forms. The closed-form
+splits and best deviation suprema are looked up in the ``oracle``
+namespace, as ``oracle._equilibria_array`` (called with one instance's
+floats) and ``oracle._supremum``, the names the suites read: a test that
+patches them there patches the reference too.
 """
 
 import numpy as np
@@ -71,17 +73,28 @@ def loop_market_flags(drawn, grid):
     return flags
 
 
-def loop_deviation_flags(rng, grid, instances):
-    flags = []
+def loop_deviation_instances(rng, grid, instances):
+    """The best-deviation suite's instances, drawn one at a time from
+    ``rng``: each one's a, behavior and opponent location, with the
+    deviation oracle's maximum and its Lipschitz tolerance, none of which
+    reads the closed-form suprema."""
+    drawn = []
     behaviors = list(BehaviorKind)
     for k in range(instances):
         a = float(rng.uniform(0.05, 0.95))
         x_other = float(rng.uniform(0.0, 1.0))
         behavior = behaviors[k % 3]
-        params = GameParams(a)
-        analytic = oracle._supremum(a, behavior, x_other)[1]
-        _, grid_best = oracle_best_deviation(params, behavior, x_other, grid)
+        _, grid_best = oracle_best_deviation(GameParams(a), behavior, x_other, grid)
         lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))
         tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
+        drawn.append((a, behavior, x_other, grid_best, tol))
+    return drawn
+
+
+def loop_deviation_flags(drawn):
+    """One mismatch flag per instance of :func:`loop_deviation_instances`."""
+    flags = []
+    for a, behavior, x_other, grid_best, tol in drawn:
+        analytic = oracle._supremum(a, behavior, x_other)[1]
         flags.append(grid_best > analytic + 1e-6 or analytic - grid_best > tol)
     return flags

@@ -50,7 +50,12 @@ from locpop.cli import (
 )
 
 import golden_outputs
-from suite_loops import loop_deviation_flags, loop_market_flags, loop_market_instances
+from suite_loops import (
+    loop_deviation_flags,
+    loop_deviation_instances,
+    loop_market_flags,
+    loop_market_instances,
+)
 from table_blocks import REGION_TYPES, assert_same_columns, block_rows
 
 
@@ -734,6 +739,68 @@ def test_coded_columns_are_exact():
                 assert_same_document("".join(_json_chunks(header, blocks, {})), whole)
 
 
+def test_table_chunks_reuse_the_texts_of_one_list():
+    """A column converts a value list once while consecutive blocks pass
+    that very list; an equal but new list is converted again, and so is
+    the first list when it comes back after another."""
+    converted = []
+
+    def texts(values):
+        converted.append(values)
+        return list(map(str, values))
+
+    shared, equal = [1, 2], [1, 2]
+    blocks = [[(shared, [0, 1])], [(shared, [1, 1])], [(equal, [0])], [(shared, None)]]
+    text = "".join(cli._table_chunks("h\n", blocks, [texts], ("", ",", "\n", "\n")))
+    assert text == "h\n1\n2\n2\n2\n1\n1\n2\n"
+    assert len(converted) == 3
+    assert converted[0] is shared and converted[1] is equal and converted[2] is shared
+
+
+def spy_conversions(monkeypatch):
+    """The value lists that ``cli._csv_texts`` and ``cli._json_texts``
+    convert from now on, in call order, each as a list."""
+    converted = []
+    csv_texts, json_texts = cli._csv_texts, cli._json_texts
+    monkeypatch.setattr(cli, "_csv_texts",
+                        lambda values: converted.append(list(values)) or csv_texts(values))
+    monkeypatch.setattr(cli, "_json_texts", lambda key, values:
+                        converted.append(list(values)) or json_texts(key, values))
+    return converted
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_region_table_converts_its_shared_columns_once(fmt, monkeypatch, capsys):
+    """``nash-region`` converts ``a``, ``x1``, ``x2``, ``kind`` and
+    ``is_ne`` once per table, ``x1`` and ``x2`` over the whole grid, and
+    only ``s1`` and ``welfare`` once per block."""
+    blocks = _region_rows(GameParams(0.5), BehaviorKind.PESSIMISTIC, 201)
+    per_block = [[s1, welfare] for _, _, _, _, (s1, _), _, (welfare, _) in blocks]
+    assert len(per_block) > 1
+    converted = spy_conversions(monkeypatch)
+    code, _, _ = run_cli(capsys, "nash-region", "--a", "0.5", "--behavior", "pessimistic",
+                         "--format", fmt)
+    assert code == 0
+    grid = np.linspace(0.0, 1.0, 201).tolist()
+    (s1, welfare), *rest = per_block
+    assert converted == [[0.5], grid, grid, list(oracle._SLOT_VALUES), s1, [0, 1], welfare,
+                         *(values for pair in rest for values in pair)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_symmetric_figure_converts_each_level_and_point_once(fmt, monkeypatch):
+    """The figure's symmetric table converts its 199 levels and its 201
+    diagonal points once each, x1 = 1/2 among them, and only ``s1`` once
+    per block."""
+    [(name, header, blocks)] = islice(cli._figure_tables(1.0), 1)
+    assert name == "symmetric_equilibria.csv"
+    a_values = cli._a_grid(BehaviorKind.PESSIMISTIC)
+    s1 = [values for _, _, (values, _) in cli._symmetric_rows(a_values, 201)]
+    converted = spy_conversions(monkeypatch)
+    "".join(_csv_chunks(header, blocks) if fmt == "csv" else _json_chunks(header, blocks, {}))
+    assert converted == [a_values, np.linspace(0.0, 0.5, 201).tolist(), *s1]
+
+
 def perfbench_literal(name):
     """The literal bound to ``name`` in perfbench/worker.py, whose gates
     require it: VERIFY_SUITES, the suites of the verify gate, or
@@ -965,11 +1032,13 @@ def test_best_deviation_suite_matches_the_instance_loop(grid, instances, monkeyp
 
     monkeypatch.setattr(oracle, "_supremum", raised)
     calls = caught(monkeypatch, "_deviation_mismatches")
+    # the draws and their oracle maxima do not depend on the raise
+    drawn = loop_deviation_instances(np.random.default_rng(7), grid, instances)
     for raise_by in (0.0, 3e-3):
         calls.clear()
         _, detail = oracle._best_deviation_suite(np.random.default_rng(7), grid, instances)
         [(_, flags)] = calls
-        expected = loop_deviation_flags(np.random.default_rng(7), grid, instances)
+        expected = loop_deviation_flags(drawn)
         assert flags.tolist() == expected, raise_by
         assert detail == f"{instances} random instances, {sum(expected)} mismatches"
 
