@@ -20,7 +20,11 @@ of a JSON document, are streamed in blocks of rows as they are computed,
 so no table is ever held whole. A block holds columns, and a column may be
 coded: its distinct values and one index per row. Both formats render a
 block column by column (:func:`_table_chunks`): each distinct value of a
-coded column is converted once, then each row joins its fields' texts.
+coded column is converted once, its text followed by the separator that
+comes after it in a row. The block's texts are laid into one flat list in
+row order, a column at a time, and joined once; no row is a string of its
+own. Every column of a block holds the same number of rows, or the block
+raises ValueError.
 A column also reuses its texts while the next block passes the same value
 list object, so a list that a table shares across blocks is converted
 once per table; a value list is never mutated after its block is yielded.
@@ -45,6 +49,7 @@ import tempfile
 from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import islice
+from operator import itemgetter
 
 from .behaviors import (
     _NEUTRAL,
@@ -110,33 +115,49 @@ def _table_chunks(head, blocks, texts, frame, separator="", tail="", empty=None)
     values once however many rows repeat it. With ``frame`` = (opening,
     fields, between, closing), a row is its texts joined by ``fields``, and a
     block's piece its rows joined by ``between``, after ``opening`` and
-    before ``closing``. Blocks are taken from ``blocks`` only as each piece is
-    formatted, so the memory held does not grow with the table.
+    before ``closing``. To get there with one join per block, each text
+    carries the separator that follows it: ``fields``, or ``between`` for
+    the last column. Column c's texts fill slots c, c + width, ... of one
+    flat list, a coded column's picked in C by ``itemgetter``; the last
+    slot drops its ``between``, and the list is joined once. Every column
+    of a block must hold the same number of rows: else the assignment to
+    its slots raises ValueError. Blocks are taken from ``blocks`` only as
+    each piece is formatted, so the memory held does not grow with the
+    table.
 
-    A column keeps the texts of its last value list, and reuses them while
-    the next block passes that very list object (compared with ``is``, not
-    by value), so a list that several blocks share is converted once per
-    run of blocks. Precondition: a value list is never mutated after its
-    block is yielded. Also, for both formats: each column of one table keeps
-    one type, and no header name or field needs CSV quoting (no comma,
-    quote or line break).
+    A column keeps the texts of its last value list, separators included,
+    and reuses them while the next block passes that very list object
+    (compared with ``is``, not by value), so a list that several blocks
+    share is converted once per run of blocks. Precondition: a value list
+    is never mutated after its block is yielded. Also, for both formats:
+    each column of one table keeps one type, and no header name or field
+    needs CSV quoting (no comma, quote or line break).
     """
     opening, fields, between, closing = frame
+    width = len(texts)
+    suffixes = [fields] * (width - 1) + [between]
     lead = None
-    last = [(None, None)] * len(texts)  # per column: its last value list and their texts
+    last = [(None, None)] * width  # per column: its last value list and their texts
     for block in blocks:
-        columns = []
-        for c, (convert, (values, codes)) in enumerate(zip(texts, block, strict=True)):
+        for c, (convert, suffix, (values, codes)) in enumerate(
+                zip(texts, suffixes, block, strict=True)):
             if values is not last[c][0]:
                 last[c] = None, None  # frees the old texts before the new are made
-                last[c] = values, convert(values)
+                last[c] = values, [text + suffix for text in convert(values)]
             column = last[c][1]
-            columns.append(column if codes is None else map(column.__getitem__, codes))
-        if rows := list(map(fields.join, zip(*columns))):
+            if codes is not None:  # itemgetter returns a bare item for one index, raises for none
+                column = (itemgetter(*codes)(column) if len(codes) > 1
+                          else [column[k] for k in codes])
+            if c == 0:
+                flat = [None] * (len(column) * width)
+            flat[c::width] = column  # raises ValueError if the lengths differ
+        if flat:
             if lead is None:
                 yield head
                 lead = ""
-            yield "".join((lead, opening, between.join(rows), closing))
+            flat[0] = lead + opening + flat[0]
+            flat[-1] = flat[-1].removesuffix(between) + closing
+            yield "".join(flat)
             lead = separator
     if lead is None:
         yield head if empty is None else empty

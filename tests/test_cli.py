@@ -757,6 +757,63 @@ def test_table_chunks_reuse_the_texts_of_one_list():
     assert converted[0] is shared and converted[1] is equal and converted[2] is shared
 
 
+# (head, frame, separator, tail) of each format's table document
+TABLE_FRAMES = {
+    "csv": ("h\n", ("", ",", "\n", "\n"), "", ""),
+    "json": ("[\n", ("    {\n", ",\n", "\n    },\n    {\n", "\n    }"), ",\n", "\n]\n"),
+}
+
+
+def keyed_texts(key):
+    """A column's converter: each value's ``str`` after ``key``."""
+    return lambda values: [key + str(value) for value in values]
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_FRAMES))
+@pytest.mark.parametrize("coded", [(True, True, True), (False, False, False),
+                                   (True, False, True)], ids=["coded", "uncoded", "mixed"])
+@pytest.mark.parametrize("sizes", [[0], [1], [2], [CHUNK_ROWS], [2, 0, 1, CHUNK_ROWS, 1]],
+                         ids=["0", "1", "2", "CHUNK_ROWS", "several"])
+def test_table_chunks_match_a_per_row_join(sizes, coded, fmt):
+    """``cli._table_chunks`` gives the pieces of a plain per-row join: each
+    row its fields joined by ``fields``, each block its rows joined by
+    ``between``, blocks with rows joined by ``separator``. Coded columns of
+    0 and 1 rows take the paths that ``itemgetter`` cannot."""
+    head, frame, separator, tail = TABLE_FRAMES[fmt]
+    opening, fields, between, closing = frame
+    blocks, pieces, start = [], [], 0
+    for n_rows in sizes:
+        block, rows = [], [[] for _ in range(n_rows)]
+        for c, is_coded in enumerate(coded):
+            distinct = [10 * c + k for k in range(5)]
+            codes = [(start + i) * (c + 3) % 5 for i in range(n_rows)]
+            block.append((distinct, codes) if is_coded else ([distinct[k] for k in codes], None))
+            for row, k in zip(rows, codes):
+                row.append(f"k{c}={distinct[k]}")
+        blocks.append(block)
+        if rows:
+            lead = separator if pieces else ""
+            pieces.append(lead + opening + between.join(map(fields.join, rows)) + closing)
+        start += n_rows
+    expected = [head, *pieces, tail] if pieces and tail else [head, *pieces]
+    texts = [keyed_texts(f"k{c}=") for c in range(len(coded))]
+    assert list(cli._table_chunks(head, blocks, texts, frame, separator, tail)) == expected
+
+
+@pytest.mark.parametrize("block", [
+    [([1, 2], None), ([3], None)],
+    [([1], None), ([3, 4], None)],
+    [([1, 2], [0, 1, 1]), ([3], [0, 0]), ([4], None)],
+    [([1], [0]), ([3], [0]), ([4, 5], [])],
+], ids=["shorter", "longer", "coded", "empty codes"])
+def test_table_chunks_reject_columns_of_unequal_length(block):
+    """A block whose columns hold different numbers of rows raises, where a
+    row-wise zip would stop at the shortest column and drop rows."""
+    texts = [keyed_texts("")] * len(block)
+    with pytest.raises(ValueError):
+        "".join(cli._table_chunks("h\n", [block], texts, ("", ",", "\n", "\n")))
+
+
 def spy_conversions(monkeypatch):
     """The value lists that ``cli._csv_texts`` and ``cli._json_texts``
     convert from now on, in call order, each as a list."""

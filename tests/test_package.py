@@ -3,6 +3,7 @@ a scalar core that runs without numpy, and per-call code that reads no enum
 member through its class."""
 
 import ast
+import importlib.util
 import inspect
 import subprocess
 import sys
@@ -106,3 +107,42 @@ class C:
                          capture_output=True, text=True, check=True).stdout
     # import, def, text (2 lines), return (2 lines), class, value
     assert out.splitlines() == [f"     8  {source}", "     8  total"]
+
+
+def test_bench_pairs_summary_counts_wins_and_the_gain_rule():
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    # the parent reads 10..19 in every metric: quartiles 12.25, 14.5, 16.75
+    # (inclusive method), so a gain needs its median moved by more than 4.5
+    shifts = {
+        "wall_s": [-5] * 10,  # 10 wins, medians 5 apart: a gain
+        "setup_s": [-4] * 10,  # 10 wins, medians 4 apart: none
+        "peak_rss_mb": [1, 1] + [-5] * 8,  # 8 wins: none
+        "queries_per_s": [0] + [5] * 9,  # higher is better; a tie is no win: 9 wins, a gain
+        "query_p50_us": [-5] * 10,  # absent from one run: no summary
+    }
+    pairs = [({name: 10 + k for name in shifts},
+              {name: 10 + k + shift[k] for name, shift in shifts.items()}) for k in range(10)]
+    del pairs[3][1]["query_p50_us"]
+    metrics = [("wall_s", "lower"), ("setup_s", "lower"), ("peak_rss_mb", "lower"),
+               ("queries_per_s", "higher"), ("query_p50_us", "lower")]
+    even = {"parent": 0, "change": 0}  # failed operations per side
+    summaries = bench_pairs.summarize(pairs, metrics, even)
+    assert [(s["name"], s["wins"], s["pairs"], s["gain"]) for s in summaries] == [
+        ("wall_s", 10, 10, True), ("setup_s", 10, 10, False),
+        ("peak_rss_mb", 8, 10, False), ("queries_per_s", 9, 10, True)]
+    # no gain where the change fails more operations, or over fewer than 10 pairs
+    worse = bench_pairs.summarize(pairs, metrics, {"parent": 1, "change": 2})
+    assert [s["gain"] for s in worse] == [False] * 4
+    fewer = bench_pairs.summarize(pairs[:5], metrics[:1], even)
+    assert (fewer[0]["wins"], fewer[0]["pairs"], fewer[0]["gain"]) == (5, 5, False)
+    assert bench_pairs.summarize(pairs, metrics, {"parent": 2, "change": 1})[0]["gain"]
+    assert summaries[0]["parent"] == (12.25, 14.5, 16.75)
+    assert summaries[0]["change"] == (7.25, 9.5, 11.75)
+    assert summaries[3]["change"] == (17.25, 19.5, 21.75)  # 10, 16, ..., 24
+    assert bench_pairs.summary_lines(summaries[:1]) == [
+        "wall_s           parent 14.5 [12.25, 16.75] -> change 9.5 [7.25, 11.75]"
+        "  wins 10/10  gain yes"]
+    assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)

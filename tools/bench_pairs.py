@@ -1,0 +1,116 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+Runs ``perfbench/run.py`` in each checkout (as its working directory)
+for the ``run_seconds`` of ``BENCHMARK.json``, in 10 pairs, seeds 1..10.
+Pair k runs the parent first when k is odd and the change first when k
+is even, so neither side always runs on a warmer host. Only the last line
+of each run's stdout is read: the JSON result that run.py prints. For
+each end-to-end metric of ``BENCHMARK.json`` that both sides report,
+prints each side's median [q1, q3], how many pairs the change wins, and
+whether a gain holds: at least 10 pairs, the change fails no more
+operations than the parent, wins at least 90% of the pairs, and its
+median is better than the parent's by more than the parent's
+interquartile range. Needs the standard library only.
+
+Run from the repository root::
+
+    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload figures
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+PAIRS = 10  # pairs run, and the fewest that can show a gain
+WIN_SHARE = 0.9  # least share of pairs the change must win for a gain
+
+
+def quartiles(values):
+    """(q1, median, q3) of ``values``, by the inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(pairs, metrics, failed):
+    """One summary per metric of ``metrics``, a list of (name, better) with
+    better "lower" or "higher", that every side of ``pairs`` reports.
+
+    ``pairs`` is a list of (parent, change), each a dict of metric name to
+    value; ``failed`` maps "parent" and "change" to the operations that
+    side failed over all its runs. A summary is a dict: ``name``,
+    ``parent`` and ``change`` (each (q1, median, q3)), ``wins`` (pairs
+    where the change is strictly better), ``pairs`` and ``gain`` (the rule
+    of the module docstring)."""
+    summaries = []
+    for name, better in metrics:
+        if not all(name in side for pair in pairs for side in pair):
+            continue
+        sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: the change is better
+        parent = [p[name] for p, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        (q1, p_median, q3), c_quartiles = quartiles(parent), quartiles(change)
+        gain = (len(pairs) >= PAIRS and failed["change"] <= failed["parent"]
+                and wins >= WIN_SHARE * len(pairs)
+                and sign * (p_median - c_quartiles[1]) > q3 - q1)
+        summaries.append({"name": name, "parent": (q1, p_median, q3), "change": c_quartiles,
+                          "wins": wins, "pairs": len(pairs), "gain": gain})
+    return summaries
+
+
+def summary_lines(summaries):
+    """The printed lines of :func:`summarize`'s summaries, one per metric."""
+    def spread(q):
+        return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
+
+    return [f"{s['name']:16s} parent {spread(s['parent'])} -> change {spread(s['change'])}"
+            f"  wins {s['wins']}/{s['pairs']}  gain {'yes' if s['gain'] else 'no'}"
+            for s in summaries]
+
+
+def run_side(directory, workload, seconds, seed):
+    """The JSON result of one ``perfbench/run.py`` run in ``directory``."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=directory, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    args = parser.parse_args(argv)
+    with open(BENCHMARK) as handle:
+        benchmark = json.load(handle)
+    metrics = [(m["name"], m["better"]) for m in benchmark["end_to_end"]]
+    seconds = benchmark["run_seconds"]
+    pairs, failed = [], {"parent": 0, "change": 0}  # failed operations per side
+    for seed in range(1, PAIRS + 1):
+        sides = [("parent", args.parent), ("change", args.change)]
+        results = {}
+        for side, directory in sides if seed % 2 else sides[::-1]:
+            result = run_side(directory, args.workload, seconds, seed)
+            failed[side] += result["failed"]
+            results[side] = {k: v["value"] for k, v in result["metrics"].items()}
+        pairs.append((results["parent"], results["change"]))
+        print(f"seed {seed}: " + "  ".join(
+            f"{name} {results['parent'][name]:.6g} -> {results['change'][name]:.6g}"
+            for name, _ in metrics if name in results["parent"] and name in results["change"]),
+            flush=True)
+    print(f"workload={args.workload} seconds={seconds} pairs={PAIRS} "
+          f"failed operations: parent {failed['parent']}, change {failed['change']}")
+    print("\n".join(summary_lines(summarize(pairs, metrics, failed))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
