@@ -30,9 +30,11 @@ list object, so a list that a table shares across blocks is converted
 once per table; a value list is never mutated after its block is yielded.
 The region table codes all seven columns, and most of its 305k floats
 repeat; ``a``, ``x1``, ``x2``, ``kind`` and ``is_ne`` are coded over lists
-made once per table. The symmetric table codes all three: ``a`` over the
-levels, ``x1`` over a window of the diagonal that every level shares, and
-``s1`` over 1/2, 0, 1 and each point's pair 1/2 -+ d.
+made once per table, and ``s1`` and ``welfare`` over lists made once per
+scan block, which all the table blocks cut from that scan block share, so
+they are converted per scan block. The symmetric table codes all three:
+``a`` over the levels, ``x1`` over a window of the diagonal that every
+level shares, and ``s1`` over 1/2, 0, 1 and each point's pair 1/2 -+ d.
 Both formats need each column of a table to keep one type, and no header
 name or field to need CSV quoting.
 """
@@ -334,16 +336,21 @@ def _cmd_nash_check(args) -> int:
 
 
 def _region_rows(params, behavior, n_locations):
-    """REGION_HEADER blocks (:func:`_table_chunks`) of the region scan, one
-    per block of the scan, so no list of every row is built. ``a`` is one
-    value; ``x1`` and ``x2`` are coded by the scan's grid indices over the
-    grid, ``kind`` by slot code over the kinds' values, ``is_ne`` over 0 and
-    1, and ``s1`` and ``welfare`` over their distinct bit patterns.
+    """REGION_HEADER blocks (:func:`_table_chunks`) of the region scan: each
+    block of the scan is cut into table blocks of at most ``CHUNK_ROWS``
+    rows, in order, so no list of every row is built and no Python list or
+    text grows with the scan block. ``a`` is one value; ``x1`` and ``x2``
+    are coded by the scan's grid indices over the grid, ``kind`` by slot
+    code over the kinds' values, ``is_ne`` over 0 and 1, and ``s1`` and
+    ``welfare`` over their distinct bit patterns in the scan block.
 
     The value lists of ``a``, ``x1``, ``x2``, ``kind`` and ``is_ne`` are
     made once per table and shared by every block, so
-    :func:`_table_chunks` converts each of them once per table; only
-    ``s1`` and ``welfare`` are converted per block."""
+    :func:`_table_chunks` converts each of them once per table. ``welfare``
+    and the codes of ``s1`` and ``welfare`` are computed once per scan
+    block, and its table blocks share one list of distinct ``s1`` values
+    and one of ``welfare`` values, so each is converted once per scan
+    block."""
     from .oracle import (
         _SLOT_VALUES,
         _consumer_welfare_array,
@@ -355,10 +362,15 @@ def _region_rows(params, behavior, n_locations):
     xs = _unit_grid(n_locations)
     grid, a, verdicts = xs.tolist(), [params.a], [0, 1]
     for i, j, kind, s1, is_ne in _region_scan(params, behavior, n_locations):
-        welfare = _consumer_welfare_array(params, xs[i], xs[j], s1)
-        yield ((a, [0] * len(s1)), (grid, i.tolist()), (grid, j.tolist()),
-               (_SLOT_VALUES, kind.tolist()), _float_codes(s1),
-               (verdicts, is_ne.astype(int).tolist()), _float_codes(welfare))
+        welfare, welfare_codes = _float_codes(_consumer_welfare_array(params, xs[i], xs[j], s1))
+        s1, s1_codes = _float_codes(s1)
+        for first in range(0, len(i), CHUNK_ROWS):
+            rows = slice(first, first + CHUNK_ROWS)
+            codes = s1_codes[rows].tolist()
+            yield ((a, [0] * len(codes)), (grid, i[rows].tolist()), (grid, j[rows].tolist()),
+                   (_SLOT_VALUES, kind[rows].tolist()), (s1, codes),
+                   (verdicts, is_ne[rows].astype(int).tolist()),
+                   (welfare, welfare_codes[rows].tolist()))
 
 
 def _cmd_nash_region(args) -> int:

@@ -144,13 +144,14 @@ _SLOT_VALUES = tuple(kind.value for kind in _SLOT_KINDS)
 
 
 def _float_codes(values):
-    """``(distinct, codes)`` of a float64 array: its distinct values as
-    Python floats, and for each entry the index of its value among them.
-    Values are told apart by their bits (``np.unique`` over the int64
-    view), so -0.0 and 0.0 stay apart, as do NaNs of different payloads,
-    and ``distinct[codes[k]]`` is entry k bit for bit."""
+    """``(distinct, codes)`` of a float64 array: its distinct values as a
+    list of Python floats, and an integer array holding for each entry the
+    index of its value among them. Values are told apart by their bits
+    (``np.unique`` over the int64 view), so -0.0 and 0.0 stay apart, as do
+    NaNs of different payloads, and ``distinct[codes[k]]`` is entry k bit
+    for bit."""
     bits, codes = np.unique(values.view(np.int64), return_inverse=True)
-    return bits.view(np.float64).tolist(), codes.tolist()
+    return bits.view(np.float64).tolist(), codes
 
 
 def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
@@ -380,11 +381,15 @@ def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
 
 
 # Location cells per block of the region scan: enough that numpy's per-call
-# cost is spread over a thousand cells, few enough that a block's arrays and
-# the region rows made from them stay small beside the interpreter (against
-# 1024, 2048 cells raise the peak RSS of `locpop figures` by 0.6 MB and
-# 4096 by 2.6 MB)
-_SCAN_BLOCK_CELLS = 1024
+# cost is spread over thousands of cells, few enough that a block's arrays
+# stay small beside the interpreter; the region table writes a block in
+# pieces of at most CHUNK_ROWS rows, so only the arrays grow with it. The
+# benchmark's `figures` and `verify` workloads (medians of 4 runs of 10 s,
+# 2 cores), for 1024 / 2048 / 4096 / 8192 cells: `figures` wall 0.149 /
+# 0.137 / 0.131 / 0.129 s and peak RSS 37.78 / 38.29 / 38.94 / 38.88 MB;
+# `verify` wall 0.159 / 0.150 / 0.153 / 0.145 s and peak RSS 37.30 / 37.27
+# / 37.65 / 37.96 MB
+_SCAN_BLOCK_CELLS = 4096
 
 
 def _suprema(a: float, behavior: BehaviorKind, xs):
@@ -398,12 +403,14 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
     its Nash verdict, one block of consecutive grid rows of x1 at a time.
 
     A block has max(1, ``_SCAN_BLOCK_CELLS`` // n_locations) rows, so its
-    size does not grow with the grid. Yields ``(i, j, kind, s1, is_ne)``
-    per block: arrays with one entry per market equilibrium, cells in
-    increasing x1 then x2 and each cell's splits in the order of
-    :func:`enumerate_market_equilibria`. ``i`` and ``j`` index x1 and x2 in
-    :func:`_unit_grid`. ``kind`` holds slot codes, indices into
-    ``_SLOT_KINDS`` (5 for UNIQUE), so no enum member is read per split.
+    size does not grow with the grid, and the arrays of its cells' five
+    share slots are dropped before it is yielded. Yields
+    ``(i, j, kind, s1, is_ne)`` per block: arrays with one entry per market
+    equilibrium, cells in increasing x1 then x2 and each cell's splits in
+    the order of :func:`enumerate_market_equilibria`. ``i`` and ``j`` index
+    x1 and x2 in :func:`_unit_grid`. ``kind`` holds slot codes, indices
+    into ``_SLOT_KINDS`` (5 for UNIQUE), so no enum member is read per
+    split.
     ``is_ne`` is :func:`is_nash`'s verdict by its own test, ``_nash_ok``:
     each firm's share against the supremum of its best deviation, read from
     the table of :func:`_suprema` over the grid. Raises ValueError where
@@ -424,6 +431,7 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         cell, slot = np.nonzero(~np.isnan(shares.T))
         i, j, s1 = i[cell], j[cell], shares[slot, cell]
         kind = np.where(unique[cell], 5, slots[slot, cell])
+        del shares, slots, unique, cell, slot  # not held while the block is read
         if not _is_split(a, xs[i], xs[j], s1).all():
             raise ValueError("profile outcome is not a market equilibrium for its locations")
         # firm 1 deviates against x2 from x1, firm 2 against x1 from x2
@@ -632,7 +640,7 @@ def _mirror_symmetry_suite(half_ne):
         # would give the same sets: tuples that differ only in the sign of
         # a zero compare and hash equal
         distinct, codes = _float_codes(column)
-        return map([round(v, 9) for v in distinct].__getitem__, codes)
+        return map([round(v, 9) for v in distinct].__getitem__, codes.tolist())
 
     mirrored = set(zip(*map(rounded, (x1, x2, s1))))
     reflected = set(zip(*map(rounded, (1.0 - x2, 1.0 - x1, 1.0 - s1))))

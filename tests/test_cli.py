@@ -714,7 +714,8 @@ def coded_blocks(rows, cut):
     for part in (rows[:cut], rows[cut:]):
         if part:
             values = [value for value, _ in part]
-            yield oracle._float_codes(np.array(values)), (values, None)
+            distinct, codes = oracle._float_codes(np.array(values))
+            yield (distinct, codes.tolist()), (values, None)
 
 
 def test_coded_columns_are_exact():
@@ -830,18 +831,26 @@ def spy_conversions(monkeypatch):
 def test_region_table_converts_its_shared_columns_once(fmt, monkeypatch, capsys):
     """``nash-region`` converts ``a``, ``x1``, ``x2``, ``kind`` and
     ``is_ne`` once per table, ``x1`` and ``x2`` over the whole grid, and
-    only ``s1`` and ``welfare`` once per block."""
-    blocks = _region_rows(GameParams(0.5), BehaviorKind.PESSIMISTIC, 201)
-    per_block = [[s1, welfare] for _, _, _, _, (s1, _), _, (welfare, _) in blocks]
-    assert len(per_block) > 1
+    ``s1`` and ``welfare`` once per scan block, not once per table block:
+    at 201 points 11 scan blocks make 36 table blocks, and the table
+    converts 24,085 values."""
+    params = GameParams(0.5)
+    xs = oracle._unit_grid(201)
+    per_scan_block = [
+        [oracle._float_codes(s1)[0],
+         oracle._float_codes(oracle._consumer_welfare_array(params, xs[i], xs[j], s1))[0]]
+        for i, j, _, s1, _ in oracle._region_scan(params, BehaviorKind.PESSIMISTIC, 201)]
+    assert len(per_scan_block) == 11
+    assert sum(1 for _ in _region_rows(params, BehaviorKind.PESSIMISTIC, 201)) == 36
     converted = spy_conversions(monkeypatch)
     code, _, _ = run_cli(capsys, "nash-region", "--a", "0.5", "--behavior", "pessimistic",
                          "--format", fmt)
     assert code == 0
     grid = np.linspace(0.0, 1.0, 201).tolist()
-    (s1, welfare), *rest = per_block
+    (s1, welfare), *rest = per_scan_block
     assert converted == [[0.5], grid, grid, list(oracle._SLOT_VALUES), s1, [0, 1], welfare,
                          *(values for pair in rest for values in pair)]
+    assert sum(map(len, converted)) == 24_085
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

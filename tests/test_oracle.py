@@ -31,7 +31,7 @@ from locpop import (
     social_optimum,
 )
 from locpop.behaviors import _deviation_value
-from locpop.cli import _region_rows
+from locpop.cli import CHUNK_ROWS, _region_rows
 from locpop.model import _condition_gaps
 from locpop.oracle import (
     _OPTIMUM_GRID,
@@ -425,8 +425,8 @@ def profile_fields(profiles):
     return [(p.locations.x1, p.locations.x2, p.outcome.kind, p.outcome.s1) for p in profiles]
 
 
-# With 1024 cells a block holds max(1, 1024 // n) rows: 2 and 3 fit in one
-# block, 41, 101 and 201 end on a shorter one
+# With _SCAN_BLOCK_CELLS = 4096 a block holds max(1, 4096 // n) rows: 2, 3
+# and 41 fit in one block, 101 and 201 end on a shorter one
 @pytest.mark.parametrize("n_locations", [2, 3, 41, 101, 201])
 @pytest.mark.parametrize("behavior", list(BehaviorKind), ids=lambda b: b.value)
 @pytest.mark.parametrize("a", [0.2, 0.25, 0.5, 0.8])
@@ -440,8 +440,11 @@ def test_block_scan_matches_row_scan(a, behavior, n_locations):
 
 
 # 128 points fill 16 blocks of 8 rows exactly; 41 points at 16 cells a
-# block take one grid row per block, as any grid beyond 1024 points does
-@pytest.mark.parametrize("n_locations, cells", [(41, 1024), (41, 16), (128, 1024), (201, 1024)])
+# block take one grid row per block, as any grid of more than
+# _SCAN_BLOCK_CELLS // 2 points does; 201 points at 32768 cells take two
+# blocks of up to 163 rows, each cut into many table blocks
+@pytest.mark.parametrize("n_locations, cells", [(41, 1024), (41, 16), (128, 1024), (201, 1024),
+                                                (201, 4096), (201, 32768)])
 def test_block_scan_blocks(n_locations, cells, monkeypatch):
     monkeypatch.setattr(oracle, "_SCAN_BLOCK_CELLS", cells)
     rows = max(1, cells // n_locations)
@@ -454,6 +457,19 @@ def test_block_scan_blocks(n_locations, cells, monkeypatch):
     scan = list(row_region_scan(params, BehaviorKind.PESSIMISTIC, n_locations))
     profiles = oracle_ne_region_scan(params, BehaviorKind.PESSIMISTIC, GridSpec(n_locations))
     assert_same_columns(profile_fields(profiles), row_ne_fields(scan), PROFILE_TYPES)
+    # each scan block is cut into table blocks of 1 to CHUNK_ROWS rows, which
+    # all pass that scan block's one s1 list and one welfare list
+    tables = _region_rows(params, BehaviorKind.PESSIMISTIC, n_locations)
+    for i, *_ in blocks:
+        held, shared = 0, None
+        while held < len(i):
+            (_, a_codes), *_, (s1, _), _, (welfare, _) = next(tables)
+            assert 0 < len(a_codes) <= CHUNK_ROWS
+            held += len(a_codes)
+            shared = shared or (s1, welfare)
+            assert s1 is shared[0] and welfare is shared[1]
+        assert held == len(i)
+    assert next(tables, None) is None
     # the table blocks code x1 and x2 over the grid from each block's first x1
     rows = block_rows(_region_rows(params, BehaviorKind.PESSIMISTIC, n_locations))
     assert_same_columns(rows, row_region_rows(params, scan), REGION_TYPES)
