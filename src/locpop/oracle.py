@@ -26,7 +26,9 @@ cross-check suites of ``locpop verify``. ``model``, ``behaviors`` and
   instances in one call and flags each instance as a mismatch or not.
   The market-equilibria suite takes every instance's closed splits from
   one :func:`_equilibria_array` call, runs the pointwise test on blocks of
-  instances and meets only the passing shares with the closed splits;
+  instances, deciding each cut from its two neighbouring consumers and
+  taking running extrema only for a row with a sum within ``_CUT_BAND``
+  of the slack, and meets only the passing shares with the closed splits;
   the best-deviation suite reads the closed-form supremum,
   :func:`behaviors._supremum`, and calls the deviation oracle once per
   instance. Those two names, looked up in this module, are where a test
@@ -234,9 +236,9 @@ class GridSpec:
     its left and every cut inside (0, 1) has a consumer half a cell
     either side.
 
-    The grid-only arrays of the market-equilibrium and social-optimum
-    oracles are built once per instance, on first use, and are read-only;
-    equality and hashing see only the two resolutions.
+    The grid-only arrays of the market-equilibrium, deviation and
+    social-optimum oracles are built once per instance, on first use, and
+    are read-only; equality and hashing see only the two resolutions.
     """
 
     n_locations: int = 2001
@@ -247,9 +249,16 @@ class GridSpec:
             _size(name, getattr(self, name), 2)
 
     @cached_property
+    def _location_grid(self):
+        """The n_locations locations of :func:`oracle_best_deviation` and
+        :func:`oracle_social_optimum`."""
+        return _read_only(_unit_grid(self.n_locations))[0]
+
+    @cached_property
     def _share_grid(self):
-        """(consumers, candidates, sign) of :func:`_passing_shares`: the
-        share-cell midpoints, the candidate splits s1 and 2 s1 - 1."""
+        """(consumers, candidates, sign) of :func:`_cut_margins` and
+        :func:`_passing_shares`: the share-cell midpoints, the candidate
+        splits s1 and 2 s1 - 1."""
         n = self.n_shares - 1
         consumers = (np.arange(n) + 0.5) / n
         candidates = _unit_grid(self.n_shares)
@@ -262,7 +271,7 @@ class GridSpec:
         the location and share grids, and for each share s1 the index of the
         x1 minimizing the distance integral over [0, s1] and of the x2
         minimizing it over [s1, 1], with those two minima."""
-        xs = _unit_grid(self.n_locations)
+        xs = self._location_grid
         ss = _unit_grid(self.n_shares)
         s_col = ss[:, None]
         rows = np.arange(self.n_shares)
@@ -303,35 +312,79 @@ def _share_slack(a, grid: GridSpec):
     return 1e-9 + (1.0 + a) * (1.0 / (grid.n_shares - 1))
 
 
+# Distance from the slack within which a cut's neighbour test is re-decided
+# by the running extrema: about 90u (u = 2**-53), where the neighbour test
+# is exact beyond 8u (see _passing_shares)
+_CUT_BAND = 1e-14
+
+
+def _cut_margins(x1, x2, grid: GridSpec):
+    """Firm 1's utility margins |v - x2| - |v - x1| at the consumers v of
+    :func:`_passing_shares`, one row per instance, between a leading +inf
+    and a trailing -inf: column k + 1 holds consumer k, so cut j has
+    column j on its left and column j + 1 on its right."""
+    consumers = grid._share_grid[0]
+    x1, x2 = (np.reshape(v, (-1, 1)) for v in (x1, x2))
+    margin = np.empty((len(x1), grid.n_shares + 1))
+    margin[:, 0] = np.inf
+    margin[:, -1] = -np.inf
+    np.subtract(np.abs(consumers - x2), np.abs(consumers - x1), out=margin[:, 1:-1])
+    return margin
+
+
 def _passing_shares(a, x1, x2, grid: GridSpec):
     """The share grid of :func:`oracle_market_equilibria` and, for a block
     of instances, the mask of candidates passing its pointwise test.
 
-    ``a``, ``x1`` and ``x2`` (x1 <= x2) are floats or 1-D arrays with one
-    entry per instance, broadcast together; the mask has one row per
-    instance. Only the utility margins depend on the instance; the grid
-    arrays come from ``grid``, built once. Candidate j has consumers
-    0..j-1 on its left, so the prefix minimum and the suffix maximum of
-    each row of margins are indexed by candidate. The prefix minimum
-    carries a leading +inf and the suffix maximum a trailing -inf, so the
-    cut at 0 (no consumer on its left) and the cut at 1 (none on its
-    right) read a sentinel that passes that side's test.
-    """
-    consumers, candidates, sign = grid._share_grid
-    a, x1, x2 = (np.reshape(v, (-1, 1)) for v in (a, x1, x2))
-    # advantage of firm 1 at share s1: a*(2 s1 - 1) + margin(v)
-    margin = np.abs(consumers - x2) - np.abs(consumers - x1)
-    # prefix_min[:, j]: least margin left of cut j; suffix_max[:, j]: greatest right of it
-    prefix_min = np.empty((len(margin), grid.n_shares))
-    prefix_min[:, 0] = np.inf
-    np.minimum.accumulate(margin, axis=1, out=prefix_min[:, 1:])
-    suffix_max = np.empty((len(margin), grid.n_shares))
-    suffix_max[:, -1] = -np.inf
-    np.maximum.accumulate(margin[:, ::-1], axis=1, out=suffix_max[:, -2::-1])
+    ``a``, ``x1`` and ``x2`` (x1 <= x2) are floats or 1-D arrays of one
+    length, one entry per instance; the mask has one row per instance.
+    Only the utility margins (:func:`_cut_margins`) depend on the
+    instance; the grid arrays come from ``grid``, built once. The test at
+    cut j, with shift = a (2 s1 - 1), is ``shift + min(m[:j]) >= -slack``
+    and ``shift + max(m[j:]) <= slack`` over the consumers' margins m; the
+    sentinels let the cut at 0 (no consumer on its left) and the cut at 1
+    (none on its right) pass that side.
 
+    Each cut is decided from its two neighbouring consumers instead,
+    ``shift + m[j-1] >= -slack`` and ``shift + m[j] <= slack``, and the
+    running extrema are taken only for a row where that could differ:
+
+    - the exact margin M(v) is non-increasing in v for x1 <= x2;
+    - every computed margin lies within 3u of M (u = 2**-53), as
+      consumers and locations lie in [0, 1];
+    - so the running minimum left of cut j lies in [m[j-1] - 6u, m[j-1]]
+      and the running maximum right of it in [m[j], m[j] + 6u];
+    - each sum adds |shift| <= a < 1 to |m| <= 1, so it lies below 2 in
+      magnitude and rounds by at most u: a neighbour sum and its
+      running-extremum sum differ by at most 8u, and the running-extremum
+      sum lies on the failing side of the neighbour sum. A cut failing a
+      neighbour test fails, and one passing both farther than 8u from the
+      slack passes.
+
+    Among the passing cuts, read through their flat indices, any neighbour
+    sum within ``_CUT_BAND`` (about 90u) of its bound sends its row to the
+    running extrema, which recompute that row's mask. So the mask is the
+    running-extremum test's bit for bit.
+    """
+    candidates, sign = grid._share_grid[1:]
+    a = np.reshape(a, (-1, 1))
+    margin = _cut_margins(x1, x2, grid)
     slack = _share_slack(a, grid)
     shift = a * sign
-    return candidates, (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
+    left = shift + margin[:, :-1]
+    right = shift + margin[:, 1:]
+    mask = (left >= -slack) & (right <= slack)
+    cells = np.flatnonzero(mask)
+    rows = cells // grid.n_shares
+    bound = slack[rows, 0]
+    near = (left.ravel()[cells] + bound <= _CUT_BAND) | (bound - right.ravel()[cells] <= _CUT_BAND)
+    if near.any():
+        rows = np.unique(rows[near])
+        margin, shift, slack = margin[rows], shift[rows], slack[rows]
+        prefix_min = np.minimum.accumulate(margin[:, :-1], axis=1)
+        suffix_max = np.maximum.accumulate(margin[:, :0:-1], axis=1)[:, ::-1]
+        mask[rows] = (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
+    return candidates, mask
 
 
 def _run_midpoints(values, mask) -> list:
@@ -356,7 +409,7 @@ def oracle_best_deviation(params: GameParams, behavior: BehaviorKind, x_other: f
     grid spacing.
     """
     _check_deviation_args(1, x_other)  # firm 1 stands for either
-    xs = _unit_grid(grid.n_locations)
+    xs = grid._location_grid
     values = _deviation_values(params.a, behavior, xs, x_other)
     best = int(np.argmax(values))  # the first maximum, as a scan keeping strict gains
     return float(xs[best]), float(values[best])
@@ -448,7 +501,7 @@ def oracle_ne_region_scan(params: GameParams, behavior: BehaviorKind, grid: Grid
     the figure emitters and the pessimistic-region suite, with its
     diameter-bound checks, read :func:`_region_scan` directly.
     """
-    xs = _unit_grid(grid.n_locations)
+    xs = grid._location_grid
     return [
         EquilibriumProfile(Locations(x1, x2), MarketOutcome(kind, s1))
         for i, j, kinds, s1s, is_ne in _region_scan(params, behavior, grid.n_locations)
@@ -483,10 +536,10 @@ _OPTIMUM_GRID = GridSpec(n_locations=201, n_shares=201)
 # instances at the default 2001 shares. One instance is too small to spread
 # numpy's per-call cost; a block's temporaries of 16,384 doubles (128 KiB)
 # are too large, as glibc hands the freed top of the heap back to the system
-# and faults it in again on every block (with its trim threshold raised,
-# such blocks ran as fast as 8,192). Medians of eight fresh processes
-# running the suite at 2001 shares, 2 cores: 2,048 cells 123 ms, 4,096
-# 103 ms, 8,192 89 ms, 16,384 134 ms, 32,768 146 ms.
+# and faults it in again on every block. The suite at 2001 shares, 2 cores,
+# for 4,096 / 8,192 / 16,384 cells: first run in a fresh process, median of
+# 15, 61 / 58 / 54 ms; warm runs, median over 8 processes of each one's
+# median of 10, 48 / 37 / 67 ms, with 103 / 103 / 11,728 minor faults per run.
 _MARKET_BLOCK_CELLS = 8192
 
 
@@ -605,7 +658,7 @@ def _pessimistic_region_suite(theta: float):
     a = 0.5 as arrays ``(x1, x2, s1)``, which :func:`_mirror_symmetry_suite`
     reflects.
     """
-    xs = _unit_grid(_REGION_GRID.n_locations)
+    xs = _REGION_GRID._location_grid
     disagreements = 0
     half_ne = []
     for a in (0.2, 0.5, 0.8):

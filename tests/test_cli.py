@@ -1064,6 +1064,21 @@ SUITE_GRIDS = [GridSpec(2, 2), GridSpec(3, 7), GridSpec(n_shares=201), GridSpec(
 @pytest.mark.parametrize("grid", SUITE_GRIDS, ids=lambda g: f"{g.n_locations}x{g.n_shares}")
 @pytest.mark.parametrize("instances", [0, 1, 7, 1001])
 def test_market_equilibria_suite_matches_the_instance_loop(grid, instances, monkeypatch):
+    assert_market_suite_is_the_loop(grid, instances, (0.0, -1e-3, 1e-3, -2e-3, 2e-3, 1e-2),
+                                    monkeypatch)
+
+
+# at an infinite band every block decides each of its rows by the running extrema
+@pytest.mark.parametrize("grid", [GridSpec(), GridSpec(3, 7)],
+                         ids=lambda g: f"{g.n_locations}x{g.n_shares}")
+def test_market_equilibria_suite_on_the_running_extrema_is_the_instance_loop(grid, monkeypatch):
+    monkeypatch.setattr(oracle, "_CUT_BAND", math.inf)
+    assert_market_suite_is_the_loop(grid, 1001, (0.0, 1e-3), monkeypatch)
+
+
+def assert_market_suite_is_the_loop(grid, instances, shifts, monkeypatch):
+    """The market suite's flags and detail at ``grid`` are the instance
+    loop's, with the interior splits moved by each of ``shifts`` in turn."""
     exact = oracle._equilibria_array
     shift = 0.0
 
@@ -1076,7 +1091,7 @@ def test_market_equilibria_suite_matches_the_instance_loop(grid, instances, monk
     calls = caught(monkeypatch, "_market_mismatches")
     # the draws and their passing shares do not depend on the shift
     drawn = loop_market_instances(np.random.default_rng(7), grid, instances)
-    for shift in (0.0, -1e-3, 1e-3, -2e-3, 2e-3, 1e-2):
+    for shift in shifts:
         calls.clear()
         _, detail = oracle._market_equilibria_suite(np.random.default_rng(7), grid, instances)
         [(_, flags)] = calls

@@ -1,5 +1,6 @@
 """Tests for the brute-force grid oracles against the closed forms."""
 
+import math
 import re
 from dataclasses import astuple, replace
 from unittest import mock
@@ -43,6 +44,7 @@ from locpop.oracle import (
 from locpop.welfare import OptimumPoint
 
 from row_scan import row_ne_fields, row_region_rows, row_region_scan
+from suite_loops import loop_passing_shares
 from table_blocks import REGION_TYPES, assert_same_columns, block_rows
 
 
@@ -182,28 +184,81 @@ def passing_shares_reference(a, x1, x2, n_shares):
 @example(instances=[(0.5, 1 / 3, 2 / 3)], n_shares=61)
 @example(instances=[(0.25, 0.0, 1.0), (0.5, 1 / 3, 2 / 3)], n_shares=3)
 def test_passing_shares_is_the_pointwise_test(instances, n_shares):
-    """A block of instances, one row each, and its first instance as floats."""
+    """A block of instances, one row each, and its first instance as floats,
+    at the cut band and at an infinite one, which decides every row by the
+    running extrema."""
     instances = [(a, *sorted((p, q))) for a, p, q in instances]
     expected = [passing_shares_reference(*instance, n_shares) for instance in instances]
     grid = GridSpec(n_shares=n_shares)
-    candidates, mask = oracle._passing_shares(*map(np.array, zip(*instances)), grid)
-    assert candidates.tolist() == np.linspace(0.0, 1.0, n_shares).tolist()
-    assert mask.tolist() == expected
-    _, mask = oracle._passing_shares(*instances[0], grid)
-    assert mask.tolist() == expected[:1]
+    for band in (oracle._CUT_BAND, math.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_CUT_BAND", band)
+            candidates, mask = oracle._passing_shares(*map(np.array, zip(*instances)), grid)
+            assert candidates.tolist() == np.linspace(0.0, 1.0, n_shares).tolist()
+            assert mask.tolist() == expected, band
+            _, mask = oracle._passing_shares(*instances[0], grid)
+            assert mask.tolist() == expected[:1], band
+
+
+# In each instance one cut's neighbour sum passes within a few units in the
+# last place of the slack, where a running extremum over the flat margins
+# beyond the locations, off by rounding, fails it
+@pytest.mark.parametrize("a, x1, x2, cuts", [
+    (0.3, 0.5, 0.740650001, [200]), (0.5, 0.3, 0.700750001, [200, 1800]),
+])
+def test_a_cut_at_the_slack_is_decided_by_the_running_extrema(a, x1, x2, cuts, monkeypatch):
+    grid = GridSpec()
+    _, expected = loop_passing_shares(GameParams(a), Locations(x1, x2), grid)
+    _, mask = oracle._passing_shares(a, x1, x2, grid)
+    assert mask[0].tolist() == expected.tolist()
+    monkeypatch.setattr(oracle, "_CUT_BAND", -math.inf)  # no row reaches the running extrema
+    _, neighbours = oracle._passing_shares(a, x1, x2, grid)
+    assert np.flatnonzero(neighbours[0] != expected).tolist() == cuts
+
+
+UNIT = 2.0 ** -53
+unit_location = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(locations=st.one_of(st.tuples(unit_location, unit_location),
+                           unit_location.map(lambda x: (x, x))),
+       n_shares=st.sampled_from([2, 3, 7, 2001, 4001]))
+@example(locations=(0.0, 1.0), n_shares=4001)
+@example(locations=(0.0, 0.0), n_shares=2001)
+@example(locations=(1.0, 1.0), n_shares=2001)
+def test_running_extrema_lie_within_6u_of_the_neighbour_margins(locations, n_shares):
+    """The bound ``_passing_shares`` rests on: over x1 <= x2 the running
+    minimum left of a cut lies at most 6u below the margin of the consumer
+    next to it, and the running maximum right of it at most 6u above."""
+    x1, x2 = sorted(locations)
+    margin = oracle._cut_margins(x1, x2, GridSpec(n_shares=n_shares))[0]
+    left, right = margin[:-1], margin[1:]  # per cut, with the sentinels
+    prefix_min = np.minimum.accumulate(left)
+    suffix_max = np.maximum.accumulate(right[::-1])[::-1]
+    below = left[1:] - prefix_min[1:]  # cut 0 has no consumer on its left
+    above = suffix_max[:-1] - right[:-1]  # nor the last cut one on its right
+    assert ((0.0 <= below) & (below <= 6 * UNIT)).all()
+    assert ((0.0 <= above) & (above <= 6 * UNIT)).all()
+    assert oracle._CUT_BAND >= 16 * UNIT  # twice the 8u a neighbour sum may differ by
 
 
 def test_gridspec_arrays_are_shared_and_read_only():
-    grid, twin = GridSpec(n_shares=41), GridSpec(n_shares=41)
-    oracle_market_equilibria(GameParams(0.3), Locations(0.2, 0.7), grid)
-    assert grid == twin and hash(grid) == hash(twin)
-    assert len({grid, twin}) == 1
-    arrays = grid._share_grid
-    assert grid._share_grid is arrays  # built once per instance
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
+    for n in (2, 41, 2001):
+        grid, twin = GridSpec(n_locations=n, n_shares=41), GridSpec(n_locations=n, n_shares=41)
+        oracle_market_equilibria(GameParams(0.3), Locations(0.2, 0.7), grid)
+        oracle_best_deviation(GameParams(0.3), BehaviorKind.NEUTRAL, 0.4, grid)
+        assert grid == twin and hash(grid) == hash(twin)
+        assert len({grid, twin}) == 1
+        arrays = grid._share_grid
+        assert grid._share_grid is arrays  # built once per instance
+        locations = grid._location_grid
+        assert grid._location_grid is locations
+        assert locations.tobytes() == np.linspace(0.0, 1.0, n).tobytes()  # bit for bit
+        for array in (*arrays, locations):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def test_oracle_best_deviation_matches_closed_form():

@@ -3,8 +3,12 @@ a scalar core that runs without numpy, and per-call code that reads no enum
 member through its class."""
 
 import ast
+import importlib.metadata
 import importlib.util
 import inspect
+import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -109,11 +113,16 @@ class C:
     assert out.splitlines() == [f"     8  {source}", "     8  total"]
 
 
-def test_bench_pairs_summary_counts_wins_and_the_gain_rule():
+def load_bench_pairs():
     path = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_summary_counts_wins_and_the_gain_rule():
+    bench_pairs = load_bench_pairs()
     # the parent reads 10..19 in every metric: quartiles 12.25, 14.5, 16.75
     # (inclusive method), so a gain needs its median moved by more than 4.5
     shifts = {
@@ -146,3 +155,46 @@ def test_bench_pairs_summary_counts_wins_and_the_gain_rule():
         "wall_s           parent 14.5 [12.25, 16.75] -> change 9.5 [7.25, 11.75]"
         "  wins 10/10  gain yes"]
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_bench_pairs_records_each_workload_with_its_provenance(tmp_path):
+    """Synthetic pairs of two workloads recorded into one file and read back;
+    no benchmark runs."""
+    bench_pairs = load_bench_pairs()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (change / "src" / "locpop" / "__pycache__").mkdir(parents=True)
+    parent.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(parent)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "parent"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True,
+                          check=True).stdout.strip()
+    origin = bench_pairs.provenance(parent, change)
+    assert origin == {
+        "cpu_count": os.cpu_count(), "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "parent": {"revision": head, "pycache": False},
+        "change": {"revision": None, "pycache": True}}
+    even = {"parent": 0, "change": 0}
+    metrics = [("wall_s", "lower"), ("peak_rss_mb", "lower")]
+    path = tmp_path / "BENCH.json"
+    for workload, step in (("verify", -1.0), ("figures", 0.5), ("verify", -2.0)):
+        pairs = [({"wall_s": 10.0 + k, "peak_rss_mb": 30.0},
+                  {"wall_s": 10.0 + k + step, "peak_rss_mb": 30.0}) for k in range(10)]
+        summaries = bench_pairs.summarize(pairs, metrics, even)
+        run = {"provenance": origin, "seconds": 20, "failed": even}
+        bench_pairs.record(path, workload, summaries, run)
+    # the second verify run replaced the first; figures was kept
+    written = json.loads(path.read_text())
+    assert sorted(written) == ["figures", "verify"]
+    verify, figures = written["verify"], written["figures"]
+    assert verify["provenance"] == figures["provenance"] == origin
+    assert (verify["seconds"], verify["failed"]) == (20, even)
+    assert verify["metrics"]["wall_s"] == {
+        "parent": [12.25, 14.5, 16.75], "change": [10.25, 12.5, 14.75],
+        "wins": 10, "pairs": 10, "gain": False}
+    assert figures["metrics"]["wall_s"]["change"] == [12.75, 15.0, 17.25]
+    assert figures["metrics"]["wall_s"]["wins"] == 0
+    assert figures["metrics"]["peak_rss_mb"] == {
+        "parent": [30.0, 30.0, 30.0], "change": [30.0, 30.0, 30.0],
+        "wins": 0, "pairs": 10, "gain": False}

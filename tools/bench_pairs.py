@@ -12,13 +12,24 @@ operations than the parent, wins at least 90% of the pairs, and its
 median is better than the parent's by more than the parent's
 interquartile range. Needs the standard library only.
 
+With ``--record PATH`` the summaries are also merged into the JSON file
+at PATH (created if absent), under the workload's name, with the
+provenance of the run: core count, Python and numpy versions, and each
+side's git revision and whether it holds compiled bytecode
+(``src/locpop/__pycache__``). Runs of other workloads already in the file
+are kept, so one file can hold a trajectory point for every workload.
+
 Run from the repository root::
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload figures
+    python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload verify --record BENCH.json
 """
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -74,6 +85,39 @@ def summary_lines(summaries):
             for s in summaries]
 
 
+def provenance(parent, change):
+    """Where a run's pairs run: the host's core count, the Python and numpy
+    versions of this interpreter, which runs both sides, and per side
+    (``parent`` and ``change``, two checkouts) the ``git rev-parse HEAD``
+    revision, None outside a repository, and whether ``src/locpop/__pycache__``
+    is there."""
+    def side(directory):
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=directory,
+                              capture_output=True, text=True)
+        return {"revision": head.stdout.strip() if head.returncode == 0 else None,
+                "pycache": (Path(directory) / "src" / "locpop" / "__pycache__").is_dir()}
+
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(), "numpy": numpy,
+            "parent": side(parent), "change": side(change)}
+
+
+def record(path, workload, summaries, run):
+    """Merge one workload's :func:`summarize` summaries into the JSON file
+    at ``path``, under ``workload``, replacing an earlier run of it and
+    keeping the other workloads. ``run`` holds the rest of the entry (the
+    provenance, seconds and failed operations)."""
+    path = Path(path)
+    runs = json.loads(path.read_text()) if path.exists() else {}
+    metrics = {s["name"]: {key: value for key, value in s.items() if key != "name"}
+               for s in summaries}
+    runs[workload] = {**run, "metrics": metrics}
+    path.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
+
+
 def run_side(directory, workload, seconds, seed):
     """The JSON result of one ``perfbench/run.py`` run in ``directory``."""
     out = subprocess.run(
@@ -88,11 +132,15 @@ def main(argv=None):
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--workload", required=True)
+    parser.add_argument("--record", metavar="PATH",
+                        help="merge the summaries into this JSON file, keyed by workload")
     args = parser.parse_args(argv)
     with open(BENCHMARK) as handle:
         benchmark = json.load(handle)
     metrics = [(m["name"], m["better"]) for m in benchmark["end_to_end"]]
     seconds = benchmark["run_seconds"]
+    # before the runs, which may write bytecode
+    origin = provenance(args.parent, args.change) if args.record else None
     pairs, failed = [], {"parent": 0, "change": 0}  # failed operations per side
     for seed in range(1, PAIRS + 1):
         sides = [("parent", args.parent), ("change", args.change)]
@@ -108,7 +156,11 @@ def main(argv=None):
             flush=True)
     print(f"workload={args.workload} seconds={seconds} pairs={PAIRS} "
           f"failed operations: parent {failed['parent']}, change {failed['change']}")
-    print("\n".join(summary_lines(summarize(pairs, metrics, failed))))
+    summaries = summarize(pairs, metrics, failed)
+    print("\n".join(summary_lines(summaries)))
+    if args.record:
+        record(args.record, args.workload, summaries,
+               {"provenance": origin, "seconds": seconds, "failed": failed})
     return 0
 
 
