@@ -30,9 +30,11 @@ cross-check suites of ``locpop verify``. ``model``, ``behaviors`` and
   taking running extrema only for a row with a sum within ``_CUT_BAND``
   of the slack, and meets only the passing shares with the closed splits;
   the best-deviation suite reads the closed-form supremum,
-  :func:`behaviors._supremum`, and calls the deviation oracle once per
-  instance. Those two names, looked up in this module, are where a test
-  injects a fault into the closed forms the random suites check.
+  :func:`behaviors._supremum`, and runs the deviation oracle's row-wise
+  path, :func:`_best_deviations`, on blocks of instances of one behavior,
+  one row of every grid location per instance. Those two names, looked up
+  in this module, are where a test injects a fault into the closed forms
+  the random suites check.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ __all__ = _ORACLE_EXPORTS  # written once, in the package, which loads this modu
 # welfare over arrays, bit for bit, for the scans and grid searches below
 
 
-def _equilibria_array(a: float, x1, x2):
-    """Array form of ``model._equilibria`` over locations x1 <= x2 (arrays or
-    floats, broadcast together): ``(shares, unique)``.
+def _equilibria_array(a, x1, x2):
+    """Array form of ``model._equilibria`` over externalities ``a`` and
+    locations x1 <= x2 (arrays or floats, broadcast together):
+    ``(shares, unique)``.
 
     ``shares`` is slot-major, shape ``(5, *broadcast)``: row k holds firm
     1's share in kind k of I..V, NaN where that kind is absent, so a
@@ -88,35 +91,49 @@ def _equilibria_array(a: float, x1, x2):
     ``unique`` (the gap exceeds ``a``) the UNIQUE split sits alone in the
     III row. Existence and shares come from the helpers the scalar
     function reads, so every decision and share agrees bit for bit; only
-    the selection differs, masks and slots instead of branches.
-    :func:`_share_order` puts the slots in its (share, kind) order, ties
-    and the a = 1/2 inversion of II and III included.
+    the selection differs, masks and slots instead of branches. The slots
+    are one array, allocated once and filled in place: I and V are set to
+    0.0 and 1.0, II, III and IV clipped into their rows, and each absent
+    kind then overwritten with NaN. :func:`_share_order` puts the slots in
+    its (share, kind) order, ties and the a = 1/2 inversion of II and III
+    included.
     """
     band, ii, iv = _condition_gaps(a, x1, x2)
+    # numpy bools even for floats, so ~ negates them
+    unique = np.greater(band, 0.0)
+    lacks_ii = ~np.greater_equal(ii, 0.0)
+    lacks_iv = ~np.less_equal(iv, 0.0)
+    # not held with the slots: a block's peak memory decides whether the
+    # heap it frees is handed back and faulted in again on the next block
+    del band, ii, iv
     low, high, interior = _split_shares(a, x1, x2)
-    unique = np.greater(band, 0.0)  # a numpy bool even for floats, so ~ negates it
-    has_ii = ~unique & (ii >= 0.0)
-    has_iv = ~unique & (iv <= 0.0)
-    shares = np.stack([
-        np.where(unique, np.nan, 0.0),
-        np.where(has_ii, _clip_unit_array(low), np.nan),
-        np.where(unique | (has_ii & has_iv), _clip_unit_array(interior), np.nan),
-        np.where(has_iv, _clip_unit_array(high), np.nan),
-        np.where(unique, np.nan, 1.0),
-    ])
+    shares = np.empty((5, *unique.shape))
+    shares[0] = 0.0
+    shares[4] = 1.0
+    for row, value in ((1, low), (2, interior), (3, high)):
+        _clip_unit_array(value, shares[row, ...])  # [row, ...] is a view even for one cell
+    np.copyto(shares[0::4], np.nan, where=unique)
+    np.copyto(shares[1, ...], np.nan, where=unique | lacks_ii)
+    np.copyto(shares[2, ...], np.nan, where=~unique & (lacks_ii | lacks_iv))
+    np.copyto(shares[3, ...], np.nan, where=unique | lacks_iv)
     return shares, unique
 
 
-def _clip_unit_array(values):
-    # model._clip_unit's own comparisons, so the two agree on every input
-    return np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+def _clip_unit_array(values, out):
+    """``model._clip_unit`` of ``values`` into ``out``, bit for bit, signed
+    zeros and NaN included: numpy's maximum and minimum propagate a NaN and,
+    where the two operands compare equal, return the second, so -0.0 stays
+    -0.0 as the scalar comparisons leave it."""
+    np.maximum(0.0, values, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
-def _share_order(shares):
-    """The slots of :func:`_equilibria_array` in the order of
-    ``model._equilibria``, by share with ties by kind: ``(ordered, slots)``,
-    the shares and the slot each came from, both shaped like ``shares``.
-    Absent (NaN) slots stay where they are.
+def _share_order(shares, *carried):
+    """Put the slots of :func:`_equilibria_array` in the order of
+    ``model._equilibria``, by share with ties by kind, in place, and each
+    array of ``carried``, shaped like ``shares``, through the same
+    exchanges: the region scan passes the slot codes, to learn the slot
+    each share came from. Absent (NaN) slots stay where they are.
 
     Only II, III and IV can leave kind order: I (0) and V (1) bound every
     clipped share, II <= IV always (0.5 -+ the same t), and III exists only
@@ -125,16 +142,12 @@ def _share_order(shares):
     below, so ties keep kind order, as a stable sort does, and a NaN, which
     never compares below or above, never moves.
     """
-    ordered = shares.copy()
-    slots = np.empty(shares.shape, dtype=np.intp)
-    slots.T[...] = np.arange(5)  # slots[k] = k
     for lo, hi in ((1, 2), (2, 3), (1, 2)):
-        swap = ordered[hi] < ordered[lo]
-        for array in (ordered, slots):
+        swap = shares[hi] < shares[lo]
+        for array in (shares, *carried):
             first = array[lo, ...].copy()  # [lo, ...] is a view even for one cell
             np.copyto(array[lo, ...], array[hi, ...], where=swap)
             np.copyto(array[hi, ...], first, where=swap)
-    return ordered, slots
 
 
 # The kind of each slot code: the five slots of _equilibria_array (where
@@ -156,20 +169,24 @@ def _float_codes(values):
     return bits.view(np.float64).tolist(), codes
 
 
-def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
+def _deviation_values(a, behavior: BehaviorKind, x_dev, x_other):
     """Array form of ``behaviors._deviation_value`` over the deviation locations
-    ``x_dev``, bit for bit. The slots of :func:`_equilibria_array` lead,
-    so the minimum and maximum reduce elementwise over five rows, and the
-    neutral mean adds the rows left to right in the share order of
-    :func:`_share_order`, as ``behaviors._aggregate`` sums the enumeration; an
-    absent slot adds an exact 0.0. Only the neutral mean orders the slots:
-    the minimum and maximum do not depend on their order."""
+    ``x_dev``, bit for bit, with ``a``, ``x_dev`` and ``x_other`` broadcast
+    together: a row of locations against columns of ``a`` and ``x_other``
+    gives one row of values per instance. The slots of
+    :func:`_equilibria_array` lead, so the minimum and maximum reduce
+    elementwise over five rows, and the neutral mean adds the rows left to
+    right in the share order of :func:`_share_order`, as
+    ``behaviors._aggregate`` sums the enumeration; an absent slot adds an
+    exact 0.0. Only the neutral mean orders the slots: the minimum and
+    maximum do not depend on their order. The slot array becomes the
+    deviator's own shares in place, 1 - s where it deviates to the right."""
     left = x_dev <= x_other
-    shares, _ = _equilibria_array(
+    own, _ = _equilibria_array(
         a, np.where(left, x_dev, x_other), np.where(left, x_other, x_dev))
     if behavior is _NEUTRAL:
-        shares, _ = _share_order(shares)
-    own = np.where(left, shares, 1.0 - shares)
+        _share_order(own)
+    np.subtract(1.0, own, out=own, where=~left)
     # fmin / fmax skip NaN, and every cell has a present slot
     if behavior is _PESSIMISTIC:
         return np.fmin.reduce(own, axis=0)
@@ -177,12 +194,25 @@ def _deviation_values(a: float, behavior: BehaviorKind, x_dev, x_other: float):
         return np.fmax.reduce(own, axis=0)
     if behavior is not _NEUTRAL:
         raise _behavior_error(behavior)
-    present = ~np.isnan(own)
-    own = np.where(present, own, 0.0)
-    total = own[0]
-    for slot in range(1, 5):
-        total = total + own[slot]
-    return total / present.sum(axis=0)
+    absent = np.isnan(own)
+    np.copyto(own, 0.0, where=absent)
+    total = own[0] + own[1]
+    for slot in range(2, 5):
+        total += own[slot]
+    # present slots counted in uint8, exact and faster than a bool sum's int64
+    return total / (5 - absent.sum(axis=0, dtype=np.uint8))
+
+
+def _best_deviations(a, behavior: BehaviorKind, xs, x_other):
+    """The first maximum over the locations ``xs`` of each instance's
+    deviation values: ``(index, value)`` arrays, one entry per instance.
+    ``a`` and ``x_other`` are floats or 1-D arrays of one length, one entry
+    per instance; each instance is one row of :func:`_deviation_values`,
+    and every location is evaluated."""
+    a, x_other = (np.reshape(v, (-1, 1)) for v in (a, x_other))
+    values = _deviation_values(a, behavior, xs, x_other)
+    best = np.argmax(values, axis=1)  # the first maximum, as a scan keeping strict gains
+    return best, values[np.arange(len(best)), best]
 
 
 def _abs_distance_integral_array(alpha, beta, x):
@@ -303,7 +333,7 @@ def oracle_market_equilibria(params: GameParams, loc: Locations, grid: GridSpec)
     runs of passing candidates are collapsed to their midpoints, returned
     as Python floats in increasing order.
     """
-    candidates, mask = _passing_shares(params.a, loc.x1, loc.x2, grid)
+    candidates, mask, _ = _passing_shares(params.a, loc.x1, loc.x2, grid)
     return _run_midpoints(candidates, mask[0])
 
 
@@ -334,7 +364,9 @@ def _cut_margins(x1, x2, grid: GridSpec):
 
 def _passing_shares(a, x1, x2, grid: GridSpec):
     """The share grid of :func:`oracle_market_equilibria` and, for a block
-    of instances, the mask of candidates passing its pointwise test.
+    of instances, the mask of candidates passing its pointwise test and the
+    flat indices of its passing cells, ``np.flatnonzero(mask)``:
+    ``(candidates, mask, cells)``.
 
     ``a``, ``x1`` and ``x2`` (x1 <= x2) are floats or 1-D arrays of one
     length, one entry per instance; the mask has one row per instance.
@@ -363,8 +395,8 @@ def _passing_shares(a, x1, x2, grid: GridSpec):
 
     Among the passing cuts, read through their flat indices, any neighbour
     sum within ``_CUT_BAND`` (about 90u) of its bound sends its row to the
-    running extrema, which recompute that row's mask. So the mask is the
-    running-extremum test's bit for bit.
+    running extrema, which recompute that row's mask and passing cells. So
+    the mask is the running-extremum test's bit for bit.
     """
     candidates, sign = grid._share_grid[1:]
     a = np.reshape(a, (-1, 1))
@@ -379,12 +411,15 @@ def _passing_shares(a, x1, x2, grid: GridSpec):
     bound = slack[rows, 0]
     near = (left.ravel()[cells] + bound <= _CUT_BAND) | (bound - right.ravel()[cells] <= _CUT_BAND)
     if near.any():
-        rows = np.unique(rows[near])
-        margin, shift, slack = margin[rows], shift[rows], slack[rows]
+        redo = np.unique(rows[near])
+        margin, shift, slack = margin[redo], shift[redo], slack[redo]
         prefix_min = np.minimum.accumulate(margin[:, :-1], axis=1)
         suffix_max = np.maximum.accumulate(margin[:, :0:-1], axis=1)[:, ::-1]
-        mask[rows] = (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
-    return candidates, mask
+        mask[redo] = (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
+        row, column = np.nonzero(mask[redo])
+        cells = np.sort(np.concatenate([cells[~np.isin(rows, redo)],
+                                        redo[row] * grid.n_shares + column]))
+    return candidates, mask, cells
 
 
 def _run_midpoints(values, mask) -> list:
@@ -410,9 +445,8 @@ def oracle_best_deviation(params: GameParams, behavior: BehaviorKind, x_other: f
     """
     _check_deviation_args(1, x_other)  # firm 1 stands for either
     xs = grid._location_grid
-    values = _deviation_values(params.a, behavior, xs, x_other)
-    best = int(np.argmax(values))  # the first maximum, as a scan keeping strict gains
-    return float(xs[best]), float(values[best])
+    [best], [value] = _best_deviations(params.a, behavior, xs, x_other)
+    return float(xs[best]), float(value)
 
 
 def oracle_social_optimum(params: GameParams, grid: GridSpec) -> OptimumPoint:
@@ -479,7 +513,9 @@ def _region_scan(params: GameParams, behavior: BehaviorKind, n_locations: int):
         i, j = np.nonzero(index[first:first + rows, None] <= index)
         i += first
         shares, unique = _equilibria_array(a, xs[i], xs[j])
-        shares, slots = _share_order(shares)
+        slots = np.empty(shares.shape, dtype=np.intp)
+        slots.T[...] = np.arange(5)  # slots[k] = k
+        _share_order(shares, slots)
         # through the transposed view, cells stay in order and splits in share order
         cell, slot = np.nonzero(~np.isnan(shares.T))
         i, j, s1 = i[cell], j[cell], shares[slot, cell]
@@ -532,15 +568,25 @@ _REGION_GRID = GridSpec(n_locations=101)
 _OPTIMUM_GRID = GridSpec(n_locations=201, n_shares=201)
 
 
-# Share-grid cells per block of instances in the market-equilibria suite: 4
-# instances at the default 2001 shares. One instance is too small to spread
-# numpy's per-call cost; a block's temporaries of 16,384 doubles (128 KiB)
-# are too large, as glibc hands the freed top of the heap back to the system
-# and faults it in again on every block. The suite at 2001 shares, 2 cores,
-# for 4,096 / 8,192 / 16,384 cells: first run in a fresh process, median of
-# 15, 61 / 58 / 54 ms; warm runs, median over 8 processes of each one's
-# median of 10, 48 / 37 / 67 ms, with 103 / 103 / 11,728 minor faults per run.
-_MARKET_BLOCK_CELLS = 8192
+# Cells per block of instances in the two random suites: share-grid cells in
+# the market-equilibria suite, 4 instances at the default 2001 shares, and
+# half as many location-grid cells in the best-deviation suite, 2 instances at
+# the default 2001 locations, as a location cell holds about three times the
+# doubles of a share cell at a block's peak, its five share slots among them.
+# One instance is too small to spread numpy's per-call cost; larger blocks
+# free more heap at their end than glibc keeps, so it is handed back to the
+# system and faulted in again on every block. Where that starts depends on the
+# heap's history, down to the length of the source path. 2 cores, 2001 points.
+# The market suite for 4,096 / 8,192 / 16,384 cells: first run in a fresh
+# process, median of 15, 61 / 58 / 54 ms; warm runs, median over 8 processes
+# of each one's median of 10, 48 / 37 / 67 ms, with 103 / 103 / 11,728 minor
+# faults per run. The best-deviation suite run alone, medians over 9 fresh
+# processes, for 2,001 / 4,096 / 8,192 / 16,384 cells: first run 36.5 / 28.5 /
+# 24.8 / 23.3 ms, no faults; but inside verify_suites, after the market suite,
+# from copies of the package at 10 path lengths, 8,192 cells faulted 5,000 to
+# 5,800 pages per run of the suite at 3 of 10 lengths on the first run and 6
+# of 10 on the second, where 4,096 cells never faulted more than 23
+_SUITE_BLOCK_CELLS = 8192
 
 
 def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
@@ -578,17 +624,18 @@ def _market_mismatches(a, x1, x2, grid: GridSpec):
     one slot per kind, NaN where absent; coincident shares stay apart, which
     changes no flag, as every test is per slot or any over the slots.
     Instances run through :func:`_passing_shares` in blocks of
-    ``_MARKET_BLOCK_CELLS`` share-grid cells. Only the passing (instance,
-    share) pairs meet the instance's splits.
+    ``_SUITE_BLOCK_CELLS`` share-grid cells. Only the passing (instance,
+    share) pairs, whose flat indices each block hands back, meet the
+    instance's splits.
     """
     spacing = 1.0 / (grid.n_shares - 1)
     closed = _equilibria_array(a, x1, x2)[0].T
-    rows = max(1, _MARKET_BLOCK_CELLS // grid.n_shares)
+    rows = max(1, _SUITE_BLOCK_CELLS // grid.n_shares)
     passing = [np.empty(0, dtype=np.intp)]  # flat indices into (instance, candidate)
     for first in range(0, len(a), rows):
         block = slice(first, first + rows)
-        _, mask = _passing_shares(a[block], x1[block], x2[block], grid)
-        passing.append(np.flatnonzero(mask) + first * grid.n_shares)
+        _, _, cells = _passing_shares(a[block], x1[block], x2[block], grid)
+        passing.append(cells + first * grid.n_shares)
     instance, candidate = np.divmod(np.concatenate(passing), grid.n_shares)
     distance = np.abs(grid._share_grid[1][candidate, None] - closed[instance])
     covered = np.zeros(closed.shape, dtype=bool)
@@ -615,18 +662,35 @@ def _best_deviation_suite(rng, grid: GridSpec, instances: int):
 def _deviation_mismatches(a, x_other, grid: GridSpec):
     """Per instance (a, x_other), behaviors in turn, whether the supremum of
     the closed-form best deviation (:func:`_supremum`, as the region scan
-    reads it) and the deviation oracle's maximum disagree beyond its
-    Lipschitz bound, as a bool array."""
+    reads it) and the deviation oracle's maximum (:func:`_deviation_maxima`)
+    disagree beyond its Lipschitz bound, as a bool array."""
     behaviors = list(BehaviorKind)
-    mismatch = np.empty(len(a), dtype=bool)
-    for k, (a_k, x) in enumerate(zip(a.tolist(), x_other.tolist())):
-        behavior = behaviors[k % 3]
-        analytic = _supremum(a_k, behavior, x)[1]
-        _, grid_best = oracle_best_deviation(GameParams(a_k), behavior, x, grid)
-        lipschitz = max(1.0 / (1.0 - a_k), 1.0 / (2.0 * a_k))
-        tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
-        mismatch[k] = grid_best > analytic + 1e-6 or analytic - grid_best > tol
-    return mismatch
+    grid_best = _deviation_maxima(a, x_other, grid)
+    analytic = np.array([_supremum(a_k, behaviors[k % 3], x)[1]
+                         for k, (a_k, x) in enumerate(zip(a.tolist(), x_other.tolist()))])
+    lipschitz = np.maximum(1.0 / (1.0 - a), 1.0 / (2.0 * a))
+    tol = 2.0 * lipschitz / (grid.n_locations - 1) + 1e-6
+    return (grid_best > analytic + 1e-6) | (analytic - grid_best > tol)
+
+
+def _deviation_maxima(a, x_other, grid: GridSpec):
+    """The deviation oracle's maximum for each instance (a, x_other),
+    behaviors in turn, as ``oracle_best_deviation`` finds it.
+
+    The instances of one behavior (index k % 3) run together through
+    :func:`_best_deviations`, one row of the location grid per instance, in
+    blocks of half ``_SUITE_BLOCK_CELLS`` location cells: max(1,
+    ``_SUITE_BLOCK_CELLS`` // (2 n_locations)) instances per block.
+    """
+    xs = grid._location_grid
+    maxima = np.empty(len(a))
+    rows = max(1, _SUITE_BLOCK_CELLS // (2 * grid.n_locations))
+    for k, behavior in enumerate(BehaviorKind):
+        members = np.arange(k, len(a), 3)
+        for first in range(0, len(members), rows):
+            block = members[first:first + rows]
+            maxima[block] = _best_deviations(a[block], behavior, xs, x_other[block])[1]
+    return maxima
 
 
 def _social_optimum_suite(theta: float):

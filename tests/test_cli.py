@@ -1100,8 +1100,11 @@ def assert_market_suite_is_the_loop(grid, instances, shifts, monkeypatch):
         assert detail == f"{instances} random instances, {sum(expected)} mismatches"
 
 
-# the suite reads only n_locations of its grid
-@pytest.mark.parametrize("grid", SUITE_GRIDS[:3], ids=lambda g: f"{g.n_locations}x{g.n_shares}")
+# the suite reads only n_locations of its grid. 1, 7 and 1001 instances leave
+# some behavior a partial block at 2, 3 and 2001 locations; at 8193 locations
+# each instance is a block alone
+@pytest.mark.parametrize("grid", [*SUITE_GRIDS[:3], GridSpec(n_locations=8193)],
+                         ids=lambda g: f"{g.n_locations}x{g.n_shares}")
 @pytest.mark.parametrize("instances", [0, 1, 7, 1001])
 def test_best_deviation_suite_matches_the_instance_loop(grid, instances, monkeypatch):
     exact = oracle._supremum
@@ -1113,12 +1116,17 @@ def test_best_deviation_suite_matches_the_instance_loop(grid, instances, monkeyp
 
     monkeypatch.setattr(oracle, "_supremum", raised)
     calls = caught(monkeypatch, "_deviation_mismatches")
+    maxima = caught(monkeypatch, "_deviation_maxima")
     # the draws and their oracle maxima do not depend on the raise
     drawn = loop_deviation_instances(np.random.default_rng(7), grid, instances)
+    grid_best = np.array([best for _, _, _, best, _ in drawn], dtype=np.float64)
     for raise_by in (0.0, 3e-3):
         calls.clear()
+        maxima.clear()
         _, detail = oracle._best_deviation_suite(np.random.default_rng(7), grid, instances)
         [(_, flags)] = calls
+        [(_, found)] = maxima
+        assert found.view(np.int64).tolist() == grid_best.view(np.int64).tolist()
         expected = loop_deviation_flags(drawn)
         assert flags.tolist() == expected, raise_by
         assert detail == f"{instances} random instances, {sum(expected)} mismatches"

@@ -1,6 +1,7 @@
 """Tests for the market-equilibrium model and its closed forms."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from locpop.model import (
     _merge_close,
     _split_shares,
 )
-from locpop.oracle import _SLOT_KINDS, _equilibria_array, _share_order
+from locpop.oracle import _SLOT_KINDS, _clip_unit_array, _equilibria_array, _share_order
 
 externalities = st.floats(min_value=0.01, max_value=0.99)
 positions = st.floats(min_value=0.0, max_value=1.0)
@@ -242,9 +243,12 @@ def test_enumeration_sorted_by_share(a, p, q):
 @example(a=0.5, p=0.08, q=0.5)
 def test_equilibria_array_matches_scalar(a, p, q):
     x1, x2 = min(p, q), max(p, q)
-    # the cell alone, and inside a row of cells as a region scan passes it
-    for x2s, at in ((x2, ()), (np.array([x1, x2, 1.0]), 1)):
-        shares, unique = _equilibria_array(a, x1, x2s)
+    # the cell alone, inside a row of cells as a region scan passes it, and
+    # inside a block of rows, a column of a against a row of locations, as
+    # the best-deviation suite passes it
+    for a_s, x2s, at in ((a, x2, ()), (a, np.array([x1, x2, 1.0]), 1),
+                         (np.array([[0.25], [a]]), np.array([x1, x2, 1.0]), (1, 1))):
+        shares, unique = _equilibria_array(a_s, x1, x2s)
         shares, unique = np.moveaxis(shares, 0, -1)[at], unique[at]
         order = np.argsort(shares, kind="stable")
         found = [
@@ -252,6 +256,30 @@ def test_equilibria_array_matches_scalar(a, p, q):
             for slot in order if not np.isnan(shares[slot])
         ]
         assert found == [(kind, repr(s1)) for kind, s1 in _equilibria(a, x1, x2)]
+
+
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+CLIP_SPECIALS = [-0.0, 0.0, math.nan, -math.nan, NAN_PAYLOAD, 1.0, -1.0, 2.0, math.inf,
+                 -math.inf, 5e-324, -5e-324, math.nextafter(1.0, 2.0),
+                 math.nextafter(1.0, 0.0), 0.5]
+
+
+def test_clip_unit_array_is_clip_unit_bit_for_bit():
+    """Signed zeros, NaN payloads, infinities and the neighbours of 0 and 1,
+    as one cell and in rows long enough for every vector width and tail."""
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+    for value in CLIP_SPECIALS:
+        expected = bits(_clip_unit(value))
+        out = np.empty(())
+        assert bits(_clip_unit_array(value, out)) == expected, value
+        for n in range(1, 34):
+            out = np.empty(n)
+            assert bits(_clip_unit_array(np.full(n, value), out)) == [expected] * n, (value, n)
+    mixed = np.array(CLIP_SPECIALS * 3)
+    assert bits(_clip_unit_array(mixed, np.empty_like(mixed))) == bits(
+        [_clip_unit(v) for v in mixed.tolist()])
 
 
 def keyed_sort_reference(a, x1, x2):
@@ -306,6 +334,20 @@ def test_equilibria_order_matches_keyed_sort(instance):
     assert found == keyed_sort_reference(a, x1, x2)
 
 
+def share_order(shares):
+    """``_share_order`` of a copy of ``shares``, carrying the slot codes:
+    ``(ordered, slots)``, the shares and the slot each came from. The
+    order without the codes must be the same, bit for bit."""
+    ordered = shares.copy()
+    slots = np.empty(shares.shape, dtype=np.intp)
+    slots.T[...] = np.arange(5)
+    _share_order(ordered, slots)
+    alone = shares.copy()
+    _share_order(alone)
+    assert alone.view(np.int64).tolist() == ordered.view(np.int64).tolist()
+    return ordered, slots
+
+
 def stable_argsort_reference(shares):
     """The present slots of one cell of ``_equilibria_array`` as
     (slot, repr(share)), in the order of a stable argsort of its slots."""
@@ -324,7 +366,7 @@ def test_share_order_is_a_stable_argsort(instance):
     around each, each one ulp either way."""
     a, x1, x2 = instance
     shares, _ = _equilibria_array(a, x1, x2)
-    ordered, slots = _share_order(shares)
+    ordered, slots = share_order(shares)
     present = ~np.isnan(ordered)
     found = list(zip(slots[present].tolist(), map(repr, ordered[present].tolist())))
     assert found == stable_argsort_reference(shares)
@@ -333,7 +375,7 @@ def test_share_order_is_a_stable_argsort(instance):
     xs = np.concatenate([np.linspace(0.0, 1.0, 41), np.clip(edges, 0.0, 1.0)])
     for x_other in (x1, x2):
         shares, _ = _equilibria_array(a, np.minimum(xs, x_other), np.maximum(xs, x_other))
-        ordered, slots = _share_order(shares)
+        ordered, slots = share_order(shares)
         for cell in range(len(xs)):
             present = ~np.isnan(ordered[:, cell])
             found = list(zip(slots[present, cell].tolist(),

@@ -193,11 +193,14 @@ def test_passing_shares_is_the_pointwise_test(instances, n_shares):
     for band in (oracle._CUT_BAND, math.inf):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_CUT_BAND", band)
-            candidates, mask = oracle._passing_shares(*map(np.array, zip(*instances)), grid)
+            candidates, mask, cells = oracle._passing_shares(
+                *map(np.array, zip(*instances)), grid)
             assert candidates.tolist() == np.linspace(0.0, 1.0, n_shares).tolist()
             assert mask.tolist() == expected, band
-            _, mask = oracle._passing_shares(*instances[0], grid)
+            assert cells.tolist() == np.flatnonzero(expected).tolist(), band
+            _, mask, cells = oracle._passing_shares(*instances[0], grid)
             assert mask.tolist() == expected[:1], band
+            assert cells.tolist() == np.flatnonzero(expected[0]).tolist(), band
 
 
 # In each instance one cut's neighbour sum passes within a few units in the
@@ -209,11 +212,21 @@ def test_passing_shares_is_the_pointwise_test(instances, n_shares):
 def test_a_cut_at_the_slack_is_decided_by_the_running_extrema(a, x1, x2, cuts, monkeypatch):
     grid = GridSpec()
     _, expected = loop_passing_shares(GameParams(a), Locations(x1, x2), grid)
-    _, mask = oracle._passing_shares(a, x1, x2, grid)
+    _, mask, cells = oracle._passing_shares(a, x1, x2, grid)
     assert mask[0].tolist() == expected.tolist()
+    assert cells.tolist() == np.flatnonzero(expected).tolist()
+    # in a block, between two rows the band leaves to the neighbour test,
+    # whose passing cells are kept as found
+    block = [(0.4, 0.1, 0.9), (a, x1, x2), (0.2, 0.3, 0.35)]
+    expected_block = np.array([loop_passing_shares(GameParams(p), Locations(q, r), grid)[1]
+                               for p, q, r in block])
+    _, mask, cells = oracle._passing_shares(*map(np.array, zip(*block)), grid)
+    assert mask.tolist() == expected_block.tolist()
+    assert cells.tolist() == np.flatnonzero(expected_block).tolist()
     monkeypatch.setattr(oracle, "_CUT_BAND", -math.inf)  # no row reaches the running extrema
-    _, neighbours = oracle._passing_shares(a, x1, x2, grid)
+    _, neighbours, cells = oracle._passing_shares(a, x1, x2, grid)
     assert np.flatnonzero(neighbours[0] != expected).tolist() == cuts
+    assert cells.tolist() == np.flatnonzero(neighbours).tolist()
 
 
 UNIT = 2.0 ** -53
@@ -311,6 +324,35 @@ def test_oracle_best_deviation_is_the_pointwise_loop(a, x_other, behavior, n_loc
     found = oracle_best_deviation(
         GameParams(a), behavior, x_other, GridSpec(n_locations=n_locations))
     assert repr(found) == repr((best_x, best_v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.25, 0.5]),
+                            st.floats(min_value=0.01, max_value=0.99)),
+                  st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                            st.floats(min_value=0.0, max_value=1.0))),
+        min_size=1, max_size=5, unique=True),
+    behavior=st.sampled_from(list(BehaviorKind)),
+    n_locations=st.sampled_from([2, 41, 2001]),
+)
+# the two cells of the pointwise loop's examples where share order is not kind order
+@example(rows=[(0.5, 0.5), (0.25, 0.525)], behavior=BehaviorKind.NEUTRAL, n_locations=41)
+def test_deviation_values_of_a_block_are_its_rows(rows, behavior, n_locations):
+    """``a`` and ``x_other`` as columns against a row of locations, as the
+    best-deviation suite passes a block of instances: each row, and its
+    first maximum, is the one-instance call's, bit for bit."""
+    xs = np.linspace(0.0, 1.0, n_locations)
+    a, x_other = np.array(rows).T
+    block = _deviation_values(a[:, None], behavior, xs, x_other[:, None])
+    assert block.shape == (len(rows), n_locations)
+    index, value = oracle._best_deviations(a, behavior, xs, x_other)
+    for k, (a_k, x) in enumerate(rows):
+        row = _deviation_values(a_k, behavior, xs, x)
+        assert block[k].view(np.int64).tolist() == row.view(np.int64).tolist()
+        best = int(np.argmax(row))
+        assert (index[k], value[k].view(np.int64)) == (best, row[best].view(np.int64))
 
 
 def test_oracle_social_optimum_both_regimes():

@@ -198,3 +198,42 @@ def test_bench_pairs_records_each_workload_with_its_provenance(tmp_path):
     assert figures["metrics"]["peak_rss_mb"] == {
         "parent": [30.0, 30.0, 30.0], "change": [30.0, 30.0, 30.0],
         "wins": 0, "pairs": 10, "gain": False}
+
+
+def test_bench_pairs_compares_with_the_newest_earlier_record(tmp_path):
+    """Two synthetic records, and the change medians of a new run against the
+    newest earlier one, flagged beyond each metric's bound; no benchmark runs."""
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.earlier_record(tmp_path / "BENCH_13.json") is None
+    even = {"parent": 0, "change": 0}
+    metrics = [("wall_s", "lower"), ("setup_s", "lower"), ("peak_rss_mb", "lower"),
+               ("queries_per_s", "higher")]
+    earlier = {"wall_s": 0.2, "setup_s": 0.1, "peak_rss_mb": 38.0, "queries_per_s": 100.0}
+    for number, scale in ((3, 5.0), (12, 1.0), (20, 5.0)):  # 12 is the newest before 13
+        pairs = [({name: value * scale for name, value in earlier.items()},) * 2] * 10
+        bench_pairs.record(tmp_path / f"BENCH_{number}.json", "verify",
+                           bench_pairs.summarize(pairs, metrics[:3], even), {})
+    (tmp_path / "BENCH_notes.json").write_text("{}")
+    assert bench_pairs.earlier_record(tmp_path / "BENCH_13.json") == tmp_path / "BENCH_12.json"
+    assert bench_pairs.earlier_record(tmp_path / "BENCH_12.json") == tmp_path / "BENCH_3.json"
+    assert bench_pairs.earlier_record(tmp_path / "BENCH.json") == tmp_path / "BENCH_20.json"
+    runs = json.loads((tmp_path / "BENCH_12.json").read_text())
+    bounds = {"wall_s": ("lower", 0.25), "setup_s": ("lower", 0.25),
+              "peak_rss_mb": ("lower", 0.1), "queries_per_s": ("higher", 0.25)}
+    # wall_s 30% slower and setup_s 40% faster, beyond their 25%: flagged;
+    # peak_rss_mb +0.5 MB, inside RSS_NOISE_MB: not flagged
+    now = {"wall_s": 0.26, "setup_s": 0.06, "peak_rss_mb": 38.5, "queries_per_s": 50.0}
+    summaries = bench_pairs.summarize([(now, now)] * 10, metrics, even)
+    assert bench_pairs.comparison_lines(summaries, runs["verify"], bounds) == [
+        "wall_s           earlier 0.2 -> now 0.26  +30.0%  FLAG worse",
+        "setup_s          earlier 0.1 -> now 0.06  -40.0%  FLAG better",
+        "peak_rss_mb      earlier 38 -> now 38.5  +1.3%",
+    ]  # queries_per_s is not in the earlier record
+    # peak_rss_mb +0.7 MB, beyond RSS_NOISE_MB though inside its 10% bound:
+    # flagged; wall_s 20% slower, inside its 25%: not
+    now.update(peak_rss_mb=38.7, wall_s=0.24)
+    summaries = bench_pairs.summarize([(now, now)] * 10, metrics[:3], even)
+    assert bench_pairs.comparison_lines(summaries, runs["verify"], bounds)[::2] == [
+        "wall_s           earlier 0.2 -> now 0.24  +20.0%",
+        "peak_rss_mb      earlier 38 -> now 38.7  +1.8%  FLAG worse",
+    ]

@@ -18,6 +18,13 @@ provenance of the run: core count, Python and numpy versions, and each
 side's git revision and whether it holds compiled bytecode
 (``src/locpop/__pycache__``). Runs of other workloads already in the file
 are kept, so one file can hold a trajectory point for every workload.
+The recorded workload's change medians are then printed against those
+of the newest earlier record beside PATH: the ``BENCH_<n>.json`` with
+the largest n below PATH's own (any n when PATH's name carries none).
+A move is flagged where it exceeds the metric's ``bound`` in
+``BENCHMARK.json``, as a share of the earlier median; ``peak_rss_mb``
+instead where it exceeds RSS_NOISE_MB, the move that compiled bytecode
+and source size alone cause.
 
 Run from the repository root::
 
@@ -30,6 +37,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +46,8 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 PAIRS = 10  # pairs run, and the fewest that can show a gain
 WIN_SHARE = 0.9  # least share of pairs the change must win for a gain
+# MB that peak_rss_mb moves by with .pyc files and source size alone
+RSS_NOISE_MB = 0.6
 
 
 def quartiles(values):
@@ -118,6 +128,44 @@ def record(path, workload, summaries, run):
     path.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
 
 
+def earlier_record(path):
+    """The newest ``BENCH_<n>.json`` in the directory of ``path`` before it:
+    the largest n below the n of ``path``'s own name, or the largest of
+    all others if that name carries none; None if there is none."""
+    def number(candidate):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", candidate.name)
+        return int(match.group(1)) if match else None
+
+    path = Path(path)
+    own = number(path)
+    found = [(n, candidate) for candidate in path.parent.glob("BENCH_*.json")
+             if (n := number(candidate)) is not None and candidate.name != path.name
+             and (own is None or n < own)]
+    return max(found)[1] if found else None
+
+
+def comparison_lines(summaries, earlier, bounds):
+    """One line per summary whose metric ``earlier`` (one workload's entry of
+    an earlier record) holds: both change medians, the relative move, and a
+    flag where the move exceeds the metric's bound. ``bounds`` maps a metric
+    name to its ``(better, bound)`` in BENCHMARK.json; ``peak_rss_mb`` is
+    flagged beyond RSS_NOISE_MB instead."""
+    lines = []
+    for s in summaries:
+        if s["name"] not in earlier["metrics"]:
+            continue
+        old, new = earlier["metrics"][s["name"]]["change"][1], s["change"][1]
+        better, bound = bounds[s["name"]]
+        limit = RSS_NOISE_MB if s["name"] == "peak_rss_mb" else bound * abs(old)
+        move = f"{(new - old) / old:+.1%}" if old else "n/a"
+        line = f"{s['name']:16s} earlier {old:.6g} -> now {new:.6g}  {move}"
+        if abs(new - old) > limit:
+            worse = new > old if better == "lower" else new < old
+            line += f"  FLAG {'worse' if worse else 'better'}"
+        lines.append(line)
+    return lines
+
+
 def run_side(directory, workload, seconds, seed):
     """The JSON result of one ``perfbench/run.py`` run in ``directory``."""
     out = subprocess.run(
@@ -138,6 +186,7 @@ def main(argv=None):
     with open(BENCHMARK) as handle:
         benchmark = json.load(handle)
     metrics = [(m["name"], m["better"]) for m in benchmark["end_to_end"]]
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     # before the runs, which may write bytecode
     origin = provenance(args.parent, args.change) if args.record else None
@@ -161,6 +210,13 @@ def main(argv=None):
     if args.record:
         record(args.record, args.workload, summaries,
                {"provenance": origin, "seconds": seconds, "failed": failed})
+        earlier = earlier_record(args.record)
+        runs = json.loads(earlier.read_text()) if earlier else {}
+        if args.workload in runs:
+            print(f"change medians against {earlier.name}:")
+            print("\n".join(comparison_lines(summaries, runs[args.workload], bounds)))
+        else:
+            print(f"no earlier record of {args.workload} beside {args.record}")
     return 0
 
 
