@@ -22,13 +22,16 @@ cross-check suites of ``locpop verify``. ``model``, ``behaviors`` and
   suite.
 - *Verify suites*: :func:`verify_suites` runs the seven cross-check
   suites and yields one ``(suite, ok, detail)`` record per suite; the
-  command line only prints them. Each random suite draws all its
-  instances in one call and flags each instance as a mismatch or not.
+  command line only prints them. The two random suites take their
+  instances as arrays of unit draws, which :func:`verify_suites` draws
+  from one stdlib ``random.Random(seed)``, so a run loads no
+  ``numpy.random``; each flags each instance as a mismatch or not.
   The market-equilibria suite takes every instance's closed splits from
   one :func:`_equilibria_array` call, runs the pointwise test on blocks of
-  instances, deciding each cut from its two neighbouring consumers and
-  taking running extrema only for a row with a sum within ``_CUT_BAND``
-  of the slack, and meets only the passing shares with the closed splits;
+  instances that all fill one set of work arrays, deciding each cut from
+  its two neighbouring consumers and taking running extrema only for a
+  row with a sum within ``_CUT_BAND`` of the slack, and meets only the
+  passing shares with the closed splits;
   the best-deviation suite reads the closed-form supremum,
   :func:`behaviors._supremum`, and runs the deviation oracle's row-wise
   path, :func:`_best_deviations`, on blocks of instances of one behavior,
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -348,21 +352,39 @@ def _share_slack(a, grid: GridSpec):
 _CUT_BAND = 1e-14
 
 
-def _cut_margins(x1, x2, grid: GridSpec):
+def _share_work(rows: int, grid: GridSpec):
+    """Work arrays of :func:`_passing_shares` for blocks of up to ``rows``
+    instances at ``grid``: ``(margin, far, shift, left, right, mask,
+    upper)``, one row per instance. A block of fewer instances fills their
+    leading rows. The margins' sentinel columns are set here, once."""
+    n = grid.n_shares
+    margin = np.empty((rows, n + 1))
+    margin[:, 0] = np.inf
+    margin[:, -1] = -np.inf
+    far = np.empty((rows, n - 1))
+    shift, left, right = (np.empty((rows, n)) for _ in range(3))
+    mask, upper = (np.empty((rows, n), dtype=bool) for _ in range(2))
+    return margin, far, shift, left, right, mask, upper
+
+
+def _cut_margins(x1, x2, grid: GridSpec, work):
     """Firm 1's utility margins |v - x2| - |v - x1| at the consumers v of
     :func:`_passing_shares`, one row per instance, between a leading +inf
     and a trailing -inf: column k + 1 holds consumer k, so cut j has
-    column j on its left and column j + 1 on its right."""
+    column j on its left and column j + 1 on its right. Written into the
+    leading rows of ``work``'s margins (:func:`_share_work`), with its far
+    distances |v - x2| as temporary."""
     consumers = grid._share_grid[0]
     x1, x2 = (np.reshape(v, (-1, 1)) for v in (x1, x2))
-    margin = np.empty((len(x1), grid.n_shares + 1))
-    margin[:, 0] = np.inf
-    margin[:, -1] = -np.inf
-    np.subtract(np.abs(consumers - x2), np.abs(consumers - x1), out=margin[:, 1:-1])
+    margin, far = (array[:len(x1)] for array in work[:2])
+    inner = margin[:, 1:-1]
+    np.abs(np.subtract(consumers, x2, out=far), out=far)
+    np.abs(np.subtract(consumers, x1, out=inner), out=inner)
+    np.subtract(far, inner, out=inner)
     return margin
 
 
-def _passing_shares(a, x1, x2, grid: GridSpec):
+def _passing_shares(a, x1, x2, grid: GridSpec, work=None):
     """The share grid of :func:`oracle_market_equilibria` and, for a block
     of instances, the mask of candidates passing its pointwise test and the
     flat indices of its passing cells, ``np.flatnonzero(mask)``:
@@ -371,7 +393,11 @@ def _passing_shares(a, x1, x2, grid: GridSpec):
     ``a``, ``x1`` and ``x2`` (x1 <= x2) are floats or 1-D arrays of one
     length, one entry per instance; the mask has one row per instance.
     Only the utility margins (:func:`_cut_margins`) depend on the
-    instance; the grid arrays come from ``grid``, built once. The test at
+    instance; the grid arrays come from ``grid``, built once. Every block
+    array is written into the leading rows of ``work``
+    (:func:`_share_work`), so a caller running many blocks allocates them
+    once; when None they are allocated for this block. The mask is then
+    ``work``'s, overwritten by the next block. The test at
     cut j, with shift = a (2 s1 - 1), is ``shift + min(m[:j]) >= -slack``
     and ``shift + max(m[j:]) <= slack`` over the consumers' margins m; the
     sentinels let the cut at 0 (no consumer on its left) and the cut at 1
@@ -400,12 +426,16 @@ def _passing_shares(a, x1, x2, grid: GridSpec):
     """
     candidates, sign = grid._share_grid[1:]
     a = np.reshape(a, (-1, 1))
-    margin = _cut_margins(x1, x2, grid)
+    if work is None:
+        work = _share_work(len(a), grid)
+    margin = _cut_margins(x1, x2, grid, work)
+    shift, left, right, mask, upper = (array[:len(a)] for array in work[2:])
     slack = _share_slack(a, grid)
-    shift = a * sign
-    left = shift + margin[:, :-1]
-    right = shift + margin[:, 1:]
-    mask = (left >= -slack) & (right <= slack)
+    np.multiply(a, sign, out=shift)
+    np.add(shift, margin[:, :-1], out=left)
+    np.add(shift, margin[:, 1:], out=right)
+    np.greater_equal(left, -slack, out=mask)
+    mask &= np.less_equal(right, slack, out=upper)
     cells = np.flatnonzero(mask)
     rows = cells // grid.n_shares
     bound = slack[rows, 0]
@@ -569,35 +599,44 @@ _OPTIMUM_GRID = GridSpec(n_locations=201, n_shares=201)
 
 
 # Cells per block of instances in the two random suites: share-grid cells in
-# the market-equilibria suite, 4 instances at the default 2001 shares, and
-# half as many location-grid cells in the best-deviation suite, 2 instances at
-# the default 2001 locations, as a location cell holds about three times the
-# doubles of a share cell at a block's peak, its five share slots among them.
-# One instance is too small to spread numpy's per-call cost; larger blocks
-# free more heap at their end than glibc keeps, so it is handed back to the
-# system and faulted in again on every block. Where that starts depends on the
-# heap's history, down to the length of the source path. 2 cores, 2001 points.
-# The market suite for 4,096 / 8,192 / 16,384 cells: first run in a fresh
-# process, median of 15, 61 / 58 / 54 ms; warm runs, median over 8 processes
-# of each one's median of 10, 48 / 37 / 67 ms, with 103 / 103 / 11,728 minor
-# faults per run. The best-deviation suite run alone, medians over 9 fresh
-# processes, for 2,001 / 4,096 / 8,192 / 16,384 cells: first run 36.5 / 28.5 /
-# 24.8 / 23.3 ms, no faults; but inside verify_suites, after the market suite,
-# from copies of the package at 10 path lengths, 8,192 cells faulted 5,000 to
-# 5,800 pages per run of the suite at 3 of 10 lengths on the first run and 6
-# of 10 on the second, where 4,096 cells never faulted more than 23
-_SUITE_BLOCK_CELLS = 8192
+# the market-equilibria suite, 8 instances at the default 2001 shares, and a
+# quarter as many location-grid cells in the best-deviation suite, 2 instances
+# at the default 2001 locations. One instance is too small to spread numpy's
+# per-call cost. A block that frees more heap at its end than glibc keeps has
+# it handed back to the system and faulted in again on the next block; where
+# that starts depends on the heap's history, down to the length of the source
+# path. The market suite fills one set of work arrays for all its blocks, so
+# its block size no longer decides that: with arrays allocated per block and
+# no numpy.random import growing the heap first, its runs faulted 1,930 to
+# 4,479 pages. The best-deviation suite allocates per block, and there 8,192
+# cells faulted 5,000 to 5,800 pages per run at 3 of 10 source path lengths,
+# where 4,096 cells never faulted more than 23. Measured in perfbench's verify
+# worker, seeds 1-3, 2 cores, for market blocks of 8,192 / 16,384 / 32,768
+# cells: the market suite's minor faults per run 366-386 / 347-374 / 656-693
+# and its median time 34.5 / 27.1 / 29.6 ms; the whole verify unit, median of
+# 20 alternating fresh processes, 98.9 / 91.1 / 97.1 ms, against 106.2 ms
+# (and 391-404 faults) with numpy's generator and per-block arrays at 8,192 cells
+_SUITE_BLOCK_CELLS = 16384
 
 
-def _market_equilibria_suite(rng, grid: GridSpec, instances: int):
+def _uniform(units, low, high):
+    """The unit draws ``units`` scaled into [low, high) column by column,
+    ``low + (high - low) * units``: numpy's ``Generator.uniform`` arithmetic,
+    so a generator's ``random(shape)`` scaled here is its ``uniform`` draw
+    bit for bit."""
+    low, high = np.array(low), np.array(high)
+    return low + (high - low) * units
+
+
+def _market_equilibria_suite(units, grid: GridSpec):
     """Closed-form splits against the passing shares of the
-    market-equilibrium oracle on ``instances`` random (a, x1, x2), drawn
-    per instance as a from uniform(0.02, 0.98), then two uniform(0, 1)
-    locations; see :func:`_market_mismatches`."""
-    draws = rng.uniform([0.02, 0.0, 0.0], [0.98, 1.0, 1.0], size=(instances, 3))
+    market-equilibrium oracle on one random (a, x1, x2) per row of the
+    unit draws ``units``, shape (instances, 3), scaled as a in [0.02, 0.98)
+    and two locations in [0, 1); see :func:`_market_mismatches`."""
+    draws = _uniform(units, [0.02, 0.0, 0.0], [0.98, 1.0, 1.0])
     x1, x2 = np.sort(draws[:, 1:], axis=1).T
     mismatches = int(np.count_nonzero(_market_mismatches(draws[:, 0], x1, x2, grid)))
-    return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
+    return mismatches == 0, f"{len(units)} random instances, {mismatches} mismatches"
 
 
 def _market_mismatches(a, x1, x2, grid: GridSpec):
@@ -624,20 +663,27 @@ def _market_mismatches(a, x1, x2, grid: GridSpec):
     one slot per kind, NaN where absent; coincident shares stay apart, which
     changes no flag, as every test is per slot or any over the slots.
     Instances run through :func:`_passing_shares` in blocks of
-    ``_SUITE_BLOCK_CELLS`` share-grid cells. Only the passing (instance,
-    share) pairs, whose flat indices each block hands back, meet the
-    instance's splits.
+    ``_SUITE_BLOCK_CELLS`` share-grid cells, all filling one set of work
+    arrays (:func:`_share_work`). Only the passing (instance, share) pairs,
+    whose flat indices each block hands back, meet the instance's splits.
     """
     spacing = 1.0 / (grid.n_shares - 1)
     closed = _equilibria_array(a, x1, x2)[0].T
     rows = max(1, _SUITE_BLOCK_CELLS // grid.n_shares)
+    work = _share_work(min(rows, len(a)), grid)
     passing = [np.empty(0, dtype=np.intp)]  # flat indices into (instance, candidate)
     for first in range(0, len(a), rows):
         block = slice(first, first + rows)
-        _, _, cells = _passing_shares(a[block], x1[block], x2[block], grid)
+        _, _, cells = _passing_shares(a[block], x1[block], x2[block], grid, work)
         passing.append(cells + first * grid.n_shares)
+    # freed first: the pairs' arrays below then reuse its heap pages, where
+    # fresh ones would be faulted in
+    del work
     instance, candidate = np.divmod(np.concatenate(passing), grid.n_shares)
-    distance = np.abs(grid._share_grid[1][candidate, None] - closed[instance])
+    # one (pair, slot) array gathers each pair's splits, then its reaches
+    gathered = closed[instance]
+    distance = np.subtract(grid._share_grid[1][candidate, None], gathered)
+    np.abs(distance, out=distance)
     covered = np.zeros(closed.shape, dtype=bool)
     np.logical_or.at(covered, instance, distance <= spacing)
     missed = ~(covered | np.isnan(closed)).all(axis=1)
@@ -645,18 +691,20 @@ def _market_mismatches(a, x1, x2, grid: GridSpec):
     slope = np.where((x1[:, None] < closed) & (closed < x2[:, None]),
                      2.0 - 2.0 * a[:, None], 2.0 * a[:, None])
     reach = (slack[:, None] + spacing) / slope + spacing
-    stray = np.bincount(instance[~(distance <= reach[instance]).any(axis=1)], minlength=len(a))
+    within = np.less_equal(distance, np.take(reach, instance, axis=0, out=gathered))
+    stray = np.bincount(instance[~within.any(axis=1)], minlength=len(a))
     far = np.abs(_condition_gaps(a, x1, x2)).min(axis=0) > slack + 2.0 * spacing
     return missed | (far & (stray > 0))
 
 
-def _best_deviation_suite(rng, grid: GridSpec, instances: int):
-    """Closed-form best deviations against the deviation oracle on
-    ``instances`` random (a, x_other), drawn per instance from
-    uniform(0.05, 0.95) and uniform(0, 1); see :func:`_deviation_mismatches`."""
-    a, x_other = rng.uniform([0.05, 0.0], [0.95, 1.0], size=(instances, 2)).T
+def _best_deviation_suite(units, grid: GridSpec):
+    """Closed-form best deviations against the deviation oracle on one
+    random (a, x_other) per row of the unit draws ``units``, shape
+    (instances, 2), scaled into [0.05, 0.95) and [0, 1); see
+    :func:`_deviation_mismatches`."""
+    a, x_other = _uniform(units, [0.05, 0.0], [0.95, 1.0]).T
     mismatches = int(np.count_nonzero(_deviation_mismatches(a, x_other, grid)))
-    return mismatches == 0, f"{instances} random instances, {mismatches} mismatches"
+    return mismatches == 0, f"{len(units)} random instances, {mismatches} mismatches"
 
 
 def _deviation_mismatches(a, x_other, grid: GridSpec):
@@ -679,12 +727,12 @@ def _deviation_maxima(a, x_other, grid: GridSpec):
 
     The instances of one behavior (index k % 3) run together through
     :func:`_best_deviations`, one row of the location grid per instance, in
-    blocks of half ``_SUITE_BLOCK_CELLS`` location cells: max(1,
-    ``_SUITE_BLOCK_CELLS`` // (2 n_locations)) instances per block.
+    blocks of a quarter of ``_SUITE_BLOCK_CELLS`` location cells: max(1,
+    ``_SUITE_BLOCK_CELLS`` // (4 n_locations)) instances per block.
     """
     xs = grid._location_grid
     maxima = np.empty(len(a))
-    rows = max(1, _SUITE_BLOCK_CELLS // (2 * grid.n_locations))
+    rows = max(1, _SUITE_BLOCK_CELLS // (4 * grid.n_locations))
     for k, behavior in enumerate(BehaviorKind):
         members = np.arange(k, len(a), 3)
         for first in range(0, len(members), rows):
@@ -782,16 +830,23 @@ def verify_suites(theta: float, seed: int, instances: int, grid: GridSpec):
     """Run the cross-check suites of ``locpop verify`` one at a time, in order.
 
     Yields ``(suite, ok, detail)`` as each suite finishes. The two random
-    suites draw from one ``default_rng(seed)``: ``instances`` market
-    instances with the oracles at ``grid``, then max(60, instances // 5)
-    deviations. The other suites use fixed grids at intrinsic utility
-    ``theta``; it and ``instances`` are checked before any suite runs.
+    suites draw their instances from one stdlib ``random.Random(seed)``, in
+    turn: ``instances`` market instances, three unit draws each, with the
+    oracles at ``grid``, then max(60, instances // 5) deviations, two each.
+    The other suites use fixed grids at intrinsic utility ``theta``. It,
+    ``seed`` (a non-negative integer) and ``instances`` are checked before
+    any suite runs.
     """
     GameParams(0.5, theta)  # raises on a bad theta
+    seed = _size("seed", seed, 0)
     instances = _size("instances", instances, 0)
-    rng = np.random.default_rng(seed)
-    yield ("market-equilibria", *_market_equilibria_suite(rng, grid, instances))
-    yield ("best-deviation", *_best_deviation_suite(rng, grid, max(60, instances // 5)))
+    draw = random.Random(seed).random
+
+    def units(rows, columns):
+        return np.array([draw() for _ in range(rows * columns)]).reshape(rows, columns)
+
+    yield ("market-equilibria", *_market_equilibria_suite(units(instances, 3), grid))
+    yield ("best-deviation", *_best_deviation_suite(units(max(60, instances // 5), 2), grid))
     yield ("social-optimum", *_social_optimum_suite(theta))
     ok, detail, half_ne = _pessimistic_region_suite(theta)
     yield "pessimistic-region", ok, detail

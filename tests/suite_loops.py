@@ -2,9 +2,10 @@
 
 These are the market-equilibria and best-deviation suites of
 ``oracle.verify_suites`` as they were before the market suite ran in
-blocks of instances, kept with their arithmetic and their draws unchanged
-as a test oracle: each draws its instances one at a time from ``rng`` and
-gives one mismatch flag per instance. The market reference draws in
+blocks of instances, kept with their arithmetic unchanged as a test
+oracle: each scales its instances one at a time from a row of unit draws,
+as ``Generator.uniform`` scales one draw, and gives one mismatch flag per
+instance. The market reference draws in
 :func:`loop_market_instances`, which also keeps each instance's passing
 shares, and flags in :func:`loop_market_flags`; the deviation reference
 draws in :func:`loop_deviation_instances`, which also keeps each
@@ -40,14 +41,21 @@ def loop_passing_shares(params, loc, grid):
     return candidates, (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
 
 
-def loop_market_instances(rng, grid, instances):
-    """The market suite's instances, drawn one at a time from ``rng``: each
-    one's params, locations and the share-grid candidates that pass at them,
-    none of which reads the closed-form splits."""
+def uniform(u, low, high):
+    """One unit draw ``u`` scaled into [low, high), as ``Generator.uniform``
+    scales it."""
+    return low + (high - low) * u
+
+
+def loop_market_instances(units, grid):
+    """The market suite's instances, one per row of the unit draws ``units``
+    (a sequence of 3-float rows): each one's params, locations and the
+    share-grid candidates that pass at them, none of which reads the
+    closed-form splits."""
     drawn = []
-    for _ in range(instances):
-        a = float(rng.uniform(0.02, 0.98))
-        x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2))
+    for u_a, u_1, u_2 in units:
+        a = uniform(float(u_a), 0.02, 0.98)
+        x1, x2 = sorted((uniform(float(u_1), 0.0, 1.0), uniform(float(u_2), 0.0, 1.0)))
         params = GameParams(a)
         loc = Locations(float(x1), float(x2))
         candidates, mask = loop_passing_shares(params, loc, grid)
@@ -73,16 +81,16 @@ def loop_market_flags(drawn, grid):
     return flags
 
 
-def loop_deviation_instances(rng, grid, instances):
-    """The best-deviation suite's instances, drawn one at a time from
-    ``rng``: each one's a, behavior and opponent location, with the
-    deviation oracle's maximum and its Lipschitz tolerance, none of which
-    reads the closed-form suprema."""
+def loop_deviation_instances(units, grid):
+    """The best-deviation suite's instances, one per row of the unit draws
+    ``units`` (a sequence of 2-float rows): each one's a, behavior and
+    opponent location, with the deviation oracle's maximum and its
+    Lipschitz tolerance, none of which reads the closed-form suprema."""
     drawn = []
     behaviors = list(BehaviorKind)
-    for k in range(instances):
-        a = float(rng.uniform(0.05, 0.95))
-        x_other = float(rng.uniform(0.0, 1.0))
+    for k, (u_a, u_x) in enumerate(units):
+        a = uniform(float(u_a), 0.05, 0.95)
+        x_other = uniform(float(u_x), 0.0, 1.0)
         behavior = behaviors[k % 3]
         _, grid_best = oracle_best_deviation(GameParams(a), behavior, x_other, grid)
         lipschitz = max(1.0 / (1.0 - a), 1.0 / (2.0 * a))

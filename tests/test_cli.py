@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -55,6 +56,7 @@ from suite_loops import (
     loop_deviation_instances,
     loop_market_flags,
     loop_market_instances,
+    uniform,
 )
 from table_blocks import REGION_TYPES, assert_same_columns, block_rows
 
@@ -950,6 +952,21 @@ def test_verify_suites_rejects_a_bad_instance_count(instances, error, message, m
     assert calls == []  # before any suite runs
 
 
+# random.Random would take each of these: None as OS entropy, -1 as 1, and
+# 1.5 and "3" by their hash or bytes
+@pytest.mark.parametrize("seed, error, message", [
+    (None, TypeError, "seed must be an integer, got None"),
+    (-1, ValueError, "seed must be at least 0, got -1"),
+    (1.5, TypeError, "seed must be an integer, got 1.5"),
+    ("3", TypeError, "seed must be an integer, got '3'"),
+])
+def test_verify_suites_rejects_a_bad_seed(seed, error, message, monkeypatch):
+    calls = caught(monkeypatch, "_market_mismatches")
+    with pytest.raises(error, match=message):
+        next(verify_suites(1.0, seed, 5, GridSpec(5, 5)))
+    assert calls == []  # before any suite runs
+
+
 def test_verify_suites_yields_the_benchmarked_suites_in_order():
     records = list(verify_suites(1.0, 0, 0, GridSpec(2, 2)))
     assert tuple(suite for suite, _, _ in records) == perfbench_literal("VERIFY_SUITES")
@@ -970,7 +987,7 @@ def test_verify_suites_yields_the_benchmarked_suites_in_order():
 ])
 def test_market_equilibria_suite_skips_near_boundary(seed, instances):
     ok, detail = oracle._market_equilibria_suite(
-        np.random.default_rng(seed), GridSpec(), instances)
+        np.random.default_rng(seed).random((instances, 3)), GridSpec())
     assert ok is True
     assert detail == f"{instances} random instances, 0 mismatches"
 
@@ -984,7 +1001,8 @@ def test_market_equilibria_suite_catches_a_moved_share(monkeypatch):
         return shares, unique
 
     monkeypatch.setattr(oracle, "_equilibria_array", moved)
-    ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0), GridSpec(), 100)
+    ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0).random((100, 3)),
+                                                 GridSpec())
     assert ok is False
     assert detail == "100 random instances, 42 mismatches"
 
@@ -1000,7 +1018,8 @@ def test_market_equilibria_suite_catches_moved_interior_splits(shift, mismatches
         return shares, unique
 
     monkeypatch.setattr(oracle, "_equilibria_array", moved)
-    ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0), GridSpec(), 300)
+    ok, detail = oracle._market_equilibria_suite(np.random.default_rng(0).random((300, 3)),
+                                                 GridSpec())
     assert ok is False
     assert detail == f"300 random instances, {mismatches} mismatches"
 
@@ -1012,7 +1031,7 @@ def test_market_equilibria_suite_catches_moved_interior_splits(shift, mismatches
 ])
 def test_market_equilibria_suite_at_other_grids(n_shares, seed, instances):
     ok, detail = oracle._market_equilibria_suite(
-        np.random.default_rng(seed), GridSpec(n_shares=n_shares), instances)
+        np.random.default_rng(seed).random((instances, 3)), GridSpec(n_shares=n_shares))
     assert ok is True
     assert detail == f"{instances} random instances, 0 mismatches"
 
@@ -1033,25 +1052,27 @@ def caught(monkeypatch, name):
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 902, 1607])
 def test_random_suites_draw_as_one_call_per_instance(seed, monkeypatch):
-    """The batched draws of both random suites, from one generator in turn,
-    are the doubles of the per-instance calls they replaced."""
+    """The batched draws of both random suites in ``verify_suites``, from one
+    ``random.Random(seed)`` in turn, are the doubles of per-instance calls:
+    a and two sorted locations per market instance, then a and x_other per
+    deviation. At seed 0 the first instance of each suite is pinned as
+    literals, so that a change of the stream itself shows on any Python."""
     markets = caught(monkeypatch, "_market_mismatches")
     deviations = caught(monkeypatch, "_deviation_mismatches")
-    rng = np.random.default_rng(seed)
-    oracle._market_equilibria_suite(rng, GridSpec(2, 2), 1001)
-    oracle._best_deviation_suite(rng, GridSpec(2, 2), 200)
-    reference = np.random.default_rng(seed)
-    expected = []
-    for _ in range(1001):
-        a = float(reference.uniform(0.02, 0.98))
-        x1, x2 = sorted(reference.uniform(0.0, 1.0, size=2))
-        expected.append((a, float(x1), float(x2)))
+    list(islice(verify_suites(1.0, seed, 1001, GridSpec(2, 2)), 2))
+    draw = random.Random(seed).random
+    expected = [(uniform(draw(), 0.02, 0.98),
+                 *sorted((uniform(draw(), 0.0, 1.0), uniform(draw(), 0.0, 1.0))))
+                for _ in range(1001)]
     [((a, x1, x2, _), _)] = markets
     assert list(zip(a.tolist(), x1.tolist(), x2.tolist())) == expected
-    expected = [(float(reference.uniform(0.05, 0.95)), float(reference.uniform(0.0, 1.0)))
-                for _ in range(200)]
+    if seed == 0:  # draws 0.8444218515250481, 0.7579544029403025, 0.420571580830845
+        assert expected[0] == (0.8306449774640462, 0.420571580830845, 0.7579544029403025)
+    expected = [(uniform(draw(), 0.05, 0.95), uniform(draw(), 0.0, 1.0)) for _ in range(200)]
     [((a, x_other, _), _)] = deviations
     assert list(zip(a.tolist(), x_other.tolist())) == expected
+    if seed == 0:  # draws 3004 and 3005, 0.1287153958011863 and 0.9339906610332942
+        assert expected[0] == (0.16584385622106768, 0.9339906610332942)
 
 
 SUITE_GRIDS = [GridSpec(2, 2), GridSpec(3, 7), GridSpec(n_shares=201), GridSpec(),
@@ -1090,10 +1111,11 @@ def assert_market_suite_is_the_loop(grid, instances, shifts, monkeypatch):
     monkeypatch.setattr(oracle, "_equilibria_array", moved)
     calls = caught(monkeypatch, "_market_mismatches")
     # the draws and their passing shares do not depend on the shift
-    drawn = loop_market_instances(np.random.default_rng(7), grid, instances)
+    units = np.random.default_rng(7).random((instances, 3))
+    drawn = loop_market_instances(units, grid)
     for shift in shifts:
         calls.clear()
-        _, detail = oracle._market_equilibria_suite(np.random.default_rng(7), grid, instances)
+        _, detail = oracle._market_equilibria_suite(units, grid)
         [(_, flags)] = calls
         expected = loop_market_flags(drawn, grid)
         assert flags.tolist() == expected, shift
@@ -1118,12 +1140,13 @@ def test_best_deviation_suite_matches_the_instance_loop(grid, instances, monkeyp
     calls = caught(monkeypatch, "_deviation_mismatches")
     maxima = caught(monkeypatch, "_deviation_maxima")
     # the draws and their oracle maxima do not depend on the raise
-    drawn = loop_deviation_instances(np.random.default_rng(7), grid, instances)
+    units = np.random.default_rng(7).random((instances, 2))
+    drawn = loop_deviation_instances(units, grid)
     grid_best = np.array([best for _, _, _, best, _ in drawn], dtype=np.float64)
     for raise_by in (0.0, 3e-3):
         calls.clear()
         maxima.clear()
-        _, detail = oracle._best_deviation_suite(np.random.default_rng(7), grid, instances)
+        _, detail = oracle._best_deviation_suite(units, grid)
         [(_, flags)] = calls
         [(_, found)] = maxima
         assert found.view(np.int64).tolist() == grid_best.view(np.int64).tolist()

@@ -229,6 +229,29 @@ def test_a_cut_at_the_slack_is_decided_by_the_running_extrema(a, x1, x2, cuts, m
     assert cells.tolist() == np.flatnonzero(neighbours).tolist()
 
 
+def test_passing_shares_blocks_through_held_work_arrays():
+    """Blocks of shrinking row counts through one set of work arrays, as the
+    market suite runs them: a full block, then partial ones, the second with
+    a row that the cut band sends to the running extrema and the last with
+    the five splits, 0 and 1 among them, which read the margins' sentinels.
+    Each block's mask and cells are those of freshly allocated arrays, the
+    mask is the work arrays', and the sentinels stay in place."""
+    grid = GridSpec()
+    a, p, q = np.random.default_rng(3).random((3, 6))
+    a, x1, x2 = 0.02 + (0.98 - 0.02) * a, np.minimum(p, q), np.maximum(p, q)
+    a[4], x1[4], x2[4] = 0.3, 0.5, 0.740650001  # a cut at the slack
+    a[5], x1[5], x2[5] = 0.5, 1 / 3, 2 / 3  # five splits
+    work = oracle._share_work(4, grid)
+    for block in (slice(0, 4), slice(3, 6), slice(5, 6)):
+        _, fresh, fresh_cells = oracle._passing_shares(a[block], x1[block], x2[block], grid)
+        _, mask, cells = oracle._passing_shares(a[block], x1[block], x2[block], grid, work)
+        assert np.shares_memory(mask, work[5])
+        assert mask.tolist() == fresh.tolist()
+        assert cells.tolist() == fresh_cells.tolist()
+    assert mask[0, [0, -1]].all()  # the five-split row passes both end cuts
+    assert (work[0][:, 0] == np.inf).all() and (work[0][:, -1] == -np.inf).all()
+
+
 UNIT = 2.0 ** -53
 unit_location = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
@@ -245,7 +268,8 @@ def test_running_extrema_lie_within_6u_of_the_neighbour_margins(locations, n_sha
     minimum left of a cut lies at most 6u below the margin of the consumer
     next to it, and the running maximum right of it at most 6u above."""
     x1, x2 = sorted(locations)
-    margin = oracle._cut_margins(x1, x2, GridSpec(n_shares=n_shares))[0]
+    grid = GridSpec(n_shares=n_shares)
+    margin = oracle._cut_margins(x1, x2, grid, oracle._share_work(1, grid))[0]
     left, right = margin[:-1], margin[1:]  # per cut, with the sentinels
     prefix_min = np.minimum.accumulate(left)
     suffix_max = np.maximum.accumulate(right[::-1])[::-1]

@@ -63,6 +63,22 @@ def test_scalar_core_runs_without_numpy():
     assert done.stdout.splitlines()[-1] == f"sha256 {scalar_corpus.PINNED_SHA256}"
 
 
+def test_verify_imports_neither_numpy_random_nor_secrets():
+    """``verify`` draws its instances from the stdlib generator, which the
+    CLI has already loaded, so a fresh process running it never imports
+    ``numpy.random``, nor ``secrets``, which ``numpy.random`` would bring."""
+    src = Path(locpop.__file__).resolve().parent.parent
+    script = ("import sys\n"
+              "from locpop import cli\n"
+              "code = cli.main(['verify', '--instances', '3', '--grid-shares', '3',"
+              " '--grid-locations', '3'])\n"
+              "print(code, sorted({'numpy.random', 'secrets'} & sys.modules.keys()))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_no_enum_member_is_read_through_its_class_per_call():
     """No function or lambda body reads ``Kind.<MEMBER>`` or
     ``BehaviorKind.<MEMBER>``: on CPython <= 3.11 each such read runs the
@@ -201,8 +217,9 @@ def test_bench_pairs_records_each_workload_with_its_provenance(tmp_path):
 
 
 def test_bench_pairs_compares_with_the_newest_earlier_record(tmp_path):
-    """Two synthetic records, and the change medians of a new run against the
-    newest earlier one, flagged beyond each metric's bound; no benchmark runs."""
+    """Two synthetic records, and the medians of a new run against the newest
+    earlier one's change medians, the change's move net of the parent's
+    drift and flagged beyond each metric's bound; no benchmark runs."""
     bench_pairs = load_bench_pairs()
     assert bench_pairs.earlier_record(tmp_path / "BENCH_13.json") is None
     even = {"parent": 0, "change": 0}
@@ -220,20 +237,26 @@ def test_bench_pairs_compares_with_the_newest_earlier_record(tmp_path):
     runs = json.loads((tmp_path / "BENCH_12.json").read_text())
     bounds = {"wall_s": ("lower", 0.25), "setup_s": ("lower", 0.25),
               "peak_rss_mb": ("lower", 0.1), "queries_per_s": ("higher", 0.25)}
-    # wall_s 30% slower and setup_s 40% faster, beyond their 25%: flagged;
-    # peak_rss_mb +0.5 MB, inside RSS_NOISE_MB: not flagged
-    now = {"wall_s": 0.26, "setup_s": 0.06, "peak_rss_mb": 38.5, "queries_per_s": 50.0}
-    summaries = bench_pairs.summarize([(now, now)] * 10, metrics, even)
+    # this run's parent is the code BENCH_12 measured as its change, but reads
+    # wall_s 10% and peak_rss_mb 1 MB above it: the host's drift, which the
+    # change's move is reported net of. Net of it, wall_s is 33% slower and
+    # setup_s 40% faster, beyond their 25%: flagged; peak_rss_mb +0.3 MB,
+    # inside RSS_NOISE_MB though 1.3 MB above the earlier median: not flagged
+    parent = {"wall_s": 0.22, "setup_s": 0.1, "peak_rss_mb": 39.0, "queries_per_s": 50.0}
+    now = {"wall_s": 0.286, "setup_s": 0.06, "peak_rss_mb": 39.3, "queries_per_s": 50.0}
+    summaries = bench_pairs.summarize([(parent, now)] * 10, metrics, even)
     assert bench_pairs.comparison_lines(summaries, runs["verify"], bounds) == [
-        "wall_s           earlier 0.2 -> now 0.26  +30.0%  FLAG worse",
-        "setup_s          earlier 0.1 -> now 0.06  -40.0%  FLAG better",
-        "peak_rss_mb      earlier 38 -> now 38.5  +1.3%",
+        "wall_s           earlier 0.2 -> parent 0.22 +10.0% -> change 0.286  net +33.0%"
+        "  FLAG worse",
+        "setup_s          earlier 0.1 -> parent 0.1 +0.0% -> change 0.06  net -40.0%"
+        "  FLAG better",
+        "peak_rss_mb      earlier 38 -> parent 39 +2.6% -> change 39.3  net +0.8%",
     ]  # queries_per_s is not in the earlier record
-    # peak_rss_mb +0.7 MB, beyond RSS_NOISE_MB though inside its 10% bound:
-    # flagged; wall_s 20% slower, inside its 25%: not
-    now.update(peak_rss_mb=38.7, wall_s=0.24)
-    summaries = bench_pairs.summarize([(now, now)] * 10, metrics[:3], even)
+    # peak_rss_mb +0.7 MB net, beyond RSS_NOISE_MB though inside its 10% bound:
+    # flagged; wall_s 20% slower net, inside its 25%: not
+    now.update(peak_rss_mb=39.7, wall_s=0.26)
+    summaries = bench_pairs.summarize([(parent, now)] * 10, metrics[:3], even)
     assert bench_pairs.comparison_lines(summaries, runs["verify"], bounds)[::2] == [
-        "wall_s           earlier 0.2 -> now 0.24  +20.0%",
-        "peak_rss_mb      earlier 38 -> now 38.7  +1.8%  FLAG worse",
+        "wall_s           earlier 0.2 -> parent 0.22 +10.0% -> change 0.26  net +20.0%",
+        "peak_rss_mb      earlier 38 -> parent 39 +2.6% -> change 39.7  net +1.8%  FLAG worse",
     ]

@@ -18,13 +18,16 @@ provenance of the run: core count, Python and numpy versions, and each
 side's git revision and whether it holds compiled bytecode
 (``src/locpop/__pycache__``). Runs of other workloads already in the file
 are kept, so one file can hold a trajectory point for every workload.
-The recorded workload's change medians are then printed against those
-of the newest earlier record beside PATH: the ``BENCH_<n>.json`` with
-the largest n below PATH's own (any n when PATH's name carries none).
-A move is flagged where it exceeds the metric's ``bound`` in
-``BENCHMARK.json``, as a share of the earlier median; ``peak_rss_mb``
-instead where it exceeds RSS_NOISE_MB, the move that compiled bytecode
-and source size alone cause.
+The recorded workload's medians are then printed against the change
+medians of the newest earlier record beside PATH: the ``BENCH_<n>.json``
+with the largest n below PATH's own (any n when PATH's name carries
+none). That record is taken to have measured this run's parent as its
+change, so the parent's move from it is the drift of the host and the
+run's setup, not of the code, and the change's move is reported net of
+that drift. A net move is flagged where it exceeds the metric's
+``bound`` in ``BENCHMARK.json``, as a share of the earlier median;
+``peak_rss_mb`` instead where it exceeds RSS_NOISE_MB, the move that
+compiled bytecode and source size alone cause.
 
 Run from the repository root::
 
@@ -146,21 +149,31 @@ def earlier_record(path):
 
 def comparison_lines(summaries, earlier, bounds):
     """One line per summary whose metric ``earlier`` (one workload's entry of
-    an earlier record) holds: both change medians, the relative move, and a
-    flag where the move exceeds the metric's bound. ``bounds`` maps a metric
-    name to its ``(better, bound)`` in BENCHMARK.json; ``peak_rss_mb`` is
-    flagged beyond RSS_NOISE_MB instead."""
+    an earlier record, which measured this run's parent as its change)
+    holds: the earlier change median, this run's parent median and its
+    drift from the earlier one, this run's change median, and the change's
+    move net of the parent's drift, (change - earlier) - (parent -
+    earlier), each relative to the earlier median. A flag marks a net move
+    beyond the metric's bound; ``bounds`` maps a metric name to its
+    ``(better, bound)`` in BENCHMARK.json, and ``peak_rss_mb`` is flagged
+    beyond RSS_NOISE_MB instead."""
     lines = []
     for s in summaries:
         if s["name"] not in earlier["metrics"]:
             continue
-        old, new = earlier["metrics"][s["name"]]["change"][1], s["change"][1]
+        old = earlier["metrics"][s["name"]]["change"][1]
+        parent, new = s["parent"][1], s["change"][1]
+        net = new - parent  # (new - old) - (parent - old)
         better, bound = bounds[s["name"]]
         limit = RSS_NOISE_MB if s["name"] == "peak_rss_mb" else bound * abs(old)
-        move = f"{(new - old) / old:+.1%}" if old else "n/a"
-        line = f"{s['name']:16s} earlier {old:.6g} -> now {new:.6g}  {move}"
-        if abs(new - old) > limit:
-            worse = new > old if better == "lower" else new < old
+
+        def share(move):
+            return f"{move / old:+.1%}" if old else "n/a"
+
+        line = (f"{s['name']:16s} earlier {old:.6g} -> parent {parent:.6g} "
+                f"{share(parent - old)} -> change {new:.6g}  net {share(net)}")
+        if abs(net) > limit:
+            worse = net > 0 if better == "lower" else net < 0
             line += f"  FLAG {'worse' if worse else 'better'}"
         lines.append(line)
     return lines
@@ -213,7 +226,7 @@ def main(argv=None):
         earlier = earlier_record(args.record)
         runs = json.loads(earlier.read_text()) if earlier else {}
         if args.workload in runs:
-            print(f"change medians against {earlier.name}:")
+            print(f"medians against the change of {earlier.name}, net of the parent's drift:")
             print("\n".join(comparison_lines(summaries, runs[args.workload], bounds)))
         else:
             print(f"no earlier record of {args.workload} beside {args.record}")
