@@ -165,25 +165,34 @@ def _aggregate(behavior: BehaviorKind, shares) -> float:
     return total / len(shares)
 
 
+def _deviation_splits(a: float, x_dev: float, x_other: float):
+    """``(splits, own)``: the ``_equilibria`` of the firms at x_dev and
+    x_other, in location order, and the deviating firm's share in each, s1
+    where x_dev <= x_other and 1 - s1 where it lies right of x_other."""
+    if x_dev <= x_other:
+        splits = _equilibria(a, x_dev, x_other)
+        return splits, [s for _, s in splits]
+    splits = _equilibria(a, x_other, x_dev)
+    return splits, [1.0 - s for _, s in splits]
+
+
 def _deviation_value(a: float, behavior: BehaviorKind, x_dev: float, x_other: float) -> float:
     """Behavior-aggregated share of a firm locating at x_dev against x_other."""
-    if x_dev <= x_other:
-        shares = [s for _, s in _equilibria(a, x_dev, x_other)]
-    else:
-        shares = [1.0 - s for _, s in _equilibria(a, x_other, x_dev)]
-    return _aggregate(behavior, shares)
+    return _aggregate(behavior, _deviation_splits(a, x_dev, x_other)[1])
 
 
 def _check_deviation_args(deviator: int, x_other: float, x_dev: float = 0.0):
-    if deviator not in (1, 2):
+    # the int 1 or 2 only: True == 1 and 2.0 == 2, but a report echoes the deviator
+    if type(deviator) is not int or deviator not in (1, 2):
         raise ValueError(f"deviator must be firm 1 or 2, got {deviator}")
     if not (0.0 <= x_dev <= 1.0 and 0.0 <= x_other <= 1.0):
         raise ValueError("deviation and opponent locations must lie in [0, 1]")
 
 
-def _report(params: GameParams, deviator: int, location: float, x_other: float, payoff: float):
-    loc = Locations.from_unordered(location, x_other)
-    outcomes = tuple(enumerate_market_equilibria(params, loc))
+def _report(deviator: int, location: float, payoff: float, splits):
+    """The :class:`DeviationReport` of ``deviator`` at ``location``, its
+    outcomes the ``splits`` (:func:`_deviation_splits`) there."""
+    outcomes = tuple(MarketOutcome(kind, s1) for kind, s1 in splits)
     return DeviationReport(deviator, location, payoff, outcomes)
 
 
@@ -202,8 +211,8 @@ def deviation_payoff(
     enumerated kinds (neutral).
     """
     _check_deviation_args(deviator, x_other, x_dev)
-    payoff = _deviation_value(params.a, behavior, x_dev, x_other)
-    return _report(params, deviator, x_dev, x_other, payoff)
+    splits, own = _deviation_splits(params.a, x_dev, x_other)
+    return _report(deviator, x_dev, _aggregate(behavior, own), splits)
 
 
 def _neutral_candidates(a: float, y: float):
@@ -288,7 +297,7 @@ def best_deviation(
     """
     _check_deviation_args(deviator, x_other)
     location, payoff = _supremum(params.a, behavior, x_other)
-    return _report(params, deviator, location, x_other, payoff)
+    return _report(deviator, location, payoff, _deviation_splits(params.a, location, x_other)[0])
 
 
 def is_nash(

@@ -1,4 +1,5 @@
-"""sha256 digests of CLI outputs, pinned in ``golden_outputs.json``.
+"""sha256 digests of CLI outputs, pinned in ``golden_outputs.json``, and of
+the five figure files, pinned in ``perfbench/worker.py``.
 
 Each invocation runs in-process through ``locpop.cli.main`` and its stdout
 is hashed. ``mismatches`` is the one comparison with the manifest: tier-1's
@@ -8,17 +9,26 @@ with numpy blocked. After an intended output change only, regenerate the
 manifest with
 
     PYTHONPATH=src python tests/golden_outputs.py
+
+``figure_mismatches`` is the one comparison with the figure digests, which
+the benchmark's figures gate requires too: tier-1's
+``test_cli.py::test_figures_writes_datasets`` runs it on the files of
+``locpop figures``, and ``scalar_corpus.py`` on tables written with numpy
+blocked.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import pathlib
+from itertools import zip_longest
 
 from locpop.cli import main
 
 MANIFEST = pathlib.Path(__file__).with_name("golden_outputs.json")
+PERFBENCH_WORKER = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 BEHAVIORS = ("pessimistic", "neutral", "optimistic")
 # the commands outside the numpy layer, which run on the stdlib alone
 NUMPY_FREE_COMMANDS = ("market-eq", "nash-check", "welfare", "social-opt",
@@ -97,6 +107,26 @@ def mismatches(commands=None):
     if not pinned and not got:
         lines.append(f"no invocation of {commands} pinned or run")
     return sorted(lines)
+
+
+def perfbench_literal(name):
+    """The literal bound to ``name`` in perfbench/worker.py, whose gates
+    require it: VERIFY_SUITES, the suites of the verify gate, or
+    FIGURE_SHA256, the digests of the figures gate."""
+    tree = ast.parse(PERFBENCH_WORKER.read_text())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == [name]]
+    return ast.literal_eval(value)
+
+
+def figure_mismatches(figures):
+    """One line per way ``figures``, (file name, bytes) pairs in the order
+    written, miss ``FIGURE_SHA256``: a file out of its order, missing or
+    extra, or a digest that differs."""
+    pinned = perfbench_literal("FIGURE_SHA256").items()
+    got = [(name, hashlib.sha256(data).hexdigest()) for name, data in figures]
+    return [f"figure (name, sha256) {g} where FIGURE_SHA256 has {p}"
+            for g, p in zip_longest(got, pinned) if g != p]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""The bare-interpreter check: the scalar core and the numpy-free commands
-run on the stdlib alone and give their pinned outputs.
+"""The bare-interpreter check: the scalar core, the numpy-free commands and
+the five figure tables run on the stdlib alone and give their pinned outputs.
 
 ``locpop.model``, ``locpop.behaviors``, ``locpop.welfare`` and the CLI
 commands outside the numpy layer must import and run without numpy. This
@@ -19,6 +19,13 @@ script imports ``locpop`` from ``src``, and checks in this order:
    ``PINNED_SHA256``.
 4. Every pinned invocation of ``golden_outputs.NUMPY_FREE_COMMANDS`` prints
    its golden-manifest bytes (``golden_outputs.mismatches``).
+5. The five tables of ``locpop figures`` are written as CSV text and match
+   the figure digests (``golden_outputs.figure_mismatches``). Four come from
+   ``cli._figure_tables``, which reads no numpy for them; the region table
+   ``nash_region_a_half.csv``, which the CLI scans with numpy, is built by
+   the cell-by-cell reference ``region_reference.py`` and written by the
+   CLI's CSV writer, so the paper's figure data is pinned on every
+   interpreter too.
 
 Each failure is one line on stderr, and the script then exits 1.
 
@@ -162,6 +169,20 @@ def corpus_lines(model, behaviors, welfare):
     return lines
 
 
+def figure_tables(cli):
+    """(file name, CSV bytes) of each table of ``locpop figures``, the
+    region table's rows from the reference in place of the numpy scan."""
+    from region_reference import region_rows
+
+    pessimistic = cli.BehaviorKind.PESSIMISTIC
+    figures = []
+    for name, header, blocks in cli._figure_tables(1.0):
+        if header == cli.REGION_HEADER:  # its generator is dropped unstarted
+            blocks = cli._row_blocks(region_rows(0.5, pessimistic, cli.REGION_GRID_DEFAULT))
+        figures.append((name, "".join(cli._csv_chunks(header, blocks)).encode()))
+    return figures
+
+
 def main():
     sys.path.insert(0, str(SOURCE))
     import locpop
@@ -178,6 +199,7 @@ def main():
     import golden_outputs
 
     failures = golden_outputs.mismatches(golden_outputs.NUMPY_FREE_COMMANDS)
+    failures += golden_outputs.figure_mismatches(figure_tables(cli))
     if digest != PINNED_SHA256:
         failures.insert(0, f"digest differs from PINNED_SHA256 {PINNED_SHA256}")
     for line in failures:

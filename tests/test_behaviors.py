@@ -1,7 +1,7 @@
 """Tests for deviation payoffs and Nash decisions under the three behaviors."""
 
 import math
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from locpop import (
     pos,
     symmetric_pessimistic_nash_set,
 )
-from locpop import behaviors
+from locpop import behaviors, model
 from locpop.behaviors import _aggregate, _diameter_ok, _interval_ok, _nash_ok, _supremum
 
 import breakpoint_search as search
@@ -85,6 +85,32 @@ def test_deviation_payoff_validation():
         deviation_payoff(params, BehaviorKind.NEUTRAL, 3, 0.5, 0.5)
     with pytest.raises(ValueError):
         deviation_payoff(params, BehaviorKind.NEUTRAL, 1, 1.5, 0.5)
+    # the int 1 or 2 only: these compare equal to 1 or 2, but a report would echo them
+    for deviator in (True, 1.0, 2.0):
+        message = f"^deviator must be firm 1 or 2, got {deviator}$"
+        with pytest.raises(ValueError, match=message):
+            deviation_payoff(params, BehaviorKind.PESSIMISTIC, deviator, 0.4, 0.6)
+        with pytest.raises(ValueError, match=message):
+            best_deviation(params, BehaviorKind.PESSIMISTIC, deviator, 0.4)
+
+
+def test_deviation_payoff_enumerates_the_splits_once():
+    """One ``_equilibria`` call, at the locations in order, gives both the
+    payoff and the outcomes of a report, with the deviator left of, right
+    of or at the opponent."""
+    params, spy = GameParams(0.5), Mock(wraps=model._equilibria)
+    for x_dev, x_other in ((0.4, 0.6), (0.6, 0.4), (0.5, 0.5), (0.1, 0.9)):
+        loc = Locations.from_unordered(x_dev, x_other)
+        outcomes = tuple(enumerate_market_equilibria(params, loc))
+        own = [o.s1 if x_dev <= x_other else o.s2 for o in outcomes]
+        # the spy stands in both modules that call it
+        with patch.object(model, "_equilibria", spy), patch.object(behaviors, "_equilibria", spy):
+            for behavior in BehaviorKind:
+                spy.reset_mock()
+                rep = deviation_payoff(params, behavior, 2, x_dev, x_other)
+                spy.assert_called_once_with(0.5, loc.x1, loc.x2)
+                assert rep.outcomes_considered == outcomes
+                assert rep.payoff == _aggregate(behavior, own)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import argparse
-import ast
 import csv
 import hashlib
 import io
@@ -14,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import cycle, groupby, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from locpop import (
     BehaviorKind,
-    EquilibriumProfile,
     GameParams,
     GridSpec,
     Kind,
@@ -30,9 +29,7 @@ from locpop import (
     behaviors,
     best_deviation,
     cli,
-    consumer_welfare,
     enumerate_market_equilibria,
-    is_nash,
     neutral_nash,
     oracle,
     symmetric_pessimistic_nash_set,
@@ -51,6 +48,7 @@ from locpop.cli import (
 )
 
 import golden_outputs
+from region_reference import region_rows, unit_grid
 from suite_loops import (
     loop_deviation_flags,
     loop_deviation_instances,
@@ -335,41 +333,23 @@ def test_nash_region_rows(tmp_path, capsys):
         assert float(r["x2"]) - float(r["x1"]) <= 0.3 + 1e-9
 
 
-def scalar_region_rows(params, behavior, n_locations):
-    """The region rows profile by profile, through the scalar public API."""
-    xs = np.linspace(0.0, 1.0, n_locations).tolist()
-    rows = []
-    for i, x1 in enumerate(xs):
-        for x2 in xs[i:]:
-            loc = Locations(x1, x2)
-            for outcome in enumerate_market_equilibria(params, loc):
-                verdict = is_nash(params, behavior, EquilibriumProfile(loc, outcome))
-                rows.append((params.a, x1, x2, outcome.kind.value, outcome.s1, int(verdict),
-                             consumer_welfare(params, x1, x2, outcome.s1)))
-    return rows
-
-
-def kind_order_inversions(rows):
-    """Cells whose splits, listed in share order, are not in kind order."""
-    rank = {kind.value: r for r, kind in enumerate(Kind)}
-    cells = {}
-    for row in rows:
-        cells.setdefault(row[1:3], []).append(rank[row[3]])
-    return sum(ranks != sorted(ranks) for ranks in cells.values())
-
-
+# the table of `locpop nash-region` is the stdlib reference's, which
+# test_oracle also holds the block scan's table and NE profiles to at every
+# grid it tests
 @pytest.mark.parametrize("a, behavior, n_locations", [
     *[(a, behavior, 41) for a in (0.2, 0.25, 0.5, 0.8) for behavior in BehaviorKind],
     (0.5, BehaviorKind.PESSIMISTIC, 201),
 ])
 def test_region_rows_match_scalar_reference(a, behavior, n_locations):
-    params = GameParams(a)
-    expected = scalar_region_rows(params, behavior, n_locations)
-    rows = block_rows(_region_rows(params, behavior, n_locations))
+    rows = block_rows(_region_rows(GameParams(a), behavior, n_locations))
     # bit for bit and type for type, as the CSV and JSON writers see them
-    assert_same_columns(rows, expected, REGION_TYPES)
-    if n_locations == 201:  # III rounds below II on these cells at a = 1/2
-        assert kind_order_inversions(rows) == 45
+    assert_same_columns(rows, region_rows(a, behavior, n_locations), REGION_TYPES)
+    if n_locations == 201:
+        # III rounds below II on these cells at a = 1/2: their splits, in
+        # share order, are not in kind order
+        rank = {kind.value: r for r, kind in enumerate(Kind)}
+        cells = [[rank[row[3]] for row in cell] for _, cell in groupby(rows, itemgetter(1, 2))]
+        assert sum(ranks != sorted(ranks) for ranks in cells) == 45
 
 
 def assert_same_document(got, want):
@@ -869,30 +849,14 @@ def test_symmetric_figure_converts_each_level_and_point_once(fmt, monkeypatch):
     assert converted == [a_values, np.linspace(0.0, 0.5, 201).tolist(), *s1]
 
 
-def perfbench_literal(name):
-    """The literal bound to ``name`` in perfbench/worker.py, whose gates
-    require it: VERIFY_SUITES, the suites of the verify gate, or
-    FIGURE_SHA256, the digests of the figures gate."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                        "perfbench", "worker.py")
-    with open(path) as handle:
-        tree = ast.parse(handle.read())
-    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
-               and [t.id for t in node.targets] == [name]]
-    return ast.literal_eval(value)
-
-
 def test_figures_writes_datasets(tmp_path, capsys):
     code = main(["figures", "--out", str(tmp_path / "figs")])
     out = capsys.readouterr().out
     assert code == 0
     # figure data is frozen: the benchmark's figures gate pins the same digests
-    figure_sha256 = perfbench_literal("FIGURE_SHA256")
     names = [line.rsplit("/", 1)[-1] for line in out.splitlines()]
-    assert names == list(figure_sha256)
-    for name in names:
-        data = (tmp_path / "figs" / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == figure_sha256[name], name
+    figures = [(name, (tmp_path / "figs" / name).read_bytes()) for name in names]
+    assert golden_outputs.figure_mismatches(figures) == []
 
 
 def test_outputs_match_the_golden_manifest():
@@ -969,7 +933,7 @@ def test_verify_suites_rejects_a_bad_seed(seed, error, message, monkeypatch):
 
 def test_verify_suites_yields_the_benchmarked_suites_in_order():
     records = list(verify_suites(1.0, 0, 0, GridSpec(2, 2)))
-    assert tuple(suite for suite, _, _ in records) == perfbench_literal("VERIFY_SUITES")
+    assert tuple(s for s, _, _ in records) == golden_outputs.perfbench_literal("VERIFY_SUITES")
     assert all(isinstance(ok, bool) and isinstance(detail, str) for _, ok, detail in records)
 
 
@@ -1079,14 +1043,19 @@ SUITE_GRIDS = [GridSpec(2, 2), GridSpec(3, 7), GridSpec(n_shares=201), GridSpec(
                GridSpec(n_shares=4001)]
 
 
-# 1001 instances end on a partial block at every grid; shifted interior
-# splits make the flags differ from instance to instance (at 1e-3, 865 of
-# 1001 are flagged at 2001 shares; at 1e-2, 201 shares flag some too)
+# a block holds max(1, 16384 // n_shares) instances: 1001 instances end on
+# a partial block at 201, 2001 and 4001 shares (blocks of 81, 8 and 4) and
+# fit one block at 2 and 7 shares (8,192 and 2,340); shifted interior splits
+# make the flags differ from instance to instance (at 1e-3, 865 of 1001 are
+# flagged at 2001 shares; at 1e-2, 201 shares flag some too)
 @pytest.mark.parametrize("grid", SUITE_GRIDS, ids=lambda g: f"{g.n_locations}x{g.n_shares}")
 @pytest.mark.parametrize("instances", [0, 1, 7, 1001])
 def test_market_equilibria_suite_matches_the_instance_loop(grid, instances, monkeypatch):
-    assert_market_suite_is_the_loop(grid, instances, (0.0, -1e-3, 1e-3, -2e-3, 2e-3, 1e-2),
-                                    monkeypatch)
+    blocks = assert_market_suite_is_the_loop(
+        grid, instances, (0.0, -1e-3, 1e-3, -2e-3, 2e-3, 1e-2), monkeypatch)
+    assert sum(blocks) == instances
+    if instances == 1001:
+        assert (blocks[-1] < blocks[0]) == (grid.n_shares in (201, 2001, 4001)), blocks
 
 
 # at an infinite band every block decides each of its rows by the running extrema
@@ -1099,7 +1068,8 @@ def test_market_equilibria_suite_on_the_running_extrema_is_the_instance_loop(gri
 
 def assert_market_suite_is_the_loop(grid, instances, shifts, monkeypatch):
     """The market suite's flags and detail at ``grid`` are the instance
-    loop's, with the interior splits moved by each of ``shifts`` in turn."""
+    loop's, with the interior splits moved by each of ``shifts`` in turn.
+    Returns the instance count of each block of the last run."""
     exact = oracle._equilibria_array
     shift = 0.0
 
@@ -1109,17 +1079,20 @@ def assert_market_suite_is_the_loop(grid, instances, shifts, monkeypatch):
         return shares, unique
 
     monkeypatch.setattr(oracle, "_equilibria_array", moved)
+    blocks = caught(monkeypatch, "_passing_shares")
     calls = caught(monkeypatch, "_market_mismatches")
     # the draws and their passing shares do not depend on the shift
     units = np.random.default_rng(7).random((instances, 3))
     drawn = loop_market_instances(units, grid)
     for shift in shifts:
         calls.clear()
+        blocks.clear()
         _, detail = oracle._market_equilibria_suite(units, grid)
         [(_, flags)] = calls
         expected = loop_market_flags(drawn, grid)
         assert flags.tolist() == expected, shift
         assert detail == f"{instances} random instances, {sum(expected)} mismatches"
+    return [len(args[0]) for args, _ in blocks]
 
 
 # the suite reads only n_locations of its grid. 1, 7 and 1001 instances leave
@@ -1276,15 +1249,19 @@ def test_failed_write_exits_one(target, argv, tmp_path):
 
 
 # 9001 points at a = 0.3 split the tails' range into two blocks, the second
-# coding x1 over points that start past the range's first
-@pytest.mark.parametrize("n_points", [2, 3, 7, 201, 501, 1000, 2999, 9001])
+# coding x1 over points that start past the range's first; 41, 101 and 128
+# points are region grids of the tests
+@pytest.mark.parametrize("n_points", [2, 3, 7, 41, 101, 128, 201, 501, 1000, 2999, 9001])
 def test_parameter_grids_are_numpys_bit_for_bit(n_points):
     """The a-sweep, the diagonal's points and the ``x1`` of the symmetric
     rows are the floats of ``np.arange(1, 200) * A_GRID_STEP`` and
-    ``np.linspace(0, 0.5, n)``, bit for bit; the 12-digit outputs alone
-    would not show a one-ulp move."""
+    ``np.linspace(0, 0.5, n)``, bit for bit, and the region reference's grid
+    those of ``np.linspace(0, 1, n)``; the 12-digit outputs alone would not
+    show a one-ulp move."""
     def bits(values):
         return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+    assert bits(unit_grid(n_points)) == bits(np.linspace(0.0, 1.0, n_points))
 
     arange = np.arange(1, 200) * cli.A_GRID_STEP
     assert bits(cli._a_grid(BehaviorKind.PESSIMISTIC)) == bits(arange)

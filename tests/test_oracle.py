@@ -43,7 +43,7 @@ from locpop.oracle import (
 )
 from locpop.welfare import OptimumPoint
 
-from row_scan import row_ne_fields, row_region_rows, row_region_scan
+from region_reference import region_rows
 from suite_loops import loop_passing_shares
 from table_blocks import REGION_TYPES, assert_same_columns, block_rows
 
@@ -546,18 +546,27 @@ def profile_fields(profiles):
     return [(p.locations.x1, p.locations.x2, p.outcome.kind, p.outcome.s1) for p in profiles]
 
 
+def assert_scan_is_the_reference(a, behavior, n_locations):
+    """The region table and the NE profiles of the block scan are the
+    cell-by-cell reference's, bit for bit and type for type, as the CSV and
+    JSON writers see them."""
+    params = GameParams(a)
+    rows = block_rows(_region_rows(params, behavior, n_locations))
+    expected = region_rows(a, behavior, n_locations)
+    assert_same_columns(rows, expected, REGION_TYPES)
+    profiles = oracle_ne_region_scan(params, behavior, GridSpec(n_locations=n_locations))
+    assert_same_columns(profile_fields(profiles), [
+        (x1, x2, Kind(kind), s1) for _, x1, x2, kind, s1, is_ne, _ in expected if is_ne],
+        PROFILE_TYPES)
+
+
 # With _SCAN_BLOCK_CELLS = 4096 a block holds max(1, 4096 // n) rows: 2, 3
 # and 41 fit in one block, 101 and 201 end on a shorter one
 @pytest.mark.parametrize("n_locations", [2, 3, 41, 101, 201])
 @pytest.mark.parametrize("behavior", list(BehaviorKind), ids=lambda b: b.value)
 @pytest.mark.parametrize("a", [0.2, 0.25, 0.5, 0.8])
 def test_block_scan_matches_row_scan(a, behavior, n_locations):
-    params = GameParams(a)
-    scan = list(row_region_scan(params, behavior, n_locations))
-    rows = block_rows(_region_rows(params, behavior, n_locations))
-    assert_same_columns(rows, row_region_rows(params, scan), REGION_TYPES)
-    profiles = oracle_ne_region_scan(params, behavior, GridSpec(n_locations=n_locations))
-    assert_same_columns(profile_fields(profiles), row_ne_fields(scan), PROFILE_TYPES)
+    assert_scan_is_the_reference(a, behavior, n_locations)
 
 
 # 128 points fill 16 blocks of 8 rows exactly; 41 points at 16 cells a
@@ -575,9 +584,6 @@ def test_block_scan_blocks(n_locations, cells, monkeypatch):
     assert len(blocks) == -(-n_locations // rows)
     for k, (i, *_) in enumerate(blocks):
         assert np.unique(xs[i]).tolist() == xs[k * rows:(k + 1) * rows].tolist()
-    scan = list(row_region_scan(params, BehaviorKind.PESSIMISTIC, n_locations))
-    profiles = oracle_ne_region_scan(params, BehaviorKind.PESSIMISTIC, GridSpec(n_locations))
-    assert_same_columns(profile_fields(profiles), row_ne_fields(scan), PROFILE_TYPES)
     # each scan block is cut into table blocks of 1 to CHUNK_ROWS rows, which
     # all pass that scan block's one s1 list and one welfare list
     tables = _region_rows(params, BehaviorKind.PESSIMISTIC, n_locations)
@@ -591,9 +597,9 @@ def test_block_scan_blocks(n_locations, cells, monkeypatch):
             assert s1 is shared[0] and welfare is shared[1]
         assert held == len(i)
     assert next(tables, None) is None
-    # the table blocks code x1 and x2 over the grid from each block's first x1
-    rows = block_rows(_region_rows(params, BehaviorKind.PESSIMISTIC, n_locations))
-    assert_same_columns(rows, row_region_rows(params, scan), REGION_TYPES)
+    # the table blocks code x1 and x2 over the grid from each block's first
+    # x1; the table and the NE profiles are the reference's
+    assert_scan_is_the_reference(0.5, BehaviorKind.PESSIMISTIC, n_locations)
 
 
 def test_block_scan_raises_on_a_failing_split(monkeypatch):

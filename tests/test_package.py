@@ -55,8 +55,10 @@ def test_scalar_core_runs_without_numpy():
     """``import locpop`` and the CLI parser load neither numpy nor scipy
     (with numpy importable, so a guarded import shows too); with numpy
     blocked, ``model``, ``behaviors`` and ``welfare`` give the pinned corpus
-    digest, and the commands outside the numpy layer print their
-    golden-manifest bytes. The checks are ``scalar_corpus.py``'s own."""
+    digest, the commands outside the numpy layer print their
+    golden-manifest bytes, and the five figure tables, the region table from
+    the cell-by-cell reference, match ``FIGURE_SHA256``. The checks are
+    ``scalar_corpus.py``'s own."""
     done = subprocess.run([sys.executable, scalar_corpus.__file__],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
