@@ -229,8 +229,8 @@ def _condition_gaps(a: float, x1: float, x2: float):
 def _split_shares(a: float, x1: float, x2: float):
     """Firm 1's unclipped shares in kind II, kind IV and the interior split
     (III, or UNIQUE beyond the band) at x1 <= x2, floats or arrays."""
-    gap = x2 - x1
-    return 0.5 - gap / (2.0 * a), 0.5 + gap / (2.0 * a), (x1 + x2 - a) / (2.0 * (1.0 - a))
+    t = (x2 - x1) / (2.0 * a)  # one t for both: II <= IV, as t >= 0
+    return 0.5 - t, 0.5 + t, (x1 + x2 - a) / (2.0 * (1.0 - a))
 
 
 def _equilibria(a: float, x1: float, x2: float):

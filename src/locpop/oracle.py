@@ -31,13 +31,19 @@ cross-check suites of ``locpop verify``. ``model``, ``behaviors`` and
   instances that all fill one set of work arrays, deciding each cut from
   its two neighbouring consumers and taking running extrema only for a
   row with a sum within ``_CUT_BAND`` of the slack, and meets only the
-  passing shares with the closed splits;
-  the best-deviation suite reads the closed-form supremum,
+  passing shares with the closed splits. Each instance is one
+  C-contiguous row of n_shares + 1 columns, whose padding column never
+  passes, so the test runs on whole rows and never on column slices.
+  The best-deviation suite reads the closed-form supremum,
   :func:`behaviors._supremum`, and runs the deviation oracle's row-wise
   path, :func:`_best_deviations`, on blocks of instances of one behavior,
-  one row of every grid location per instance. Those two names, looked up
-  in this module, are where a test injects a fault into the closed forms
-  the random suites check.
+  every grid location per instance, with the block's ``a``, location and
+  ``x_other`` flattened into three arrays of one length, not broadcast as
+  columns against a row. numpy runs an operation on a column slice or
+  against a (rows, 1) column markedly slower than on whole operands of
+  one shape (see ``_SUITE_BLOCK_CELLS``). ``_supremum`` and
+  ``_best_deviations``, looked up in this module, are where a test
+  injects a fault into the closed forms the random suites check.
 """
 
 from __future__ import annotations
@@ -140,13 +146,23 @@ def _share_order(shares, *carried):
     each share came from. Absent (NaN) slots stay where they are.
 
     Only II, III and IV can leave kind order: I (0) and V (1) bound every
-    clipped share, II <= IV always (0.5 -+ the same t), and III exists only
-    with both. So three compare-exchanges of neighbours, II/III, III/IV,
-    II/III, sort them; each swaps only where the later share is strictly
-    below, so ties keep kind order, as a stable sort does, and a NaN, which
-    never compares below or above, never moves.
+    clipped share, and III exists only with both II and IV. II <= IV
+    always: they are 0.5 - t and 0.5 + t for one t >= 0
+    (``model._split_shares``), rounding is monotone and so is the clip. So
+    two compare-exchanges of neighbours, II/III then III/IV, sort them:
+
+    - III < II: the first swap gives III, II, IV, and II <= IV leaves it;
+    - II <= III <= IV: neither swaps;
+    - II <= III, IV < III: the second swap gives II, IV, III, in order as
+      II <= IV.
+
+    Each swaps only where the later share is strictly below, so ties keep
+    kind order, as a stable sort does, and a NaN, which never compares
+    below or above, never moves. At a = 1/2 and (0.08, 0.5) III rounds
+    below II, and at a = 1/4 and (0.525, 0.55) IV below III, so neither
+    exchange can go.
     """
-    for lo, hi in ((1, 2), (2, 3), (1, 2)):
+    for lo, hi in ((1, 2), (2, 3)):
         swap = shares[hi] < shares[lo]
         for array in (shares, *carried):
             first = array[lo, ...].copy()  # [lo, ...] is a view even for one cell
@@ -212,9 +228,16 @@ def _best_deviations(a, behavior: BehaviorKind, xs, x_other):
     deviation values: ``(index, value)`` arrays, one entry per instance.
     ``a`` and ``x_other`` are floats or 1-D arrays of one length, one entry
     per instance; each instance is one row of :func:`_deviation_values`,
-    and every location is evaluated."""
-    a, x_other = (np.reshape(v, (-1, 1)) for v in (a, x_other))
-    values = _deviation_values(a, behavior, xs, x_other)
+    and every location is evaluated. The instances' ``a`` and ``x_other``,
+    each repeated once per location, and the locations, tiled once per
+    instance, are three flat arrays of one length, so every operation of
+    :func:`_deviation_values` runs on whole contiguous operands of one
+    shape, where a column broadcast against a row runs slower."""
+    rows = np.size(a)
+    flat = np.empty((3, rows, len(xs)))
+    flat[0], flat[1], flat[2] = np.reshape(a, (-1, 1)), xs, np.reshape(x_other, (-1, 1))
+    values = _deviation_values(flat[0].ravel(), behavior, flat[1].ravel(), flat[2].ravel())
+    values = values.reshape(rows, len(xs))
     best = np.argmax(values, axis=1)  # the first maximum, as a scan keeping strict gains
     return best, values[np.arange(len(best)), best]
 
@@ -292,11 +315,16 @@ class GridSpec:
     def _share_grid(self):
         """(consumers, candidates, sign) of :func:`_cut_margins` and
         :func:`_passing_shares`: the share-cell midpoints, the candidate
-        splits s1 and 2 s1 - 1."""
+        splits s1 and 2 s1 - 1. The consumers and signs are rows of the
+        padded width n_shares + 1 of :func:`_share_work`: the consumers sit
+        in columns 1 to n_shares - 1, between two zeros that the margins'
+        sentinels replace, and the signs in columns 0 to n_shares - 1,
+        before a NaN, so the padding column's sums are NaN and never pass."""
         n = self.n_shares - 1
-        consumers = (np.arange(n) + 0.5) / n
+        consumers = np.zeros(n + 2)
+        consumers[1:-1] = (np.arange(n) + 0.5) / n
         candidates = _unit_grid(self.n_shares)
-        sign = 2.0 * candidates - 1.0
+        sign = np.append(2.0 * candidates - 1.0, np.nan)
         return _read_only(consumers, candidates, sign)
 
     @cached_property
@@ -355,15 +383,12 @@ _CUT_BAND = 1e-14
 def _share_work(rows: int, grid: GridSpec):
     """Work arrays of :func:`_passing_shares` for blocks of up to ``rows``
     instances at ``grid``: ``(margin, far, shift, left, right, mask,
-    upper)``, one row per instance. A block of fewer instances fills their
-    leading rows. The margins' sentinel columns are set here, once."""
-    n = grid.n_shares
-    margin = np.empty((rows, n + 1))
-    margin[:, 0] = np.inf
-    margin[:, -1] = -np.inf
-    far = np.empty((rows, n - 1))
-    shift, left, right = (np.empty((rows, n)) for _ in range(3))
-    mask, upper = (np.empty((rows, n), dtype=bool) for _ in range(2))
+    upper)``, one C-contiguous row of the padded width n_shares + 1 per
+    instance. A block of fewer instances fills their leading rows, which
+    are then contiguous too."""
+    shape = (rows, grid.n_shares + 1)
+    margin, far, shift, left, right = (np.empty(shape) for _ in range(5))
+    mask, upper = (np.empty(shape, dtype=bool) for _ in range(2))
     return margin, far, shift, left, right, mask, upper
 
 
@@ -371,16 +396,18 @@ def _cut_margins(x1, x2, grid: GridSpec, work):
     """Firm 1's utility margins |v - x2| - |v - x1| at the consumers v of
     :func:`_passing_shares`, one row per instance, between a leading +inf
     and a trailing -inf: column k + 1 holds consumer k, so cut j has
-    column j on its left and column j + 1 on its right. Written into the
-    leading rows of ``work``'s margins (:func:`_share_work`), with its far
-    distances |v - x2| as temporary."""
+    column j on its left and column j + 1 on its right. Written over whole
+    padded rows into the leading rows of ``work``'s margins
+    (:func:`_share_work`), with its far distances |v - x2| as temporary;
+    the sentinels are set last."""
     consumers = grid._share_grid[0]
     x1, x2 = (np.reshape(v, (-1, 1)) for v in (x1, x2))
     margin, far = (array[:len(x1)] for array in work[:2])
-    inner = margin[:, 1:-1]
     np.abs(np.subtract(consumers, x2, out=far), out=far)
-    np.abs(np.subtract(consumers, x1, out=inner), out=inner)
-    np.subtract(far, inner, out=inner)
+    np.abs(np.subtract(consumers, x1, out=margin), out=margin)
+    np.subtract(far, margin, out=margin)
+    margin[:, 0] = np.inf
+    margin[:, -1] = -np.inf
     return margin
 
 
@@ -396,8 +423,8 @@ def _passing_shares(a, x1, x2, grid: GridSpec, work=None):
     instance; the grid arrays come from ``grid``, built once. Every block
     array is written into the leading rows of ``work``
     (:func:`_share_work`), so a caller running many blocks allocates them
-    once; when None they are allocated for this block. The mask is then
-    ``work``'s, overwritten by the next block. The test at
+    once; when None they are allocated for this block. The mask is then a
+    view of ``work``'s, overwritten by the next block. The test at
     cut j, with shift = a (2 s1 - 1), is ``shift + min(m[:j]) >= -slack``
     and ``shift + max(m[j:]) <= slack`` over the consumers' margins m; the
     sentinels let the cut at 0 (no consumer on its left) and the cut at 1
@@ -419,36 +446,48 @@ def _passing_shares(a, x1, x2, grid: GridSpec, work=None):
       neighbour test fails, and one passing both farther than 8u from the
       slack passes.
 
+    The neighbour sums run over whole padded rows: the left sums add the
+    margins column for column, and the right sums the margins one element
+    on in the flat view, so the padding column's right neighbour is the
+    next row's leading sentinel. Its NaN sign makes both its sums NaN,
+    and it never passes; the cells found in the padded stride are then
+    moved to the n_shares stride of the mask, one column per row less.
+
     Among the passing cuts, read through their flat indices, any neighbour
     sum within ``_CUT_BAND`` (about 90u) of its bound sends its row to the
     running extrema, which recompute that row's mask and passing cells. So
     the mask is the running-extremum test's bit for bit.
     """
     candidates, sign = grid._share_grid[1:]
+    n = grid.n_shares
     a = np.reshape(a, (-1, 1))
     if work is None:
         work = _share_work(len(a), grid)
     margin = _cut_margins(x1, x2, grid, work)
-    shift, left, right, mask, upper = (array[:len(a)] for array in work[2:])
+    shift, left, right, padded, upper = (array[:len(a)] for array in work[2:])
     slack = _share_slack(a, grid)
     np.multiply(a, sign, out=shift)
-    np.add(shift, margin[:, :-1], out=left)
-    np.add(shift, margin[:, 1:], out=right)
-    np.greater_equal(left, -slack, out=mask)
-    mask &= np.less_equal(right, slack, out=upper)
-    cells = np.flatnonzero(mask)
-    rows = cells // grid.n_shares
+    np.add(shift, margin, out=left)
+    flat = right.reshape(-1)
+    np.add(shift.reshape(-1)[:-1], margin.reshape(-1)[1:], out=flat[:-1])
+    flat[-1] = np.nan  # the last padding column has no next row
+    np.greater_equal(left, -slack, out=padded)
+    padded &= np.less_equal(right, slack, out=upper)
+    cells = np.flatnonzero(padded)
+    rows = cells // (n + 1)
     bound = slack[rows, 0]
-    near = (left.ravel()[cells] + bound <= _CUT_BAND) | (bound - right.ravel()[cells] <= _CUT_BAND)
+    near = (left.reshape(-1)[cells] + bound <= _CUT_BAND) | (bound - flat[cells] <= _CUT_BAND)
+    cells -= rows  # to the n_shares stride
+    mask = padded[:, :n]
     if near.any():
         redo = np.unique(rows[near])
-        margin, shift, slack = margin[redo], shift[redo], slack[redo]
+        margin, shift, slack = margin[redo], shift[redo, :n], slack[redo]
         prefix_min = np.minimum.accumulate(margin[:, :-1], axis=1)
         suffix_max = np.maximum.accumulate(margin[:, :0:-1], axis=1)[:, ::-1]
         mask[redo] = (shift + prefix_min >= -slack) & (shift + suffix_max <= slack)
         row, column = np.nonzero(mask[redo])
         cells = np.sort(np.concatenate([cells[~np.isin(rows, redo)],
-                                        redo[row] * grid.n_shares + column]))
+                                        redo[row] * n + column]))
     return candidates, mask, cells
 
 
@@ -599,23 +638,41 @@ _OPTIMUM_GRID = GridSpec(n_locations=201, n_shares=201)
 
 
 # Cells per block of instances in the two random suites: share-grid cells in
-# the market-equilibria suite, 8 instances at the default 2001 shares, and a
-# quarter as many location-grid cells in the best-deviation suite, 2 instances
-# at the default 2001 locations. One instance is too small to spread numpy's
-# per-call cost. A block that frees more heap at its end than glibc keeps has
-# it handed back to the system and faulted in again on the next block; where
-# that starts depends on the heap's history, down to the length of the source
-# path. The market suite fills one set of work arrays for all its blocks, so
-# its block size no longer decides that: with arrays allocated per block and
-# no numpy.random import growing the heap first, its runs faulted 1,930 to
-# 4,479 pages. The best-deviation suite allocates per block, and there 8,192
-# cells faulted 5,000 to 5,800 pages per run at 3 of 10 source path lengths,
-# where 4,096 cells never faulted more than 23. Measured in perfbench's verify
-# worker, seeds 1-3, 2 cores, for market blocks of 8,192 / 16,384 / 32,768
-# cells: the market suite's minor faults per run 366-386 / 347-374 / 656-693
-# and its median time 34.5 / 27.1 / 29.6 ms; the whole verify unit, median of
-# 20 alternating fresh processes, 98.9 / 91.1 / 97.1 ms, against 106.2 ms
-# (and 391-404 faults) with numpy's generator and per-block arrays at 8,192 cells
+# the market-equilibria suite, 8 instances at the default 2001 shares, each
+# held as one padded row of 2002 columns (:func:`_share_work`), and a quarter
+# as many location-grid cells in the best-deviation suite, 2 instances at the
+# default 2001 locations, flattened into arrays of 4,002 cells
+# (:func:`_best_deviations`). One instance is too small to spread numpy's
+# per-call cost. Both layouts hand numpy whole contiguous operands of one
+# shape: an add on 8 x 2002 blocks takes 6.6 us on whole rows, 14.5 us on the
+# column slices [:, 1:] and 10.5 us on [:, 1:-1], and 11.2 us against a
+# (rows, 1) column where same-shape operands take 7.4 us (2 cores, CPython
+# 3.11, numpy 2.4). In-process, medians of 6 alternating processes, the padded
+# rows take the market suite from 22.2 to 18.7 ms cold and 18.1 to 13.5 ms
+# warm, and the flattened instances the best-deviation suite from 13.4 to
+# 11.7 ms cold and 12.9 to 11.8 ms warm.
+# A block that frees more heap at its end than glibc keeps has it handed back
+# to the system and faulted in again on the next block; where that starts
+# depends on the heap's history, down to the length of the source path. The
+# market suite fills one set of work arrays for all its blocks, so its block
+# size no longer decides that: with arrays allocated per block and no
+# numpy.random import growing the heap first, its runs faulted 1,930 to 4,479
+# pages. The best-deviation suite allocates per block: 8,192 cells faulted
+# 5,000 to 5,800 pages per run at 3 of 10 source path lengths, and 16,384
+# flattened cells 627 to 6,131 at every length, where 4,096 cells never fault
+# more than 23; the temporaries of model._condition_gaps and
+# model._split_shares grow with the block. In a verify run, seeds 1-3 at 6
+# source path lengths, the padded rows take the market suite's minor faults
+# from 385-412 to 354-376 and the flattened inputs best-deviation's from 3-5
+# to 4-6; social-optimum, which next grows the heap past the market suite's
+# high-water mark, from 106-135 to 141-166, and a whole run's from 574-618 to
+# 584-621 (median 605 and 606). Measured before the padding, in perfbench's
+# verify worker, seeds 1-3, 2 cores, for market blocks of 8,192 / 16,384 /
+# 32,768 cells: the market suite's minor faults per run 366-386 / 347-374 /
+# 656-693 and its median time 34.5 / 27.1 / 29.6 ms; the whole verify unit,
+# median of 20 alternating fresh processes, 98.9 / 91.1 / 97.1 ms, against
+# 106.2 ms (and 391-404 faults) with numpy's generator and per-block arrays
+# at 8,192 cells
 _SUITE_BLOCK_CELLS = 16384
 
 
@@ -680,9 +737,10 @@ def _market_mismatches(a, x1, x2, grid: GridSpec):
     # fresh ones would be faulted in
     del work
     instance, candidate = np.divmod(np.concatenate(passing), grid.n_shares)
-    # one (pair, slot) array gathers each pair's splits, then its reaches
-    gathered = closed[instance]
-    distance = np.subtract(grid._share_grid[1][candidate, None], gathered)
+    # one (pair, slot) array gathers each pair's splits and turns them into
+    # distances in place; the reaches are gathered only after the covered test
+    distance = closed[instance]
+    np.subtract(grid._share_grid[1][candidate, None], distance, out=distance)
     np.abs(distance, out=distance)
     covered = np.zeros(closed.shape, dtype=bool)
     np.logical_or.at(covered, instance, distance <= spacing)
@@ -691,7 +749,7 @@ def _market_mismatches(a, x1, x2, grid: GridSpec):
     slope = np.where((x1[:, None] < closed) & (closed < x2[:, None]),
                      2.0 - 2.0 * a[:, None], 2.0 * a[:, None])
     reach = (slack[:, None] + spacing) / slope + spacing
-    within = np.less_equal(distance, np.take(reach, instance, axis=0, out=gathered))
+    within = np.less_equal(distance, np.take(reach, instance, axis=0))
     stray = np.bincount(instance[~within.any(axis=1)], minlength=len(a))
     far = np.abs(_condition_gaps(a, x1, x2)).min(axis=0) > slack + 2.0 * spacing
     return missed | (far & (stray > 0))

@@ -29,6 +29,7 @@ def loop_passing_shares(params, loc, grid):
     """The share grid and the mask of passing candidates of one instance."""
     a = params.a
     consumers, candidates, sign = grid._share_grid
+    consumers, sign = consumers[1:-1], sign[:-1]  # unpadded
     margin = np.abs(consumers - loc.x2) - np.abs(consumers - loc.x1)
     prefix_min = np.empty(grid.n_shares)
     prefix_min[0] = np.inf

@@ -1043,8 +1043,9 @@ SUITE_GRIDS = [GridSpec(2, 2), GridSpec(3, 7), GridSpec(n_shares=201), GridSpec(
                GridSpec(n_shares=4001)]
 
 
-# a block holds max(1, 16384 // n_shares) instances: 1001 instances end on
-# a partial block at 201, 2001 and 4001 shares (blocks of 81, 8 and 4) and
+# a block holds max(1, 16384 // n_shares) instances, each a padded row of
+# n_shares + 1 columns: 1001 instances end on a partial block at 201, 2001
+# and 4001 shares (blocks of 81, 8 and 4, rows of 202, 2002 and 4002) and
 # fit one block at 2 and 7 shares (8,192 and 2,340); shifted interior splits
 # make the flags differ from instance to instance (at 1e-3, 865 of 1001 are
 # flagged at 2001 shares; at 1e-2, 201 shares flag some too)
@@ -1095,9 +1096,11 @@ def assert_market_suite_is_the_loop(grid, instances, shifts, monkeypatch):
     return [len(args[0]) for args, _ in blocks]
 
 
-# the suite reads only n_locations of its grid. 1, 7 and 1001 instances leave
-# some behavior a partial block at 2, 3 and 2001 locations; at 8193 locations
-# each instance is a block alone
+# the suite reads only n_locations of its grid. A block holds max(1, 16384 //
+# (4 n_locations)) instances, flattened into arrays of instances x
+# n_locations cells: 1, 7 and 1001 instances leave some behavior a partial
+# block at 2, 3 and 2001 locations (blocks of 2,048, 1,365 and 2); at 8193
+# locations each instance is a block alone
 @pytest.mark.parametrize("grid", [*SUITE_GRIDS[:3], GridSpec(n_locations=8193)],
                          ids=lambda g: f"{g.n_locations}x{g.n_shares}")
 @pytest.mark.parametrize("instances", [0, 1, 7, 1001])

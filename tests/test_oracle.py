@@ -252,6 +252,36 @@ def test_passing_shares_blocks_through_held_work_arrays():
     assert (work[0][:, 0] == np.inf).all() and (work[0][:, -1] == -np.inf).all()
 
 
+# rows of n_shares + 1 columns: widths 3 and 4, the padding column beside one
+# or two consumers; the five-split and both-ends instances pass cuts in every row
+@pytest.mark.parametrize("n_shares", [2, 3])
+def test_passing_shares_on_padded_rows(n_shares):
+    """One instance alone, then blocks of 4, 3 and 1 instances through one set
+    of work arrays: each mask is (instances, n_shares), its cells are
+    ``np.flatnonzero(mask)`` in the n_shares stride, each row is the
+    instance loop's, and the padding column's sums are NaN, so it never
+    passes."""
+    grid = GridSpec(n_shares=n_shares)
+    a = np.array([0.5, 0.25, 0.3, 0.9, 0.5, 0.02, 0.25, 0.7])
+    x1 = np.array([1 / 3, 0.0, 0.1, 0.4, 0.5, 0.0, 0.0, 0.2])
+    x2 = np.array([2 / 3, 1.0, 0.8, 0.45, 0.5, 1.0, 1.0, 0.3])
+    expected = np.array([loop_passing_shares(GameParams(p), Locations(q, r), grid)[1]
+                         for p, q, r in zip(a, x1, x2)])
+    assert expected[4:].any(axis=1).all()  # the partial block passes cells past its first row
+    _, mask, cells = oracle._passing_shares(a[0], x1[0], x2[0], grid)
+    assert mask.tolist() == expected[:1].tolist()
+    assert cells.tolist() == np.flatnonzero(expected[0]).tolist()
+    work = oracle._share_work(4, grid)
+    for block in (slice(0, 4), slice(4, 7), slice(7, 8)):
+        _, mask, cells = oracle._passing_shares(a[block], x1[block], x2[block], grid, work)
+        rows = len(a[block])
+        assert mask.shape == (rows, n_shares)
+        assert mask.tolist() == expected[block].tolist()
+        assert cells.tolist() == np.flatnonzero(mask).tolist()
+        left, right, padded = (array[:rows, -1] for array in work[3:6])
+        assert np.isnan(left).all() and np.isnan(right).all() and not padded.any()
+
+
 UNIT = 2.0 ** -53
 unit_location = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
@@ -377,6 +407,28 @@ def test_deviation_values_of_a_block_are_its_rows(rows, behavior, n_locations):
         assert block[k].view(np.int64).tolist() == row.view(np.int64).tolist()
         best = int(np.argmax(row))
         assert (index[k], value[k].view(np.int64)) == (best, row[best].view(np.int64))
+
+
+@pytest.mark.parametrize("behavior", list(BehaviorKind))
+def test_best_deviations_of_a_block_are_the_oracle(behavior):
+    """One instance, a full block of two and, through the suite's blocking
+    at 2001 locations, a full block and a partial one of one instance: each
+    instance's best location and value are ``oracle_best_deviation``'s, bit
+    for bit."""
+    grid = GridSpec()
+    xs = grid._location_grid
+    a = np.array([0.5, 0.25, 0.3, 0.9, 0.05, 0.7, 0.45, 0.6, 0.15])
+    x_other = np.array([0.5, 0.525, 0.0, 1.0, 0.3, 0.8, 0.6, 0.1, 0.95])
+    expected = [oracle_best_deviation(GameParams(p), behavior, x, grid)
+                for p, x in zip(a.tolist(), x_other.tolist())]
+    for block in (slice(0, 1), slice(0, 2), slice(2, 4)):
+        index, value = oracle._best_deviations(a[block], behavior, xs, x_other[block])
+        found = list(zip(xs[index].tolist(), value.tolist()))
+        assert list(map(repr, found)) == list(map(repr, expected[block]))
+    # the suite runs instance k as behavior k % 3, here 3 of the 9 in two blocks
+    members = np.arange(list(BehaviorKind).index(behavior), len(a), 3)
+    maxima = oracle._deviation_maxima(a, x_other, grid)[members]
+    assert list(map(repr, maxima.tolist())) == [repr(expected[k][1]) for k in members]
 
 
 def test_oracle_social_optimum_both_regimes():

@@ -262,3 +262,47 @@ def test_bench_pairs_compares_with_the_newest_earlier_record(tmp_path):
         "wall_s           earlier 0.2 -> parent 0.22 +10.0% -> change 0.26  net +20.0%",
         "peak_rss_mb      earlier 38 -> parent 39 +2.6% -> change 39.7  net +1.8%  FLAG worse",
     ]
+
+
+STUB = '''import os, sys
+seed, out = int(sys.argv[1]), sys.argv[2]
+side = os.path.basename(os.getcwd())
+assert os.environ["PYTHONPATH"] == os.path.join(os.getcwd(), "src")
+assert os.path.isdir(os.path.dirname(out)) and not os.path.exists(out)
+os.mkdir(out)
+with open(sys.argv[3], "a") as log:
+    log.write(f"{side} {seed} {out}\\n")
+sys.exit(1 if (side, seed) == ("parent", 3) else 0)
+'''
+
+
+def test_bench_pairs_times_whole_processes_in_alternating_pairs(tmp_path):
+    """A stub command in two checkouts: ten pairs, the parent first in odd
+    ones, each run in its checkout with its ``src`` on the path and a fresh
+    output path that is gone afterwards; a non-zero exit is a failed
+    operation. ``process_s`` has no bound, so a move of any size is not
+    flagged."""
+    bench_pairs = load_bench_pairs()
+    log = tmp_path / "runs.log"
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "stub.py").write_text(STUB)
+    pairs, failed = bench_pairs.process_pairs(
+        tmp_path / "parent", tmp_path / "change",
+        lambda seed, out: [sys.executable, "stub.py", str(seed), out, str(log)])
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert [(side, int(seed)) for side, seed, _ in runs] == [
+        (side, seed) for seed in range(1, 11)
+        for side in (("parent", "change") if seed % 2 else ("change", "parent"))]
+    assert not any(os.path.exists(os.path.dirname(out)) for _, _, out in runs)
+    assert failed == {"parent": 1, "change": 0}
+    assert len(pairs) == 10
+    assert all(set(side) == {"process_s"} and side["process_s"] > 0.0
+               for pair in pairs for side in pair)
+    [summary] = bench_pairs.summarize(pairs, [("process_s", "lower")], failed)
+    assert summary["pairs"] == 10
+    earlier = {"metrics": {"process_s": {"change": [0.1, 0.1, 0.1]}}}
+    slower = bench_pairs.summarize([({"process_s": 0.1}, {"process_s": 0.5})] * 10,
+                                   [("process_s", "lower")], failed)
+    assert bench_pairs.comparison_lines(slower, earlier, {}) == [
+        "process_s        earlier 0.1 -> parent 0.1 +0.0% -> change 0.5  net +400.0%"]

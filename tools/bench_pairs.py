@@ -18,6 +18,13 @@ provenance of the run: core count, Python and numpy versions, and each
 side's git revision and whether it holds compiled bytecode
 (``src/locpop/__pycache__``). Runs of other workloads already in the file
 are kept, so one file can hold a trajectory point for every workload.
+For ``figures`` and ``verify``, ``--record`` also times the command as a
+whole process, ``python -m locpop.cli figures --out <tmp>`` or ``verify
+--seed <k>``, in each checkout in 10 more alternating pairs: ``process_s``,
+summarized and recorded as the perfbench metrics are, takes in the
+interpreter's start and the imports (numpy's among them) that perfbench's
+worker makes before it starts its clock. A run that exits non-zero counts
+as a failed operation.
 The recorded workload's medians are then printed against the change
 medians of the newest earlier record beside PATH: the ``BENCH_<n>.json``
 with the largest n below PATH's own (any n when PATH's name carries
@@ -27,7 +34,8 @@ run's setup, not of the code, and the change's move is reported net of
 that drift. A net move is flagged where it exceeds the metric's
 ``bound`` in ``BENCHMARK.json``, as a share of the earlier median;
 ``peak_rss_mb`` instead where it exceeds RSS_NOISE_MB, the move that
-compiled bytecode and source size alone cause.
+compiled bytecode and source size alone cause; ``process_s`` has no bound
+and is never flagged.
 
 Run from the repository root::
 
@@ -44,6 +52,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -51,6 +61,12 @@ PAIRS = 10  # pairs run, and the fewest that can show a gain
 WIN_SHARE = 0.9  # least share of pairs the change must win for a gain
 # MB that peak_rss_mb moves by with .pyc files and source size alone
 RSS_NOISE_MB = 0.6
+# the locpop command a workload times as a whole process, for a pair's seed
+# and an output directory that does not exist yet
+PROCESS_ARGS = {
+    "figures": lambda seed, out: ["figures", "--out", out],
+    "verify": lambda seed, out: ["verify", "--seed", str(seed)],
+}
 
 
 def quartiles(values):
@@ -156,7 +172,8 @@ def comparison_lines(summaries, earlier, bounds):
     earlier), each relative to the earlier median. A flag marks a net move
     beyond the metric's bound; ``bounds`` maps a metric name to its
     ``(better, bound)`` in BENCHMARK.json, and ``peak_rss_mb`` is flagged
-    beyond RSS_NOISE_MB instead."""
+    beyond RSS_NOISE_MB instead; a metric with no bound there, as
+    ``process_s``, is never flagged."""
     lines = []
     for s in summaries:
         if s["name"] not in earlier["metrics"]:
@@ -164,15 +181,18 @@ def comparison_lines(summaries, earlier, bounds):
         old = earlier["metrics"][s["name"]]["change"][1]
         parent, new = s["parent"][1], s["change"][1]
         net = new - parent  # (new - old) - (parent - old)
-        better, bound = bounds[s["name"]]
-        limit = RSS_NOISE_MB if s["name"] == "peak_rss_mb" else bound * abs(old)
+        better, bound = bounds.get(s["name"], (None, None))
+        if s["name"] == "peak_rss_mb":
+            limit = RSS_NOISE_MB
+        else:
+            limit = None if bound is None else bound * abs(old)
 
         def share(move):
             return f"{move / old:+.1%}" if old else "n/a"
 
         line = (f"{s['name']:16s} earlier {old:.6g} -> parent {parent:.6g} "
                 f"{share(parent - old)} -> change {new:.6g}  net {share(net)}")
-        if abs(net) > limit:
+        if limit is not None and abs(net) > limit:
             worse = net > 0 if better == "lower" else net < 0
             line += f"  FLAG {'worse' if worse else 'better'}"
         lines.append(line)
@@ -186,6 +206,36 @@ def run_side(directory, workload, seconds, seed):
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=directory, capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def time_process(argv, directory):
+    """``(seconds, ok)`` of one run of the command ``argv`` in ``directory``,
+    with its ``src`` first on the import path: the wall time from start to
+    exit, and whether it exited 0. Its output is discarded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(directory).resolve() / "src")}
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=directory, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return time.perf_counter() - start, done.returncode == 0
+
+
+def process_pairs(parent, change, command):
+    """Whole-process timings of two checkouts in PAIRS alternating pairs,
+    seeds 1..PAIRS, the parent first in odd pairs: ``(pairs, failed)`` as
+    :func:`summarize` reads them, each side of a pair ``{"process_s":
+    seconds}``. ``command(seed, out)`` gives a run's argv; ``out`` is a path
+    in a fresh temporary directory, removed after the run."""
+    pairs, failed = [], {"parent": 0, "change": 0}
+    for seed in range(1, PAIRS + 1):
+        sides = [("parent", parent), ("change", change)]
+        results = {}
+        for side, directory in sides if seed % 2 else sides[::-1]:
+            with tempfile.TemporaryDirectory() as tmp:
+                seconds, ok = time_process(command(seed, os.path.join(tmp, "out")), directory)
+            failed[side] += not ok
+            results[side] = {"process_s": seconds}
+        pairs.append((results["parent"], results["change"]))
+    return pairs, failed
 
 
 def main(argv=None):
@@ -221,8 +271,18 @@ def main(argv=None):
     summaries = summarize(pairs, metrics, failed)
     print("\n".join(summary_lines(summaries)))
     if args.record:
-        record(args.record, args.workload, summaries,
-               {"provenance": origin, "seconds": seconds, "failed": failed})
+        run = {"provenance": origin, "seconds": seconds, "failed": failed}
+        if args.workload in PROCESS_ARGS:
+            cli_args = PROCESS_ARGS[args.workload]
+            timed, run["process_failed"] = process_pairs(
+                args.parent, args.change,
+                lambda seed, out: [sys.executable, "-m", "locpop.cli", *cli_args(seed, out)])
+            processes = summarize(timed, [("process_s", "lower")], run["process_failed"])
+            print(f"whole processes, failed: parent {run['process_failed']['parent']}, "
+                  f"change {run['process_failed']['change']}")
+            print("\n".join(summary_lines(processes)))
+            summaries += processes
+        record(args.record, args.workload, summaries, run)
         earlier = earlier_record(args.record)
         runs = json.loads(earlier.read_text()) if earlier else {}
         if args.workload in runs:
