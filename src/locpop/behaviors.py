@@ -21,7 +21,6 @@ pessimists the NE set is an explicit share interval.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .model import (
     _III,
@@ -30,8 +29,10 @@ from .model import (
     Locations,
     MarketOutcome,
     GameParams,
+    _Record,
     _equilibria,
     _merge_close,
+    _set_field,
     enumerate_market_equilibria,
     is_market_equilibrium,
 )
@@ -81,8 +82,7 @@ class NoEquilibriumError(Exception):
     """Raised when a computation needs a Nash equilibrium that does not exist."""
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(_Record):
     """Evaluation of one deviation.
 
     For :func:`deviation_payoff` results, ``payoff`` is exactly the
@@ -91,14 +91,17 @@ class DeviationReport:
     supremum, which the aggregate at ``location`` may only approach.
     """
 
-    deviator: int
-    location: float
-    payoff: float
-    outcomes_considered: tuple
+    __slots__ = ("deviator", "location", "payoff", "outcomes_considered")
+
+    def __init__(self, deviator: int, location: float, payoff: float,
+                 outcomes_considered: tuple):
+        _set_field(self, "deviator", deviator)
+        _set_field(self, "location", location)
+        _set_field(self, "payoff", payoff)
+        _set_field(self, "outcomes_considered", outcomes_considered)
 
 
-@dataclass(frozen=True)
-class NashInterval:
+class NashInterval(_Record):
     """Interval of firm-1 shares supportable as pessimistic NE.
 
     Raw bounds are kept as computed (they may leave [0, 1]); clamping
@@ -107,8 +110,11 @@ class NashInterval:
     the slack of :func:`is_nash`, and takes no other.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        _set_field(self, "lo", lo)
+        _set_field(self, "hi", hi)
 
     @property
     def is_empty(self) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 __all__ = [
@@ -74,8 +73,55 @@ class Kind(enum.Enum):
 _UNIQUE, _I, _II, _III, _IV, _V = Kind.UNIQUE, Kind.I, Kind.II, Kind.III, Kind.IV, Kind.V
 
 
-@dataclass(frozen=True)
-class GameParams:
+# Sets a field of a record once, in its __init__ (_Record forbids assignment)
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value records.
+
+    A record lists its fields in ``__slots__`` (``"__dict__"`` aside, which
+    a record holding cached values adds; a subclass's fields follow its
+    bases') and sets each once in its own ``__init__``, through
+    ``_set_field``; assigning or deleting an attribute afterwards raises
+    AttributeError. Records of the same exact type are equal when their
+    fields are, and hash by their fields; any other type compares as
+    ``NotImplemented``. The repr is ``Name(field=value, ...)``, and pickling
+    and copying rebuild a record from its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for klass in reversed(cls.__mro__)
+                            for name in vars(klass).get("__slots__", ()) if name != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GameParams(_Record):
     """Model constants.
 
     Parameters
@@ -88,31 +134,30 @@ class GameParams:
         on it.
     """
 
-    a: float
-    theta: float = 1.0
+    __slots__ = ("a", "theta")
 
-    def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise ValueError(f"a must lie strictly inside (0, 1), got {self.a}")
-        if not (math.isfinite(self.theta) and self.theta >= 1.0):
-            raise ValueError(f"theta must be finite and >= 1, got {self.theta}")
+    def __init__(self, a: float, theta: float = 1.0):
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"a must lie strictly inside (0, 1), got {a}")
+        if not (math.isfinite(theta) and theta >= 1.0):
+            raise ValueError(f"theta must be finite and >= 1, got {theta}")
+        _set_field(self, "a", a)
+        _set_field(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class Locations:
+class Locations(_Record):
     """Ordered firm positions on [0, 1] with x1 <= x2.
 
     ``from_unordered`` sorts its two arguments.
     """
 
-    x1: float
-    x2: float
+    __slots__ = ("x1", "x2")
 
-    def __post_init__(self):
-        if not 0.0 <= self.x1 <= self.x2 <= 1.0:
-            raise ValueError(
-                f"locations must satisfy 0 <= x1 <= x2 <= 1, got ({self.x1}, {self.x2})"
-            )
+    def __init__(self, x1: float, x2: float):
+        if not 0.0 <= x1 <= x2 <= 1.0:
+            raise ValueError(f"locations must satisfy 0 <= x1 <= x2 <= 1, got ({x1}, {x2})")
+        _set_field(self, "x1", x1)
+        _set_field(self, "x2", x2)
 
     @classmethod
     def from_unordered(cls, first: float, second: float) -> "Locations":
@@ -123,23 +168,23 @@ class Locations:
         return self.x2 - self.x1
 
 
-@dataclass(frozen=True)
-class MarketOutcome:
+class MarketOutcome(_Record):
     """One market equilibrium: its kind and firm 1's share.
 
     Firm 2's share is always the complement and is derived, never stored.
     """
 
-    kind: Kind
-    s1: float
+    __slots__ = ("kind", "s1")
 
-    def __post_init__(self):
-        if not 0.0 <= self.s1 <= 1.0:
-            raise ValueError(f"s1 must lie in [0, 1], got {self.s1}")
-        if self.kind is _I and self.s1 != 0.0:
+    def __init__(self, kind: Kind, s1: float):
+        if not 0.0 <= s1 <= 1.0:
+            raise ValueError(f"s1 must lie in [0, 1], got {s1}")
+        if kind is _I and s1 != 0.0:
             raise ValueError("kind I outcomes must carry s1 = 0")
-        if self.kind is _V and self.s1 != 1.0:
+        if kind is _V and s1 != 1.0:
             raise ValueError("kind V outcomes must carry s1 = 1")
+        _set_field(self, "kind", kind)
+        _set_field(self, "s1", s1)
 
     @property
     def s2(self) -> float:
@@ -149,12 +194,14 @@ class MarketOutcome:
         return {"kind": self.kind.value, "s1": self.s1, "s2": self.s2}
 
 
-@dataclass(frozen=True)
-class EquilibriumProfile:
+class EquilibriumProfile(_Record):
     """A location pair together with a supporting market equilibrium."""
 
-    locations: Locations
-    outcome: MarketOutcome
+    __slots__ = ("locations", "outcome")
+
+    def __init__(self, locations: Locations, outcome: MarketOutcome):
+        _set_field(self, "locations", locations)
+        _set_field(self, "outcome", outcome)
 
     @property
     def x1(self) -> float:
@@ -173,8 +220,7 @@ class EquilibriumProfile:
         return self.outcome.s2
 
 
-@dataclass(frozen=True)
-class EquilibriumCount:
+class EquilibriumCount(_Record):
     """Number of market equilibria plus which existence conditions were tight.
 
     ``tight`` may contain:
@@ -187,8 +233,11 @@ class EquilibriumCount:
     can carry numerically coincident shares.
     """
 
-    count: int
-    tight: frozenset
+    __slots__ = ("count", "tight")
+
+    def __init__(self, count: int, tight: frozenset):
+        _set_field(self, "count", count)
+        _set_field(self, "tight", tight)
 
 
 def consumer_utility(params: GameParams, v: float, x: float, s: float) -> float:

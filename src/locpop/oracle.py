@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,8 +75,10 @@ from .model import (
     Kind,
     Locations,
     MarketOutcome,
+    _Record,
     _condition_gaps,
     _is_split,
+    _set_field,
     _split_shares,
 )
 from .welfare import OptimumPoint, _check_point, _welfare_sum, social_optimum
@@ -250,7 +251,10 @@ def _abs_distance_integral_array(alpha, beta, x):
     part, are taken only for the cells strictly inside (alpha, beta), where
     the scalar form takes them."""
     outer = 0.5 * (beta * beta - alpha * alpha)
-    result = np.where(x <= alpha, outer - x * (beta - alpha), x * (beta - alpha) - outer)
+    result = x * (beta - alpha)
+    left = x <= alpha
+    np.subtract(result, outer, out=result, where=~left)
+    np.subtract(outer, result, out=result, where=left)
     inside = (alpha < x) & (x < beta)
     result[inside] = 0.5 * (np.float_power(np.broadcast_to(x - alpha, result.shape)[inside], 2.0)
                             + np.float_power(np.broadcast_to(beta - x, result.shape)[inside], 2.0))
@@ -282,8 +286,7 @@ def _size(name: str, value, minimum: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Resolutions for the brute-force routines.
 
     n_locations is the location / deviation axis and n_shares the
@@ -295,15 +298,17 @@ class GridSpec:
 
     The grid-only arrays of the market-equilibrium, deviation and
     social-optimum oracles are built once per instance, on first use, and
-    are read-only; equality and hashing see only the two resolutions.
+    are read-only, kept in the instance ``__dict__``; equality, hashing
+    and the repr see only the two resolutions.
     """
 
-    n_locations: int = 2001
-    n_shares: int = 2001
+    __slots__ = ("n_locations", "n_shares", "__dict__")
 
-    def __post_init__(self):
-        for name in ("n_locations", "n_shares"):
-            _size(name, getattr(self, name), 2)
+    def __init__(self, n_locations: int = 2001, n_shares: int = 2001):
+        _size("n_locations", n_locations, 2)
+        _size("n_shares", n_shares, 2)
+        _set_field(self, "n_locations", n_locations)
+        _set_field(self, "n_shares", n_shares)
 
     @cached_property
     def _location_grid(self):

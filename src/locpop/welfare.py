@@ -18,7 +18,6 @@ neutral firms none beyond a = 1/2, so those requests raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .behaviors import (
     _NEUTRAL,
@@ -38,7 +37,9 @@ from .model import (
     GameParams,
     Locations,
     MarketOutcome,
+    _Record,
     _condition_gaps,
+    _set_field,
 )
 
 __all__ = [
@@ -60,34 +61,40 @@ __all__ = [
 BEST_NE_BREAKPOINT = (2.0 - math.sqrt(2.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class OptimumPoint:
+class OptimumPoint(_Record):
     """An unconstrained welfare maximizer (no equilibrium requirement)."""
 
-    x1: float
-    x2: float
-    s1: float
-    welfare: float
+    __slots__ = ("x1", "x2", "s1", "welfare")
+
+    def __init__(self, x1: float, x2: float, s1: float, welfare: float):
+        _set_field(self, "x1", x1)
+        _set_field(self, "x2", x2)
+        _set_field(self, "s1", s1)
+        _set_field(self, "welfare", welfare)
 
     def as_dict(self) -> dict:
         return {"x1": self.x1, "x2": self.x2, "s1": self.s1, "welfare": self.welfare}
 
 
-@dataclass(frozen=True)
-class ProfileWelfare:
+class ProfileWelfare(_Record):
     """An equilibrium profile together with its consumer welfare."""
 
-    profile: EquilibriumProfile
-    welfare: float
+    __slots__ = ("profile", "welfare")
+
+    def __init__(self, profile: EquilibriumProfile, welfare: float):
+        _set_field(self, "profile", profile)
+        _set_field(self, "welfare", welfare)
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(_Record):
     """One efficiency ratio: the optimum over an extremal NE welfare."""
 
-    value: float
-    optimum: OptimumPoint
-    extremal_ne: ProfileWelfare
+    __slots__ = ("value", "optimum", "extremal_ne")
+
+    def __init__(self, value: float, optimum: OptimumPoint, extremal_ne: ProfileWelfare):
+        _set_field(self, "value", value)
+        _set_field(self, "optimum", optimum)
+        _set_field(self, "extremal_ne", extremal_ne)
 
 
 def _abs_distance_integral(alpha: float, beta: float, x: float) -> float:

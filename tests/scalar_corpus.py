@@ -5,9 +5,9 @@ the five figure tables run on the stdlib alone and give their pinned outputs.
 commands outside the numpy layer must import and run without numpy. This
 script imports ``locpop`` from ``src``, and checks in this order:
 
-1. ``import locpop`` and building the CLI parser load no ``numpy`` or
-   ``scipy`` module. numpy is still importable here, so a guarded import
-   shows too wherever numpy is installed.
+1. ``import locpop`` and building the CLI parser load no ``numpy``,
+   ``scipy`` or ``dataclasses`` module. numpy is still importable here, so
+   a guarded import shows too wherever numpy is installed.
 2. numpy is blocked (``sys.modules["numpy"] = None`` makes every later
    import of it raise).
 3. The ``repr`` of every public scalar closed form on a fixed corpus of
@@ -19,7 +19,10 @@ script imports ``locpop`` from ``src``, and checks in this order:
    ``PINNED_SHA256``.
 4. Every pinned invocation of ``golden_outputs.NUMPY_FREE_COMMANDS`` prints
    its golden-manifest bytes (``golden_outputs.mismatches``).
-5. The five tables of ``locpop figures`` are written as CSV text and match
+5. One record of each of the ten scalar record types comes back from a
+   ``pickle`` round trip as an equal record of its own type, with the same
+   ``repr``.
+6. The five tables of ``locpop figures`` are written as CSV text and match
    the figure digests (``golden_outputs.figure_mismatches``). Four come from
    ``cli._figure_tables``, which reads no numpy for them; the region table
    ``nash_region_a_half.csv``, which the CLI scans with numpy, is built by
@@ -42,6 +45,7 @@ moved, and paste the new digest into ``PINNED_SHA256``.
 import hashlib
 import math
 import pathlib
+import pickle
 import sys
 
 PINNED_SHA256 = "50025efa155e1678a508b1caac304f665cd1a8838d61a5bcef444e69d652572a"
@@ -169,6 +173,27 @@ def corpus_lines(model, behaviors, welfare):
     return lines
 
 
+def pickle_mismatches(model, behaviors, welfare):
+    """One line per record that a pickle round trip does not give back as an
+    equal record of its own type with the same repr: one record of each
+    scalar record type, from the public calls that return them."""
+    params, loc = model.GameParams(1 / 3, 1.5), model.Locations(1 / 3, 2 / 3)
+    outcome = model.enumerate_market_equilibria(params, loc)[2]
+    pessimistic = behaviors.BehaviorKind.PESSIMISTIC
+    records = [params, loc, outcome, model.EquilibriumProfile(loc, outcome),
+               model.market_equilibrium_count(params, loc),
+               behaviors.best_deviation(params, pessimistic, 1, loc.x2),
+               behaviors.pessimistic_nash_interval(params, loc),
+               welfare.social_optimum(params)[0], welfare.worst_ne_pessimistic(params),
+               welfare.poa(params, pessimistic)]
+    failures = []
+    for record in records:
+        back = pickle.loads(pickle.dumps(record))
+        if type(back) is not type(record) or back != record or repr(back) != repr(record):
+            failures.append(f"pickle round trip of {record!r} gave {back!r}")
+    return failures
+
+
 def figure_tables(cli):
     """(file name, CSV bytes) of each table of ``locpop figures``, the
     region table's rows from the reference in place of the numpy scan."""
@@ -189,7 +214,8 @@ def main():
     from locpop import cli
 
     cli.build_parser()
-    loaded = sorted({name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+    loaded = sorted({name.partition(".")[0] for name in sys.modules}
+                    & {"numpy", "scipy", "dataclasses"})
     if loaded:
         sys.exit(f"import locpop and the CLI parser loaded {loaded}")
     sys.modules["numpy"] = None
@@ -198,7 +224,8 @@ def main():
     print(*lines, f"sha256 {digest}", sep="\n")
     import golden_outputs
 
-    failures = golden_outputs.mismatches(golden_outputs.NUMPY_FREE_COMMANDS)
+    failures = pickle_mismatches(locpop.model, locpop.behaviors, locpop.welfare)
+    failures += golden_outputs.mismatches(golden_outputs.NUMPY_FREE_COMMANDS)
     failures += golden_outputs.figure_mismatches(figure_tables(cli))
     if digest != PINNED_SHA256:
         failures.insert(0, f"digest differs from PINNED_SHA256 {PINNED_SHA256}")

@@ -1,6 +1,8 @@
 """Tests for the market-equilibrium model and its closed forms."""
 
+import copy
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -8,11 +10,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from locpop import (
+    DeviationReport,
+    EquilibriumCount,
+    EquilibriumProfile,
     GameParams,
     GridSpec,
     Kind,
     Locations,
     MarketOutcome,
+    NashInterval,
+    OptimumPoint,
+    ProfileWelfare,
+    RatioReport,
     consumer_utility,
     distinct_shares,
     enumerate_market_equilibria,
@@ -77,6 +86,93 @@ def test_outcome_invariants():
     with pytest.raises(ValueError):
         MarketOutcome(Kind.II, 1.5)
     assert out.as_dict() == {"kind": "iii", "s1": 0.25, "s2": 0.75}
+
+
+_LOC, _OUTCOME = Locations(0.2, 0.7), MarketOutcome(Kind.III, 0.4)
+_PROFILE, _OPTIMUM = EquilibriumProfile(_LOC, _OUTCOME), OptimumPoint(0.25, 0.75, 0.5, 0.9)
+# one record of each of the eleven record types, by its fields in order
+RECORDS = [
+    (GameParams, {"a": 0.3, "theta": 1.5}),
+    (Locations, {"x1": 0.2, "x2": 0.7}),
+    (MarketOutcome, {"kind": Kind.III, "s1": 0.4}),
+    (EquilibriumProfile, {"locations": _LOC, "outcome": _OUTCOME}),
+    (EquilibriumCount, {"count": 5, "tight": frozenset({"band", "ii"})}),
+    (DeviationReport, {"deviator": 2, "location": 0.25, "payoff": 0.5,
+                       "outcomes_considered": (MarketOutcome(Kind.I, 0.0), _OUTCOME)}),
+    (NashInterval, {"lo": 0.2, "hi": 0.6}),
+    (OptimumPoint, {"x1": 0.25, "x2": 0.75, "s1": 0.5, "welfare": 0.9}),
+    (ProfileWelfare, {"profile": _PROFILE, "welfare": 0.9}),
+    (RatioReport, {"value": 1.1, "optimum": _OPTIMUM,
+                   "extremal_ne": ProfileWelfare(_PROFILE, 0.9)}),
+    (GridSpec, {"n_locations": 31, "n_shares": 21}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_values(cls, fields):
+    """Every record: built by position or keyword, equal and hashed by its
+    fields, equal to no tuple and no record of another type, shown in the
+    ``Name(field=value, ...)`` format, immutable, and rebuilt by pickle and
+    copy."""
+    record, values = cls(**fields), tuple(fields.values())
+    assert tuple(getattr(record, name) for name in fields) == values
+    same = cls(*values)
+    assert same == record and not same != record and hash(same) == hash(record)
+    assert hash(record) == hash(values)
+    other = type(f"Other{cls.__name__}", (cls,), {"__slots__": ()})(*values)
+    for unequal in (values, list(values), other):
+        assert record != unequal and unequal != record and not record == unequal
+    if cls is not GridSpec:
+        assert not hasattr(record, "__dict__")
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
+    for back in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(back) is cls and back == record and repr(back) == repr(record)
+
+
+def test_records_of_two_types_with_the_same_values_differ():
+    assert GameParams(0.3, 1.5) != NashInterval(0.3, 1.5)
+    assert GameParams(0.3, 1.5).__eq__(NashInterval(0.3, 1.5)) is NotImplemented
+    assert repr(GameParams(0.5)) == "GameParams(a=0.5, theta=1.0)"
+
+
+def test_records_take_keywords_and_defaults():
+    assert GameParams(a=0.3) == GameParams(0.3, 1.0)
+    assert GridSpec(n_locations=101) == GridSpec(101, 2001)
+    assert GridSpec(n_shares=11) == GridSpec(2001, 11)
+    assert MarketOutcome(s1=0.0, kind=Kind.I) == MarketOutcome(Kind.I, 0.0)
+
+
+def test_grid_spec_copies_by_its_resolutions_alone():
+    grid = GridSpec(31, 21)
+    grid._optimum_grid  # builds the cached arrays
+    for back in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
+        assert back == grid and "_optimum_grid" not in vars(back)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GameParams(1.0), "a must lie strictly inside (0, 1), got 1.0"),
+    (lambda: GameParams(0.0), "a must lie strictly inside (0, 1), got 0.0"),
+    (lambda: GameParams(0.5, 0.5), "theta must be finite and >= 1, got 0.5"),
+    (lambda: GameParams(0.5, math.inf), "theta must be finite and >= 1, got inf"),
+    (lambda: Locations(0.9, 0.1), "locations must satisfy 0 <= x1 <= x2 <= 1, got (0.9, 0.1)"),
+    (lambda: Locations(-0.1, 0.5), "locations must satisfy 0 <= x1 <= x2 <= 1, got (-0.1, 0.5)"),
+    (lambda: MarketOutcome(Kind.II, 1.5), "s1 must lie in [0, 1], got 1.5"),
+    (lambda: MarketOutcome(Kind.I, 0.1), "kind I outcomes must carry s1 = 0"),
+    (lambda: MarketOutcome(Kind.V, 0.9), "kind V outcomes must carry s1 = 1"),
+    (lambda: GridSpec(1), "n_locations must be at least 2, got 1"),
+    (lambda: GridSpec(n_shares=0), "n_shares must be at least 2, got 0"),
+], ids=range(11))
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------

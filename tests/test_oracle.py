@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -53,7 +52,7 @@ def test_gridspec_validation():
         with pytest.raises(ValueError, match=f"{name} must be at least 2"):
             GridSpec(**{name: 1})
     defaults = GridSpec()
-    assert astuple(defaults) == (defaults.n_locations, defaults.n_shares) == (2001, 2001)
+    assert (defaults.n_locations, defaults.n_shares) == (2001, 2001)
 
 
 @pytest.mark.parametrize("value", [41.5, 41.0, "41"])
@@ -491,7 +490,8 @@ def test_oracle_social_optimum_is_the_per_call_computation(grid):
             params = GameParams(float(a), theta)
             expected = per_call_social_optimum(params, grid)
             found = oracle_social_optimum(params, grid)
-            assert astuple(found) == astuple(expected)  # field for field, with ==
+            assert ((found.x1, found.x2, found.s1, found.welfare)  # field for field, with ==
+                    == (expected.x1, expected.x2, expected.s1, expected.welfare))
             assert repr(found) == repr(expected)
 
 
@@ -549,7 +549,8 @@ def test_oracle_social_optimum_cutoff_degeneracy():
 def test_social_optimum_suite_allows_rounding_at_theta(theta, moved, ok, monkeypatch):
     exact = oracle.social_optimum
     monkeypatch.setattr(oracle, "social_optimum", lambda params: tuple(
-        replace(point, welfare=point.welfare + moved) for point in exact(params)))
+        OptimumPoint(point.x1, point.x2, point.s1, point.welfare + moved)
+        for point in exact(params)))
     assert oracle._social_optimum_suite(theta)[0] is ok
 
 

@@ -9,6 +9,7 @@ import inspect
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,18 @@ def test_verify_imports_neither_numpy_random_nor_secrets():
                           timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_records_load_no_dataclasses():
+    """The records are slotted classes of the package's own, so a fresh
+    process importing ``locpop.oracle`` (and with it numpy) never imports
+    ``dataclasses``; ``tests/scalar_corpus.py`` checks the CLI parser."""
+    src = Path(locpop.__file__).resolve().parent.parent
+    script = "import sys\nimport locpop.oracle\nprint('dataclasses' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_no_enum_member_is_read_through_its_class_per_call():
@@ -180,19 +193,37 @@ def test_bench_pairs_records_each_workload_with_its_provenance(tmp_path):
     no benchmark runs."""
     bench_pairs = load_bench_pairs()
     parent, change = tmp_path / "parent", tmp_path / "change"
-    (change / "src" / "locpop" / "__pycache__").mkdir(parents=True)
-    parent.mkdir()
+    for side in (parent, change):
+        (side / "src" / "locpop").mkdir(parents=True)
+        (side / "src" / "locpop" / "model.py").write_text("A = 1\n")
+        (side / "src" / "top.py").write_text("")
+    # the same sources, with bytecode and a non-Python file beside them
+    (change / "src" / "locpop" / "__pycache__").mkdir()
+    (change / "src" / "locpop" / "__pycache__" / "model.cpython-311.pyc").write_bytes(b"\0")
+    (change / "src" / "locpop" / "notes.txt").write_text("not code")
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(parent)]
     subprocess.run(git + ["init", "-q"], check=True)
     subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "parent"], check=True)
     head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True,
                           check=True).stdout.strip()
     origin = bench_pairs.provenance(parent, change)
+    digest = bench_pairs.source_digest(parent)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
     assert origin == {
         "cpu_count": os.cpu_count(), "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
-        "parent": {"revision": head, "pycache": False},
-        "change": {"revision": None, "pycache": True}}
+        "parent": {"revision": head, "source_sha256": digest, "pycache": False},
+        "change": {"revision": None, "source_sha256": digest, "pycache": True}}
+    # a changed byte, a renamed file or a moved boundary between two files
+    # each change the digest
+    (change / "src" / "locpop" / "model.py").write_text("A = 2\n")
+    edited = bench_pairs.source_digest(change)
+    (change / "src" / "locpop" / "model.py").rename(change / "src" / "locpop" / "other.py")
+    renamed = bench_pairs.source_digest(change)
+    (change / "src" / "locpop" / "other.py").write_text("A = 2")
+    (change / "src" / "top.py").write_text("\n")
+    moved = bench_pairs.source_digest(change)
+    assert len({digest, edited, renamed, moved}) == 4
     even = {"parent": 0, "change": 0}
     metrics = [("wall_s", "lower"), ("peak_rss_mb", "lower")]
     path = tmp_path / "BENCH.json"
@@ -276,11 +307,11 @@ sys.exit(1 if (side, seed) == ("parent", 3) else 0)
 '''
 
 
-def test_bench_pairs_times_whole_processes_in_alternating_pairs(tmp_path):
-    """A stub command in two checkouts: ten pairs, the parent first in odd
-    ones, each run in its checkout with its ``src`` on the path and a fresh
-    output path that is gone afterwards; a non-zero exit is a failed
-    operation. ``process_s`` has no bound, so a move of any size is not
+def test_bench_pairs_times_whole_processes_in_alternating_pairs(tmp_path, monkeypatch):
+    """A stub command in two checkouts: ten pairs of PROCESS_RUNS turns each,
+    the parent first in odd pairs, each run in its checkout with its ``src``
+    on the path and a fresh output path that is gone afterwards; a non-zero
+    exit is a failed operation. ``process_s`` has no bound, so a move of any size is not
     flagged."""
     bench_pairs = load_bench_pairs()
     log = tmp_path / "runs.log"
@@ -289,16 +320,31 @@ def test_bench_pairs_times_whole_processes_in_alternating_pairs(tmp_path):
         (tmp_path / side / "stub.py").write_text(STUB)
     pairs, failed = bench_pairs.process_pairs(
         tmp_path / "parent", tmp_path / "change",
-        lambda seed, out: [sys.executable, "stub.py", str(seed), out, str(log)])
+        lambda seed, out: [sys.executable, "-S", "stub.py", str(seed), out, str(log)])
     runs = [line.split() for line in log.read_text().splitlines()]
     assert [(side, int(seed)) for side, seed, _ in runs] == [
-        (side, seed) for seed in range(1, 11)
+        (side, seed) for seed in range(1, 11) for _ in range(bench_pairs.PROCESS_RUNS)
         for side in (("parent", "change") if seed % 2 else ("change", "parent"))]
+    assert len({out for _, _, out in runs}) == len(runs) == 60
     assert not any(os.path.exists(os.path.dirname(out)) for _, _, out in runs)
-    assert failed == {"parent": 1, "change": 0}
+    assert failed == {"parent": 3, "change": 0}  # each run of the failing side counts
     assert len(pairs) == 10
     assert all(set(side) == {"process_s"} and side["process_s"] > 0.0
                for pair in pairs for side in pair)
+    # each side of a pair is the fastest of its runs
+    runs = {"parent": [], "change": []}
+
+    def scripted(argv, directory):
+        side = Path(directory).name
+        runs[side].append(argv)
+        return {"parent": (0.3, 0.1, 0.2), "change": (0.2, 0.4, 0.5)}[side][
+            (len(runs[side]) - 1) % 3], True
+
+    monkeypatch.setattr(bench_pairs, "time_process", scripted)
+    assert bench_pairs.process_pairs(tmp_path / "parent", tmp_path / "change",
+                                     lambda seed, out: [seed]) == (
+        [({"process_s": 0.1}, {"process_s": 0.2})] * 10, {"parent": 0, "change": 0})
+    assert runs["parent"] == [[seed] for seed in range(1, 11) for _ in range(3)]
     [summary] = bench_pairs.summarize(pairs, [("process_s", "lower")], failed)
     assert summary["pairs"] == 10
     earlier = {"metrics": {"process_s": {"change": [0.1, 0.1, 0.1]}}}

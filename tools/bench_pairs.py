@@ -15,16 +15,21 @@ interquartile range. Needs the standard library only.
 With ``--record PATH`` the summaries are also merged into the JSON file
 at PATH (created if absent), under the workload's name, with the
 provenance of the run: core count, Python and numpy versions, and each
-side's git revision and whether it holds compiled bytecode
+side's git revision, the sha256 digest of its Python sources under
+``src`` (which names the code measured where the checkout has no git
+history) and whether it holds compiled bytecode
 (``src/locpop/__pycache__``). Runs of other workloads already in the file
 are kept, so one file can hold a trajectory point for every workload.
-For ``figures`` and ``verify``, ``--record`` also times the command as a
-whole process, ``python -m locpop.cli figures --out <tmp>`` or ``verify
---seed <k>``, in each checkout in 10 more alternating pairs: ``process_s``,
-summarized and recorded as the perfbench metrics are, takes in the
-interpreter's start and the imports (numpy's among them) that perfbench's
-worker makes before it starts its clock. A run that exits non-zero counts
-as a failed operation.
+For each workload, ``--record`` also times one command as a whole
+process, ``python -m locpop.cli`` with ``figures --out <tmp>``, ``verify
+--seed <k>`` or, for ``queries``, the numpy-free single-point ``market-eq
+--a 0.3 --x1 0.2 --x2 0.4``, in each checkout in 10 more alternating
+pairs. Each side of a pair is the fastest of PROCESS_RUNS fresh
+processes, run in turn with the other side's, so one slow start of the
+host does not make a pair. ``process_s``, summarized and recorded as the
+perfbench metrics are, takes in the interpreter's start and the imports
+(numpy's among them) that perfbench's worker makes before it starts its
+clock. A run that exits non-zero counts as a failed operation.
 The recorded workload's medians are then printed against the change
 medians of the newest earlier record beside PATH: the ``BENCH_<n>.json``
 with the largest n below PATH's own (any n when PATH's name carries
@@ -44,8 +49,10 @@ Run from the repository root::
 """
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import re
@@ -66,7 +73,9 @@ RSS_NOISE_MB = 0.6
 PROCESS_ARGS = {
     "figures": lambda seed, out: ["figures", "--out", out],
     "verify": lambda seed, out: ["verify", "--seed", str(seed)],
+    "queries": lambda seed, out: ["market-eq", "--a", "0.3", "--x1", "0.2", "--x2", "0.4"],
 }
+PROCESS_RUNS = 3  # fresh processes per side of a pair, of which the fastest counts
 
 
 def quartiles(values):
@@ -118,12 +127,13 @@ def provenance(parent, change):
     """Where a run's pairs run: the host's core count, the Python and numpy
     versions of this interpreter, which runs both sides, and per side
     (``parent`` and ``change``, two checkouts) the ``git rev-parse HEAD``
-    revision, None outside a repository, and whether ``src/locpop/__pycache__``
-    is there."""
+    revision, None outside a repository, the :func:`source_digest` of the
+    checkout, and whether ``src/locpop/__pycache__`` is there."""
     def side(directory):
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=directory,
                               capture_output=True, text=True)
         return {"revision": head.stdout.strip() if head.returncode == 0 else None,
+                "source_sha256": source_digest(directory),
                 "pycache": (Path(directory) / "src" / "locpop" / "__pycache__").is_dir()}
 
     try:
@@ -132,6 +142,19 @@ def provenance(parent, change):
         numpy = None
     return {"cpu_count": os.cpu_count(), "python": platform.python_version(), "numpy": numpy,
             "parent": side(parent), "change": side(change)}
+
+
+def source_digest(directory):
+    """The sha256 hex digest of the ``*.py`` files under ``directory/src``
+    (bytecode and other files aside): each file's path relative to ``src``
+    and its bytes, length-prefixed, in path order. Two checkouts of the
+    same code give the same digest, with or without git history."""
+    root = Path(directory) / "src"
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"), key=lambda path: path.relative_to(root).as_posix()):
+        name, data = path.relative_to(root).as_posix().encode(), path.read_bytes()
+        digest.update(b"%d %s %d\n" % (len(name), name, len(data)) + data)
+    return digest.hexdigest()
 
 
 def record(path, workload, summaries, run):
@@ -221,20 +244,23 @@ def time_process(argv, directory):
 
 def process_pairs(parent, change, command):
     """Whole-process timings of two checkouts in PAIRS alternating pairs,
-    seeds 1..PAIRS, the parent first in odd pairs: ``(pairs, failed)`` as
-    :func:`summarize` reads them, each side of a pair ``{"process_s":
-    seconds}``. ``command(seed, out)`` gives a run's argv; ``out`` is a path
-    in a fresh temporary directory, removed after the run."""
+    seeds 1..PAIRS: ``(pairs, failed)`` as :func:`summarize` reads them,
+    each side of a pair ``{"process_s": seconds}``, the fastest of its
+    PROCESS_RUNS runs. A pair runs the two sides in turn PROCESS_RUNS
+    times, the parent first in odd pairs. ``command(seed, out)`` gives a
+    run's argv; ``out`` is a path in a fresh temporary directory, removed
+    after the run. Every run that exits non-zero is a failed operation."""
     pairs, failed = [], {"parent": 0, "change": 0}
     for seed in range(1, PAIRS + 1):
         sides = [("parent", parent), ("change", change)]
-        results = {}
-        for side, directory in sides if seed % 2 else sides[::-1]:
-            with tempfile.TemporaryDirectory() as tmp:
-                seconds, ok = time_process(command(seed, os.path.join(tmp, "out")), directory)
-            failed[side] += not ok
-            results[side] = {"process_s": seconds}
-        pairs.append((results["parent"], results["change"]))
+        results = {"parent": math.inf, "change": math.inf}
+        for _ in range(PROCESS_RUNS):
+            for side, directory in sides if seed % 2 else sides[::-1]:
+                with tempfile.TemporaryDirectory() as tmp:
+                    seconds, ok = time_process(command(seed, os.path.join(tmp, "out")), directory)
+                failed[side] += not ok
+                results[side] = min(results[side], seconds)
+        pairs.append(({"process_s": results["parent"]}, {"process_s": results["change"]}))
     return pairs, failed
 
 
